@@ -14,9 +14,10 @@ the matrix route exists only as an independent cross-check (see the
 oracle command and the test suite).
 
 Truth tables are packed one bit per entry into a Python int, so tables
-stay exact and cheap up to tens of millions of entries.  Spectra are
-exact integers throughout (they are bounded by 2^n, so the vectorised
-int64 path cannot overflow for any arity this package accepts).
+stay exact and cheap up to tens of millions of entries.  Every transform
+(spectra, bentness, duals, difference-set counts) runs through one in-place
+int64 butterfly over the unpacked table; spectra are bounded by 2^n and
+autocorrelations by 4^n, so all of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-# arities at or above this use the vectorised stage loop
-_NUMPY_MIN_SIZE = 1 << 14
-
-# per-byte expansions, LSB first; repeated `bits >> i` on a packed table
-# would be quadratic in its length, so full scans go through bytes
-_BYTE_BITS = [tuple((b >> k) & 1 for k in range(8)) for b in range(256)]
-_BYTE_SIGNS = [tuple(1 - 2 * ((b >> k) & 1) for k in range(8)) for b in range(256)]
 
 
 @dataclass(frozen=True)
@@ -59,11 +52,7 @@ class BoolFunc:
         return (self.bits >> i) & 1
 
     def table(self) -> list[int]:
-        out = []
-        for byte in self.bits.to_bytes((self.size + 7) // 8, "little"):
-            out.extend(_BYTE_BITS[byte])
-        del out[self.size:]
-        return out
+        return _unpack(self).tolist()
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -176,63 +165,52 @@ def tau_function(m: int) -> BoolFunc:
 
 # --- Walsh-Hadamard transform ---------------------------------------------
 
-def _fwht_python(values: list[int]) -> list[int]:
-    out = list(values)
-    n = len(out)
-    h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            for j in range(start, start + h):
-                x, y = out[j], out[j + h]
-                out[j] = x + y
-                out[j + h] = x - y
-        h *= 2
-    return out
+def _unpack(f: BoolFunc) -> np.ndarray:
+    """The truth table as a uint8 array, entry i at index i."""
+    raw = np.frombuffer(f.bits.to_bytes((f.size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=f.size, bitorder="little")
 
 
-def _fwht_numpy(values) -> list[int]:
-    a = np.array(values, dtype=np.int64)
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Butterflies by the Sylvester matrix, in place on an int64 array of
+    power-of-two length.  Exact while every partial sum, doubled, stays
+    below 2^63; callers bound their inputs accordingly."""
     h = 1
     while h < a.size:
-        b = a.reshape(-1, 2 * h)
-        x = b[:, :h].copy()
-        y = b[:, h:].copy()
-        b[:, :h] = x + y
-        b[:, h:] = x - y
+        pairs = a.reshape(-1, 2, h)
+        x, y = pairs[:, 0], pairs[:, 1]
+        x += y
+        y *= -2
+        y += x  # (x + y) - 2y = x - y
         h *= 2
-    return a.tolist()
+    return a
 
 
-def fwht(values, impl: str = "auto") -> list[int]:
-    """In-place butterfly transform by the Sylvester matrix H_n.
+def _spectrum(f: BoolFunc) -> np.ndarray:
+    a = _unpack(f).astype(np.int64)
+    a *= -2
+    a += 1
+    return _fwht(a)
 
-    Length must be a power of two.  The "numpy" implementation produces
-    bit-identical output to the "python" one and is selected
-    automatically for large inputs when the int64 bound allows it.
+
+def fwht(values) -> list[int]:
+    """Transform by the Sylvester matrix H_n, as exact integers.
+
+    Length must be a power of two, and max|x| * length must stay below
+    2^62 so that no int64 partial sum can overflow.
     """
     vec = list(values)
     n = len(vec)
     if n == 0 or n & (n - 1):
         raise ValueError("length must be a positive power of two")
-    if impl not in ("auto", "python", "numpy"):
-        raise ValueError(f"unknown implementation {impl!r}")
-    peak = max(map(abs, vec)) * n
-    if impl == "auto":
-        impl = "numpy" if (n >= _NUMPY_MIN_SIZE and peak < 1 << 62) else "python"
-    if impl == "numpy":
-        if peak >= 1 << 62:
-            raise ValueError("values too large for the int64 path")
-        return _fwht_numpy(vec)
-    return _fwht_python(vec)
+    if max(map(abs, vec)) * n >= 1 << 62:
+        raise ValueError("values too large for exact int64 arithmetic")
+    return _fwht(np.array(vec, dtype=np.int64)).tolist()
 
 
 def walsh_transform(f: BoolFunc) -> list[int]:
     """Spectrum H_n * (-1)^f as exact integers."""
-    vec = []
-    for byte in f.bits.to_bytes((f.size + 7) // 8, "little"):
-        vec.extend(_BYTE_SIGNS[byte])
-    del vec[f.size:]
-    return fwht(vec)
+    return _spectrum(f).tolist()
 
 
 def is_bent(f: BoolFunc) -> bool:
@@ -242,22 +220,20 @@ def is_bent(f: BoolFunc) -> bool:
     """
     if f.n & 1:
         return False
-    c = 1 << (f.n // 2)
-    return all(abs(w) == c for w in walsh_transform(f))
+    return bool((np.abs(_spectrum(f)) == 1 << (f.n // 2)).all())
 
 
 def dual(f: BoolFunc) -> BoolFunc:
     """The bent function read off the spectrum signs of a bent f."""
     if f.n & 1:
         raise ValueError("input not bent: odd arity")
-    c = 1 << (f.n // 2)
-    bits = 0
-    for i, w in enumerate(walsh_transform(f)):
-        if abs(w) != c:
-            raise ValueError(f"input not bent: spectrum entry {w} at {i}")
-        if w < 0:
-            bits |= 1 << i
-    return BoolFunc(f.n, bits)
+    spectrum = _spectrum(f)
+    off = np.flatnonzero(np.abs(spectrum) != 1 << (f.n // 2))
+    if off.size:
+        i = int(off[0])
+        raise ValueError(f"input not bent: spectrum entry {spectrum[i]} at {i}")
+    signs = np.packbits(spectrum < 0, bitorder="little")
+    return BoolFunc(f.n, int.from_bytes(signs.tobytes(), "little"))
 
 
 def tokareva_compose(f0: BoolFunc, f1: BoolFunc, f2: BoolFunc, f3: BoolFunc) -> BoolFunc:
@@ -308,42 +284,42 @@ class DiffSetParams:
         return (self.v, self.k, self.lam, self.n)
 
 
-def _difference_counts(support, v: int) -> list[int]:
-    """counts[g] = ordered pairs (a, b) of distinct support elements with a^b = g."""
-    k = len(support)
-    if k * k > 1 << 24:
-        table = np.zeros(v, dtype=bool)
-        table[list(support)] = True
-        idx = np.arange(v)
-        return [0] + [
-            int(np.count_nonzero(table & table[idx ^ g])) for g in range(1, v)
-        ]
-    counts = [0] * v
-    for a in support:
-        for b in support:
-            counts[a ^ b] += 1
-    counts[0] = 0
+def _autocorrelation(indicator: np.ndarray) -> np.ndarray:
+    """counts[d] = |S & (S ^ d)| for the set S in Z_2^n marked by a 0/1
+    array of length v = 2^n, so counts[0] = |S|.
+
+    Wiener-Khinchin: the transform of the squared spectrum W_S^2 is v times
+    the autocorrelation.  The first pass is bounded by |W_S| <= v.  The
+    second sums terms W_S^2 >= 0 whose total is v * |S| <= 4^n (Parseval),
+    so every partial sum, doubled, stays below 2^63 for n <= 30.
+    """
+    v = indicator.size
+    a = _fwht(indicator.astype(np.int64))
+    a *= a
+    counts, rest = np.divmod(_fwht(a), v)
+    if rest.any():
+        raise RuntimeError("autocorrelation transform not divisible by v")
     return counts
 
 
 def verify_difference_set(f: BoolFunc) -> DiffSetParams:
-    """Count every nonzero difference over support x support and demand a
-    constant; returns the verified (v, k, lam, n)."""
-    support = f.support()
-    v = f.size
-    if not support:
+    """Count every nonzero difference over support x support, all at once
+    by autocorrelation, and demand a constant; returns the verified
+    (v, k, lam, n)."""
+    v, k = f.size, f.weight()
+    if k == 0:
         raise ValueError("support is empty")
-    if len(support) == v:
+    if k == v:
         raise ValueError("support is the whole group")
-    counts = _difference_counts(support, v)
-    lam = counts[1]
-    for g in range(2, v):
-        if counts[g] != lam:
-            raise ValueError(
-                f"not a difference set: difference 1 occurs {lam} times "
-                f"but difference {g} occurs {counts[g]} times"
-            )
-    k = len(support)
+    counts = _autocorrelation(_unpack(f))
+    lam = int(counts[1])
+    off = np.flatnonzero(counts[1:] != lam)
+    if off.size:
+        g = int(off[0]) + 1
+        raise ValueError(
+            f"not a difference set: difference 1 occurs {lam} times "
+            f"but difference {g} occurs {counts[g]} times"
+        )
     return DiffSetParams(v, k, lam, k - lam)
 
 

@@ -24,6 +24,7 @@ from .bent import (
     verify_difference_set,
 )
 from .graphs import (
+    _ORACLE_MAX_M,
     BLUE,
     RED,
     build_delta,
@@ -49,7 +50,6 @@ _TABLE_MAX_M = 14
 _BENT_MAX_M = 12
 _CONFIRM_MAX_M = 8
 _GRAPH_MAX_M = 8
-_ORACLE_MAX_M = 4
 _SEARCH_ALL_DEFAULT_LIMIT = 100
 
 

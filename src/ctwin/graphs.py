@@ -2,9 +2,10 @@
 functions, strong-regularity verification, and graph export.
 
 Adjacency is never stored as a v x v structure: a graph on Z_2^n is a
-length-2^n colour table indexed by vertex difference, and packed
-adjacency rows (one int bitmask per vertex) are generated on demand for
-the common-neighbour counts.
+length-2^n colour table indexed by vertex difference.  Common-neighbour
+counts depend only on the difference of the two vertices, so strong
+regularity is read off one autocorrelation of the colour class, and
+graph6 is encoded column by column straight from the table.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import SymmetryClass, classify, gamma
-from .bent import BoolFunc, sigma_function, tau_function
+from .bent import BoolFunc, _autocorrelation, sigma_function, tau_function
 
 RED = -1
 BLUE = 1
@@ -21,6 +24,8 @@ COLOUR_NAMES = {RED: "red", BLUE: "blue"}
 
 _ORACLE_MAX_M = 4
 _GRAPH6_MAX_VERTICES = 1 << 16
+# upper-triangle bits unpacked at once while encoding graph6
+_GRAPH6_BLOCK_BITS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -73,17 +78,6 @@ class DifferenceGraph:
                     out.append((a, b))
         out.sort()
         return out
-
-    def adjacency_rows(self, colour: int) -> list[int]:
-        """Packed neighbour bitmasks, one int per vertex."""
-        diffs = self.differences(colour)
-        rows = []
-        for a in range(self.v):
-            row = 0
-            for d in diffs:
-                row |= 1 << (a ^ d)
-            rows.append(row)
-        return rows
 
 
 def build_delta(m: int) -> DifferenceGraph:
@@ -156,54 +150,38 @@ class SrgParams:
         return (self.v, self.k, self.lam, self.mu)
 
 
-def srg_params_from_rows(rows: list[int]) -> SrgParams:
-    """Verify strong regularity of an arbitrary adjacency-row list.
-
-    Exhaustive over all vertex pairs; common neighbours are counted by
-    intersecting packed rows.
-    """
-    v = len(rows)
-    k = rows[0].bit_count()
-    for a in range(1, v):
-        if rows[a].bit_count() != k:
-            raise ValueError(
-                f"degree not constant: vertex 0 has {k}, "
-                f"vertex {a} has {rows[a].bit_count()}"
-            )
-    if k == 0:
-        raise ValueError("graph is empty in this colour")
-    lam = mu = None
-    for a in range(v):
-        row_a = rows[a]
-        for b in range(a + 1, v):
-            common = (row_a & rows[b]).bit_count()
-            if (row_a >> b) & 1:
-                if lam is None:
-                    lam = common
-                elif common != lam:
-                    raise ValueError(
-                        f"lambda not constant: adjacent pair ({a}, {b}) "
-                        f"has {common} common neighbours, expected {lam}"
-                    )
-            else:
-                if mu is None:
-                    mu = common
-                elif common != mu:
-                    raise ValueError(
-                        f"mu not constant: non-adjacent pair ({a}, {b}) "
-                        f"has {common} common neighbours, expected {mu}"
-                    )
-    if lam is None:
-        raise ValueError("graph has no adjacent pairs")
-    if mu is None:
-        raise ValueError("graph has no non-adjacent pairs")
-    return SrgParams(v, k, lam, mu)
-
-
 def verify_srg(graph: DifferenceGraph, colour: int) -> SrgParams:
     """Exhaustively verify that one colour class of the graph is strongly
-    regular and return its parameters."""
-    return srg_params_from_rows(graph.adjacency_rows(colour))
+    regular and return its parameters.
+
+    Vertices a and b have |S & (S ^ a ^ b)| common neighbours, S being the
+    differences of the colour, so one autocorrelation of S covers every
+    pair.  Vertex 0 meets each difference d once, as the pair (0, d), so
+    lambda, mu and the first offending pair are those a pairwise check in
+    lexicographic order would report.
+    """
+    in_colour = np.array(graph.kappa) == colour
+    in_colour[0] = False  # no loops, even for the colour 0 of non-edges
+    counts = _autocorrelation(in_colour)
+    k = int(counts[0])
+    if k == 0:
+        raise ValueError("graph is empty in this colour")
+    adjacent, common = in_colour[1:], counts[1:]
+    if adjacent.all():
+        raise ValueError("graph has no non-adjacent pairs")
+    lam = int(common[adjacent.argmax()])
+    mu = int(common[(~adjacent).argmax()])
+    off = np.flatnonzero(common != np.where(adjacent, lam, mu))
+    if off.size:
+        b = int(off[0]) + 1
+        name, pair, want = (
+            ("lambda", "adjacent", lam) if in_colour[b] else ("mu", "non-adjacent", mu)
+        )
+        raise ValueError(
+            f"{name} not constant: {pair} pair (0, {b}) "
+            f"has {counts[b]} common neighbours, expected {want}"
+        )
+    return SrgParams(graph.v, k, lam, mu)
 
 
 def predicted_srg_params(m: int) -> SrgParams:
@@ -225,22 +203,30 @@ def to_graph6(graph: DifferenceGraph, colour: int) -> bytes:
         head = bytes([n + 63])
     else:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    rows = graph.adjacency_rows(colour)
     out = bytearray(head)
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        row = rows[j]
-        for i in range(j):
-            acc = (acc << 1) | ((row >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
+    for bits in _upper_triangle(np.array(graph.kappa) == colour):
+        bits = np.concatenate((bits, np.zeros(-bits.size % 6, dtype=bool)))
+        out += ((np.packbits(bits.reshape(-1, 6), axis=1) >> 2) + 63).tobytes()
     return bytes(out)
+
+
+def _upper_triangle(adjacent: np.ndarray):
+    """graph6's bit stream, adjacency of (i, j) for i < j in column order,
+    in blocks of whole 6-bit characters (the last block may be short).
+
+    Columns j = 0 mod 12 start on a character boundary, since
+    j(j - 1)/2 is then a multiple of 6, so blocks are cut there."""
+    n = adjacent.size
+    vertices = np.arange(n)
+    columns, size = [], 0
+    for j in range(1, n):
+        if j % 12 == 0 and size >= _GRAPH6_BLOCK_BITS:
+            yield np.concatenate(columns)
+            columns, size = [], 0
+        columns.append(adjacent[vertices[:j] ^ j])
+        size += j
+    if columns:
+        yield np.concatenate(columns)
 
 
 def from_graph6(data: bytes) -> tuple[int, list[tuple[int, int]]]:

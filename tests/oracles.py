@@ -1,0 +1,111 @@
+"""Slow, independent reference implementations for the test suite.
+
+Each one computes what a fast path in ctwin computes, by the textbook
+route and in pure Python: butterflies on a list, differences counted
+pair by pair, common neighbours counted on packed adjacency rows.  They
+are quadratic where ctwin is spectral, so tests use them at small sizes.
+"""
+
+from ctwin.bent import DiffSetParams
+from ctwin.graphs import SrgParams
+
+
+def fwht(values):
+    """Butterfly transform by the Sylvester matrix on Python ints."""
+    out = list(values)
+    n = len(out)
+    h = 1
+    while h < n:
+        for start in range(0, n, 2 * h):
+            for j in range(start, start + h):
+                x, y = out[j], out[j + h]
+                out[j] = x + y
+                out[j + h] = x - y
+        h *= 2
+    return out
+
+
+def difference_counts(support, v):
+    """counts[g] = ordered pairs (a, b) of distinct support elements with a^b = g."""
+    counts = [0] * v
+    for a in support:
+        for b in support:
+            counts[a ^ b] += 1
+    counts[0] = 0
+    return counts
+
+
+def difference_set_params(f):
+    """verify_difference_set by pairwise counting, with its error messages."""
+    support = f.support()
+    v = f.size
+    if not support:
+        raise ValueError("support is empty")
+    if len(support) == v:
+        raise ValueError("support is the whole group")
+    counts = difference_counts(support, v)
+    lam = counts[1]
+    for g in range(2, v):
+        if counts[g] != lam:
+            raise ValueError(
+                f"not a difference set: difference 1 occurs {lam} times "
+                f"but difference {g} occurs {counts[g]} times"
+            )
+    k = len(support)
+    return DiffSetParams(v, k, lam, k - lam)
+
+
+def adjacency_rows(graph, colour):
+    """Packed neighbour bitmasks of one colour class, one int per vertex."""
+    diffs = graph.differences(colour)
+    rows = []
+    for a in range(graph.v):
+        row = 0
+        for d in diffs:
+            row |= 1 << (a ^ d)
+        rows.append(row)
+    return rows
+
+
+def srg_params_from_rows(rows):
+    """Verify strong regularity of an arbitrary adjacency-row list.
+
+    Exhaustive over all vertex pairs; common neighbours are counted by
+    intersecting packed rows.
+    """
+    v = len(rows)
+    k = rows[0].bit_count()
+    for a in range(1, v):
+        if rows[a].bit_count() != k:
+            raise ValueError(
+                f"degree not constant: vertex 0 has {k}, "
+                f"vertex {a} has {rows[a].bit_count()}"
+            )
+    if k == 0:
+        raise ValueError("graph is empty in this colour")
+    lam = mu = None
+    for a in range(v):
+        row_a = rows[a]
+        for b in range(a + 1, v):
+            common = (row_a & rows[b]).bit_count()
+            if (row_a >> b) & 1:
+                if lam is None:
+                    lam = common
+                elif common != lam:
+                    raise ValueError(
+                        f"lambda not constant: adjacent pair ({a}, {b}) "
+                        f"has {common} common neighbours, expected {lam}"
+                    )
+            else:
+                if mu is None:
+                    mu = common
+                elif common != mu:
+                    raise ValueError(
+                        f"mu not constant: non-adjacent pair ({a}, {b}) "
+                        f"has {common} common neighbours, expected {mu}"
+                    )
+    if lam is None:
+        raise ValueError("graph has no adjacent pairs")
+    if mu is None:
+        raise ValueError("graph has no non-adjacent pairs")
+    return SrgParams(v, k, lam, mu)

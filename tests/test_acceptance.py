@@ -30,10 +30,14 @@ from ctwin.bent import (
 from ctwin.graphs import BLUE, RED, build_delta, oracle_build_delta, predicted_srg_params, verify_srg
 from ctwin.swap import SearchStatus, search_swap, verify_swap
 
-extended = pytest.mark.skipif(
-    os.environ.get("CTWIN_EXTENDED") != "1",
-    reason="extended suite only (set CTWIN_EXTENDED=1); the m=4 exhaustion takes hours",
-)
+
+def extended(test):
+    """Mark a long run for `-m extended`; it runs only with CTWIN_EXTENDED=1."""
+    skip = pytest.mark.skipif(
+        os.environ.get("CTWIN_EXTENDED") != "1",
+        reason="extended suite only (set CTWIN_EXTENDED=1); the m=4 exhaustion takes hours",
+    )
+    return pytest.mark.extended(skip(test))
 
 
 def _passed(name):

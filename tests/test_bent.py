@@ -22,6 +22,8 @@ from ctwin.bent import (
     walsh_transform,
 )
 
+import oracles
+
 
 # --- dense Sylvester oracle ----------------------------------------------
 
@@ -141,11 +143,11 @@ def test_fwht_involution_and_parseval():
         assert sum(w * w for w in spec) == size * size
 
 
-def test_fwht_numpy_matches_python():
+def test_fwht_matches_oracle():
     rng = random.Random(17)
-    for n in (6, 10, 14):
+    for n in (0, 1, 6, 10, 14):
         vec = [rng.randrange(-3, 4) for _ in range(1 << n)]
-        assert fwht(vec, impl="numpy") == fwht(vec, impl="python")
+        assert fwht(vec) == oracles.fwht(vec)
 
 
 def test_fwht_rejects_bad_lengths():
@@ -153,8 +155,15 @@ def test_fwht_rejects_bad_lengths():
         fwht([1, 2, 3])
     with pytest.raises(ValueError):
         fwht([])
-    with pytest.raises(ValueError):
-        fwht([1, 2], impl="fortran")
+
+
+def test_fwht_rejects_int64_overflow():
+    # max|x| * length must stay below 2^62
+    top = (1 << 61) - 1
+    assert fwht([top, -top]) == oracles.fwht([top, -top])
+    for vec in ([1 << 61, 0], [0, -(1 << 61)], [1 << 70, 1], [1 << 59] * 8):
+        with pytest.raises(ValueError, match="too large"):
+            fwht(vec)
 
 
 # --- bentness and duals -----------------------------------------------------

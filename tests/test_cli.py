@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -75,6 +76,20 @@ def test_params_m1(capsys):
         "srg": [4, 1, 0, 0],
         "confirmed": True,
     }
+
+
+def test_params_confirms_at_guard_limit(capsys):
+    # m = 8 is the largest m that params confirms; its budget is 30 s
+    start = time.monotonic()
+    code, report = run_cli(capsys, "params", "--m", "8")
+    elapsed = time.monotonic() - start
+    assert code == 0
+    assert report["result"] == {
+        "ds": [65536, 32640, 16256, 16384],
+        "srg": [65536, 32640, 16256, 16256],
+        "confirmed": True,
+    }
+    assert elapsed < 30.0, f"params --m 8 took {elapsed:.1f}s, budget 30s"
 
 
 def test_params_large_m_closed_form_only(capsys):

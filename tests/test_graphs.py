@@ -5,6 +5,7 @@ import json
 import networkx as nx
 import pytest
 
+from ctwin import graphs
 from ctwin.algebra import SymmetryClass, classify, diagonal_count, gamma
 from ctwin.bent import BoolFunc, sigma_function, tau_function
 from ctwin.graphs import (
@@ -18,10 +19,11 @@ from ctwin.graphs import (
     from_graph6,
     oracle_build_delta,
     predicted_srg_params,
-    srg_params_from_rows,
     to_graph6,
     verify_srg,
 )
+
+import oracles
 
 
 def test_delta1_edges():
@@ -41,7 +43,7 @@ def test_no_loops():
 
 def test_delta2_red_degree():
     g = build_delta(2)
-    rows = g.adjacency_rows(RED)
+    rows = oracles.adjacency_rows(g, RED)
     assert all(r.bit_count() == 6 for r in rows)
 
 
@@ -131,7 +133,7 @@ def test_srg_rejects_irregular_degree():
     # path 0-1-2: degrees 1, 2, 1
     rows = [0b010, 0b101, 0b010]
     with pytest.raises(ValueError, match="degree not constant"):
-        srg_params_from_rows(rows)
+        oracles.srg_params_from_rows(rows)
 
 
 def test_srg_rejects_nonconstant_mu():
@@ -148,7 +150,7 @@ def test_srg_rejects_empty_colour():
 
 def test_common_neighbour_counts_translation_invariant():
     g = build_delta(2)
-    rows = g.adjacency_rows(RED)
+    rows = oracles.adjacency_rows(g, RED)
 
     def profile(a):
         return sorted(
@@ -170,13 +172,16 @@ def test_graph6_empty_graph():
     assert to_graph6(cayley_graph(BoolFunc(2, 0)), BLUE) == b"C?"
 
 
-def test_graph6_roundtrip():
-    for m in (1, 2):
-        for colour in (RED, BLUE):
-            g = build_delta(m)
-            n, edges = from_graph6(to_graph6(g, colour))
-            assert n == g.v
-            assert edges == g.edges(colour)
+def test_graph6_roundtrip(monkeypatch):
+    # one block per graph, then a block cut at every column j = 0 mod 12
+    for block_bits in (graphs._GRAPH6_BLOCK_BITS, 1):
+        monkeypatch.setattr(graphs, "_GRAPH6_BLOCK_BITS", block_bits)
+        for m in (1, 2, 3):
+            for colour in (RED, BLUE):
+                g = build_delta(m)
+                n, edges = from_graph6(to_graph6(g, colour))
+                assert n == g.v
+                assert edges == g.edges(colour)
 
 
 def test_graph6_against_networkx():

@@ -18,6 +18,8 @@ from ctwin.swap import (
     witness_payload,
 )
 
+import oracles
+
 
 def brute_force_swaps_m1(fix_zero=True):
     """Independent enumeration over raw permutations of the 4 vertices."""
@@ -164,8 +166,8 @@ def test_witness_exchanges_neighbour_sets():
     for m in (1, 2):
         g = build_delta(m)
         phi = search_swap(m).witness.phi
-        red_rows = g.adjacency_rows(RED)
-        blue_rows = g.adjacency_rows(BLUE)
+        red_rows = oracles.adjacency_rows(g, RED)
+        blue_rows = oracles.adjacency_rows(g, BLUE)
         for a in range(g.v):
             red_image = {phi[b] for b in range(g.v) if (red_rows[a] >> b) & 1}
             blue_set = {b for b in range(g.v) if (blue_rows[phi[a]] >> b) & 1}
