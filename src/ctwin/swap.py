@@ -1,24 +1,27 @@
 """Backtracking search for a vertex permutation of Delta_m that swaps the
 red and blue subgraphs while preserving non-edges.
 
-The search assigns images phi[a] in natural vertex order with phi[0]
-pinned to 0 (any colour-swapping permutation can be translated to one
-fixing vertex 0 without changing pair differences, so the pin loses no
-generality).  A candidate image for vertex a must satisfy
-kappa[phi[a] ^ phi[b]] = -kappa[a ^ b] against every previously assigned
-b; candidates are drawn in ascending order from a bitset of unused
-vertices, which makes serial runs fully deterministic.
+The search pins phi[0] = 0 (any colour-swapping permutation can be
+translated to one fixing vertex 0 without changing pair differences, so
+the pin loses no generality).  A candidate image for vertex a must
+satisfy kappa[phi[a] ^ phi[b]] = -kappa[a ^ b] against every assigned b;
+candidates are drawn in ascending order, which makes serial runs fully
+deterministic.
 
-Per-vertex constraint sets are precomputed as bitmasks, so the filter at
-depth a costs a - 1 big-int ANDs instead of a Python loop per candidate;
-the accepted candidates and their order are identical to the plain
-pairwise check.
+Per-vertex constraint sets are precomputed as bitmasks, and one
+explicit-stack engine (`_walk`) keeps them up to date with one big-int
+AND per constraint added.  In natural vertex order a frame caches the
+AND of what the earlier vertices impose on the next one, so a candidate
+costs one AND to filter the next vertex's images.  In min-domain order
+("mcv") a frame carries the domains of every unassigned vertex, each
+narrowed by one AND per assignment, and branches on the first vertex
+with the fewest candidates.  The accepted candidates and their order
+are identical to the plain pairwise check.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -66,8 +69,9 @@ class _BudgetExceeded(Exception):
 def _tables(m: int):
     """kappa of Delta_m plus, per colour, the image-constraint bitmasks.
 
-    masks[t + 1][y] packs every x with kappa[x ^ y] = t, so the image of
-    a new vertex constrained against an assigned image y is one AND away.
+    masks[t + 1][y] packs every x != y with kappa[x ^ y] = t, so the
+    image of a new vertex constrained against an assigned image y is one
+    AND away, and that AND also rules out y itself.
     """
     kappa = build_delta(m).kappa
     v = len(kappa)
@@ -75,6 +79,7 @@ def _tables(m: int):
     for y in range(v):
         for x in range(v):
             masks[kappa[x ^ y] + 1][y] |= 1 << x
+        masks[1][y] ^= 1 << y
     return kappa, masks
 
 
@@ -104,106 +109,109 @@ def normalize(swap: SwapMap) -> SwapMap:
     return SwapMap(swap.m, tuple(p ^ t for p in swap.phi))
 
 
-def _iter_witnesses(kappa, masks, phi, unused, counters, node_budget, deadline):
-    """Depth-first generator over completed assignments, natural order.
+def _min_domain_frame(verts, doms):
+    """Frame branching on the first of `verts` with the fewest candidates,
+    or None when some domain is empty."""
+    sizes = [d.bit_count() for d in doms]
+    k = min(sizes)
+    if not k:
+        return None
+    i = sizes.index(k)
+    return [verts[i], doms[i], (verts[:i] + verts[i + 1 :], doms[:i] + doms[i + 1 :])]
 
-    counters is [nodes, max_depth]; raises _BudgetExceeded when a budget
-    trips, leaving counters valid.
+
+def _walk(m, prefix, order, sign, counters, node_budget, deadline):
+    """Depth-first generator over completed assignments below `prefix`.
+
+    One explicit stack of frames [vertex, candidates left, state]; a node
+    is counted when a candidate is assigned.  sign = -1 asks for
+    kappa[phi[a] ^ phi[b]] = -kappa[a ^ b] (swaps), sign = +1 for equality
+    (colour-preserving automorphisms).  order "natural" branches on
+    vertices 0, 1, 2, ... and a frame's state is the AND of the
+    constraints that the vertices before it put on the vertex after it.
+    order "mcv" branches on the first unassigned vertex of smallest
+    domain, and a frame's state is the domains of the other unassigned
+    vertices, narrowed by one AND per assignment.
+
+    The prefix assigns vertices 0..len(prefix)-1 and leaves at least one
+    vertex open.  counters is [nodes, max_depth], written back before
+    every yield and on exit; raises _BudgetExceeded when a budget trips.
     """
+    kappa, masks = _tables(m)
     v = len(kappa)
-    a = len(phi)
-    if a == v:
-        yield tuple(phi)
-        return
-    cand = unused
-    for b in range(a):
-        cand &= masks[1 - kappa[a ^ b]][phi[b]]
-        if not cand:
-            return
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        counters[0] += 1
-        if node_budget is not None and counters[0] > node_budget:
-            raise _BudgetExceeded
-        if deadline is not None and counters[0] % _DEADLINE_STRIDE == 0:
-            if time.monotonic() > deadline:
-                raise _BudgetExceeded
-        if a + 1 > counters[1]:
-            counters[1] = a + 1
-        phi.append(bit.bit_length() - 1)
-        yield from _iter_witnesses(
-            kappa, masks, phi, unused ^ bit, counters, node_budget, deadline
-        )
-        phi.pop()
-
-
-def _iter_witnesses_mcv(kappa, masks, phi, unused, counters, node_budget, deadline):
-    """Variant choosing the most constrained unassigned vertex next.
-
-    Traversal order changes but the set of completable assignments does
-    not, so Found/Exhausted outcomes agree with the natural order.
-    """
-    v = len(kappa)
-    assigned = [a for a in range(v) if phi[a] is not None]
-    if len(assigned) == v:
-        yield tuple(phi)
-        return
-    best = None
-    best_cand = None
-    for a in range(v):
-        if phi[a] is not None:
-            continue
-        cand = unused
-        for b in assigned:
-            cand &= masks[1 - kappa[a ^ b]][phi[b]]
+    # cons[a ^ b][phi[b]] = the images vertex a may take given phi[b]
+    cons = [masks[1 + sign * k] for k in kappa]
+    full = (1 << v) - 1
+    base = len(prefix)
+    phi = list(prefix) + [None] * (v - base)
+    verts = list(range(base, v))
+    doms = []
+    for a in verts:
+        d = full
+        for b, p in enumerate(prefix):
+            d &= cons[a ^ b][p]
+        doms.append(d)
+    nodes, max_depth = counters
+    mcv = order == "mcv"
+    try:
+        if mcv:
+            root = _min_domain_frame(verts, doms)
+        else:
+            root = [verts[0], doms[0], doms[1] if len(doms) > 1 else 0]
+        stack = [root] if root else []
+        while stack:
+            frame = stack[-1]
+            cand = frame[1]
             if not cand:
-                break
-        count = cand.bit_count()
-        if best is None or count < best_cand.bit_count():
-            best, best_cand = a, cand
-            if count == 0:
-                break
-    cand = best_cand
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        counters[0] += 1
-        if node_budget is not None and counters[0] > node_budget:
-            raise _BudgetExceeded
-        if deadline is not None and counters[0] % _DEADLINE_STRIDE == 0:
-            if time.monotonic() > deadline:
+                stack.pop()
+                continue
+            bit = cand & -cand
+            frame[1] = cand ^ bit
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
                 raise _BudgetExceeded
-        counters[1] = max(counters[1], len(assigned) + 1)
-        phi[best] = bit.bit_length() - 1
-        yield from _iter_witnesses_mcv(
-            kappa, masks, phi, unused ^ bit, counters, node_budget, deadline
-        )
-        phi[best] = None
+            if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
+                if time.monotonic() > deadline:
+                    raise _BudgetExceeded
+            depth = base + len(stack)
+            if depth > max_depth:
+                max_depth = depth
+            x = frame[0]
+            c = bit.bit_length() - 1
+            phi[x] = c
+            if depth == v:
+                counters[:] = nodes, max_depth
+                yield tuple(phi)
+            elif mcv:
+                rest, rest_doms = frame[2]
+                child = _min_domain_frame(
+                    rest, [d & cons[a ^ x][c] for a, d in zip(rest, rest_doms)]
+                )
+                if child:
+                    stack.append(child)
+            else:
+                y = x + 1
+                nxt = frame[2] & cons[y ^ x][c]
+                if nxt:
+                    z = y + 1
+                    pre = full
+                    if z < v:
+                        for b in range(y):
+                            pre &= cons[z ^ b][phi[b]]
+                            if not pre:
+                                break
+                    stack.append([y, nxt, pre])
+    finally:
+        counters[:] = nodes, max_depth
 
 
 def _run_serial(m, prefix, node_budget, time_budget, order="natural"):
     """Search below a fixed assignment prefix; returns a SearchOutcome
     whose witness (if any) is the first in deterministic order."""
-    kappa, masks = _tables(m)
-    v = len(kappa)
-    # one generator frame per assigned vertex
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * v + 200))
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     counters = [len(prefix), len(prefix)]
-    unused = ((1 << v) - 1) ^ sum(1 << p for p in prefix)
-    if order == "mcv":
-        phi = [None] * v
-        for a, p in enumerate(prefix):
-            phi[a] = p
-        gen = _iter_witnesses_mcv(
-            kappa, masks, phi, unused, counters, node_budget, deadline
-        )
-    else:
-        gen = _iter_witnesses(
-            kappa, masks, list(prefix), unused, counters, node_budget, deadline
-        )
+    gen = _walk(m, prefix, order, -1, counters, node_budget, deadline)
     try:
         for phi in gen:
             witness = SwapMap(m, phi)
@@ -241,9 +249,8 @@ def _run_parallel(m, workers, node_budget, time_budget):
     be exhausted.  Budgets apply per branch.
     """
     kappa, masks = _tables(m)
-    v = len(kappa)
     start = time.monotonic()
-    cand = (((1 << v) - 1) ^ 1) & masks[1 - kappa[1]][0]
+    cand = masks[1 - kappa[1]][0]
     branches = []
     while cand:
         bit = cand & -cand
@@ -283,7 +290,8 @@ def search_swap(
     node count.  threads > 1 distributes the top-level branches over
     worker processes; a witness is still reported from the lowest branch
     that produced one.  Exceeding node_budget or time_budget yields
-    status INCONCLUSIVE, never EXHAUSTED.
+    status INCONCLUSIVE, never EXHAUSTED.  With threads > 1 both budgets
+    apply to each branch separately, not to the run as a whole.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -304,9 +312,19 @@ def search_swap(
     return outcome
 
 
+def _enumerate(m, sign):
+    """Every assignment fixing vertex 0 that satisfies the sign's pair
+    rule (-1: swaps, +1: colour-preserving automorphisms), sorted."""
+    return sorted(_walk(m, (0,), "mcv", sign, [1, 1], None, None))
+
+
 def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     """All normalized colour-swapping maps in lexicographic phi order,
-    truncated at `limit`.  Guarded to m <= 2 unless force=True."""
+    truncated at `limit`.  Guarded to m <= 2 unless force=True.
+
+    The whole tree is enumerated in min-domain order and then sorted, so
+    `limit` truncates the full list; it does not shorten the search.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if m < 1:
@@ -315,18 +333,10 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
         raise ValueError(
             f"enumeration is guarded to m <= {_SEARCH_ALL_MAX_M}; pass force=True to override"
         )
-    kappa, masks = _tables(m)
-    v = len(kappa)
-    counters = [1, 1]
-    out = []
-    for phi in _iter_witnesses(kappa, masks, [0], ((1 << v) - 1) ^ 1, counters, None, None):
-        witness = SwapMap(m, phi)
-        if not verify_swap(witness):
-            raise RuntimeError("enumeration produced a map that fails verification")
-        out.append(witness)
-        if len(out) == limit:
-            break
-    return out
+    maps = [SwapMap(m, phi) for phi in _enumerate(m, -1)[:limit]]
+    if not all(verify_swap(w) for w in maps):
+        raise RuntimeError("enumeration produced a map that fails verification")
+    return maps
 
 
 def witness_payload(swap: SwapMap) -> dict:

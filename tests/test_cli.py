@@ -144,6 +144,17 @@ def test_search_budget_inconclusive(capsys):
     assert report["result"]["m"] == 4
 
 
+def test_search_m4_node_budget_within_time(capsys, monkeypatch):
+    # the README's m = 4 run; serial, so the budget covers the whole tree
+    monkeypatch.delenv("CTWIN_THREADS", raising=False)
+    start = time.monotonic()
+    code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "200000")
+    elapsed = time.monotonic() - start
+    assert code == 3
+    assert report["result"] == {"m": 4, "status": "inconclusive", "nodes": 200001}
+    assert elapsed < 10.0, f"search --m 4 --node-budget 200000 took {elapsed:.1f}s, budget 10s"
+
+
 def test_search_all_m1(capsys):
     code, report = run_cli(capsys, "search", "--m", "1", "--all")
     assert code == 0

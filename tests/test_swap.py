@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
+from ctwin import swap
 from ctwin.graphs import BLUE, RED, build_delta
 from ctwin.swap import (
     SearchOutcome,
@@ -138,6 +140,82 @@ def test_search_all_ordering_and_limit():
     assert all(w.phi[0] == 0 for w in all_m2)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_search_all_matches_oracle(m):
+    gen, _ = oracles.natural_search(m)
+    assert [w.phi for w in search_all(m, 1000)] == list(gen)
+
+
+def test_search_all_m3_forced():
+    phis = [w.phi for w in search_all(3, 2000, force=True)]
+    assert len(phis) == 1344
+    assert all(a < b for a, b in zip(phis, phis[1:]))
+    assert all(verify_swap(SwapMap(3, phi)) for phi in phis)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_natural_order_matches_oracle(m):
+    gen, counters = oracles.natural_search(m)
+    first = next(gen)
+    out = search_swap(m)
+    assert out.witness.phi == first
+    assert (out.nodes, out.max_depth) == tuple(counters)
+
+
+# (m, order, node_budget) -> (status, nodes, max_depth); a change to the
+# engine may make nodes cheaper but must not move these
+GOLDEN = {
+    (1, "natural", None): ("found", 4, 4),
+    (2, "natural", None): ("found", 16, 16),
+    (3, "natural", None): ("found", 3346, 64),
+    (1, "mcv", None): ("found", 4, 4),
+    (2, "mcv", None): ("found", 16, 16),
+    (3, "mcv", None): ("found", 64, 64),
+    (4, "natural", 100000): ("inconclusive", 100001, 16),
+    (4, "mcv", 5000): ("inconclusive", 5001, 28),
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: f"m{k[0]}-{k[1]}-{k[2]}")
+def test_golden_node_counts(key):
+    m, order, budget = key
+    out = search_swap(m, order=order, node_budget=budget)
+    assert (out.status.value, out.nodes, out.max_depth) == GOLDEN[key]
+
+
+def _is_automorphism(m, alpha):
+    kappa = build_delta(m).kappa
+    v = len(kappa)
+    return all(
+        kappa[alpha[a] ^ alpha[b]] == kappa[a ^ b]
+        for a in range(v)
+        for b in range(a + 1, v)
+    )
+
+
+@pytest.mark.parametrize("m, count", [(2, 12), (3, 1344)])
+def test_aut0_as_large_as_swaps_fixing_zero(m, count):
+    # Aut_0: the colour-preserving automorphisms that fix vertex 0
+    auts = swap._enumerate(m, +1)
+    assert len(auts) == count == len(swap._enumerate(m, -1))
+    assert auts[0] == tuple(range(1 << (2 * m)))
+
+
+def test_aut0_matches_oracle_m2():
+    auts = swap._enumerate(2, +1)
+    gen, _ = oracles.natural_search(2, sign=+1)
+    assert auts == list(gen)
+    assert all(_is_automorphism(2, alpha) for alpha in auts)
+
+
+def test_swaps_form_a_coset_of_aut0_m2():
+    swaps = {w.phi for w in search_all(2, 1000)}
+    auts = swap._enumerate(2, +1)
+    for phi in swaps:
+        composed = {tuple(phi[a] for a in alpha) for alpha in auts}
+        assert composed == swaps
+
+
 def test_search_all_guards():
     with pytest.raises(ValueError, match="limit"):
         search_all(1, 0)
@@ -175,10 +253,18 @@ def test_witness_exchanges_neighbour_sets():
 
 
 def test_parallel_matches_serial():
-    serial = search_swap(2)
-    parallel = search_swap(2, threads=2)
-    assert parallel.status is SearchStatus.FOUND
-    assert parallel.witness == serial.witness
+    for m in (2, 3):
+        serial = search_swap(m)
+        parallel = search_swap(m, threads=2)
+        assert parallel.status is serial.status is SearchStatus.FOUND
+        assert parallel.witness == serial.witness
+
+
+def test_search_leaves_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    out = search_swap(4, node_budget=20000)
+    assert out.status is SearchStatus.INCONCLUSIVE
+    assert sys.getrecursionlimit() == before
 
 
 def test_mcv_order_same_status():
