@@ -45,6 +45,7 @@ from .graphs import (
     cayley_graph,
     export_graph,
     from_graph6,
+    graph6_blocks,
     oracle_build_delta,
     predicted_srg_params,
     to_graph6,

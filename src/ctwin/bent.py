@@ -15,16 +15,20 @@ oracle command and the test suite).
 
 Truth tables are packed one bit per entry into a Python int, so tables
 stay exact and cheap up to tens of millions of entries.  Every transform
-(spectra, bentness, duals, difference-set counts) runs through one in-place
-int64 butterfly over the unpacked table; spectra are bounded by 2^n and
-autocorrelations by 4^n, so all of it is exact integer arithmetic.
+(spectra, bentness, duals, difference-set counts) runs through one staged
+butterfly kernel, `_fwht`: the low half of the index bits on a transposed
+copy, the high half on the copy back, each stage in the narrowest signed
+type its bound allows.  A spectrum of (-1)^f is bounded by 2^n, so its
+first stage runs in int16 up to 14 levels and its second in int32 up to
+n = 30; an autocorrelation's second pass is bounded by v * |S| <= 4^n and
+runs in int64 at the sizes where that needs it.  All of it is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -129,38 +133,33 @@ def tau(m: int, i: int) -> int:
     return 1 if i == 2 else 0
 
 
-@lru_cache(maxsize=None)
-def _sigma_bits(m: int) -> int:
-    if m == 1:
-        return 0b0010
-    prev = _sigma_bits(m - 1)
-    q = 1 << (2 * m - 2)
-    flipped = prev ^ ((1 << q) - 1)
-    return prev | (flipped << q) | (prev << (2 * q)) | (prev << (3 * q))
-
-
-@lru_cache(maxsize=None)
-def _tau_bits(m: int) -> int:
-    if m == 1:
-        return 0b0100
-    t, s = _tau_bits(m - 1), _sigma_bits(m - 1)
-    q = 1 << (2 * m - 2)
-    flipped = s ^ ((1 << q) - 1)
-    return t | (s << q) | (flipped << (2 * q)) | (t << (3 * q))
+def _twin_bits(m: int) -> tuple[int, int]:
+    """Truth tables of (sigma_m, tau_m), built level by level from the
+    one-entry level 0, where both are 0, by the quadrant rules; only the
+    previous level's pair is kept."""
+    s = t = 0
+    for level in range(1, m + 1):
+        q = 1 << (2 * level - 2)
+        flipped = s ^ ((1 << q) - 1)
+        s, t = (
+            s | (flipped << q) | (s << (2 * q)) | (s << (3 * q)),
+            t | (s << q) | (flipped << (2 * q)) | (t << (3 * q)),
+        )
+    return s, t
 
 
 def sigma_function(m: int) -> BoolFunc:
     """Full truth table of sigma_m as a BoolFunc on 2m bits."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return BoolFunc(2 * m, _sigma_bits(m))
+    return BoolFunc(2 * m, _twin_bits(m)[0])
 
 
 def tau_function(m: int) -> BoolFunc:
     """Full truth table of tau_m as a BoolFunc on 2m bits."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return BoolFunc(2 * m, _tau_bits(m))
+    return BoolFunc(2 * m, _twin_bits(m)[1])
 
 
 # --- Walsh-Hadamard transform ---------------------------------------------
@@ -171,41 +170,90 @@ def _unpack(f: BoolFunc) -> np.ndarray:
     return np.unpackbits(raw, count=f.size, bitorder="little")
 
 
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Butterflies by the Sylvester matrix, in place on an int64 array of
-    power-of-two length.  Exact while every partial sum, doubled, stays
-    below 2^63; callers bound their inputs accordingly."""
-    h = 1
-    while h < a.size:
-        pairs = a.reshape(-1, 2, h)
-        x, y = pairs[:, 0], pairs[:, 1]
-        x += y
-        y *= -2
-        y += x  # (x + y) - 2y = x - y
-        h *= 2
+def _signs(f: BoolFunc) -> np.ndarray:
+    """(-1)^f as an int8 array, made in place in the unpacked table."""
+    a = _unpack(f).view(np.int8)
+    a *= -2
+    a += 1
     return a
 
 
+def _signed(peak: int):
+    """The narrowest of int16, int32 and int64 that holds +-peak."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if peak <= np.iinfo(dtype).max:
+            return dtype
+    raise ValueError("values too large for exact int64 arithmetic")
+
+
+# Source rows per slab of a transposing copy.  Copying a whole transpose
+# at once reads the source one row-stride apart and misses the cache on
+# almost every entry; in slabs each source line is read once (at n = 24,
+# 0.11-0.12 s -> 0.03-0.04 s per copy on 2 vCPU).
+_SLAB = 128
+
+
+def _fwht(a: np.ndarray, top: int, total: int | None = None) -> np.ndarray:
+    """Butterflies by the Sylvester matrix H_n on an integer array of
+    length 2^n with max|a| <= top and, if given, sum|a| <= total.
+
+    H_n = H_hi (x) H_lo splits the index into lo = n - n//2 low bits and
+    hi = n//2 high ones (Fino-Algazi).  The lo levels run on a transposed
+    (2^lo, 2^hi) copy and the hi levels on the (2^hi, 2^lo) copy back, so
+    every level adds and subtracts contiguous runs of at least 2^hi
+    entries.  After k levels an entry is a signed sum of 2^k inputs, so
+    it is at most top * 2^k and at most total; the doubled 2y a butterfly
+    makes stays within top * 2^k and 2 * total.  Each stage is therefore
+    exact in the narrowest signed type holding min(top * 2^k, 2 * total)
+    for its last level k: int16 for a +-1 input up to k = 14, int32 for
+    spectra up to n = 30.  The copies are the only conversions, and the
+    input is dropped once the first one is made, so a caller that passes
+    a temporary gets its memory back at once.
+    """
+    n = a.size.bit_length() - 1
+    hi = n // 2
+    lo = n - hi
+    x = a.reshape(1 << hi, 1 << lo)
+    del a
+    for levels, reached in ((lo, lo), (hi, n)):
+        peak = top << reached
+        if total is not None:
+            peak = min(peak, 2 * total)
+        t = np.empty(x.shape[::-1], _signed(peak))
+        for r in range(0, x.shape[0], _SLAB):
+            t[:, r : r + _SLAB] = x[r : r + _SLAB].T
+        x = t
+        run = x.shape[1]
+        for _ in range(levels):
+            pairs = x.reshape(-1, 2, run)
+            u, w = pairs[:, 0], pairs[:, 1]
+            u += w
+            w *= -2
+            w += u  # (u + w) - 2w = u - w
+            run *= 2
+    return x.reshape(-1)
+
+
 def _spectrum(f: BoolFunc) -> np.ndarray:
-    a = _unpack(f).astype(np.int64)
-    a *= -2
-    a += 1
-    return _fwht(a)
+    """W_f = H_n (-1)^f, with |W_f| <= 2^n.  The signs array is passed
+    as a temporary, so the kernel frees it after its first copy."""
+    return _fwht(_signs(f), 1)
 
 
 def fwht(values) -> list[int]:
     """Transform by the Sylvester matrix H_n, as exact integers.
 
     Length must be a power of two, and max|x| * length must stay below
-    2^62 so that no int64 partial sum can overflow.
+    2^62, so that every partial sum fits int64.
     """
     vec = list(values)
     n = len(vec)
     if n == 0 or n & (n - 1):
         raise ValueError("length must be a positive power of two")
-    if max(map(abs, vec)) * n >= 1 << 62:
+    top = max(map(abs, vec))
+    if top * n >= 1 << 62:
         raise ValueError("values too large for exact int64 arithmetic")
-    return _fwht(np.array(vec, dtype=np.int64)).tolist()
+    return _fwht(np.array(vec, dtype=np.int64), top).tolist()
 
 
 def walsh_transform(f: BoolFunc) -> list[int]:
@@ -220,7 +268,9 @@ def is_bent(f: BoolFunc) -> bool:
     """
     if f.n & 1:
         return False
-    return bool((np.abs(_spectrum(f)) == 1 << (f.n // 2)).all())
+    spectrum = _spectrum(f)
+    np.abs(spectrum, out=spectrum)
+    return bool((spectrum == 1 << (f.n // 2)).all())
 
 
 def dual(f: BoolFunc) -> BoolFunc:
@@ -228,11 +278,14 @@ def dual(f: BoolFunc) -> BoolFunc:
     if f.n & 1:
         raise ValueError("input not bent: odd arity")
     spectrum = _spectrum(f)
-    off = np.flatnonzero(np.abs(spectrum) != 1 << (f.n // 2))
+    negative = spectrum < 0
+    np.abs(spectrum, out=spectrum)
+    off = np.flatnonzero(spectrum != 1 << (f.n // 2))
     if off.size:
         i = int(off[0])
-        raise ValueError(f"input not bent: spectrum entry {spectrum[i]} at {i}")
-    signs = np.packbits(spectrum < 0, bitorder="little")
+        entry = -int(spectrum[i]) if negative[i] else int(spectrum[i])
+        raise ValueError(f"input not bent: spectrum entry {entry} at {i}")
+    signs = np.packbits(negative, bitorder="little")
     return BoolFunc(f.n, int.from_bytes(signs.tobytes(), "little"))
 
 
@@ -289,14 +342,18 @@ def _autocorrelation(indicator: np.ndarray) -> np.ndarray:
     array of length v = 2^n, so counts[0] = |S|.
 
     Wiener-Khinchin: the transform of the squared spectrum W_S^2 is v times
-    the autocorrelation.  The first pass is bounded by |W_S| <= v.  The
-    second sums terms W_S^2 >= 0 whose total is v * |S| <= 4^n (Parseval),
-    so every partial sum, doubled, stays below 2^63 for n <= 30.
+    the autocorrelation.  The first pass has |W_S| <= |S| = W_S(0) = k, so
+    W_S is widened to hold k^2 before it is squared.  The second pass sums
+    terms W_S^2 >= 0 whose total is v * k <= 4^n (Parseval), which bounds
+    its every partial sum and keeps it in int64 for n <= 30.
     """
     v = indicator.size
-    a = _fwht(indicator.astype(np.int64))
-    a *= a
-    counts, rest = np.divmod(_fwht(a), v)
+    spectrum = _fwht(indicator, 1)
+    k = int(spectrum[0])
+    squares = spectrum.astype(_signed(k * k))
+    squares *= squares
+    # an int64 divisor, since v need not fit the transform's own type
+    counts, rest = np.divmod(_fwht(squares, k * k, v * k), np.int64(v))
     if rest.any():
         raise RuntimeError("autocorrelation transform not divisible by v")
     return counts

@@ -28,9 +28,10 @@ from .graphs import (
     BLUE,
     RED,
     build_delta,
-    export_graph,
+    graph6_blocks,
     oracle_build_delta,
     predicted_srg_params,
+    to_json_edges,
     verify_srg,
 )
 from .swap import (
@@ -151,12 +152,18 @@ def _cmd_params(args):
 def _cmd_graph(args):
     _check_m(args.m, 1, _GRAPH_MAX_M)
     colour = RED if args.colour == "red" else BLUE
-    data = export_graph(build_delta(args.m), colour, args.format)
+    graph = build_delta(args.m)
+    if args.format == "graph6":
+        blocks = graph6_blocks(graph, colour)
+    else:
+        blocks = [to_json_edges(graph, colour)]
     if args.out:
+        # written block by block, so a graph6 payload is never held whole
         with open(args.out, "wb") as fh:
-            fh.write(data)
-        result = {"format": args.format, "path": args.out, "bytes": len(data)}
-    elif args.format == "json-edges":
+            size = sum(fh.write(block) for block in blocks)
+        return {"format": args.format, "path": args.out, "bytes": size}, EXIT_OK
+    data = b"".join(blocks)
+    if args.format == "json-edges":
         result = {"format": args.format, "payload": json.loads(data)}
     else:
         result = {"format": args.format, "payload": data.decode("ascii")}

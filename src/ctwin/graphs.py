@@ -10,6 +10,7 @@ graph6 is encoded column by column straight from the table.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -196,6 +197,14 @@ def predicted_srg_params(m: int) -> SrgParams:
 
 def to_graph6(graph: DifferenceGraph, colour: int) -> bytes:
     """Standard graph6 bytes (no ">>graph6<<" header) for one colour class."""
+    return b"".join(graph6_blocks(graph, colour))
+
+
+def graph6_blocks(graph: DifferenceGraph, colour: int):
+    """to_graph6's bytes as an iterator of blocks: the size header, then
+    the body in pieces of at most _GRAPH6_BLOCK_BITS / 6 characters, so a
+    writer never holds the whole payload.  The vertex limit is checked
+    on the call, before any block is made."""
     n = graph.v
     if n > _GRAPH6_MAX_VERTICES:
         raise ValueError(f"graph6 export supports at most {_GRAPH6_MAX_VERTICES} vertices")
@@ -203,11 +212,14 @@ def to_graph6(graph: DifferenceGraph, colour: int) -> bytes:
         head = bytes([n + 63])
     else:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    out = bytearray(head)
-    for bits in _upper_triangle(np.array(graph.kappa) == colour):
-        bits = np.concatenate((bits, np.zeros(-bits.size % 6, dtype=bool)))
-        out += ((np.packbits(bits.reshape(-1, 6), axis=1) >> 2) + 63).tobytes()
-    return bytes(out)
+    body = _upper_triangle(np.array(graph.kappa) == colour)
+    return itertools.chain((head,), map(_graph6_chars, body))
+
+
+def _graph6_chars(bits: np.ndarray) -> bytes:
+    """Six bits per character, offset by 63, the last one padded with 0s."""
+    bits = np.concatenate((bits, np.zeros(-bits.size % 6, dtype=bool)))
+    return ((np.packbits(bits.reshape(-1, 6), axis=1) >> 2) + 63).tobytes()
 
 
 def _upper_triangle(adjacent: np.ndarray):

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+import numpy as np
+
 from .graphs import build_delta
 
 _SEARCH_ALL_MAX_M = 2
@@ -85,16 +87,15 @@ def _tables(m: int):
 
 def verify_swap(swap: SwapMap) -> bool:
     """Exhaustive pair check: every red edge must land on a blue one and
-    vice versa, and non-edges must stay non-edges."""
-    kappa, _ = _tables(swap.m)
-    v = len(kappa)
-    phi = swap.phi
-    for a in range(v):
-        pa = phi[a]
-        for b in range(a + 1, v):
-            if kappa[pa ^ phi[b]] != -kappa[a ^ b]:
-                return False
-    return True
+    vice versa, and non-edges must stay non-edges.
+
+    All ordered pairs at once: the check is symmetric in a and b, and
+    kappa[0] = 0 makes it hold on the diagonal."""
+    kappa = np.array(_tables(swap.m)[0])
+    phi = np.array(swap.phi)
+    vertices = np.arange(phi.size)
+    images = kappa[np.bitwise_xor.outer(phi, phi)]
+    return bool((images == -kappa[np.bitwise_xor.outer(vertices, vertices)]).all())
 
 
 def normalize(swap: SwapMap) -> SwapMap:

@@ -1,15 +1,16 @@
 """Slow, independent reference implementations for the test suite.
 
 Each one computes what a fast path in ctwin computes, by the textbook
-route and in pure Python: butterflies on a list, differences counted
-pair by pair, common neighbours counted on packed adjacency rows, and
-swaps listed by a recursive backtracking search in natural vertex order.
+route and in pure Python: butterflies on a list, spectra, bentness and
+duals read off them, differences counted pair by pair, common neighbours
+counted on packed adjacency rows, swaps checked pair by pair, and swaps
+listed by a recursive backtracking search in natural vertex order.
 They are quadratic where ctwin is spectral, and the search visits
 millions of nodes at m = 3 where ctwin's enumeration visits 75k, so
 tests use them at small sizes.
 """
 
-from ctwin.bent import DiffSetParams
+from ctwin.bent import BoolFunc, DiffSetParams
 from ctwin.graphs import SrgParams, build_delta
 
 
@@ -26,6 +27,27 @@ def fwht(values):
                 out[j + h] = x - y
         h *= 2
     return out
+
+
+def walsh_transform(f):
+    """Spectrum of (-1)^f by the butterfly above."""
+    return fwht([1 - 2 * b for b in f.table()])
+
+
+def is_bent(f):
+    """Every spectrum entry has magnitude 2^(n/2); never for odd n."""
+    return f.n % 2 == 0 and all(abs(w) == 1 << (f.n // 2) for w in walsh_transform(f))
+
+
+def dual(f):
+    """The dual of a bent f from its spectrum signs, with dual's messages."""
+    if f.n & 1:
+        raise ValueError("input not bent: odd arity")
+    spectrum = walsh_transform(f)
+    for i, w in enumerate(spectrum):
+        if abs(w) != 1 << (f.n // 2):
+            raise ValueError(f"input not bent: spectrum entry {w} at {i}")
+    return BoolFunc.from_values(f.n, [int(w < 0) for w in spectrum])
 
 
 def difference_counts(support, v):
@@ -112,6 +134,19 @@ def srg_params_from_rows(rows):
     if mu is None:
         raise ValueError("graph has no non-adjacent pairs")
     return SrgParams(v, k, lam, mu)
+
+
+def verify_swap(m, phi):
+    """verify_swap pair by pair: kappa[phi[a] ^ phi[b]] = -kappa[a ^ b]
+    for every a < b of Delta_m."""
+    kappa = build_delta(m).kappa
+    v = len(kappa)
+    for a in range(v):
+        pa = phi[a]
+        for b in range(a + 1, v):
+            if kappa[pa ^ phi[b]] != -kappa[a ^ b]:
+                return False
+    return True
 
 
 def _iter_assignments(kappa, masks, phi, unused, counters, sign):

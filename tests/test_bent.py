@@ -3,8 +3,10 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
+from ctwin import bent
 from ctwin.algebra import SymmetryClass, classify, gamma
 from ctwin.bent import (
     BoolFunc,
@@ -148,6 +150,63 @@ def test_fwht_matches_oracle():
     for n in (0, 1, 6, 10, 14):
         vec = [rng.randrange(-3, 4) for _ in range(1 << n)]
         assert fwht(vec) == oracles.fwht(vec)
+
+
+def test_fwht_stage_widths_match_oracle():
+    # The low n - n//2 levels run in one signed type and all n levels end
+    # in another, each chosen from max|x| * 2^levels.  Take max|x| just
+    # under and at each type's limit for each stage, with inputs that
+    # reach the bound (a constant vector sums to it at every level).
+    rng = random.Random(31)
+    for n in range(13):
+        size = 1 << n
+        for levels in {n - n // 2, n}:
+            for limit in (1 << 15, 1 << 31):
+                for top in ((limit >> levels) - 1, limit >> levels):
+                    if top < 1:
+                        continue
+                    mixed = [rng.choice((-top, top, rng.randrange(-top, top + 1))) for _ in range(size)]
+                    for vec in ([top] * size, [-top] * size, mixed):
+                        assert fwht(vec) == oracles.fwht(vec), (n, levels, top)
+
+
+def test_fwht_result_type_is_narrowest():
+    # all n levels: max|x| * 2^n picks int16, int32 or int64
+    for n, top, dtype in [
+        (0, 1, np.int16),
+        (12, 7, np.int16),
+        (12, 8, np.int32),
+        (12, (1 << 19) - 1, np.int32),
+        (12, 1 << 19, np.int64),
+        (16, 1, np.int32),
+    ]:
+        out = bent._fwht(np.full(1 << n, top, dtype=np.int64), top)
+        assert out.dtype == dtype, (n, top)
+        assert out[0] == top << n and not out[1:].any()
+
+
+def test_spectral_functions_match_oracle():
+    rng = random.Random(37)
+    for n in range(2, 13):
+        size = 1 << n
+        tables = [BoolFunc(n, rng.randrange(1 << size))]
+        if n % 2 == 0:
+            # a twin plus a linear function is bent; one flipped entry is not
+            u = rng.randrange(size)
+            linear = BoolFunc.from_values(n, [(u & x).bit_count() & 1 for x in range(size)])
+            twin = (sigma_function if n % 4 else tau_function)(n // 2) ^ linear
+            tables += [twin, BoolFunc(n, twin.bits ^ (1 << rng.randrange(size)))]
+        for f in tables:
+            assert walsh_transform(f) == oracles.walsh_transform(f)
+            assert is_bent(f) == oracles.is_bent(f)
+            try:
+                want = oracles.dual(f)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    dual(f)
+                assert str(got.value) == str(e)
+            else:
+                assert dual(f) == want
 
 
 def test_fwht_rejects_bad_lengths():

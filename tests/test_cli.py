@@ -16,6 +16,39 @@ def run_cli(capsys, *argv):
     return code, json.loads(captured.out)
 
 
+# Runs one ctwin command under a time budget and prints its exit code,
+# seconds and wait4 peak RSS in MB.  It runs in a fresh interpreter
+# because a child's wait4 peak RSS also counts the peak of the process
+# that spawned it (the spawner's memory is the child's until exec), so a
+# command spawned from the test process would carry the test run's peak.
+_BUDGETED = """
+import os, signal, subprocess, sys, time
+budget, out, argv = float(sys.argv[1]), sys.argv[2], sys.argv[3:]
+start = time.monotonic()
+with open(out, "wb") as fh:
+    proc = subprocess.Popen([sys.executable, "-m", "ctwin", *argv], stdout=fh)
+signal.signal(signal.SIGALRM, lambda *_: proc.kill())
+signal.setitimer(signal.ITIMER_REAL, budget)
+_, status, usage = os.wait4(proc.pid, 0)
+signal.setitimer(signal.ITIMER_REAL, 0)
+print(os.waitstatus_to_exitcode(status), time.monotonic() - start, usage.ru_maxrss / 1024)
+"""
+
+
+def run_budgeted(tmp_path, argv, budget_s):
+    """Run `python -m ctwin ARGV`, killed after budget_s; returns (exit
+    code, report, peak RSS in MB).  Stdout goes to a file, since
+    a table can outgrow a pipe."""
+    out = tmp_path / "stdout.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _BUDGETED, str(budget_s), str(out), *argv],
+        capture_output=True, text=True, timeout=budget_s + 60,
+    )
+    code, elapsed, rss = proc.stdout.split()
+    assert float(elapsed) < budget_s, f"{' '.join(argv)} ran over its {budget_s:.0f}s budget"
+    return int(code), json.loads(out.read_bytes()), float(rss)
+
+
 def test_table_sigma_bits(capsys):
     code, report = run_cli(capsys, "table", "--m", "1", "--function", "sigma", "--format", "bits")
     assert code == 0
@@ -50,6 +83,25 @@ def test_bent_sigma5(capsys):
     code, report = run_cli(capsys, "bent", "--m", "5", "--function", "sigma")
     assert code == 0
     assert report["result"] == {"bent": True, "magnitude": 32}
+
+
+def test_bent_at_guard_limit_within_budget(tmp_path):
+    # m = 12 is the bent guard's largest m: 10 s and 200 MB
+    code, report, rss = run_budgeted(
+        tmp_path, ["bent", "--m", "12", "--function", "tau"], 10.0
+    )
+    assert code == 0
+    assert report["result"] == {"bent": True, "magnitude": 4096}
+    assert rss < 200.0, f"bent --m 12 peaked at {rss:.0f} MB, budget 200 MB"
+
+
+def test_table_at_guard_limit_within_budget(tmp_path):
+    # m = 14 is the table guard's largest m: 10 s
+    code, report, _ = run_budgeted(
+        tmp_path, ["table", "--m", "14", "--function", "tau"], 10.0
+    )
+    assert code == 0
+    assert len(report["result"]["table"]) == len("tt:28:") + (1 << 26)
 
 
 def test_bent_range_guard(capsys):

@@ -146,11 +146,31 @@ def test_search_all_matches_oracle(m):
     assert [w.phi for w in search_all(m, 1000)] == list(gen)
 
 
-def test_search_all_m3_forced():
-    phis = [w.phi for w in search_all(3, 2000, force=True)]
+@pytest.fixture(scope="module")
+def m3_swaps():
+    return [w.phi for w in search_all(3, 2000, force=True)]
+
+
+def test_search_all_m3_forced(m3_swaps):
+    phis = m3_swaps
     assert len(phis) == 1344
     assert all(a < b for a, b in zip(phis, phis[1:]))
     assert all(verify_swap(SwapMap(3, phi)) for phi in phis)
+
+
+def test_verify_swap_matches_oracle_m3(m3_swaps):
+    # every m = 3 swap fixing 0, and each with one random transposition
+    rng = random.Random(29)
+    rejected = 0
+    for phi in m3_swaps:
+        a, b = rng.sample(range(64), 2)
+        moved = list(phi)
+        moved[a], moved[b] = moved[b], moved[a]
+        for candidate in (phi, tuple(moved)):
+            accepted = verify_swap(SwapMap(3, candidate))
+            assert accepted == oracles.verify_swap(3, candidate), candidate
+        rejected += not accepted
+    assert rejected == len(m3_swaps)  # no transposition drawn here is a swap
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
