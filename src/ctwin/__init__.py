@@ -46,6 +46,7 @@ from .graphs import (
     export_graph,
     from_graph6,
     graph6_blocks,
+    json_edges_blocks,
     oracle_build_delta,
     predicted_srg_params,
     to_graph6,

@@ -29,9 +29,9 @@ from .graphs import (
     RED,
     build_delta,
     graph6_blocks,
+    json_edges_blocks,
     oracle_build_delta,
     predicted_srg_params,
-    to_json_edges,
     verify_srg,
 )
 from .swap import (
@@ -51,6 +51,7 @@ _TABLE_MAX_M = 14
 _BENT_MAX_M = 12
 _CONFIRM_MAX_M = 8
 _GRAPH_MAX_M = 8
+_JSON_EDGES_MAX_M = 6
 _SEARCH_ALL_DEFAULT_LIMIT = 100
 
 
@@ -65,7 +66,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="ctwin", description=__doc__)
-    p.add_argument("--verbose", action="store_true", help="human summaries on stderr")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("table", help="truth table of sigma_m or tau_m")
@@ -150,24 +150,19 @@ def _cmd_params(args):
 
 
 def _cmd_graph(args):
-    _check_m(args.m, 1, _GRAPH_MAX_M)
+    graph6 = args.format == "graph6"
+    _check_m(args.m, 1, _GRAPH_MAX_M if graph6 else _JSON_EDGES_MAX_M)
     colour = RED if args.colour == "red" else BLUE
     graph = build_delta(args.m)
-    if args.format == "graph6":
-        blocks = graph6_blocks(graph, colour)
-    else:
-        blocks = [to_json_edges(graph, colour)]
+    blocks = (graph6_blocks if graph6 else json_edges_blocks)(graph, colour)
     if args.out:
-        # written block by block, so a graph6 payload is never held whole
+        # written block by block, so the payload is never held whole
         with open(args.out, "wb") as fh:
             size = sum(fh.write(block) for block in blocks)
         return {"format": args.format, "path": args.out, "bytes": size}, EXIT_OK
     data = b"".join(blocks)
-    if args.format == "json-edges":
-        result = {"format": args.format, "payload": json.loads(data)}
-    else:
-        result = {"format": args.format, "payload": data.decode("ascii")}
-    return result, EXIT_OK
+    payload = data.decode("ascii") if graph6 else json.loads(data)
+    return {"format": args.format, "payload": payload}, EXIT_OK
 
 
 def _resolve_threads(value):
@@ -185,11 +180,7 @@ def _resolve_threads(value):
 def _cmd_search(args):
     _check_m(args.m, 1, None)
     threads = _resolve_threads(args.threads)
-    if args.node_budget is not None and args.node_budget < 1:
-        raise UsageError("--node-budget must be >= 1")
     if args.all is not None:
-        if args.all < 1:
-            raise UsageError("--all limit must be >= 1")
         witnesses = search_all(args.m, args.all)
         result = {
             "m": args.m,
@@ -243,30 +234,16 @@ def _emit(obj):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        _emit({"error": str(e)})
-        print(f"ctwin: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    start = time.monotonic()
-    try:
+        args = _build_parser().parse_args(argv)
+        start = time.monotonic()
         result, code = _DISPATCH[args.cmd](args)
-    except UsageError as e:
-        _emit({"error": str(e)})
-        print(f"ctwin: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError, RuntimeError) as e:
+    except (UsageError, ValueError, OSError, RuntimeError) as e:
         _emit({"error": str(e)})
         print(f"ctwin: {e}", file=sys.stderr)
         return EXIT_ERROR
     elapsed_ms = (time.monotonic() - start) * 1000.0
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("cmd", "verbose") and v is not None
-    }
+    params = {k: v for k, v in vars(args).items() if k != "cmd" and v is not None}
     report = {
         "command": args.cmd,
         "params": params,
@@ -274,8 +251,6 @@ def main(argv=None) -> int:
         "elapsed_ms": round(elapsed_ms, 3),
     }
     _emit(report)
-    if args.verbose:
-        print(f"ctwin {args.cmd}: done in {elapsed_ms:.1f} ms", file=sys.stderr)
     return code
 
 

@@ -70,15 +70,7 @@ class DifferenceGraph:
 
     def edges(self, colour: int) -> list[tuple[int, int]]:
         """Sorted list of edges (a, b) with a < b in the given colour."""
-        diffs = self.differences(colour)
-        out = []
-        for a in range(self.v):
-            for d in diffs:
-                b = a ^ d
-                if a < b:
-                    out.append((a, b))
-        out.sort()
-        return out
+        return [(a, b) for a, row in _upper_rows(self, colour) for b in row.tolist()]
 
 
 def build_delta(m: int) -> DifferenceGraph:
@@ -267,13 +259,33 @@ def from_graph6(data: bytes) -> tuple[int, list[tuple[int, int]]]:
     return n, sorted(edges)
 
 
+def _upper_rows(graph: DifferenceGraph, colour: int):
+    """(a, the neighbours b > a of vertex a in ascending order) for every
+    vertex a: the rows of the adjacency matrix's upper triangle."""
+    adjacent = np.array(graph.kappa) == colour
+    v = graph.v
+    for a in range(v):
+        yield a, a + 1 + np.flatnonzero(adjacent[np.arange(a + 1, v) ^ a])
+
+
 def to_json_edges(graph: DifferenceGraph, colour: int) -> bytes:
-    payload = {
-        "v": graph.v,
-        "colour": COLOUR_NAMES.get(colour, str(colour)),
-        "edges": [[a, b] for a, b in graph.edges(colour)],
-    }
-    return json.dumps(payload).encode()
+    return b"".join(json_edges_blocks(graph, colour))
+
+
+def json_edges_blocks(graph: DifferenceGraph, colour: int):
+    """The bytes of json.dumps({"v": ..., "colour": ..., "edges": [[a, b],
+    ...]}) with the edges sorted, as an iterator of blocks: the head, one
+    block per vertex with edges to higher vertices, and the tail, so a
+    writer never holds the whole payload."""
+    name = json.dumps(COLOUR_NAMES.get(colour, str(colour)))
+    yield f'{{"v": {graph.v}, "colour": {name}, "edges": ['.encode()
+    sep = ""
+    for a, row in _upper_rows(graph, colour):
+        if row.size:
+            pairs = f"], [{a}, ".join(map(str, row.tolist()))
+            yield f"{sep}[{a}, {pairs}]".encode()
+            sep = ", "
+    yield b"]}"
 
 
 def export_graph(graph: DifferenceGraph, colour: int, fmt: str) -> bytes:

@@ -17,12 +17,19 @@ costs one AND to filter the next vertex's images.  In min-domain order
 narrowed by one AND per assignment, and branches on the first vertex
 with the fewest candidates.  The accepted candidates and their order
 are identical to the plain pairwise check.
+
+`search_swap` drives the engine below a list of prefixes: (0,) alone,
+or one (0, b) per image b of vertex 1, spread over worker processes.
+Branch results are merged in candidate order, and the node and time
+budgets bound the whole run, not each branch.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -206,75 +213,22 @@ def _walk(m, prefix, order, sign, counters, node_budget, deadline):
         counters[:] = nodes, max_depth
 
 
-def _run_serial(m, prefix, node_budget, time_budget, order="natural"):
-    """Search below a fixed assignment prefix; returns a SearchOutcome
-    whose witness (if any) is the first in deterministic order."""
-    start = time.monotonic()
-    deadline = start + time_budget if time_budget is not None else None
+def _branch(task):
+    """Search below one prefix, in the caller or in a worker process.
+
+    Returns (status, first witness or None, nodes, max_depth), with the
+    counters started at the prefix's length, as if the prefix's vertices
+    had each been a node.
+    """
+    m, prefix, order, node_budget, deadline = task
     counters = [len(prefix), len(prefix)]
-    gen = _walk(m, prefix, order, -1, counters, node_budget, deadline)
     try:
-        for phi in gen:
-            witness = SwapMap(m, phi)
-            return SearchOutcome(
-                SearchStatus.FOUND,
-                witness,
-                counters[0],
-                counters[1],
-                time.monotonic() - start,
-            )
+        for phi in _walk(m, prefix, order, -1, counters, node_budget, deadline):
+            return SearchStatus.FOUND, phi, *counters
         status = SearchStatus.EXHAUSTED
     except _BudgetExceeded:
         status = SearchStatus.INCONCLUSIVE
-    return SearchOutcome(
-        status, None, counters[0], counters[1], time.monotonic() - start
-    )
-
-
-def _branch_task(args):
-    m, branch, node_budget, time_budget = args
-    out = _run_serial(m, (0, branch), node_budget, time_budget)
-    return (
-        out.status.value,
-        None if out.witness is None else out.witness.phi,
-        out.nodes,
-        out.max_depth,
-    )
-
-
-def _run_parallel(m, workers, node_budget, time_budget):
-    """Split the candidate list of vertex 1 across worker processes.
-
-    Branch results are consumed in candidate order, so the reported
-    witness is the lowest-branch one; Exhausted requires every branch to
-    be exhausted.  Budgets apply per branch.
-    """
-    kappa, masks = _tables(m)
-    start = time.monotonic()
-    cand = masks[1 - kappa[1]][0]
-    branches = []
-    while cand:
-        bit = cand & -cand
-        cand ^= bit
-        branches.append(bit.bit_length() - 1)
-    nodes = 1  # the pinned assignment of vertex 0
-    max_depth = 1
-    status = SearchStatus.EXHAUSTED
-    witness = None
-    tasks = [(m, b, node_budget, time_budget) for b in branches]
-    if tasks:
-        with multiprocessing.Pool(min(workers, len(tasks))) as pool:
-            for st, phi, n, d in pool.imap(_branch_task, tasks):
-                nodes += n - 1  # branch counters start at the shared pin
-                max_depth = max(max_depth, d)
-                if st == SearchStatus.FOUND.value:
-                    witness = SwapMap(m, phi)
-                    status = SearchStatus.FOUND
-                    break
-                if st == SearchStatus.INCONCLUSIVE.value:
-                    status = SearchStatus.INCONCLUSIVE
-            pool.terminate()
-    return SearchOutcome(status, witness, nodes, max_depth, time.monotonic() - start)
+    return status, None, *counters
 
 
 def search_swap(
@@ -287,12 +241,21 @@ def search_swap(
 ) -> SearchOutcome:
     """Find a colour-swapping permutation of Delta_m or exhaust the tree.
 
-    Serial runs are the reference semantics: deterministic witness and
-    node count.  threads > 1 distributes the top-level branches over
-    worker processes; a witness is still reported from the lowest branch
-    that produced one.  Exceeding node_budget or time_budget yields
-    status INCONCLUSIVE, never EXHAUSTED.  With threads > 1 both budgets
-    apply to each branch separately, not to the run as a whole.
+    A run searches below a list of prefixes: (0,) when threads == 1, or
+    (0, b) for each candidate image b of vertex 1, spread over `threads`
+    spawned worker processes, in either vertex order.  Branch results
+    are merged in candidate order, and the first branch that finds a
+    witness or runs out of budget ends the run.  Both budgets bound the
+    whole run; exceeding one yields status INCONCLUSIVE, never EXHAUSTED.
+
+    Serial runs are the reference: witness, node count and max depth are
+    deterministic.  In natural order a parallel run reports the same
+    status, witness and node count; its max depth can be larger when the
+    node budget runs out past the first branch, because workers search
+    ahead.  In min-domain order its witness can differ, since a serial
+    run need not branch on vertex 1 second.  A script that calls this
+    with threads > 1 must guard its entry point with
+    `if __name__ == "__main__":`, because spawned workers import it.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -304,13 +267,38 @@ def search_swap(
         raise ValueError("time budget must be positive")
     if order not in ("natural", "mcv"):
         raise ValueError(f"unknown assignment order {order!r}")
-    if threads > 1 and order == "natural":
-        outcome = _run_parallel(m, threads, node_budget, time_budget)
+    start = time.monotonic()
+    deadline = start + time_budget if time_budget is not None else None
+    if threads == 1:
+        prefixes = [(0,)]
     else:
-        outcome = _run_serial(m, (0,), node_budget, time_budget, order=order)
-    if outcome.status is SearchStatus.FOUND and not verify_swap(outcome.witness):
+        kappa, masks = _tables(m)
+        first = masks[1 - kappa[1]][0]  # vertex 1's images, given phi[0] = 0
+        prefixes = [(0, b) for b in range(len(kappa)) if first >> b & 1]
+    tasks = [(m, p, order, node_budget, deadline) for p in prefixes]
+    budget = math.inf if node_budget is None else node_budget
+    nodes = max_depth = 1  # the pinned vertex 0
+    status = SearchStatus.EXHAUSTED
+    spawn = multiprocessing.get_context("spawn")
+    with spawn.Pool(min(threads, len(tasks))) if threads > 1 else nullcontext() as pool:
+        results = pool.imap(_branch, tasks) if pool else map(_branch, tasks)
+        for prefix, (status, phi, n, d) in zip(prefixes, results):
+            # vertex 1 of a (0, b) prefix is a node no worker checked; as
+            # in _walk, the budget trips before the node's depth counts
+            if nodes + len(prefix) - 1 > budget:
+                status, nodes = SearchStatus.INCONCLUSIVE, node_budget + 1
+                break
+            nodes += n - 1  # each branch's counters include vertex 0
+            max_depth = max(max_depth, d)
+            if nodes > budget:  # this branch ran past the run's budget
+                status, nodes = SearchStatus.INCONCLUSIVE, node_budget + 1
+                break
+            if status is not SearchStatus.EXHAUSTED:
+                break
+    witness = SwapMap(m, phi) if status is SearchStatus.FOUND else None
+    if witness is not None and not verify_swap(witness):
         raise RuntimeError("search produced a map that fails verification")
-    return outcome
+    return SearchOutcome(status, witness, nodes, max_depth, time.monotonic() - start)
 
 
 def _enumerate(m, sign):

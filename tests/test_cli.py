@@ -1,6 +1,7 @@
 """CLI contract: one JSON object on stdout, documented exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -177,6 +178,47 @@ def test_graph_out_file(tmp_path, capsys):
     assert target.read_bytes() == b"C`"
 
 
+def test_graph_json_edges_range_guard(capsys):
+    code, report = run_cli(
+        capsys, "graph", "--m", "7", "--colour", "red", "--format", "json-edges"
+    )
+    assert code == 1
+    assert "error" in report
+
+
+def test_graph_json_edges_at_guard_limit_within_budget(tmp_path):
+    # m = 6 is the json-edges guard's largest m: --out within 10 s and 100 MB
+    target = tmp_path / "blue6.json"
+    argv = ["graph", "--m", "6", "--colour", "blue", "--format", "json-edges", "--out", str(target)]
+    code, report, rss = run_budgeted(tmp_path, argv, 10.0)
+    assert code == 0
+    size = target.stat().st_size
+    assert report["result"] == {"format": "json-edges", "path": str(target), "bytes": size}
+    with open(target, "rb") as fh:
+        assert fh.read(44) == b'{"v": 4096, "colour": "blue", "edges": [[0, '
+        fh.seek(size - 7)
+        assert fh.read() == b"4095]]}"
+    assert rss < 100.0, f"json-edges --m 6 --out peaked at {rss:.0f} MB, budget 100 MB"
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(
+    os.environ.get("CTWIN_EXTENDED") != "1",
+    reason="extended suite only (set CTWIN_EXTENDED=1); writes a 358 MB file",
+)
+def test_graph_at_guard_limit_within_budget(tmp_path):
+    # m = 8 is the graph guard's largest m: --out within 60 s and 100 MB
+    target = tmp_path / "red8.g6"
+    argv = ["graph", "--m", "8", "--colour", "red", "--out", str(target)]
+    code, report, rss = run_budgeted(tmp_path, argv, 60.0)
+    assert code == 0
+    n = 1 << 16
+    size = 4 + (n * (n - 1) // 2 + 5) // 6
+    assert report["result"] == {"format": "graph6", "path": str(target), "bytes": size}
+    assert target.stat().st_size == size
+    assert rss < 100.0, f"graph --m 8 --out peaked at {rss:.0f} MB, budget 100 MB"
+
+
 def test_graph_bad_colour(capsys):
     code, report = run_cli(capsys, "graph", "--m", "1", "--colour", "green")
     assert code == 1
@@ -196,15 +238,25 @@ def test_search_budget_inconclusive(capsys):
     assert report["result"]["m"] == 4
 
 
-def test_search_m4_node_budget_within_time(capsys, monkeypatch):
-    # the README's m = 4 run; serial, so the budget covers the whole tree
-    monkeypatch.delenv("CTWIN_THREADS", raising=False)
+def _search_m4_within_time(capsys):
     start = time.monotonic()
     code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "200000")
     elapsed = time.monotonic() - start
     assert code == 3
     assert report["result"] == {"m": 4, "status": "inconclusive", "nodes": 200001}
     assert elapsed < 10.0, f"search --m 4 --node-budget 200000 took {elapsed:.1f}s, budget 10s"
+
+
+def test_search_m4_node_budget_within_time(capsys, monkeypatch):
+    # the README's m = 4 run; the budget covers the whole tree
+    monkeypatch.delenv("CTWIN_THREADS", raising=False)
+    _search_m4_within_time(capsys)
+
+
+def test_search_m4_node_budget_within_time_two_threads(capsys, monkeypatch):
+    # the same budget, with the top-level branches spread over two workers
+    monkeypatch.setenv("CTWIN_THREADS", "2")
+    _search_m4_within_time(capsys)
 
 
 def test_search_all_m1(capsys):

@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -272,12 +273,40 @@ def test_witness_exchanges_neighbour_sets():
             assert red_image == blue_set
 
 
+def _result(out):
+    return out.status, out.witness, out.nodes, out.max_depth
+
+
 def test_parallel_matches_serial():
-    for m in (2, 3):
+    for m in (1, 2, 3):
         serial = search_swap(m)
         parallel = search_swap(m, threads=2)
-        assert parallel.status is serial.status is SearchStatus.FOUND
-        assert parallel.witness == serial.witness
+        assert serial.status is SearchStatus.FOUND
+        assert _result(parallel) == _result(serial)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 7, 100, 1000, 5000])
+@pytest.mark.parametrize("m", [3, 4])
+def test_parallel_node_budget_matches_serial(m, budget):
+    # the budget bounds the whole run, so a parallel run stops where the
+    # serial one does, at budget + 1 nodes unless it finds a witness first
+    serial = search_swap(m, node_budget=budget)
+    parallel = search_swap(m, threads=2, node_budget=budget)
+    assert _result(parallel) == _result(serial)
+
+
+def test_parallel_time_budget_bounds_the_run():
+    start = time.monotonic()
+    out = search_swap(4, threads=2, time_budget=0.5)
+    elapsed = time.monotonic() - start
+    assert out.status is SearchStatus.INCONCLUSIVE
+    assert elapsed < 5.0, f"time_budget=0.5 with 2 threads took {elapsed:.1f}s"
+
+
+def test_parallel_mcv_order_finds_witness():
+    out = search_swap(3, threads=2, order="mcv")
+    assert out.status is SearchStatus.FOUND
+    assert verify_swap(out.witness)
 
 
 def test_search_leaves_recursion_limit_alone():
