@@ -8,6 +8,7 @@ for humans goes to stderr.  Exit codes: 0 success (or witness found),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -88,7 +89,6 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("search", help="search for the red/blue swap")
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--threads", type=int, default=None)
     s.add_argument("--node-budget", type=int, default=None)
     s.add_argument(
         "--all",
@@ -160,27 +160,21 @@ def _cmd_graph(args):
         with open(args.out, "wb") as fh:
             size = sum(fh.write(block) for block in blocks)
         return {"format": args.format, "path": args.out, "bytes": size}, EXIT_OK
-    data = b"".join(blocks)
-    payload = data.decode("ascii") if graph6 else json.loads(data)
-    return {"format": args.format, "payload": payload}, EXIT_OK
-
-
-def _resolve_threads(value):
-    if value is None:
-        value = os.environ.get("CTWIN_THREADS", "1")
-        try:
-            value = int(value)
-        except ValueError:
-            raise UsageError(f"CTWIN_THREADS must be an integer, got {value!r}")
-    if value < 1:
-        raise UsageError("--threads must be >= 1")
-    return value
+    if graph6:
+        # as a JSON string: graph6 uses the characters ? to ~, of which
+        # only the backslash needs escaping
+        blocks = itertools.chain(
+            (b'"',), (block.replace(b"\\", b"\\\\") for block in blocks), (b'"',)
+        )
+    # every check has passed, so _report can start writing the payload
+    return {"format": args.format, "payload": blocks}, EXIT_OK
 
 
 def _cmd_search(args):
     _check_m(args.m, 1, None)
-    threads = _resolve_threads(args.threads)
     if args.all is not None:
+        if args.node_budget is not None:
+            raise UsageError("--node-budget does not apply to --all")
         witnesses = search_all(args.m, args.all)
         result = {
             "m": args.m,
@@ -188,9 +182,7 @@ def _cmd_search(args):
             "count": len(witnesses),
         }
         return result, EXIT_OK if witnesses else EXIT_EXHAUSTED
-    outcome = search_swap(
-        args.m, threads=threads, node_budget=args.node_budget
-    )
+    outcome = search_swap(args.m, node_budget=args.node_budget)
     if outcome.status is SearchStatus.FOUND:
         return witness_payload(outcome.witness), EXIT_OK
     code = (
@@ -225,12 +217,38 @@ _DISPATCH = {
 }
 
 
-def _emit(obj):
+def _emit(pieces):
+    """Write text pieces to stdout in turn."""
     try:
-        print(json.dumps(obj))
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; not our error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _report(args, result, start):
+    """The report of a finished command, as text pieces that make one
+    line of JSON.
+
+    A result's "payload" (graph to stdout) is JSON already encoded, as
+    ASCII byte blocks that are passed on one by one, so it is never held
+    whole.  elapsed_ms covers the command's work, not encoding the
+    report, except that a payload is encoded as it is written, so there
+    elapsed_ms is taken after the last block and covers both."""
+    end = time.monotonic()
+    params = {k: v for k, v in vars(args).items() if k != "cmd" and v is not None}
+    payload = result.pop("payload", None)
+    report = {"command": args.cmd, "params": params, "result": result}
+    # the report's text ends in "}}", closing the result and the report
+    yield json.dumps(report)[:-2]
+    if payload is not None:
+        yield ', "payload": '
+        for block in payload:
+            yield block.decode("ascii")
+        end = time.monotonic()
+    yield f'}}, "elapsed_ms": {round((end - start) * 1000.0, 3)}}}\n'
 
 
 def main(argv=None) -> int:
@@ -239,18 +257,10 @@ def main(argv=None) -> int:
         start = time.monotonic()
         result, code = _DISPATCH[args.cmd](args)
     except (UsageError, ValueError, OSError, RuntimeError) as e:
-        _emit({"error": str(e)})
+        _emit([json.dumps({"error": str(e)}) + "\n"])
         print(f"ctwin: {e}", file=sys.stderr)
         return EXIT_ERROR
-    elapsed_ms = (time.monotonic() - start) * 1000.0
-    params = {k: v for k, v in vars(args).items() if k != "cmd" and v is not None}
-    report = {
-        "command": args.cmd,
-        "params": params,
-        "result": result,
-        "elapsed_ms": round(elapsed_ms, 3),
-    }
-    _emit(report)
+    _emit(_report(args, result, start))
     return code
 
 

@@ -5,7 +5,7 @@ The search pins phi[0] = 0 (any colour-swapping permutation can be
 translated to one fixing vertex 0 without changing pair differences, so
 the pin loses no generality).  A candidate image for vertex a must
 satisfy kappa[phi[a] ^ phi[b]] = -kappa[a ^ b] against every assigned b;
-candidates are drawn in ascending order, which makes serial runs fully
+candidates are drawn in ascending order, which makes every run fully
 deterministic.
 
 Per-vertex constraint sets are precomputed as bitmasks, and one
@@ -18,18 +18,13 @@ narrowed by one AND per assignment, and branches on the first vertex
 with the fewest candidates.  The accepted candidates and their order
 are identical to the plain pairwise check.
 
-`search_swap` drives the engine below a list of prefixes: (0,) alone,
-or one (0, b) per image b of vertex 1, spread over worker processes.
-Branch results are merged in candidate order, and the node and time
-budgets bound the whole run, not each branch.
+`search_swap` runs the engine once, in one process; the node and time
+budgets bound that one walk.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -84,11 +79,15 @@ def _tables(m: int):
     """
     kappa = build_delta(m).kappa
     v = len(kappa)
-    masks = [[0] * v for _ in range(3)]
-    for y in range(v):
-        for x in range(v):
-            masks[kappa[x ^ y] + 1][y] |= 1 << x
-        masks[1][y] ^= 1 << y
+    idx = np.arange(v)
+    diff = np.array(kappa, dtype=np.int8)[np.bitwise_xor.outer(idx, idx)]
+    masks = []
+    for t in (-1, 0, 1):
+        rows = diff == t
+        if t == 0:
+            rows[idx, idx] = False
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        masks.append([int.from_bytes(row.tobytes(), "little") for row in packed])
     return kappa, masks
 
 
@@ -128,8 +127,8 @@ def _min_domain_frame(verts, doms):
     return [verts[i], doms[i], (verts[:i] + verts[i + 1 :], doms[:i] + doms[i + 1 :])]
 
 
-def _walk(m, prefix, order, sign, counters, node_budget, deadline):
-    """Depth-first generator over completed assignments below `prefix`.
+def _walk(m, order, sign, counters, node_budget, deadline):
+    """Depth-first generator over completed assignments with phi[0] = 0.
 
     One explicit stack of frames [vertex, candidates left, state]; a node
     is counted when a candidate is assigned.  sign = -1 asks for
@@ -141,31 +140,25 @@ def _walk(m, prefix, order, sign, counters, node_budget, deadline):
     domain, and a frame's state is the domains of the other unassigned
     vertices, narrowed by one AND per assignment.
 
-    The prefix assigns vertices 0..len(prefix)-1 and leaves at least one
-    vertex open.  counters is [nodes, max_depth], written back before
-    every yield and on exit; raises _BudgetExceeded when a budget trips.
+    counters is [nodes, max_depth], with the pinned vertex 0 counted by
+    the caller, written back before every yield and on exit; raises
+    _BudgetExceeded when a budget trips.
     """
     kappa, masks = _tables(m)
     v = len(kappa)
     # cons[a ^ b][phi[b]] = the images vertex a may take given phi[b]
     cons = [masks[1 + sign * k] for k in kappa]
     full = (1 << v) - 1
-    base = len(prefix)
-    phi = list(prefix) + [None] * (v - base)
-    verts = list(range(base, v))
-    doms = []
-    for a in verts:
-        d = full
-        for b, p in enumerate(prefix):
-            d &= cons[a ^ b][p]
-        doms.append(d)
+    phi = [0] + [None] * (v - 1)
+    verts = list(range(1, v))
+    doms = [cons[a][0] for a in verts]
     nodes, max_depth = counters
     mcv = order == "mcv"
     try:
         if mcv:
             root = _min_domain_frame(verts, doms)
         else:
-            root = [verts[0], doms[0], doms[1] if len(doms) > 1 else 0]
+            root = [1, doms[0], doms[1]]  # v >= 4
         stack = [root] if root else []
         while stack:
             frame = stack[-1]
@@ -181,7 +174,7 @@ def _walk(m, prefix, order, sign, counters, node_budget, deadline):
             if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
                 if time.monotonic() > deadline:
                     raise _BudgetExceeded
-            depth = base + len(stack)
+            depth = 1 + len(stack)
             if depth > max_depth:
                 max_depth = depth
             x = frame[0]
@@ -213,54 +206,22 @@ def _walk(m, prefix, order, sign, counters, node_budget, deadline):
         counters[:] = nodes, max_depth
 
 
-def _branch(task):
-    """Search below one prefix, in the caller or in a worker process.
-
-    Returns (status, first witness or None, nodes, max_depth), with the
-    counters started at the prefix's length, as if the prefix's vertices
-    had each been a node.
-    """
-    m, prefix, order, node_budget, deadline = task
-    counters = [len(prefix), len(prefix)]
-    try:
-        for phi in _walk(m, prefix, order, -1, counters, node_budget, deadline):
-            return SearchStatus.FOUND, phi, *counters
-        status = SearchStatus.EXHAUSTED
-    except _BudgetExceeded:
-        status = SearchStatus.INCONCLUSIVE
-    return status, None, *counters
-
-
 def search_swap(
     m: int,
     *,
-    threads: int = 1,
     node_budget: int | None = None,
     time_budget: float | None = None,
     order: str = "natural",
 ) -> SearchOutcome:
     """Find a colour-swapping permutation of Delta_m or exhaust the tree.
 
-    A run searches below a list of prefixes: (0,) when threads == 1, or
-    (0, b) for each candidate image b of vertex 1, spread over `threads`
-    spawned worker processes, in either vertex order.  Branch results
-    are merged in candidate order, and the first branch that finds a
-    witness or runs out of budget ends the run.  Both budgets bound the
-    whole run; exceeding one yields status INCONCLUSIVE, never EXHAUSTED.
-
-    Serial runs are the reference: witness, node count and max depth are
-    deterministic.  In natural order a parallel run reports the same
-    status, witness and node count; its max depth can be larger when the
-    node budget runs out past the first branch, because workers search
-    ahead.  In min-domain order its witness can differ, since a serial
-    run need not branch on vertex 1 second.  A script that calls this
-    with threads > 1 must guard its entry point with
-    `if __name__ == "__main__":`, because spawned workers import it.
+    One depth-first walk below the pinned vertex 0, in natural or
+    min-domain order; the witness, node count and max depth are
+    deterministic.  Exceeding either budget yields status INCONCLUSIVE,
+    never EXHAUSTED.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if node_budget is not None and node_budget < 1:
         raise ValueError("node budget must be >= 1")
     if time_budget is not None and time_budget <= 0:
@@ -269,42 +230,24 @@ def search_swap(
         raise ValueError(f"unknown assignment order {order!r}")
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
-    if threads == 1:
-        prefixes = [(0,)]
-    else:
-        kappa, masks = _tables(m)
-        first = masks[1 - kappa[1]][0]  # vertex 1's images, given phi[0] = 0
-        prefixes = [(0, b) for b in range(len(kappa)) if first >> b & 1]
-    tasks = [(m, p, order, node_budget, deadline) for p in prefixes]
-    budget = math.inf if node_budget is None else node_budget
-    nodes = max_depth = 1  # the pinned vertex 0
-    status = SearchStatus.EXHAUSTED
-    spawn = multiprocessing.get_context("spawn")
-    with spawn.Pool(min(threads, len(tasks))) if threads > 1 else nullcontext() as pool:
-        results = pool.imap(_branch, tasks) if pool else map(_branch, tasks)
-        for prefix, (status, phi, n, d) in zip(prefixes, results):
-            # vertex 1 of a (0, b) prefix is a node no worker checked; as
-            # in _walk, the budget trips before the node's depth counts
-            if nodes + len(prefix) - 1 > budget:
-                status, nodes = SearchStatus.INCONCLUSIVE, node_budget + 1
-                break
-            nodes += n - 1  # each branch's counters include vertex 0
-            max_depth = max(max_depth, d)
-            if nodes > budget:  # this branch ran past the run's budget
-                status, nodes = SearchStatus.INCONCLUSIVE, node_budget + 1
-                break
-            if status is not SearchStatus.EXHAUSTED:
-                break
-    witness = SwapMap(m, phi) if status is SearchStatus.FOUND else None
+    counters = [1, 1]  # the pinned vertex 0
+    walk = _walk(m, order, -1, counters, node_budget, deadline)
+    try:
+        phi = next(walk, None)
+        status = SearchStatus.EXHAUSTED if phi is None else SearchStatus.FOUND
+    except _BudgetExceeded:
+        phi, status = None, SearchStatus.INCONCLUSIVE
+    witness = SwapMap(m, phi) if phi is not None else None
     if witness is not None and not verify_swap(witness):
         raise RuntimeError("search produced a map that fails verification")
+    nodes, max_depth = counters
     return SearchOutcome(status, witness, nodes, max_depth, time.monotonic() - start)
 
 
 def _enumerate(m, sign):
     """Every assignment fixing vertex 0 that satisfies the sign's pair
     rule (-1: swaps, +1: colour-preserving automorphisms), sorted."""
-    return sorted(_walk(m, (0,), "mcv", sign, [1, 1], None, None))
+    return sorted(_walk(m, "mcv", sign, [1, 1], None, None))
 
 
 def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:

@@ -3,8 +3,9 @@
 Each one computes what a fast path in ctwin computes, by the textbook
 route and in pure Python: butterflies on a list, spectra, bentness and
 duals read off them, differences counted pair by pair, common neighbours
-counted on packed adjacency rows, swaps checked pair by pair, and swaps
-listed by a recursive backtracking search in natural vertex order.
+counted on packed adjacency rows, the search's constraint masks built
+pair by pair, swaps checked pair by pair, and swaps listed by a
+recursive backtracking search in natural vertex order.
 They are quadratic where ctwin is spectral, and the search visits
 millions of nodes at m = 3 where ctwin's enumeration visits 75k, so
 tests use them at small sizes.
@@ -147,6 +148,19 @@ def verify_swap(m, phi):
             if kappa[pa ^ phi[b]] != -kappa[a ^ b]:
                 return False
     return True
+
+
+def tables(m):
+    """swap._tables pair by pair: kappa of Delta_m and masks[t + 1][y],
+    which packs every x != y with kappa[x ^ y] = t."""
+    kappa = build_delta(m).kappa
+    v = len(kappa)
+    masks = [[0] * v for _ in range(3)]
+    for y in range(v):
+        for x in range(v):
+            if x != y:
+                masks[kappa[x ^ y] + 1][y] |= 1 << x
+    return kappa, masks
 
 
 def _iter_assignments(kappa, masks, phi, unused, counters, sign):

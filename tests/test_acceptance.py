@@ -130,8 +130,7 @@ def test_swap_search_finds_witnesses_m1_m2_m3():
 @extended
 def test_swap_search_exhausts_m4_extended():
     # no witness exists at m=4; this runs the full tree and takes hours
-    threads = int(os.environ.get("CTWIN_THREADS", "1"))
-    outcome = search_swap(4, threads=threads)
+    outcome = search_swap(4)
     assert outcome.status is SearchStatus.EXHAUSTED
     assert outcome.witness is None
     _passed(f"swap search exhausted for m=4 ({outcome.nodes} nodes)")

@@ -2,13 +2,17 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from ctwin.cli import main
+from ctwin.graphs import BLUE, build_delta, to_graph6
 
 
 def run_cli(capsys, *argv):
@@ -36,10 +40,11 @@ print(os.waitstatus_to_exitcode(status), time.monotonic() - start, usage.ru_maxr
 """
 
 
-def run_budgeted(tmp_path, argv, budget_s):
+def run_budgeted(tmp_path, argv, budget_s, parse=True):
     """Run `python -m ctwin ARGV`, killed after budget_s; returns (exit
-    code, report, peak RSS in MB).  Stdout goes to a file, since
-    a table can outgrow a pipe."""
+    code, report, peak RSS in MB), or stdout's bytes in place of the
+    report when parse is False.  Stdout goes to a file, since a table
+    can outgrow a pipe."""
     out = tmp_path / "stdout.json"
     proc = subprocess.run(
         [sys.executable, "-c", _BUDGETED, str(budget_s), str(out), *argv],
@@ -47,7 +52,8 @@ def run_budgeted(tmp_path, argv, budget_s):
     )
     code, elapsed, rss = proc.stdout.split()
     assert float(elapsed) < budget_s, f"{' '.join(argv)} ran over its {budget_s:.0f}s budget"
-    return int(code), json.loads(out.read_bytes()), float(rss)
+    data = out.read_bytes()
+    return int(code), json.loads(data) if parse else data, float(rss)
 
 
 def test_table_sigma_bits(capsys):
@@ -156,6 +162,11 @@ def test_graph_graph6_payload(capsys):
     code, report = run_cli(capsys, "graph", "--m", "1", "--colour", "red")
     assert code == 0
     assert report["result"] == {"format": "graph6", "payload": "C`"}
+    # m = 3 has backslashes, the one graph6 character JSON escapes
+    expected = to_graph6(build_delta(3), BLUE).decode()
+    assert "\\" in expected
+    code, report = run_cli(capsys, "graph", "--m", "3", "--colour", "blue")
+    assert report["result"] == {"format": "graph6", "payload": expected}
 
 
 def test_graph_json_edges(capsys):
@@ -187,10 +198,11 @@ def test_graph_json_edges_range_guard(capsys):
 
 
 def test_graph_json_edges_at_guard_limit_within_budget(tmp_path):
-    # m = 6 is the json-edges guard's largest m: --out within 10 s and 100 MB
+    # m = 6 is the json-edges guard's largest m: --out and stdout, each
+    # within 10 s and 100 MB
     target = tmp_path / "blue6.json"
-    argv = ["graph", "--m", "6", "--colour", "blue", "--format", "json-edges", "--out", str(target)]
-    code, report, rss = run_budgeted(tmp_path, argv, 10.0)
+    argv = ["graph", "--m", "6", "--colour", "blue", "--format", "json-edges"]
+    code, report, rss = run_budgeted(tmp_path, [*argv, "--out", str(target)], 10.0)
     assert code == 0
     size = target.stat().st_size
     assert report["result"] == {"format": "json-edges", "path": str(target), "bytes": size}
@@ -199,6 +211,21 @@ def test_graph_json_edges_at_guard_limit_within_budget(tmp_path):
         fh.seek(size - 7)
         assert fh.read() == b"4095]]}"
     assert rss < 100.0, f"json-edges --m 6 --out peaked at {rss:.0f} MB, budget 100 MB"
+
+    # too large to parse here: the report must be the file's bytes inside
+    # the envelope, on one line
+    code, out, rss = run_budgeted(tmp_path, argv, 10.0, parse=False)
+    assert code == 0
+    opening = (
+        b'{"command": "graph", "params": {"m": 6, "colour": "blue", "format": "json-edges"}, '
+        b'"result": {"format": "json-edges", "payload": '
+    )
+    end = len(opening) + size
+    assert out.startswith(opening)
+    assert memoryview(out)[len(opening) : end] == target.read_bytes()
+    assert re.fullmatch(rb'\}, "elapsed_ms": [0-9.]+\}\n', out[end:])
+    assert out.count(b"\n") == 1
+    assert rss < 100.0, f"json-edges --m 6 to stdout peaked at {rss:.0f} MB, budget 100 MB"
 
 
 @pytest.mark.extended
@@ -238,25 +265,14 @@ def test_search_budget_inconclusive(capsys):
     assert report["result"]["m"] == 4
 
 
-def _search_m4_within_time(capsys):
+def test_search_m4_node_budget_within_time(capsys):
+    # the README's m = 4 run; the budget covers the whole tree
     start = time.monotonic()
     code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "200000")
     elapsed = time.monotonic() - start
     assert code == 3
     assert report["result"] == {"m": 4, "status": "inconclusive", "nodes": 200001}
     assert elapsed < 10.0, f"search --m 4 --node-budget 200000 took {elapsed:.1f}s, budget 10s"
-
-
-def test_search_m4_node_budget_within_time(capsys, monkeypatch):
-    # the README's m = 4 run; the budget covers the whole tree
-    monkeypatch.delenv("CTWIN_THREADS", raising=False)
-    _search_m4_within_time(capsys)
-
-
-def test_search_m4_node_budget_within_time_two_threads(capsys, monkeypatch):
-    # the same budget, with the top-level branches spread over two workers
-    monkeypatch.setenv("CTWIN_THREADS", "2")
-    _search_m4_within_time(capsys)
 
 
 def test_search_all_m1(capsys):
@@ -267,23 +283,15 @@ def test_search_all_m1(capsys):
 
 
 def test_search_bad_budget(capsys):
-    code, report = run_cli(capsys, "search", "--m", "1", "--node-budget", "0")
-    assert code == 1
-    assert "error" in report
-
-
-def test_search_env_threads(capsys, monkeypatch):
-    monkeypatch.setenv("CTWIN_THREADS", "2")
-    code, report = run_cli(capsys, "search", "--m", "2")
-    assert code == 0
-    assert report["result"]["phi"][0] == 0
-
-
-def test_search_env_threads_malformed(capsys, monkeypatch):
-    monkeypatch.setenv("CTWIN_THREADS", "many")
-    code, report = run_cli(capsys, "search", "--m", "1")
-    assert code == 1
-    assert "error" in report
+    for argv in (
+        ("--node-budget", "0"),
+        ("--all", "--node-budget", "0"),
+        ("--all", "--node-budget", "5"),  # --all enumerates the whole tree
+        ("--threads", "2"),  # the search runs in one process
+    ):
+        code, report = run_cli(capsys, "search", "--m", "1", *argv)
+        assert code == 1, argv
+        assert set(report) == {"error"}
 
 
 def test_oracle_m2(capsys):
@@ -343,3 +351,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["table"] == "0100"
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("ctwin ")]
+    assert lines, "README has no ctwin lines in its CLI block"
+    return lines
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples(capsys, line):
+    # every command the README shows runs as shown: exit 3 where its
+    # comment says so, 0 otherwise, and one JSON object on stdout
+    command, _, comment = line.partition("#")
+    code = main(shlex.split(command)[1:])
+    out = capsys.readouterr().out
+    assert code == (3 if "exit 3" in comment else 0)
+    assert "error" not in json.loads(out)
+    assert out.count("\n") == 1
