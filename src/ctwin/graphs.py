@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SymmetryClass, classify, gamma
-from .bent import BoolFunc, _autocorrelation, sigma_function, tau_function
+from .bent import BoolFunc, _autocorrelation, sigma, sigma_function, tau, tau_function
 
 RED = -1
 BLUE = 1
@@ -87,7 +87,10 @@ def build_delta(m: int) -> DifferenceGraph:
 def oracle_build_delta(m: int) -> DifferenceGraph:
     """Delta_m rebuilt pair by pair from the matrices themselves.
 
-    A pair is joined iff the permutation parts of its basis matrices
+    Each basis matrix gamma(i) is first checked against the bit rules:
+    sigma(m, i) = 1 iff it is skew, and tau(m, i) = 1 iff it is symmetric
+    but not diagonal; a disagreement raises RuntimeError naming i.  A
+    pair is joined iff the permutation parts of its basis matrices
     disagree in every column (disjoint support); the colour is read off
     the symmetry class of gamma(a) * gamma(b)^T.  All pairs with equal
     difference must agree before the colour table is accepted.
@@ -98,6 +101,12 @@ def oracle_build_delta(m: int) -> DifferenceGraph:
         raise ValueError(f"oracle path is guarded to m <= {_ORACLE_MAX_M}")
     v = 1 << (2 * m)
     basis = [gamma(m, i) for i in range(v)]
+    for i, g in enumerate(basis):
+        cls = classify(g)
+        if sigma(m, i) != (cls is SymmetryClass.SKEW):
+            raise RuntimeError(f"sigma mismatch at index {i}")
+        if tau(m, i) != (cls is SymmetryClass.SYMMETRIC_OFF_DIAGONAL):
+            raise RuntimeError(f"tau mismatch at index {i}")
     seen: dict[int, int] = {0: 0}
     for a in range(v):
         pa = basis[a].perm

@@ -65,10 +65,6 @@ class SearchOutcome:
     elapsed: float
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 @lru_cache(maxsize=None)
 def _tables(m: int):
     """kappa of Delta_m plus, per colour, the image-constraint bitmasks.
@@ -127,83 +123,83 @@ def _min_domain_frame(verts, doms):
     return [verts[i], doms[i], (verts[:i] + verts[i + 1 :], doms[:i] + doms[i + 1 :])]
 
 
-def _walk(m, order, sign, counters, node_budget, deadline):
-    """Depth-first generator over completed assignments with phi[0] = 0.
+def _walk(m, order, sign, visit, node_budget=None, deadline=None):
+    """Depth-first walk over the assignments with phi[0] = 0.
 
     One explicit stack of frames [vertex, candidates left, state]; a node
-    is counted when a candidate is assigned.  sign = -1 asks for
-    kappa[phi[a] ^ phi[b]] = -kappa[a ^ b] (swaps), sign = +1 for equality
-    (colour-preserving automorphisms).  order "natural" branches on
-    vertices 0, 1, 2, ... and a frame's state is the AND of the
-    constraints that the vertices before it put on the vertex after it.
-    order "mcv" branches on the first unassigned vertex of smallest
-    domain, and a frame's state is the domains of the other unassigned
-    vertices, narrowed by one AND per assignment.
+    is counted when a candidate is assigned, and the pinned vertex 0 is
+    the first node.  sign = -1 asks for kappa[phi[a] ^ phi[b]] =
+    -kappa[a ^ b] (swaps), sign = +1 for equality (colour-preserving
+    automorphisms).  Both orders start every vertex's domain from doms,
+    its constraints under vertex 0.  order "natural" branches on vertices
+    0, 1, 2, ... and a frame's state is the AND of the constraints that
+    the vertices before it put on the vertex after it.  order "mcv"
+    branches on the first unassigned vertex of smallest domain, and a
+    frame's state is the domains of the other unassigned vertices,
+    narrowed by one AND per assignment.
 
-    counters is [nodes, max_depth], with the pinned vertex 0 counted by
-    the caller, written back before every yield and on exit; raises
-    _BudgetExceeded when a budget trips.
+    visit(phi) is called at each complete assignment; the walk stops
+    with FOUND when it returns true.  Returns (status, nodes, max_depth):
+    INCONCLUSIVE when a budget trips, EXHAUSTED when the tree runs out.
     """
     kappa, masks = _tables(m)
     v = len(kappa)
     # cons[a ^ b][phi[b]] = the images vertex a may take given phi[b]
     cons = [masks[1 + sign * k] for k in kappa]
-    full = (1 << v) - 1
     phi = [0] + [None] * (v - 1)
     verts = list(range(1, v))
-    doms = [cons[a][0] for a in verts]
-    nodes, max_depth = counters
+    doms = [cons[a][0] for a in verts]  # doms[a - 1]: vertex a's domain
+    nodes = max_depth = 1
     mcv = order == "mcv"
-    try:
-        if mcv:
-            root = _min_domain_frame(verts, doms)
+    if mcv:
+        root = _min_domain_frame(verts, doms)
+    else:
+        root = [1, doms[0], doms[1]]  # v >= 4
+    stack = [root] if root else []
+    while stack:
+        frame = stack[-1]
+        cand = frame[1]
+        if not cand:
+            stack.pop()
+            continue
+        bit = cand & -cand
+        frame[1] = cand ^ bit
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            return SearchStatus.INCONCLUSIVE, nodes, max_depth
+        if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
+            if time.monotonic() > deadline:
+                return SearchStatus.INCONCLUSIVE, nodes, max_depth
+        depth = 1 + len(stack)
+        if depth > max_depth:
+            max_depth = depth
+        x = frame[0]
+        c = bit.bit_length() - 1
+        phi[x] = c
+        if depth == v:
+            if visit(tuple(phi)):
+                return SearchStatus.FOUND, nodes, max_depth
+        elif mcv:
+            rest, rest_doms = frame[2]
+            child = _min_domain_frame(
+                rest, [d & cons[a ^ x][c] for a, d in zip(rest, rest_doms)]
+            )
+            if child:
+                stack.append(child)
         else:
-            root = [1, doms[0], doms[1]]  # v >= 4
-        stack = [root] if root else []
-        while stack:
-            frame = stack[-1]
-            cand = frame[1]
-            if not cand:
-                stack.pop()
-                continue
-            bit = cand & -cand
-            frame[1] = cand ^ bit
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise _BudgetExceeded
-            if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
-                if time.monotonic() > deadline:
-                    raise _BudgetExceeded
-            depth = 1 + len(stack)
-            if depth > max_depth:
-                max_depth = depth
-            x = frame[0]
-            c = bit.bit_length() - 1
-            phi[x] = c
-            if depth == v:
-                counters[:] = nodes, max_depth
-                yield tuple(phi)
-            elif mcv:
-                rest, rest_doms = frame[2]
-                child = _min_domain_frame(
-                    rest, [d & cons[a ^ x][c] for a, d in zip(rest, rest_doms)]
-                )
-                if child:
-                    stack.append(child)
-            else:
-                y = x + 1
-                nxt = frame[2] & cons[y ^ x][c]
-                if nxt:
-                    z = y + 1
-                    pre = full
-                    if z < v:
-                        for b in range(y):
-                            pre &= cons[z ^ b][phi[b]]
-                            if not pre:
-                                break
-                    stack.append([y, nxt, pre])
-    finally:
-        counters[:] = nodes, max_depth
+            y = x + 1
+            nxt = frame[2] & cons[y ^ x][c]
+            if nxt:
+                z = y + 1
+                pre = 0  # the last vertex has no successor
+                if z < v:
+                    pre = doms[y]
+                    for b in range(1, y):
+                        pre &= cons[z ^ b][phi[b]]
+                        if not pre:
+                            break
+                stack.append([y, nxt, pre])
+    return SearchStatus.EXHAUSTED, nodes, max_depth
 
 
 def search_swap(
@@ -230,24 +226,25 @@ def search_swap(
         raise ValueError(f"unknown assignment order {order!r}")
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
-    counters = [1, 1]  # the pinned vertex 0
-    walk = _walk(m, order, -1, counters, node_budget, deadline)
-    try:
-        phi = next(walk, None)
-        status = SearchStatus.EXHAUSTED if phi is None else SearchStatus.FOUND
-    except _BudgetExceeded:
-        phi, status = None, SearchStatus.INCONCLUSIVE
-    witness = SwapMap(m, phi) if phi is not None else None
+    found = []
+
+    def keep_first(phi):
+        found.append(SwapMap(m, phi))
+        return True
+
+    status, nodes, max_depth = _walk(m, order, -1, keep_first, node_budget, deadline)
+    witness = found[0] if found else None
     if witness is not None and not verify_swap(witness):
         raise RuntimeError("search produced a map that fails verification")
-    nodes, max_depth = counters
     return SearchOutcome(status, witness, nodes, max_depth, time.monotonic() - start)
 
 
 def _enumerate(m, sign):
     """Every assignment fixing vertex 0 that satisfies the sign's pair
     rule (-1: swaps, +1: colour-preserving automorphisms), sorted."""
-    return sorted(_walk(m, "mcv", sign, [1, 1], None, None))
+    maps = []
+    _walk(m, "mcv", sign, maps.append)
+    return sorted(maps)
 
 
 def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
@@ -269,13 +266,3 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     if not all(verify_swap(w) for w in maps):
         raise RuntimeError("enumeration produced a map that fails verification")
     return maps
-
-
-def witness_payload(swap: SwapMap) -> dict:
-    """Wire form of a witness: {"m": ..., "phi": [...]}."""
-    return {"m": swap.m, "phi": list(swap.phi)}
-
-
-def certificate_payload(m: int, outcome: SearchOutcome) -> dict:
-    """Wire form of a non-witness outcome, e.g. an exhaustion certificate."""
-    return {"m": m, "status": outcome.status.value, "nodes": outcome.nodes}

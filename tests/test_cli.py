@@ -13,6 +13,7 @@ import pytest
 
 from ctwin.cli import main
 from ctwin.graphs import BLUE, build_delta, to_graph6
+from ctwin.swap import SearchOutcome, SearchStatus
 
 
 def run_cli(capsys, *argv):
@@ -263,6 +264,19 @@ def test_search_budget_inconclusive(capsys):
     assert code == 3
     assert report["result"]["status"] == "inconclusive"
     assert report["result"]["m"] == 4
+
+
+def test_search_report_per_status(capsys, monkeypatch):
+    code, report = run_cli(capsys, "search", "--m", "1")
+    assert (code, report["result"]) == (0, {"m": 1, "phi": [0, 2, 1, 3]})
+    code, report = run_cli(capsys, "search", "--m", "2", "--node-budget", "2")
+    # the budget trips strictly above the cap
+    assert (code, report["result"]) == (3, {"m": 2, "status": "inconclusive", "nodes": 3})
+    # no search that finishes in a test run ends exhausted, so stub one
+    done = SearchOutcome(SearchStatus.EXHAUSTED, None, 42, 7, 0.1)
+    monkeypatch.setattr("ctwin.cli.search_swap", lambda m, **kwargs: done)
+    code, report = run_cli(capsys, "search", "--m", "4")
+    assert (code, report["result"]) == (2, {"m": 4, "status": "exhausted", "nodes": 42})
 
 
 def test_search_m4_node_budget_within_time(capsys):

@@ -10,15 +10,12 @@ import pytest
 from ctwin import swap
 from ctwin.graphs import BLUE, RED, build_delta
 from ctwin.swap import (
-    SearchOutcome,
     SearchStatus,
     SwapMap,
-    certificate_payload,
     normalize,
     search_all,
     search_swap,
     verify_swap,
-    witness_payload,
 )
 
 import oracles
@@ -235,6 +232,16 @@ def test_aut0_as_large_as_swaps_fixing_zero(m, count):
     assert auts[0] == tuple(range(1 << (2 * m)))
 
 
+@pytest.mark.parametrize("sign", [-1, +1])
+def test_natural_walk_lists_every_map_m2(sign):
+    # natural order's whole tree, not only its first witness
+    maps = []
+    status, _, _ = swap._walk(2, "natural", sign, maps.append)
+    assert status is SearchStatus.EXHAUSTED
+    assert len(maps) == 12
+    assert maps == swap._enumerate(2, sign)  # candidates ascend, so already sorted
+
+
 def test_aut0_matches_oracle_m2():
     auts = swap._enumerate(2, +1)
     gen, _ = oracles.natural_search(2, sign=+1)
@@ -299,12 +306,3 @@ def test_mcv_order_same_status():
         assert out.status is SearchStatus.FOUND
         assert verify_swap(out.witness)
 
-
-def test_payload_shapes():
-    out = search_swap(1)
-    assert witness_payload(out.witness) == {"m": 1, "phi": [0, 2, 1, 3]}
-    budget = search_swap(2, node_budget=2)
-    cert = certificate_payload(2, budget)
-    assert cert == {"m": 2, "status": "inconclusive", "nodes": budget.nodes}
-    done = SearchOutcome(SearchStatus.EXHAUSTED, None, 42, 7, 0.1)
-    assert certificate_payload(4, done) == {"m": 4, "status": "exhausted", "nodes": 42}
