@@ -13,6 +13,9 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
+
+import numpy as np
 
 from .bent import (
     is_bent,
@@ -32,7 +35,7 @@ from .graphs import (
     predicted_srg_params,
     verify_srg,
 )
-from .swap import SearchStatus, search_all, search_swap
+from .swap import SearchStatus, search_all, search_blocks
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -45,6 +48,7 @@ _CONFIRM_MAX_M = 8
 _GRAPH_MAX_M = 8
 _JSON_EDGES_MAX_M = 6
 _SEARCH_ALL_DEFAULT_LIMIT = 100
+_BITS_BLOCK = 1 << 20  # table bytes per block of `table --format bits`
 
 
 class UsageError(Exception):
@@ -105,11 +109,21 @@ def _check_m(m: int, low: int, high: int | None):
 def _cmd_table(args):
     _check_m(args.m, 1, _TABLE_MAX_M)
     f = sigma_function(args.m) if args.function == "sigma" else tau_function(args.m)
-    if args.format == "bits":
-        table = format(f.bits, f"0{f.size}b")[::-1]
-    else:
-        table = f.hex()
+    table = _bit_blocks(f) if args.format == "bits" else f.hex()
     return {"function": args.function, "m": args.m, "table": table}, EXIT_OK
+
+
+def _bit_blocks(f):
+    """The truth table as a JSON string of "0"/"1", entry 0 first, in
+    blocks of 8 * _BITS_BLOCK characters, so the text is never whole."""
+    raw = f.bits.to_bytes((f.size + 7) // 8, "little")
+    yield b'"'
+    for i in range(0, len(raw), _BITS_BLOCK):
+        chunk = np.frombuffer(raw, np.uint8, min(_BITS_BLOCK, len(raw) - i), i)
+        chars = np.unpackbits(chunk, count=min(8 * _BITS_BLOCK, f.size - 8 * i), bitorder="little")
+        chars += ord("0")
+        yield chars.tobytes()
+    yield b'"'
 
 
 def _cmd_bent(args):
@@ -173,16 +187,14 @@ def _cmd_search(args):
             "count": len(witnesses),
         }
         return result, EXIT_OK if witnesses else EXIT_EXHAUSTED
-    outcome = search_swap(args.m, node_budget=args.node_budget)
+    outcome = search_blocks(args.m, node_budget=args.node_budget)
     if outcome.status is SearchStatus.FOUND:
         return {"m": args.m, "phi": list(outcome.witness.phi)}, EXIT_OK
-    code = (
-        EXIT_EXHAUSTED
-        if outcome.status is SearchStatus.EXHAUSTED
-        else EXIT_INCONCLUSIVE
-    )
     result = {"m": args.m, "status": outcome.status.value, "nodes": outcome.nodes}
-    return result, code
+    if outcome.status is SearchStatus.EXHAUSTED:
+        result["certificate"] = outcome.certificate
+        return result, EXIT_EXHAUSTED
+    return result, EXIT_INCONCLUSIVE
 
 
 def _cmd_oracle(args):
@@ -218,20 +230,23 @@ def _report(args, result, start):
     """The report of a finished command, as text pieces that make one
     line of JSON.
 
-    A result's "payload" (graph to stdout) is JSON already encoded, as
-    ASCII byte blocks that are passed on one by one, so it is never held
-    whole.  elapsed_ms covers the command's work, not encoding the
-    report, except that a payload is encoded as it is written, so there
-    elapsed_ms is taken after the last block and covers both."""
+    A result member whose value is an iterator (graph's payload to
+    stdout, table's bits) is JSON already encoded, as ASCII byte blocks
+    that are passed on one by one, so it is never held whole; it is
+    written after the other members.  elapsed_ms covers the command's
+    work, not encoding the report, except that a streamed member is
+    encoded as it is written, so there elapsed_ms is taken after its
+    last block and covers both."""
     end = time.monotonic()
     params = {k: v for k, v in vars(args).items() if k != "cmd" and v is not None}
-    payload = result.pop("payload", None)
+    streamed = {k: v for k, v in result.items() if isinstance(v, Iterator)}
+    result = {k: v for k, v in result.items() if k not in streamed}
     report = {"command": args.cmd, "params": params, "result": result}
     # the report's text ends in "}}", closing the result and the report
     yield json.dumps(report)[:-2]
-    if payload is not None:
-        yield ', "payload": '
-        for block in payload:
+    for name, blocks in streamed.items():
+        yield f", {json.dumps(name)}: "
+        for block in blocks:
             yield block.decode("ascii")
         end = time.monotonic()
     yield f'}}, "elapsed_ms": {round((end - start) * 1000.0, 3)}}}\n'

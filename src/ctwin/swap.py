@@ -1,29 +1,76 @@
-"""Backtracking search for a vertex permutation of Delta_m that swaps the
-red and blue subgraphs while preserving non-edges.
+"""Colour-swapping permutations of Delta_m: verification, one
+backtracking engine, and the coset-block search that settles each m.
 
-The search pins phi[0] = 0 (any colour-swapping permutation can be
-translated to one fixing vertex 0 without changing pair differences, so
-the pin loses no generality).  A candidate image for vertex a must
-satisfy kappa[phi[a] ^ phi[b]] = -kappa[a ^ b] against every assigned b;
-candidates are drawn in ascending order, which makes every run fully
+A swap is a vertex permutation phi with kappa[phi[a] ^ phi[b]] =
+-kappa[a ^ b] for all a, b: it sends red edges to blue ones, blue to red,
+and non-edges to non-edges.  Every search pins phi[0] = 0 (XOR by a
+constant keeps every pair difference, so the pin loses no generality);
+candidates are drawn in ascending order, which makes every run
 deterministic.
 
-Per-vertex constraint sets are precomputed as bitmasks, and one
-explicit-stack engine (`_walk`) keeps them up to date with one big-int
-AND per constraint added.  In natural vertex order a frame caches the
-AND of what the earlier vertices impose on the next one, so a candidate
-costs one AND to filter the next vertex's images.  In min-domain order
-("mcv") a frame carries the domains of every unassigned vertex, each
-narrowed by one AND per assignment, and branches on the first vertex
-with the fewest candidates.  The accepted candidates and their order
-are identical to the plain pairwise check.
+The engine (`_walk`) keeps per-vertex constraint sets as bitmasks, up to
+date with one big-int AND per constraint added.  In natural vertex order
+a frame caches the AND of what the earlier vertices impose on the next
+one; in min-domain order ("mcv") a frame carries the domains of every
+unassigned vertex and branches on the first with the fewest candidates.
+An optional list of per-vertex domain masks is ANDed into every vertex's
+starting domain.
 
-`search_swap` runs the engine once, in one process; the node and time
-budgets bound that one walk.
+`search_swap` is the library's assumption-free search: one walk over the
+whole tree, which at m = 4 takes hours.  `search_blocks` (the CLI's
+`search`) and `search_all` use the coset blocks of Delta_m instead, and
+check at run time every hypothesis the reduction below needs, raising
+RuntimeError when one fails.
+
+The reduction.  Let phi fix 0 and satisfy kappa[phi a ^ phi b] =
+s * kappa[a ^ b] with s = -1 (a swap) or +1 (an automorphism).
+
+(i) kappa is zero exactly on D = kappa^-1(0), checked to be a subgroup
+    of order 2^m whose ascending enumeration D[x], x in GF(2)^m, is
+    linear (D[x] ^ D[y] = D[x ^ y]): the indices whose base-4 digits are
+    0 or 3.  a and b are non-adjacent iff a ^ b is in D, and phi keeps
+    non-adjacency, so phi permutes the cosets of D; fixing 0, it fixes D.
+    C, the indices whose base-4 digits are 0 or 1, is checked to meet
+    every coset once, so phi induces a permutation pi of C: phi(c + D) =
+    pi(c) + D.
+(ii) For c in C other than 0, kappa on c + D is checked to have a
+    single Walsh spike, of height 2^m, at l(c) with sign s_c:
+    kappa[c ^ D[x]] = s_c * (-1)^(l(c).x).  So between blocks c1 + D and
+    c2 + D the colour is s_c * (-1)^(l(c).(x1 ^ x2)), with c = c1 ^ c2.
+    Towards D, a vertex of block c1 is red on one half of the split of D
+    by the hyperplane ker l(c1) and blue on the other.  phi fixes D and
+    sends a vertex's red half of D to the red (s = +1) or blue (s = -1)
+    half of its image; red and blue halves are complements in D, so phi
+    maps the split by l(c1) onto the split by l(pi c1).
+(iii) l is checked to be linear, so the split by l(c1 ^ c3) is the XOR
+    of the splits by l(c1) and l(c3), and phi maps it onto the XOR of
+    the splits by l(pi c1) and l(pi c3); by (ii) it also maps it onto
+    the split by l(pi(c1 ^ c3)).  A split of D determines its functional,
+    so l(pi(c1 ^ c3)) = l(pi c1) ^ l(pi c3).  l is checked to be
+    bijective, so pi is linear: pi = l^-1 M l with M in GL(m, 2).
+(iv) Let T = I + E_01 (a transvection) and S the cyclic shift of the
+    basis.  The conjugates S^k T S^-k are the I + E_(k,k+1), indices mod
+    m; the commutator of I + E_ij and I + E_jk is I + E_ik, so they give
+    every I + E_ij, and these generate SL(m, 2) = GL(m, 2).  So
+    <T, S> = GL(m, 2).
+(v) alpha -> M_alpha is a homomorphism from Aut_0, the automorphisms
+    fixing 0, to GL(m, 2).  Two sign +1 walks lift T and S to
+    automorphisms, each checked over all pairs and checked to induce T
+    and S, so by (iv) it is onto.  For a swap psi fixing 0 pick alpha in
+    Aut_0 with M_alpha = M_psi: psi o alpha^-1 is a swap with pi = id.
+    So a swap exists iff one exists that fixes every coset, and one
+    min-domain walk with every vertex held to its own coset decides it.
+    The kernel K (the pi = id automorphisms) and the lifts generate
+    Aut_0, of order |K| * |GL(m, 2)|, and the swaps fixing 0 are the
+    coset psi o Aut_0.
+
+At m = 4 the pi = id walk runs out in 169 nodes and each lift takes 256,
+so the whole certificate takes 681 nodes.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -31,6 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bent import _fwht
 from .graphs import build_delta
 
 _SEARCH_ALL_MAX_M = 2
@@ -58,11 +106,15 @@ class SwapMap:
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """A search's verdict.  An EXHAUSTED `search_blocks` run carries its
+    certificate: {"lifts": [phi_T, phi_S], "nodes": {walk: nodes}}."""
+
     status: SearchStatus
     witness: SwapMap | None
     nodes: int
     max_depth: int
     elapsed: float
+    certificate: dict | None = None
 
 
 @lru_cache(maxsize=None)
@@ -87,17 +139,22 @@ def _tables(m: int):
     return kappa, masks
 
 
-def verify_swap(swap: SwapMap) -> bool:
-    """Exhaustive pair check: every red edge must land on a blue one and
-    vice versa, and non-edges must stay non-edges.
+def _keeps(m, phi, sign):
+    """kappa[phi[a] ^ phi[b]] == sign * kappa[a ^ b] for every pair.
 
     All ordered pairs at once: the check is symmetric in a and b, and
     kappa[0] = 0 makes it hold on the diagonal."""
-    kappa = np.array(_tables(swap.m)[0])
-    phi = np.array(swap.phi)
-    vertices = np.arange(phi.size)
+    kappa = np.array(_tables(m)[0], dtype=np.int8)
+    phi = np.array(phi, dtype=np.min_scalar_type(len(kappa) - 1))
+    vertices = np.arange(phi.size, dtype=phi.dtype)
     images = kappa[np.bitwise_xor.outer(phi, phi)]
-    return bool((images == -kappa[np.bitwise_xor.outer(vertices, vertices)]).all())
+    return bool((images == sign * kappa[np.bitwise_xor.outer(vertices, vertices)]).all())
+
+
+def verify_swap(swap: SwapMap) -> bool:
+    """Exhaustive pair check: every red edge must land on a blue one and
+    vice versa, and non-edges must stay non-edges."""
+    return _keeps(swap.m, swap.phi, -1)
 
 
 def normalize(swap: SwapMap) -> SwapMap:
@@ -123,7 +180,7 @@ def _min_domain_frame(verts, doms):
     return [verts[i], doms[i], (verts[:i] + verts[i + 1 :], doms[:i] + doms[i + 1 :])]
 
 
-def _walk(m, order, sign, visit, node_budget=None, deadline=None):
+def _walk(m, order, sign, visit, node_budget=None, deadline=None, domains=None):
     """Depth-first walk over the assignments with phi[0] = 0.
 
     One explicit stack of frames [vertex, candidates left, state]; a node
@@ -136,7 +193,8 @@ def _walk(m, order, sign, visit, node_budget=None, deadline=None):
     the vertices before it put on the vertex after it.  order "mcv"
     branches on the first unassigned vertex of smallest domain, and a
     frame's state is the domains of the other unassigned vertices,
-    narrowed by one AND per assignment.
+    narrowed by one AND per assignment.  domains, if given, holds one
+    mask per vertex that is ANDed into doms.
 
     visit(phi) is called at each complete assignment; the walk stops
     with FOUND when it returns true.  Returns (status, nodes, max_depth):
@@ -149,7 +207,11 @@ def _walk(m, order, sign, visit, node_budget=None, deadline=None):
     phi = [0] + [None] * (v - 1)
     verts = list(range(1, v))
     doms = [cons[a][0] for a in verts]  # doms[a - 1]: vertex a's domain
+    if domains is not None:
+        doms = [d & domains[a] for a, d in zip(verts, doms)]
     nodes = max_depth = 1
+    if node_budget is not None and nodes > node_budget:
+        return SearchStatus.INCONCLUSIVE, nodes, max_depth
     mcv = order == "mcv"
     if mcv:
         root = _min_domain_frame(verts, doms)
@@ -202,6 +264,19 @@ def _walk(m, order, sign, visit, node_budget=None, deadline=None):
     return SearchStatus.EXHAUSTED, nodes, max_depth
 
 
+def _first(m, order, sign, node_budget=None, deadline=None, domains=None):
+    """One walk that stops at its first complete assignment:
+    (status, phi or None, nodes, max_depth)."""
+    found = []
+
+    def keep_first(phi):
+        found.append(phi)
+        return True
+
+    status, nodes, max_depth = _walk(m, order, sign, keep_first, node_budget, deadline, domains)
+    return status, found[0] if found else None, nodes, max_depth
+
+
 def search_swap(
     m: int,
     *,
@@ -226,33 +301,212 @@ def search_swap(
         raise ValueError(f"unknown assignment order {order!r}")
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
-    found = []
-
-    def keep_first(phi):
-        found.append(SwapMap(m, phi))
-        return True
-
-    status, nodes, max_depth = _walk(m, order, -1, keep_first, node_budget, deadline)
-    witness = found[0] if found else None
+    status, phi, nodes, max_depth = _first(m, order, -1, node_budget, deadline)
+    witness = None if phi is None else SwapMap(m, phi)
     if witness is not None and not verify_swap(witness):
         raise RuntimeError("search produced a map that fails verification")
     return SearchOutcome(status, witness, nodes, max_depth, time.monotonic() - start)
 
 
-def _enumerate(m, sign):
+def _enumerate(m, sign, domains=None):
     """Every assignment fixing vertex 0 that satisfies the sign's pair
-    rule (-1: swaps, +1: colour-preserving automorphisms), sorted."""
+    rule (-1: swaps, +1: colour-preserving automorphisms) within the
+    domain masks, sorted."""
     maps = []
-    _walk(m, "mcv", sign, maps.append)
+    _walk(m, "mcv", sign, maps.append, domains=domains)
     return sorted(maps)
+
+
+# --- the coset blocks ------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Blocks:
+    """Delta_m's coset blocks, read off kappa and checked.
+
+    Coset i is reps[i] + D, where reps[i] in C has bit k of i as its bit
+    2k; coset[y] is the coset of vertex y and masks[i] the bitmask of the
+    vertices of coset i.  For i > 0, kappa[reps[i] ^ D[x]] = signs[i] *
+    (-1)^(ell[i].x), with ell[i] an m-bit vector; ell[0] = signs[0] = 0.
+    """
+
+    reps: tuple[int, ...]
+    coset: tuple[int, ...]
+    masks: tuple[int, ...]
+    ell: tuple[int, ...]
+    signs: tuple[int, ...]
+
+
+def _block_system(kappa) -> _Blocks:
+    """The coset blocks of the difference graph with this kappa, with
+    hypotheses (i)-(iii) of the module docstring checked; RuntimeError
+    if one fails.  Each coset's spike is read off one transform by
+    bent's FWHT kernel."""
+    kappa = np.asarray(kappa, dtype=np.int8)
+    m = (kappa.size.bit_length() - 1) // 2
+    r = 1 << m
+    x = np.arange(r)
+    xor = np.bitwise_xor.outer(x, x)
+    zeros = np.flatnonzero(kappa == 0)  # D, ascending
+    if zeros.size != r or (np.bitwise_xor.outer(zeros, zeros) != zeros[xor]).any():
+        raise RuntimeError("the zeros of kappa are not a subgroup D of order 2^m")
+    reps = np.zeros(r, dtype=np.int64)
+    for k in range(m):
+        reps |= ((x >> k) & 1) << (2 * k)
+    cells = np.bitwise_xor.outer(reps, zeros)  # cells[i, x] = reps[i] ^ D[x]
+    coset = np.full(kappa.size, -1)
+    coset[cells] = x[:, None]
+    if (coset < 0).any():
+        raise RuntimeError("C does not meet every coset of D once")
+    ell = np.zeros(r, dtype=np.int64)
+    signs = np.zeros(r, dtype=np.int64)
+    for i in range(1, r):
+        spectrum = _fwht(kappa[cells[i]], 1)
+        spikes = np.flatnonzero(spectrum)
+        if spikes.size != 1 or abs(int(spectrum[spikes[0]])) != r:
+            raise RuntimeError(
+                f"kappa on the coset {reps[i]} + D has no single Walsh spike of height 2^m"
+            )
+        ell[i] = spikes[0]
+        signs[i] = np.sign(spectrum[spikes[0]])
+    linear = (ell[xor] == np.bitwise_xor.outer(ell, ell)).all()
+    if not linear or sorted(ell.tolist()) != x.tolist():
+        raise RuntimeError("the spike positions l(c) are not linear and bijective in c")
+    members = np.zeros((r, kappa.size), dtype=bool)
+    members[x[:, None], cells] = True
+    packed = np.packbits(members, axis=1, bitorder="little")
+    return _Blocks(
+        tuple(reps.tolist()),
+        tuple(coset.tolist()),
+        tuple(int.from_bytes(row.tobytes(), "little") for row in packed),
+        tuple(ell.tolist()),
+        tuple(signs.tolist()),
+    )
+
+
+@lru_cache(maxsize=None)
+def _blocks(m):
+    return _block_system(_tables(m)[0])
+
+
+def _gl_order(m):
+    return math.prod((1 << m) - (1 << i) for i in range(m))
+
+
+def _generators(m):
+    """T = I + E_01 and the cyclic shift S of the basis, as tables of
+    their action on m-bit vectors; none at m = 1, where GL(1, 2) = 1."""
+    if m == 1:
+        return {}
+    r = 1 << m
+    return {
+        "T": tuple(u ^ ((u >> 1) & 1) for u in range(r)),
+        "S": tuple(((u << 1) | (u >> (m - 1))) & (r - 1) for u in range(r)),
+    }
+
+
+def _domains(blocks, M):
+    """Per-vertex domain masks that hold every vertex of coset i to
+    coset pi(i), where pi = l^-1 M l and M is a table on m-bit vectors."""
+    where = {u: i for i, u in enumerate(blocks.ell)}
+    to = [where[M[u]] for u in blocks.ell]
+    return [blocks.masks[to[i]] for i in blocks.coset]
+
+
+def _induced(blocks, phi):
+    """The table of M = l pi l^-1 for a map phi that permutes the cosets."""
+    M = [0] * len(blocks.ell)
+    for i, c in enumerate(blocks.reps):
+        M[blocks.ell[i]] = blocks.ell[blocks.coset[phi[c]]]
+    return tuple(M)
+
+
+def _lift(m, blocks, name, M, node_budget=None):
+    """An automorphism fixing 0 that induces M on the blocks, found by
+    one sign +1 walk and checked over all pairs; as _first.  RuntimeError
+    if the walk ends without one."""
+    status, alpha, nodes, max_depth = _first(
+        m, "mcv", +1, node_budget, None, _domains(blocks, M)
+    )
+    if status is not SearchStatus.INCONCLUSIVE and (
+        alpha is None or not _keeps(m, alpha, +1) or _induced(blocks, alpha) != M
+    ):
+        raise RuntimeError(f"the generator {name} of GL({m}, 2) does not lift to an automorphism")
+    return status, alpha, nodes, max_depth
+
+
+def search_blocks(m: int, *, node_budget: int | None = None) -> SearchOutcome:
+    """Find a colour-swapping permutation of Delta_m, or certify that
+    none exists, on the coset blocks (see the module docstring).
+
+    One min-domain walk looks for a swap that holds every vertex to its
+    own coset (pi = id); a witness still goes through verify_swap.  When
+    that walk runs out, two sign +1 walks lift T and S to automorphisms
+    fixing 0 before EXHAUSTED is returned, with the certificate
+    {"lifts": [phi_T, phi_S], "nodes": {"swap": .., "T": .., "S": ..}}.
+    node_budget bounds the nodes of all the walks together; exceeding
+    it yields INCONCLUSIVE.  RuntimeError if a checked hypothesis fails.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if node_budget is not None and node_budget < 1:
+        raise ValueError("node budget must be >= 1")
+    start = time.monotonic()
+    blocks = _blocks(m)
+    walks = {}
+    identity = tuple(range(1 << m))
+    status, phi, walks["swap"], max_depth = _first(
+        m, "mcv", -1, node_budget, None, _domains(blocks, identity)
+    )
+    certificate = None
+    if status is SearchStatus.EXHAUSTED:
+        lifts = []
+        for name, M in _generators(m).items():
+            left = None if node_budget is None else node_budget - sum(walks.values())
+            lifted, alpha, walks[name], depth = _lift(m, blocks, name, M, left)
+            max_depth = max(max_depth, depth)
+            if lifted is SearchStatus.INCONCLUSIVE:
+                status = lifted
+                break
+            lifts.append(list(alpha))
+        else:
+            certificate = {"lifts": lifts, "nodes": walks}
+    witness = None if phi is None else SwapMap(m, phi)
+    if witness is not None and not verify_swap(witness):
+        raise RuntimeError("search produced a map that fails verification")
+    elapsed = time.monotonic() - start
+    return SearchOutcome(status, witness, sum(walks.values()), max_depth, elapsed, certificate)
+
+
+def _closure(gens):
+    """The group that the permutations gens generate, as an array with
+    one element per row, the identity first."""
+    v = len(gens[0])
+    dtype = np.min_scalar_type(v - 1)
+    gens = np.array(gens, dtype=dtype)
+    frontier = np.arange(v, dtype=dtype)[None, :]
+    group = dict.fromkeys([frontier.tobytes()])
+    while len(frontier):
+        # frontier[:, gens][f, g, a] = (f o g)[a]
+        fresh = []
+        for row in frontier[:, gens].reshape(-1, v):
+            key = row.tobytes()
+            if key not in group:
+                group[key] = None
+                fresh.append(key)
+        frontier = np.frombuffer(b"".join(fresh), dtype).reshape(-1, v)
+    return np.frombuffer(b"".join(group), dtype).reshape(-1, v)
 
 
 def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     """All normalized colour-swapping maps in lexicographic phi order,
     truncated at `limit`.  Guarded to m <= 2 unless force=True.
 
-    The whole tree is enumerated in min-domain order and then sorted, so
-    `limit` truncates the full list; it does not shorten the search.
+    Built from the coset blocks: the swaps fixing 0 are psi o Aut_0, for
+    the first swap psi with pi = id.  Aut_0 is the closure of K, every
+    pi = id automorphism, and the lifts of T and S, checked to have
+    |K| * |GL(m, 2)| elements.  When there is no psi (m >= 4) the list
+    is empty and no closure is built.  `limit` truncates the full sorted
+    list; it does not shorten the work.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -262,7 +516,18 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
         raise ValueError(
             f"enumeration is guarded to m <= {_SEARCH_ALL_MAX_M}; pass force=True to override"
         )
-    maps = [SwapMap(m, phi) for phi in _enumerate(m, -1)[:limit]]
+    psi = search_blocks(m).witness
+    if psi is None:
+        return []
+    blocks = _blocks(m)
+    kernel = _enumerate(m, +1, _domains(blocks, tuple(range(1 << m))))
+    lifts = [_lift(m, blocks, name, M)[1] for name, M in _generators(m).items()]
+    auts = _closure(kernel + lifts)
+    if len(auts) != len(kernel) * _gl_order(m):
+        raise RuntimeError("K and the lifts do not generate |K| * |GL(m, 2)| automorphisms")
+    coset = np.array(psi.phi, dtype=auts.dtype)[auts]
+    coset = coset[np.lexsort(coset.T[::-1])][:limit]  # rows in lexicographic order
+    maps = [SwapMap(m, tuple(phi)) for phi in coset.tolist()]
     if not all(verify_swap(w) for w in maps):
         raise RuntimeError("enumeration produced a map that fails verification")
     return maps

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -11,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from ctwin.bent import predicted_params, sigma_function, tau, tau_function
 from ctwin.cli import main
 from ctwin.graphs import BLUE, build_delta, to_graph6
-from ctwin.swap import SearchOutcome, SearchStatus
 
 
 def run_cli(capsys, *argv):
@@ -41,20 +42,26 @@ print(os.waitstatus_to_exitcode(status), time.monotonic() - start, usage.ru_maxr
 """
 
 
-def run_budgeted(tmp_path, argv, budget_s, parse=True):
-    """Run `python -m ctwin ARGV`, killed after budget_s; returns (exit
-    code, report, peak RSS in MB), or stdout's bytes in place of the
-    report when parse is False.  Stdout goes to a file, since a table
-    can outgrow a pipe."""
-    out = tmp_path / "stdout.json"
+def run_budgeted_to(out, argv, budget_s):
+    """Run `python -m ctwin ARGV` with stdout to the file `out`, killed
+    after budget_s; returns (exit code, peak RSS in MB)."""
     proc = subprocess.run(
         [sys.executable, "-c", _BUDGETED, str(budget_s), str(out), *argv],
         capture_output=True, text=True, timeout=budget_s + 60,
     )
     code, elapsed, rss = proc.stdout.split()
     assert float(elapsed) < budget_s, f"{' '.join(argv)} ran over its {budget_s:.0f}s budget"
+    return int(code), float(rss)
+
+
+def run_budgeted(tmp_path, argv, budget_s, parse=True):
+    """As run_budgeted_to; returns (exit code, report, peak RSS in MB),
+    or stdout's bytes in place of the report when parse is False.
+    Stdout goes to a file, since a table can outgrow a pipe."""
+    out = tmp_path / "stdout.json"
+    code, rss = run_budgeted_to(out, argv, budget_s)
     data = out.read_bytes()
-    return int(code), json.loads(data) if parse else data, float(rss)
+    return code, json.loads(data) if parse else data, rss
 
 
 def test_table_sigma_bits(capsys):
@@ -67,6 +74,55 @@ def test_table_tau_bits(capsys):
     code, report = run_cli(capsys, "table", "--m", "1", "--function", "tau", "--format", "bits")
     assert code == 0
     assert report["result"]["table"] == "0010"
+
+
+@pytest.mark.parametrize("function", ["sigma", "tau"])
+def test_table_bits_stream_is_the_whole_string(capsys, function):
+    # streamed in blocks, the report must be byte for byte the one that
+    # json.dumps makes of the whole string, entry 0 first (m = 12 spans
+    # two blocks)
+    make = sigma_function if function == "sigma" else tau_function
+    for m in range(1, 13):
+        f = make(m)
+        code = main(["table", "--m", str(m), "--function", function, "--format", "bits"])
+        out = capsys.readouterr().out
+        assert code == 0
+        head, _, tail = out.rpartition(', "elapsed_ms": ')
+        expected = {
+            "command": "table",
+            "params": {"m": m, "function": function, "format": "bits"},
+            "result": {"function": function, "m": m, "table": format(f.bits, f"0{f.size}b")[::-1]},
+        }
+        assert head + "}" == json.dumps(expected), m
+        assert re.fullmatch(r"[0-9.]+\}\n", tail), m
+
+
+def test_table_bits_at_guard_limit_within_budget(tmp_path):
+    # m = 14 is the table guard's largest m: 2^28 characters of bits
+    # within 10 s and 300 MB, read back in chunks
+    out = tmp_path / "bits14.json"
+    code, rss = run_budgeted_to(
+        out, ["table", "--m", "14", "--function", "tau", "--format", "bits"], 10.0
+    )
+    assert code == 0
+    assert rss < 300.0, f"table --m 14 --format bits peaked at {rss:.0f} MB, budget 300 MB"
+    opening = (
+        b'{"command": "table", "params": {"m": 14, "function": "tau", "format": "bits"}, '
+        b'"result": {"function": "tau", "m": 14, "table": "'
+    )
+    n = 1 << 28
+    with open(out, "rb") as fh:
+        assert fh.read(len(opening)) == opening
+        zeros = ones = 0
+        for _ in range(0, n, 1 << 24):
+            chunk = fh.read(1 << 24)
+            zeros += chunk.count(b"0")
+            ones += chunk.count(b"1")
+        assert re.fullmatch(rb'"\}, "elapsed_ms": [0-9.]+\}\n', fh.read())
+        assert (zeros + ones, ones) == (n, predicted_params(14).k)
+        for i in random.Random(14).sample(range(n), 200):
+            fh.seek(len(opening) + i)
+            assert fh.read(1) == b"%d" % tau(14, i), i
 
 
 def test_table_hex(capsys):
@@ -266,27 +322,58 @@ def test_search_budget_inconclusive(capsys):
     assert report["result"]["m"] == 4
 
 
-def test_search_report_per_status(capsys, monkeypatch):
+def _check_m4_certificate(result):
+    # the certificate's lifts must be automorphisms fixing 0 (checked
+    # pair by pair here); its node counts are pinned
+    assert set(result) == {"m", "status", "nodes", "certificate"}
+    assert (result["m"], result["status"], result["nodes"]) == (4, "exhausted", 681)
+    assert result["certificate"]["nodes"] == {"swap": 169, "T": 256, "S": 256}
+    kappa = build_delta(4).kappa
+    for phi in result["certificate"]["lifts"]:
+        assert sorted(phi) == list(range(256)) and phi[0] == 0
+        assert all(
+            kappa[phi[a] ^ phi[b]] == kappa[a ^ b] for a in range(256) for b in range(a)
+        )
+
+
+def test_search_report_per_status(capsys):
     code, report = run_cli(capsys, "search", "--m", "1")
     assert (code, report["result"]) == (0, {"m": 1, "phi": [0, 2, 1, 3]})
     code, report = run_cli(capsys, "search", "--m", "2", "--node-budget", "2")
     # the budget trips strictly above the cap
     assert (code, report["result"]) == (3, {"m": 2, "status": "inconclusive", "nodes": 3})
-    # no search that finishes in a test run ends exhausted, so stub one
-    done = SearchOutcome(SearchStatus.EXHAUSTED, None, 42, 7, 0.1)
-    monkeypatch.setattr("ctwin.cli.search_swap", lambda m, **kwargs: done)
     code, report = run_cli(capsys, "search", "--m", "4")
-    assert (code, report["result"]) == (2, {"m": 4, "status": "exhausted", "nodes": 42})
+    assert code == 2
+    _check_m4_certificate(report["result"])
 
 
 def test_search_m4_node_budget_within_time(capsys):
-    # the README's m = 4 run; the budget covers the whole tree
+    # the README's m = 4 run; the budget covers the whole certificate
     start = time.monotonic()
     code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "200000")
     elapsed = time.monotonic() - start
-    assert code == 3
-    assert report["result"] == {"m": 4, "status": "inconclusive", "nodes": 200001}
+    assert code == 2
+    _check_m4_certificate(report["result"])
     assert elapsed < 10.0, f"search --m 4 --node-budget 200000 took {elapsed:.1f}s, budget 10s"
+
+
+def test_search_m4_certificate_within_budget(tmp_path):
+    # the paper's negative claim from a fresh interpreter: exit 2 in 2 s
+    code, report, _ = run_budgeted(tmp_path, ["search", "--m", "4"], 2.0)
+    assert code == 2
+    _check_m4_certificate(report["result"])
+
+
+def test_search_budget_spans_every_walk(capsys):
+    # 169 nodes exhaust the pi = id walk, so 300 run out inside lift T
+    # and 500 inside lift S; the count trips strictly above the cap
+    for budget in (169, 300, 500, 680):
+        code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", str(budget))
+        assert code == 3, budget
+        assert report["result"] == {"m": 4, "status": "inconclusive", "nodes": budget + 1}
+    code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "681")
+    assert code == 2
+    _check_m4_certificate(report["result"])
 
 
 def test_search_all_m1(capsys):
@@ -377,11 +464,13 @@ def _readme_cli_lines():
 
 @pytest.mark.parametrize("line", _readme_cli_lines())
 def test_readme_cli_examples(capsys, line):
-    # every command the README shows runs as shown: exit 3 where its
-    # comment says so, 0 otherwise, and one JSON object on stdout
+    # every command the README shows runs as shown: it exits with the code
+    # that "exit N" in its comment names (0 if none) and prints one JSON
+    # object on stdout
     command, _, comment = line.partition("#")
     code = main(shlex.split(command)[1:])
     out = capsys.readouterr().out
-    assert code == (3 if "exit 3" in comment else 0)
+    expected = re.search(r"\bexit (\d+)", comment)
+    assert code == (int(expected.group(1)) if expected else 0)
     assert "error" not in json.loads(out)
     assert out.count("\n") == 1

@@ -1,5 +1,6 @@
 """Colour-swap verification, normalization, and the backtracking search."""
 
+import functools
 import itertools
 import random
 import sys
@@ -8,12 +9,14 @@ import time
 import pytest
 
 from ctwin import swap
+from ctwin.bent import sigma
 from ctwin.graphs import BLUE, RED, build_delta
 from ctwin.swap import (
     SearchStatus,
     SwapMap,
     normalize,
     search_all,
+    search_blocks,
     search_swap,
     verify_swap,
 )
@@ -306,3 +309,153 @@ def test_mcv_order_same_status():
         assert out.status is SearchStatus.FOUND
         assert verify_swap(out.witness)
 
+
+
+# --- the coset blocks ---------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def exhaustive(m, sign):
+    """Every map fixing 0 for the sign, from the unrestricted engine."""
+    return swap._enumerate(m, sign)
+
+
+def _fixing_every_coset(m):
+    return swap._domains(swap._blocks(m), tuple(range(1 << m)))
+
+
+def _coset_index(m, y):
+    # y = c ^ d with c's base-4 digits in {0, 1} and d's in {0, 3}: c has a
+    # digit 1 where y's digit is 1 or 2, and bit k of the index is digit k
+    c = (y ^ (y >> 1)) & (((1 << (2 * m)) - 1) // 3)
+    return sum(((c >> (2 * k)) & 1) << k for k in range(m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_block_checks_pass_and_one_flipped_sign_fails_them(m):
+    kappa = build_delta(m).kappa
+    blocks = swap._block_system(kappa)
+    zeros = [y for y in range(len(kappa)) if kappa[y] == 0]
+    for y in range(len(kappa)):
+        assert blocks.coset[y] == _coset_index(m, y)
+    for i in range(1, 1 << m):
+        c = blocks.reps[i]
+        assert blocks.signs[i] == (-1) ** sigma(m, c)
+        for x, d in enumerate(zeros):
+            parity = (blocks.ell[i] & x).bit_count() & 1
+            assert kappa[c ^ d] == blocks.signs[i] * (-1) ** parity
+    z = random.Random(m).choice([y for y in range(len(kappa)) if kappa[y]])
+    flipped = list(kappa)
+    flipped[z] = -flipped[z]
+    # at m = 1 a two-point coset always has one spike, at the wrong place
+    failed = "single Walsh spike" if m > 1 else "not linear and bijective"
+    with pytest.raises(RuntimeError, match=failed):
+        swap._block_system(flipped)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_block_checks_catch_a_new_zero_and_swapped_cosets(m):
+    kappa = build_delta(m).kappa
+    blocks = swap._block_system(kappa)
+    zeroed = list(kappa)
+    zeroed[1] = 0
+    with pytest.raises(RuntimeError, match="not a subgroup"):
+        swap._block_system(zeroed)
+    # every coset keeps its single spike, but l(1) and l(3) trade places
+    swapped = list(kappa)
+    for y, i in enumerate(blocks.coset):
+        if i in (1, 3):
+            swapped[y] = kappa[y ^ blocks.reps[1] ^ blocks.reps[3]]
+    with pytest.raises(RuntimeError, match="not linear and bijective"):
+        swap._block_system(swapped)
+
+
+def test_flipped_sign_stops_the_m4_certificate(monkeypatch):
+    kappa = list(build_delta(4).kappa)
+    kappa[1] = -kappa[1]
+    monkeypatch.setattr(swap, "_blocks", lambda m: swap._block_system(kappa))
+    with pytest.raises(RuntimeError, match="single Walsh spike"):
+        search_blocks(4)
+
+
+@pytest.mark.parametrize("sign", [-1, +1])
+@pytest.mark.parametrize("m, count", [(1, 1), (2, 12), (3, 1344)])
+def test_coset_fixing_counts_times_gl_order(m, count, sign):
+    restricted = swap._enumerate(m, sign, _fixing_every_coset(m))
+    assert len(restricted) * swap._gl_order(m) == len(exhaustive(m, sign)) == count
+
+
+@pytest.mark.parametrize("sign", [-1, +1])
+@pytest.mark.parametrize("m", [2, 3])
+def test_natural_order_honours_domain_masks(m, sign):
+    domains = _fixing_every_coset(m)
+    maps = []
+    status, _, _ = swap._walk(m, "natural", sign, maps.append, domains=domains)
+    assert status is SearchStatus.EXHAUSTED
+    assert maps == swap._enumerate(m, sign, domains)
+    assert len(maps) == {2: 2, 3: 8}[m]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_search_all_is_the_exhaustive_enumeration(m):
+    assert [w.phi for w in search_all(m, 2000, force=True)] == exhaustive(m, -1)
+
+
+def test_search_all_m4_is_empty():
+    assert search_all(4, 10, force=True) == []
+
+
+def test_generators_generate_gl():
+    assert [swap._gl_order(m) for m in range(1, 5)] == [1, 6, 168, 20160]
+    assert swap._generators(1) == {}
+    for m in (2, 3, 4):
+        T, S = swap._generators(m).values()
+        basis = [1 << k for k in range(m)]
+        # T = I + E_01 sends e_1 to e_0 + e_1; S sends e_k to e_(k+1 mod m)
+        assert [T[e] for e in basis] == [1, 3] + basis[2:]
+        assert [S[e] for e in basis] == basis[1:] + [1]
+        for M in (T, S):
+            assert all(M[u ^ w] == M[u] ^ M[w] for u in range(1 << m) for w in range(1 << m))
+        assert len(swap._closure([T, S])) == swap._gl_order(m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_lifts_are_automorphisms_inducing_their_generator(m):
+    blocks = swap._blocks(m)
+    ell = blocks.ell
+    for name, M in swap._generators(m).items():
+        status, alpha, _, _ = swap._lift(m, blocks, name, M)
+        assert status is SearchStatus.FOUND
+        assert alpha[0] == 0 and _is_automorphism(m, alpha)
+        for y, image in enumerate(alpha):
+            assert ell[_coset_index(m, image)] == M[ell[_coset_index(m, y)]]
+
+
+# (m, node_budget) -> (status, nodes, max_depth, nodes per walk if exhausted)
+BLOCKS_GOLDEN = {
+    (1, None): ("found", 4, 4, None),
+    (2, None): ("found", 16, 16, None),
+    (3, None): ("found", 64, 64, None),
+    (4, None): ("exhausted", 681, 256, {"swap": 169, "T": 256, "S": 256}),
+    (4, 50): ("inconclusive", 51, 5, None),
+    (4, 300): ("inconclusive", 301, 131, None),
+}
+
+
+@pytest.mark.parametrize("key", list(BLOCKS_GOLDEN), ids=lambda k: f"m{k[0]}-{k[1]}")
+def test_block_search_golden(key):
+    m, budget = key
+    out = search_blocks(m, node_budget=budget)
+    nodes = out.certificate and out.certificate["nodes"]
+    assert (out.status.value, out.nodes, out.max_depth, nodes) == BLOCKS_GOLDEN[key]
+    if out.witness is not None:
+        assert out.witness.phi[0] == 0 and verify_swap(out.witness)
+    if out.certificate is not None:
+        assert all(_is_automorphism(m, phi) for phi in out.certificate["lifts"])
+
+
+def test_block_search_argument_validation():
+    with pytest.raises(ValueError):
+        search_blocks(0)
+    with pytest.raises(ValueError):
+        search_blocks(1, node_budget=0)
