@@ -8,6 +8,7 @@ for humans goes to stderr.  Exit codes: 0 success (or witness found),
 from __future__ import annotations
 
 import argparse
+import binascii
 import itertools
 import json
 import os
@@ -47,8 +48,9 @@ _BENT_MAX_M = 12
 _CONFIRM_MAX_M = 8
 _GRAPH_MAX_M = 8
 _JSON_EDGES_MAX_M = 6
+_SEARCH_MAX_M = 5
 _SEARCH_ALL_DEFAULT_LIMIT = 100
-_BITS_BLOCK = 1 << 20  # table bytes per block of `table --format bits`
+_TABLE_BLOCK = 1 << 20  # table bytes per block of `table`'s text
 
 
 class UsageError(Exception):
@@ -109,20 +111,35 @@ def _check_m(m: int, low: int, high: int | None):
 def _cmd_table(args):
     _check_m(args.m, 1, _TABLE_MAX_M)
     f = sigma_function(args.m) if args.function == "sigma" else tau_function(args.m)
-    table = _bit_blocks(f) if args.format == "bits" else f.hex()
+    table = (_bit_blocks if args.format == "bits" else _hex_blocks)(f)
     return {"function": args.function, "m": args.m, "table": table}, EXIT_OK
 
 
 def _bit_blocks(f):
     """The truth table as a JSON string of "0"/"1", entry 0 first, in
-    blocks of 8 * _BITS_BLOCK characters, so the text is never whole."""
+    blocks of 8 * _TABLE_BLOCK characters, so the text is never whole."""
     raw = f.bits.to_bytes((f.size + 7) // 8, "little")
     yield b'"'
-    for i in range(0, len(raw), _BITS_BLOCK):
-        chunk = np.frombuffer(raw, np.uint8, min(_BITS_BLOCK, len(raw) - i), i)
-        chars = np.unpackbits(chunk, count=min(8 * _BITS_BLOCK, f.size - 8 * i), bitorder="little")
+    for i in range(0, len(raw), _TABLE_BLOCK):
+        chunk = np.frombuffer(raw, np.uint8, min(_TABLE_BLOCK, len(raw) - i), i)
+        chars = np.unpackbits(chunk, count=min(8 * _TABLE_BLOCK, f.size - 8 * i), bitorder="little")
         chars += ord("0")
         yield chars.tobytes()
+    yield b'"'
+
+
+def _hex_blocks(f):
+    """f.hex() as a JSON string, "tt:<n>:" then the digits, highest
+    entry first, in blocks of 2 * _TABLE_BLOCK characters, so the text
+    is never whole."""
+    yield b'"tt:%d:' % f.n
+    if f.size < 8:
+        # hex() gives one digit, where a whole byte would give two
+        yield b"%x" % f.bits
+    else:
+        raw = memoryview(f.bits.to_bytes(f.size // 8, "big"))
+        for i in range(0, len(raw), _TABLE_BLOCK):
+            yield binascii.hexlify(raw[i : i + _TABLE_BLOCK])
     yield b'"'
 
 
@@ -176,7 +193,7 @@ def _cmd_graph(args):
 
 
 def _cmd_search(args):
-    _check_m(args.m, 1, None)
+    _check_m(args.m, 1, _SEARCH_MAX_M)
     if args.all is not None:
         if args.node_budget is not None:
             raise UsageError("--node-budget does not apply to --all")
@@ -231,7 +248,7 @@ def _report(args, result, start):
     line of JSON.
 
     A result member whose value is an iterator (graph's payload to
-    stdout, table's bits) is JSON already encoded, as ASCII byte blocks
+    stdout, table's text) is JSON already encoded, as ASCII byte blocks
     that are passed on one by one, so it is never held whole; it is
     written after the other members.  elapsed_ms covers the command's
     work, not encoding the report, except that a streamed member is

@@ -85,15 +85,21 @@ def build_delta(m: int) -> DifferenceGraph:
 
 
 def oracle_build_delta(m: int) -> DifferenceGraph:
-    """Delta_m rebuilt pair by pair from the matrices themselves.
+    """Delta_m rebuilt from the matrices themselves, every pair checked.
 
     Each basis matrix gamma(i) is first checked against the bit rules:
     sigma(m, i) = 1 iff it is skew, and tau(m, i) = 1 iff it is symmetric
     but not diagonal; a disagreement raises RuntimeError naming i.  A
     pair is joined iff the permutation parts of its basis matrices
     disagree in every column (disjoint support); the colour is read off
-    the symmetry class of gamma(a) * gamma(b)^T.  All pairs with equal
-    difference must agree before the colour table is accepted.
+    the symmetry class of M = gamma(a) * gamma(b)^T, and a joined pair
+    whose M is neither symmetric nor skew raises ValueError.  All pairs
+    with equal difference must agree with the first such pair, (0, d),
+    before the colour table is accepted; the first pair in lexicographic
+    order that does not raises RuntimeError naming its difference.
+
+    All v(v-1)/2 pairs are worked at once on the stacked (v, n) perm and
+    sign arrays of the basis, in int8 (n = 2^m <= 16 under the guard).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -107,23 +113,36 @@ def oracle_build_delta(m: int) -> DifferenceGraph:
             raise RuntimeError(f"sigma mismatch at index {i}")
         if tau(m, i) != (cls is SymmetryClass.SYMMETRIC_OFF_DIAGONAL):
             raise RuntimeError(f"tau mismatch at index {i}")
-    seen: dict[int, int] = {0: 0}
-    for a in range(v):
-        pa = basis[a].perm
-        for b in range(a + 1, v):
-            pb = basis[b].perm
-            disjoint = all(ra != rb for ra, rb in zip(pa, pb))
-            if not disjoint:
-                colour = 0
-            else:
-                cls = classify(basis[a] * basis[b].transpose())
-                colour = RED if cls is SymmetryClass.SKEW else BLUE
-            d = a ^ b
-            if seen.setdefault(d, colour) != colour:
-                raise RuntimeError(
-                    f"pairs with difference {d} disagree on colour"
-                )
-    return DifferenceGraph(2 * m, tuple(seen[d] for d in range(v)))
+    perm = np.array([g.perm for g in basis], dtype=np.int8)
+    signs = np.array([g.signs for g in basis], dtype=np.int8)
+    # gamma(b)^T: column c holds gamma(b)'s entry from column inv[c]
+    inv = np.argsort(perm, axis=1).astype(np.int8)
+    signs_t = np.take_along_axis(signs, inv, axis=1)
+    a, b = np.triu_indices(v, 1)
+    disjoint = (perm[a] != perm[b]).all(axis=1)
+    ja, jb = a[disjoint], b[disjoint]
+    # M = gamma(a) * gamma(b)^T, column c: row perm_a[inv_b[c]],
+    # sign signs_a[inv_b[c]] * signs_b^T[c]
+    rows = np.take_along_axis(perm[ja], inv[jb], axis=1)
+    vals = np.take_along_axis(signs[ja], inv[jb], axis=1) * signs_t[jb]
+    # M^T = +-M iff rows is an involution and vals[rows[c]] = +-vals[c]
+    involution = (np.take_along_axis(rows, rows, axis=1) == np.arange(1 << m)).all(axis=1)
+    mirrored = np.take_along_axis(vals, rows, axis=1)
+    skew = involution & (mirrored == -vals).all(axis=1)
+    symmetric = involution & (mirrored == vals).all(axis=1)
+    colour = np.zeros(a.size, dtype=np.int8)
+    colour[disjoint] = np.where(skew, RED, BLUE)
+    neither = np.zeros(a.size, dtype=bool)
+    neither[disjoint] = ~(skew | symmetric)
+    # the first v - 1 pairs are (0, d) for d = 1..v-1
+    kappa = np.concatenate(([0], colour[: v - 1]))
+    bad = neither | (colour != kappa[a ^ b])
+    if bad.any():
+        first = int(bad.argmax())
+        if neither[first]:
+            raise ValueError("matrix is neither symmetric nor skew")
+        raise RuntimeError(f"pairs with difference {a[first] ^ b[first]} disagree on colour")
+    return DifferenceGraph(2 * m, tuple(kappa.tolist()))
 
 
 def cayley_graph(f: BoolFunc) -> DifferenceGraph:

@@ -2,7 +2,8 @@
 
 Each one computes what a fast path in ctwin computes, by the textbook
 route and in pure Python: butterflies on a list, spectra, bentness and
-duals read off them, differences counted pair by pair, common neighbours
+duals read off them, differences counted pair by pair, Delta_m rebuilt
+pair by pair from signed-permutation products, common neighbours
 counted on packed adjacency rows, the search's constraint masks built
 pair by pair, swaps checked pair by pair, and swaps listed by a
 recursive backtracking search in natural vertex order.
@@ -11,8 +12,9 @@ millions of nodes at m = 3 where ctwin's enumeration visits 75k, so
 tests use them at small sizes.
 """
 
-from ctwin.bent import BoolFunc, DiffSetParams
-from ctwin.graphs import SrgParams, build_delta
+from ctwin.algebra import SymmetryClass, classify, gamma
+from ctwin.bent import BoolFunc, DiffSetParams, sigma, tau
+from ctwin.graphs import BLUE, RED, DifferenceGraph, SrgParams, build_delta
 
 
 def fwht(values):
@@ -79,6 +81,34 @@ def difference_set_params(f):
             )
     k = len(support)
     return DiffSetParams(v, k, lam, k - lam)
+
+
+def pairwise_delta(m, gamma=gamma):
+    """oracle_build_delta pair by pair on SignedPerm objects, with its
+    error messages; `gamma` supplies the basis matrices."""
+    v = 1 << (2 * m)
+    basis = [gamma(m, i) for i in range(v)]
+    for i, g in enumerate(basis):
+        cls = classify(g)
+        if sigma(m, i) != (cls is SymmetryClass.SKEW):
+            raise RuntimeError(f"sigma mismatch at index {i}")
+        if tau(m, i) != (cls is SymmetryClass.SYMMETRIC_OFF_DIAGONAL):
+            raise RuntimeError(f"tau mismatch at index {i}")
+    seen = {0: 0}
+    for a in range(v):
+        pa = basis[a].perm
+        for b in range(a + 1, v):
+            pb = basis[b].perm
+            disjoint = all(ra != rb for ra, rb in zip(pa, pb))
+            if not disjoint:
+                colour = 0
+            else:
+                cls = classify(basis[a] * basis[b].transpose())
+                colour = RED if cls is SymmetryClass.SKEW else BLUE
+            d = a ^ b
+            if seen.setdefault(d, colour) != colour:
+                raise RuntimeError(f"pairs with difference {d} disagree on colour")
+    return DifferenceGraph(2 * m, tuple(seen[d] for d in range(v)))
 
 
 def adjacency_rows(graph, colour):

@@ -100,8 +100,7 @@ def test_oracle_equivalence_m1_to_m3():
     _passed("bit rules equal matrix classification and pairwise graph, m=1..3")
 
 
-@extended
-def test_oracle_equivalence_m4_extended():
+def test_oracle_equivalence_m4():
     _oracle_equivalence((4,))
     _passed("bit rules equal matrix classification and pairwise graph, m=4")
 

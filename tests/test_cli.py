@@ -76,25 +76,36 @@ def test_table_tau_bits(capsys):
     assert report["result"]["table"] == "0010"
 
 
-@pytest.mark.parametrize("function", ["sigma", "tau"])
-def test_table_bits_stream_is_the_whole_string(capsys, function):
+def _check_table_stream(capsys, function, fmt, text):
     # streamed in blocks, the report must be byte for byte the one that
-    # json.dumps makes of the whole string, entry 0 first (m = 12 spans
-    # two blocks)
+    # json.dumps makes of the whole string text(f) (m = 12 spans two
+    # blocks)
     make = sigma_function if function == "sigma" else tau_function
     for m in range(1, 13):
         f = make(m)
-        code = main(["table", "--m", str(m), "--function", function, "--format", "bits"])
+        code = main(["table", "--m", str(m), "--function", function, "--format", fmt])
         out = capsys.readouterr().out
         assert code == 0
         head, _, tail = out.rpartition(', "elapsed_ms": ')
         expected = {
             "command": "table",
-            "params": {"m": m, "function": function, "format": "bits"},
-            "result": {"function": function, "m": m, "table": format(f.bits, f"0{f.size}b")[::-1]},
+            "params": {"m": m, "function": function, "format": fmt},
+            "result": {"function": function, "m": m, "table": text(f)},
         }
         assert head + "}" == json.dumps(expected), m
         assert re.fullmatch(r"[0-9.]+\}\n", tail), m
+
+
+@pytest.mark.parametrize("function", ["sigma", "tau"])
+def test_table_bits_stream_is_the_whole_string(capsys, function):
+    # entry 0 first
+    _check_table_stream(capsys, function, "bits", lambda f: format(f.bits, f"0{f.size}b")[::-1])
+
+
+@pytest.mark.parametrize("function", ["sigma", "tau"])
+def test_table_hex_stream_is_the_whole_string(capsys, function):
+    # BoolFunc.hex(), highest entry first; m = 1 and 2 have one digit
+    _check_table_stream(capsys, function, "hex", lambda f: f.hex())
 
 
 def test_table_bits_at_guard_limit_within_budget(tmp_path):
@@ -160,12 +171,18 @@ def test_bent_at_guard_limit_within_budget(tmp_path):
 
 
 def test_table_at_guard_limit_within_budget(tmp_path):
-    # m = 14 is the table guard's largest m: 10 s
-    code, report, _ = run_budgeted(
+    # m = 14 is the table guard's largest m: 10 s and 300 MB; a digit
+    # holds entries 4j..4j+3, highest digit first
+    code, report, rss = run_budgeted(
         tmp_path, ["table", "--m", "14", "--function", "tau"], 10.0
     )
     assert code == 0
-    assert len(report["result"]["table"]) == len("tt:28:") + (1 << 26)
+    assert rss < 300.0, f"table --m 14 peaked at {rss:.0f} MB, budget 300 MB"
+    table = report["result"]["table"]
+    assert len(table) == len("tt:28:") + (1 << 26)
+    digits = table.removeprefix("tt:28:")
+    for i in random.Random(14).sample(range(1 << 28), 200):
+        assert int(digits[-1 - i // 4], 16) >> (i % 4) & 1 == tau(14, i), i
 
 
 def test_bent_range_guard(capsys):
@@ -376,6 +393,21 @@ def test_search_budget_spans_every_walk(capsys):
     _check_m4_certificate(report["result"])
 
 
+def test_search_range_guard(capsys):
+    # the constraint tables grow as 4^(2m): m = 6 is refused before any is built
+    code, report = run_cli(capsys, "search", "--m", "6")
+    assert (code, set(report)) == (1, {"error"})
+    assert report["error"] == "--m must be in 1..5, got 6"
+
+
+def test_search_at_guard_limit_within_budget(tmp_path):
+    # m = 5 is the search guard's largest m: the certificate in 10 s and 200 MB
+    code, report, rss = run_budgeted(tmp_path, ["search", "--m", "5"], 10.0)
+    assert code == 2
+    assert (report["result"]["m"], report["result"]["status"]) == (5, "exhausted")
+    assert rss < 200.0, f"search --m 5 peaked at {rss:.0f} MB, budget 200 MB"
+
+
 def test_search_all_m1(capsys):
     code, report = run_cli(capsys, "search", "--m", "1", "--all")
     assert code == 0
@@ -405,6 +437,13 @@ def test_oracle_m3(capsys):
     code, report = run_cli(capsys, "oracle", "--m", "3")
     assert code == 0
     assert report["result"]["ok"] is True
+
+
+def test_oracle_at_guard_limit_within_budget(tmp_path):
+    # m = 4 is the oracle guard's largest m: every one of its pairs in 2 s
+    code, report, _ = run_budgeted(tmp_path, ["oracle", "--m", "4"], 2.0)
+    assert code == 0
+    assert report["result"] == {"checked": 256, "pairs": 32640, "ok": True}
 
 
 def test_oracle_cost_guard(capsys):

@@ -1,12 +1,13 @@
 """Delta_m construction, Cayley graphs, strong regularity, export formats."""
 
+import itertools
 import json
 
 import networkx as nx
 import pytest
 
 from ctwin import graphs
-from ctwin.algebra import SymmetryClass, classify, diagonal_count, gamma
+from ctwin.algebra import SignedPerm, SymmetryClass, classify, diagonal_count, gamma
 from ctwin.bent import BoolFunc, sigma_function, tau_function
 from ctwin.graphs import (
     BLUE,
@@ -48,8 +49,73 @@ def test_delta2_red_degree():
 
 
 def test_oracle_matches_fast_path():
-    for m in (1, 2, 3):
-        assert oracle_build_delta(m) == build_delta(m)
+    # the whole-array oracle against the bit rules and the pair-by-pair loop
+    for m in (1, 2, 3, 4):
+        assert oracle_build_delta(m) == build_delta(m) == oracles.pairwise_delta(m)
+
+
+def _mutated_gamma(index, flip=(), swap=()):
+    """gamma with basis matrix `index` altered: the signs of the columns
+    in `flip` negated, and the rows of the two columns in `swap` exchanged."""
+    def mutated(m, i):
+        g = gamma(m, i)
+        if i != index:
+            return g
+        perm, signs = list(g.perm), list(g.signs)
+        for c in flip:
+            signs[c] = -signs[c]
+        if swap:
+            c1, c2 = swap
+            perm[c1], perm[c2] = perm[c2], perm[c1]
+        return SignedPerm(tuple(perm), tuple(signs))
+    return mutated
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize(
+    "mutation, error, message",
+    [
+        # gamma(2, 1) = I kron E1 made symmetric off the diagonal
+        (dict(index=1, flip=(0, 2)), RuntimeError, "sigma mismatch at index 1"),
+        # the identity made an off-diagonal permutation
+        (dict(index=0, swap=(0, 1)), RuntimeError, "tau mismatch at index 0"),
+        # every matrix keeps its class, but the products with gamma(2, 0)
+        # now differ from the products of other pairs with the same difference
+        (dict(index=0, flip=(0, 1)), RuntimeError, "pairs with difference 5 disagree on colour"),
+        # gamma(2, 0) stays diagonal, but its products are neither
+        # symmetric nor skew
+        (dict(index=0, flip=(0,)), ValueError, "matrix is neither symmetric nor skew"),
+    ],
+)
+def test_oracle_error_branches(monkeypatch, mutation, error, message):
+    mutated = _mutated_gamma(**mutation)
+    if error is ValueError:
+        assert classify(mutated(2, mutation["index"])) is SymmetryClass.DIAGONAL
+    monkeypatch.setattr(graphs, "gamma", mutated)
+    with pytest.raises(error, match=f"^{message}$"):
+        oracle_build_delta(2)
+    assert _outcome(oracles.pairwise_delta, 2, mutated) == (error, message)
+
+
+def test_oracle_matches_pairwise_loop_when_one_matrix_is_mutated(monkeypatch):
+    # one or two signs flipped, or two rows swapped, in one basis matrix: the
+    # whole-array oracle returns or raises exactly what the loop does
+    m, n = 2, 4
+    for index in range(1 << (2 * m)):
+        for mutation in [
+            *(dict(flip=(c,)) for c in range(n)),
+            *(dict(flip=pair) for pair in itertools.combinations(range(n), 2)),
+            *(dict(swap=pair) for pair in itertools.combinations(range(n), 2)),
+        ]:
+            mutated = _mutated_gamma(index, **mutation)
+            monkeypatch.setattr(graphs, "gamma", mutated)
+            assert _outcome(oracle_build_delta, m) == _outcome(oracles.pairwise_delta, m, mutated), (index, mutation)
 
 
 def test_oracle_guard():
