@@ -13,16 +13,20 @@ with tau_1 = 1 only on the index 10.  Both are computed from bits alone;
 the matrix route exists only as an independent cross-check (see the
 oracle command and the test suite).
 
-Truth tables are packed one bit per entry into a Python int, so tables
-stay exact and cheap up to tens of millions of entries.  Every transform
-(spectra, bentness, duals, difference-set counts) runs through one staged
-butterfly kernel, `_fwht`: the low half of the index bits on a transposed
-copy, the high half on the copy back, each stage in the narrowest signed
-type its bound allows.  A spectrum of (-1)^f is bounded by 2^n, so its
-first stage runs in int16 up to 14 levels and its second in int32 up to
-n = 30; an autocorrelation's second pass is bounded by v * |S| <= 4^n and
-runs in int64 at the sizes where that needs it.  All of it is exact
-integer arithmetic.
+The twin tables have one builder, `_twin_table`, which concatenates
+whole byte quadrants of packed little-endian uint8 arrays (entry i at
+bit i % 8 of byte i // 8); the CLI writes them out from that form.  A
+BoolFunc packs its truth table one bit per entry into a Python int, so
+tables stay exact and cheap up to tens of millions of entries.
+
+Every transform (spectra, bentness, duals, difference-set counts) runs
+through one staged butterfly kernel, `_fwht`: the low half of the index
+bits on a transposed copy, the high half on the copy back, each stage in
+the narrowest signed type its bound allows.  A spectrum of (-1)^f is
+bounded by 2^n, so its first stage runs in int16 up to 14 levels and its
+second in int32 up to n = 30; an autocorrelation's second pass is
+bounded by v * |S| <= 4^n and runs in int64 at the sizes where that
+needs it.  All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class BoolFunc:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("arity must be >= 1")
-        if not 0 <= self.bits < 1 << (1 << self.n):
+        if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
             raise ValueError("truth table does not fit the declared arity")
 
     @property
@@ -133,33 +137,48 @@ def tau(m: int, i: int) -> int:
     return 1 if i == 2 else 0
 
 
-def _twin_bits(m: int) -> tuple[int, int]:
-    """Truth tables of (sigma_m, tau_m), built level by level from the
-    one-entry level 0, where both are 0, by the quadrant rules; only the
-    previous level's pair is kept."""
-    s = t = 0
-    for level in range(1, m + 1):
-        q = 1 << (2 * level - 2)
-        flipped = s ^ ((1 << q) - 1)
-        s, t = (
-            s | (flipped << q) | (s << (2 * q)) | (s << (3 * q)),
-            t | (s << q) | (flipped << (2 * q)) | (t << (3 * q)),
-        )
-    return s, t
+# sigma_2 and tau_2 packed little-endian, two bytes each; their first
+# quadrants (the low nibbles of byte 0) are sigma_1 and tau_1
+_TWINS_M2 = {"sigma": (0xD2, 0x22), "tau": (0x24, 0x4D)}
+
+
+def _twin_table(m: int, function: str) -> np.ndarray:
+    """Truth table of sigma_m or tau_m ("sigma" or "tau") packed
+    little-endian into uint8: entry i is bit i % 8 of byte i // 8.  At
+    m = 1 it is one byte whose high nibble is 0.
+
+    Built from the m = 2 pair by the quadrant rules on whole bytes,
+
+        sigma_{l+1} = (sigma_l, ~sigma_l, sigma_l, sigma_l)
+        tau_{l+1}   = (tau_l, sigma_l, ~sigma_l, tau_l),
+
+    keeping only the previous level's pair, and making at the top level
+    only the function asked for.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if function not in _TWINS_M2:
+        raise ValueError(f"unknown twin function {function!r}")
+    tables = {name: np.array(pair, np.uint8) for name, pair in _TWINS_M2.items()}
+    if m == 1:
+        return tables[function][:1] & 15
+    for level in range(3, m + 1):
+        s, t = tables["sigma"], tables["tau"]
+        flipped = ~s
+        quadrants = {"sigma": (s, flipped, s, s), "tau": (t, s, flipped, t)}
+        wanted = (function,) if level == m else quadrants
+        tables = {name: np.concatenate(quadrants[name]) for name in wanted}
+    return tables[function]
 
 
 def sigma_function(m: int) -> BoolFunc:
     """Full truth table of sigma_m as a BoolFunc on 2m bits."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return BoolFunc(2 * m, _twin_bits(m)[0])
+    return BoolFunc(2 * m, int.from_bytes(_twin_table(m, "sigma"), "little"))
 
 
 def tau_function(m: int) -> BoolFunc:
     """Full truth table of tau_m as a BoolFunc on 2m bits."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return BoolFunc(2 * m, _twin_bits(m)[1])
+    return BoolFunc(2 * m, int.from_bytes(_twin_table(m, "tau"), "little"))
 
 
 # --- Walsh-Hadamard transform ---------------------------------------------

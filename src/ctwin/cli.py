@@ -19,6 +19,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .bent import (
+    _twin_table,
     is_bent,
     predicted_params,
     sigma_function,
@@ -110,36 +111,37 @@ def _check_m(m: int, low: int, high: int | None):
 
 def _cmd_table(args):
     _check_m(args.m, 1, _TABLE_MAX_M)
-    f = sigma_function(args.m) if args.function == "sigma" else tau_function(args.m)
-    table = (_bit_blocks if args.format == "bits" else _hex_blocks)(f)
-    return {"function": args.function, "m": args.m, "table": table}, EXIT_OK
+    table = _twin_table(args.m, args.function)
+    blocks = (_bit_blocks if args.format == "bits" else _hex_blocks)(table, 2 * args.m)
+    return {"function": args.function, "m": args.m, "table": blocks}, EXIT_OK
 
 
-def _bit_blocks(f):
-    """The truth table as a JSON string of "0"/"1", entry 0 first, in
-    blocks of 8 * _TABLE_BLOCK characters, so the text is never whole."""
-    raw = f.bits.to_bytes((f.size + 7) // 8, "little")
-    yield b'"'
-    for i in range(0, len(raw), _TABLE_BLOCK):
-        chunk = np.frombuffer(raw, np.uint8, min(_TABLE_BLOCK, len(raw) - i), i)
-        chars = np.unpackbits(chunk, count=min(8 * _TABLE_BLOCK, f.size - 8 * i), bitorder="little")
-        chars += ord("0")
-        yield chars.tobytes()
-    yield b'"'
-
-
-def _hex_blocks(f):
-    """f.hex() as a JSON string, "tt:<n>:" then the digits, highest
-    entry first, in blocks of 2 * _TABLE_BLOCK characters, so the text
+def _bit_blocks(table, n):
+    """The packed truth table on n bits as a JSON string of "0"/"1",
+    entry 0 first, in blocks of 8 * _TABLE_BLOCK characters, so the text
     is never whole."""
-    yield b'"tt:%d:' % f.n
-    if f.size < 8:
+    yield b'"'
+    for i in range(0, table.size, _TABLE_BLOCK):
+        count = min(8 * _TABLE_BLOCK, (1 << n) - 8 * i)
+        chars = np.unpackbits(table[i : i + _TABLE_BLOCK], count=count, bitorder="little")
+        chars += ord("0")
+        yield chars.data
+    yield b'"'
+
+
+def _hex_blocks(table, n):
+    """BoolFunc.hex() of the packed truth table on n bits as a JSON
+    string, "tt:<n>:" then the digits, highest entry first: the bytes
+    are hexlified last first, in blocks of 2 * _TABLE_BLOCK characters,
+    so the text is never whole."""
+    yield b'"tt:%d:' % n
+    if n < 3:
         # hex() gives one digit, where a whole byte would give two
-        yield b"%x" % f.bits
+        yield b"%x" % table[0]
     else:
-        raw = memoryview(f.bits.to_bytes(f.size // 8, "big"))
-        for i in range(0, len(raw), _TABLE_BLOCK):
-            yield binascii.hexlify(raw[i : i + _TABLE_BLOCK])
+        for end in range(table.size, 0, -_TABLE_BLOCK):
+            block = table[max(0, end - _TABLE_BLOCK) : end]
+            yield binascii.hexlify(block[::-1].tobytes())
     yield b'"'
 
 
@@ -233,18 +235,21 @@ _DISPATCH = {
 
 
 def _emit(pieces):
-    """Write text pieces to stdout in turn."""
+    """Write byte pieces to stdout's binary buffer in turn, after any
+    text already written to stdout."""
     try:
-        for piece in pieces:
-            sys.stdout.write(piece)
         sys.stdout.flush()
+        out = sys.stdout.buffer
+        for piece in pieces:
+            out.write(piece)
+        out.flush()
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; not our error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _report(args, result, start):
-    """The report of a finished command, as text pieces that make one
+    """The report of a finished command, as byte pieces that make one
     line of JSON.
 
     A result member whose value is an iterator (graph's payload to
@@ -260,13 +265,12 @@ def _report(args, result, start):
     result = {k: v for k, v in result.items() if k not in streamed}
     report = {"command": args.cmd, "params": params, "result": result}
     # the report's text ends in "}}", closing the result and the report
-    yield json.dumps(report)[:-2]
+    yield json.dumps(report)[:-2].encode()
     for name, blocks in streamed.items():
-        yield f", {json.dumps(name)}: "
-        for block in blocks:
-            yield block.decode("ascii")
+        yield b", %s: " % json.dumps(name).encode()
+        yield from blocks
         end = time.monotonic()
-    yield f'}}, "elapsed_ms": {round((end - start) * 1000.0, 3)}}}\n'
+    yield f'}}, "elapsed_ms": {round((end - start) * 1000.0, 3)}}}\n'.encode()
 
 
 def main(argv=None) -> int:
@@ -275,7 +279,7 @@ def main(argv=None) -> int:
         start = time.monotonic()
         result, code = _DISPATCH[args.cmd](args)
     except (UsageError, ValueError, OSError, RuntimeError) as e:
-        _emit([json.dumps({"error": str(e)}) + "\n"])
+        _emit([json.dumps({"error": str(e)}).encode() + b"\n"])
         print(f"ctwin: {e}", file=sys.stderr)
         return EXIT_ERROR
     _emit(_report(args, result, start))

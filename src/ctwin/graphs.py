@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import SymmetryClass, classify, gamma
-from .bent import BoolFunc, _autocorrelation, sigma, sigma_function, tau, tau_function
+from .bent import BoolFunc, _autocorrelation, _twin_table, sigma, tau
 
 RED = -1
 BLUE = 1
@@ -27,6 +27,9 @@ _ORACLE_MAX_M = 4
 _GRAPH6_MAX_VERTICES = 1 << 16
 # upper-triangle bits unpacked at once while encoding graph6
 _GRAPH6_BLOCK_BITS = 1 << 22
+# low index bits that graph6's column gather resolves by a table of
+# 2^_GRAPH6_LOW_BITS shifted copies of the colour class
+_GRAPH6_LOW_BITS = 6
 
 
 @dataclass(frozen=True)
@@ -78,10 +81,12 @@ def build_delta(m: int) -> DifferenceGraph:
     blue where tau_m(d) = 1, absent where the basis matrix is diagonal."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    sig = sigma_function(m).table()
-    tav = tau_function(m).table()
-    kappa = tuple(t - s for s, t in zip(sig, tav))
-    return DifferenceGraph(2 * m, kappa)
+    sig, tav = (
+        np.unpackbits(_twin_table(m, name), count=1 << (2 * m), bitorder="little")
+        for name in ("sigma", "tau")
+    )
+    kappa = tav.view(np.int8) - sig.view(np.int8)
+    return DifferenceGraph(2 * m, tuple(kappa.tolist()))
 
 
 def oracle_build_delta(m: int) -> DifferenceGraph:
@@ -237,9 +242,20 @@ def graph6_blocks(graph: DifferenceGraph, colour: int):
 
 
 def _graph6_chars(bits: np.ndarray) -> bytes:
-    """Six bits per character, offset by 63, the last one padded with 0s."""
-    bits = np.concatenate((bits, np.zeros(-bits.size % 6, dtype=bool)))
-    return ((np.packbits(bits.reshape(-1, 6), axis=1) >> 2) + 63).tobytes()
+    """Six bits per character, offset by 63, the last one padded with 0s.
+
+    The bits are packed into bytes once, most significant first, and
+    every 3 bytes (24 bits) are regrouped into 4 sextets with shifts."""
+    packed = np.zeros(-(-bits.size // 24) * 3, np.uint8)
+    packed[: (bits.size + 7) // 8] = np.packbits(bits)
+    b0, b1, b2 = packed.reshape(-1, 3).T
+    chars = np.empty((b0.size, 4), np.uint8)
+    chars[:, 0] = b0 >> 2
+    chars[:, 1] = (b0 & 3) << 4 | b1 >> 4
+    chars[:, 2] = (b1 & 15) << 2 | b2 >> 6
+    chars[:, 3] = b2 & 63
+    chars += 63
+    return chars.reshape(-1)[: (bits.size + 5) // 6].tobytes()
 
 
 def _upper_triangle(adjacent: np.ndarray):
@@ -247,15 +263,26 @@ def _upper_triangle(adjacent: np.ndarray):
     in blocks of whole 6-bit characters (the last block may be short).
 
     Columns j = 0 mod 12 start on a character boundary, since
-    j(j - 1)/2 is then a multiple of 6, so blocks are cut there."""
+    j(j - 1)/2 is then a multiple of 6, so blocks are cut there.
+
+    Column j is adjacent[i ^ j] for i < j.  With w = 2^low, the low bits
+    of j permute entries within aligned runs of w and the high bits
+    permute whole runs, so the column is made of whole runs of the
+    precomputed shifted[j mod w] = adjacent[k ^ (j mod w)], gathered
+    run by run rather than entry by entry and cut at j."""
     n = adjacent.size
+    low = min(_GRAPH6_LOW_BITS, n.bit_length() - 1)
+    w = 1 << low
     vertices = np.arange(n)
+    shifted = np.stack([adjacent[vertices ^ c] for c in range(w)]).reshape(w, n >> low, w)
+    runs = np.arange(n >> low)
     columns, size = [], 0
     for j in range(1, n):
         if j % 12 == 0 and size >= _GRAPH6_BLOCK_BITS:
             yield np.concatenate(columns)
             columns, size = [], 0
-        columns.append(adjacent[vertices[:j] ^ j])
+        rows = shifted[j & (w - 1)].take(runs[: -(-j >> low)] ^ (j >> low), axis=0)
+        columns.append(rows.reshape(-1)[:j])
         size += j
     if columns:
         yield np.concatenate(columns)
@@ -307,12 +334,14 @@ def json_edges_blocks(graph: DifferenceGraph, colour: int):
     writer never holds the whole payload."""
     name = json.dumps(COLOUR_NAMES.get(colour, str(colour)))
     yield f'{{"v": {graph.v}, "colour": {name}, "edges": ['.encode()
-    sep = ""
+    # every vertex's decimal name, encoded once
+    names = [b"%d" % a for a in range(graph.v)]
+    sep = b""
     for a, row in _upper_rows(graph, colour):
         if row.size:
-            pairs = f"], [{a}, ".join(map(str, row.tolist()))
-            yield f"{sep}[{a}, {pairs}]".encode()
-            sep = ", "
+            pairs = (b"], [%s, " % names[a]).join([names[b] for b in row.tolist()])
+            yield b"%s[%s, %s]" % (sep, names[a], pairs)
+            sep = b", "
     yield b"]}"
 
 

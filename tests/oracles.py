@@ -1,20 +1,65 @@
 """Slow, independent reference implementations for the test suite.
 
 Each one computes what a fast path in ctwin computes, by the textbook
-route and in pure Python: butterflies on a list, spectra, bentness and
-duals read off them, differences counted pair by pair, Delta_m rebuilt
-pair by pair from signed-permutation products, common neighbours
-counted on packed adjacency rows, the search's constraint masks built
-pair by pair, swaps checked pair by pair, and swaps listed by a
-recursive backtracking search in natural vertex order.
+route and mostly in pure Python: the twin truth tables by big-int
+shifts, graph6 characters packed one 6-bit row at a time, edge lists
+pair by pair, butterflies on a list, spectra, bentness and duals read
+off them, differences counted pair by pair, Delta_m rebuilt pair by
+pair from signed-permutation products, common neighbours counted on
+packed adjacency rows, the search's constraint masks built pair by
+pair, swaps checked pair by pair, and swaps listed by a recursive
+backtracking search in natural vertex order.
 They are quadratic where ctwin is spectral, and the search visits
 millions of nodes at m = 3 where ctwin's enumeration visits 75k, so
 tests use them at small sizes.
 """
 
+import numpy as np
+
 from ctwin.algebra import SymmetryClass, classify, gamma
 from ctwin.bent import BoolFunc, DiffSetParams, sigma, tau
 from ctwin.graphs import BLUE, RED, DifferenceGraph, SrgParams, build_delta
+
+
+def twin_bits(m):
+    """Truth tables of (sigma_m, tau_m) as Python ints, built level by
+    level from the one-entry level 0, where both are 0, by the quadrant
+    rules; only the previous level's pair is kept."""
+    s = t = 0
+    for level in range(1, m + 1):
+        q = 1 << (2 * level - 2)
+        flipped = s ^ ((1 << q) - 1)
+        s, t = (
+            s | (flipped << q) | (s << (2 * q)) | (s << (3 * q)),
+            t | (s << q) | (flipped << (2 * q)) | (t << (3 * q)),
+        )
+    return s, t
+
+
+def graph6_chars(bits):
+    """graph6 characters of a bool array: each row of 6 bits (the last
+    padded with 0s) packed on its own, most significant bit first, and
+    offset by 63."""
+    bits = np.concatenate((bits, np.zeros(-bits.size % 6, dtype=bool)))
+    return ((np.packbits(bits.reshape(-1, 6), axis=1) >> 2) + 63).tobytes()
+
+
+def upper_triangle_kappa(graph):
+    """graph6's order of the pairs i < j, column by column, as an int8
+    array of their colours kappa[i ^ j]."""
+    kappa = graph.kappa
+    v = graph.v
+    pairs = v * (v - 1) // 2
+    colours = (kappa[i ^ j] for j in range(1, v) for i in range(j))
+    return np.fromiter(colours, np.int8, count=pairs)
+
+
+def edge_list(graph, colour):
+    """Every pair a < b whose difference carries the colour, pair by pair."""
+    v = graph.v
+    return [
+        (a, b) for a in range(v) for b in range(a + 1, v) if graph.kappa[a ^ b] == colour
+    ]
 
 
 def fwht(values):

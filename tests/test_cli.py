@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from ctwin.bent import predicted_params, sigma_function, tau, tau_function
+from ctwin.bent import BoolFunc, predicted_params, sigma_function, tau, tau_function
 from ctwin.cli import main
 from ctwin.graphs import BLUE, build_delta, to_graph6
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -108,15 +110,26 @@ def test_table_hex_stream_is_the_whole_string(capsys, function):
     _check_table_stream(capsys, function, "hex", lambda f: f.hex())
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_table_text_matches_big_int_oracle(capsys, m):
+    # hex is BoolFunc.hex() and bits the int's binary digits reversed,
+    # both of the big-int tables
+    for function, bits in zip(("sigma", "tau"), oracles.twin_bits(m)):
+        f = BoolFunc(2 * m, bits)
+        for fmt, text in (("hex", f.hex()), ("bits", format(bits, f"0{f.size}b")[::-1])):
+            _, report = run_cli(capsys, "table", "--m", str(m), "--function", function, "--format", fmt)
+            assert report["result"]["table"] == text, (function, fmt)
+
+
 def test_table_bits_at_guard_limit_within_budget(tmp_path):
     # m = 14 is the table guard's largest m: 2^28 characters of bits
-    # within 10 s and 300 MB, read back in chunks
+    # within 10 s and 200 MB, read back in chunks
     out = tmp_path / "bits14.json"
     code, rss = run_budgeted_to(
         out, ["table", "--m", "14", "--function", "tau", "--format", "bits"], 10.0
     )
     assert code == 0
-    assert rss < 300.0, f"table --m 14 --format bits peaked at {rss:.0f} MB, budget 300 MB"
+    assert rss < 200.0, f"table --m 14 --format bits peaked at {rss:.0f} MB, budget 200 MB"
     opening = (
         b'{"command": "table", "params": {"m": 14, "function": "tau", "format": "bits"}, '
         b'"result": {"function": "tau", "m": 14, "table": "'
@@ -171,13 +184,13 @@ def test_bent_at_guard_limit_within_budget(tmp_path):
 
 
 def test_table_at_guard_limit_within_budget(tmp_path):
-    # m = 14 is the table guard's largest m: 10 s and 300 MB; a digit
+    # m = 14 is the table guard's largest m: 10 s and 150 MB; a digit
     # holds entries 4j..4j+3, highest digit first
     code, report, rss = run_budgeted(
         tmp_path, ["table", "--m", "14", "--function", "tau"], 10.0
     )
     assert code == 0
-    assert rss < 300.0, f"table --m 14 peaked at {rss:.0f} MB, budget 300 MB"
+    assert rss < 150.0, f"table --m 14 peaked at {rss:.0f} MB, budget 150 MB"
     table = report["result"]["table"]
     assert len(table) == len("tt:28:") + (1 << 26)
     digits = table.removeprefix("tt:28:")
@@ -308,10 +321,10 @@ def test_graph_json_edges_at_guard_limit_within_budget(tmp_path):
     reason="extended suite only (set CTWIN_EXTENDED=1); writes a 358 MB file",
 )
 def test_graph_at_guard_limit_within_budget(tmp_path):
-    # m = 8 is the graph guard's largest m: --out within 60 s and 100 MB
+    # m = 8 is the graph guard's largest m: --out within 15 s and 100 MB
     target = tmp_path / "red8.g6"
     argv = ["graph", "--m", "8", "--colour", "red", "--out", str(target)]
-    code, report, rss = run_budgeted(tmp_path, argv, 60.0)
+    code, report, rss = run_budgeted(tmp_path, argv, 15.0)
     assert code == 0
     n = 1 << 16
     size = 4 + (n * (n - 1) // 2 + 5) // 6

@@ -4,6 +4,7 @@ import itertools
 import json
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from ctwin import graphs
@@ -248,6 +249,42 @@ def test_graph6_roundtrip(monkeypatch):
                 n, edges = from_graph6(to_graph6(g, colour))
                 assert n == g.v
                 assert edges == g.edges(colour)
+
+
+def test_graph6_chars_matches_packbits_oracle():
+    # every length 0..60, so every remainder mod 6 and mod 24
+    rng = np.random.default_rng(60)
+    for size in range(61):
+        for _ in range(5):
+            bits = rng.random(size) < 0.5
+            assert graphs._graph6_chars(bits) == oracles.graph6_chars(bits), size
+    for size in (0, 1, 5, 6, 23, 24, 25):
+        for bits in (np.zeros(size, bool), np.ones(size, bool)):
+            assert graphs._graph6_chars(bits) == oracles.graph6_chars(bits), size
+
+
+def test_graph6_matches_packbits_oracle(monkeypatch):
+    # the column gather in runs of 2^low for the default low, for runs of
+    # one entry and for runs shorter than the graph at every m
+    for m in range(1, 7):
+        g = build_delta(m)
+        colours = oracles.upper_triangle_kappa(g)
+        for low in (graphs._GRAPH6_LOW_BITS, 0, 3):
+            monkeypatch.setattr(graphs, "_GRAPH6_LOW_BITS", low)
+            for colour in (RED, BLUE):
+                data = to_graph6(g, colour)
+                head = len(data) - (colours.size + 5) // 6
+                assert data[head:] == oracles.graph6_chars(colours == colour), (m, low, colour)
+
+
+def test_json_edges_blocks_match_json_dumps():
+    cayley = cayley_graph(BoolFunc.from_values(3, [0, 1, 1, 0, 0, 0, 0, 1]))
+    cases = [(build_delta(m), colour) for m in (1, 2, 3, 4) for colour in (RED, BLUE)]
+    for g, colour in [*cases, (cayley, BLUE)]:
+        expected = json.dumps(
+            {"v": g.v, "colour": graphs.COLOUR_NAMES[colour], "edges": oracles.edge_list(g, colour)}
+        )
+        assert b"".join(graphs.json_edges_blocks(g, colour)) == expected.encode()
 
 
 def test_graph6_against_networkx():
