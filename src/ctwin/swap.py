@@ -23,49 +23,58 @@ check at run time every hypothesis the reduction below needs, raising
 RuntimeError when one fails.
 
 The reduction.  Let phi fix 0 and satisfy kappa[phi a ^ phi b] =
-s * kappa[a ^ b] with s = -1 (a swap) or +1 (an automorphism).
+s * kappa[a ^ b] with s = -1 (a swap) or +1 (an automorphism).  For
+i, x in GF(2)^m let reps[i] put bit k of i at bit 2k (base-4 digits 0
+or 1) and D[x] = 3 * reps[x] (digits 0 or 3).  Base-4 digit by digit,
+0 = 0 ^ 0, 1 = 1 ^ 0, 2 = 1 ^ 3 and 3 = 0 ^ 3, so every vertex is one
+cell reps[i] ^ D[x], and the cells of coset i are reps[i] + D.
 
-(i) kappa is zero exactly on D = kappa^-1(0), checked to be a subgroup
-    of order 2^m whose ascending enumeration D[x], x in GF(2)^m, is
-    linear (D[x] ^ D[y] = D[x ^ y]): the indices whose base-4 digits are
-    0 or 3.  a and b are non-adjacent iff a ^ b is in D, and phi keeps
-    non-adjacency, so phi permutes the cosets of D; fixing 0, it fixes D.
-    C, the indices whose base-4 digits are 0 or 1, is checked to meet
-    every coset once, so phi induces a permutation pi of C: phi(c + D) =
-    pi(c) + D.
-(ii) For c in C other than 0, kappa on c + D is checked to have a
-    single Walsh spike, of height 2^m, at l(c) with sign s_c:
-    kappa[c ^ D[x]] = s_c * (-1)^(l(c).x).  So between blocks c1 + D and
-    c2 + D the colour is s_c * (-1)^(l(c).(x1 ^ x2)), with c = c1 ^ c2.
-    Towards D, a vertex of block c1 is red on one half of the split of D
-    by the hyperplane ker l(c1) and blue on the other.  phi fixes D and
-    sends a vertex's red half of D to the red (s = +1) or blue (s = -1)
-    half of its image; red and blue halves are complements in D, so phi
-    maps the split by l(c1) onto the split by l(pi c1).
-(iii) l is checked to be linear, so the split by l(c1 ^ c3) is the XOR
-    of the splits by l(c1) and l(c3), and phi maps it onto the XOR of
-    the splits by l(pi c1) and l(pi c3); by (ii) it also maps it onto
-    the split by l(pi(c1 ^ c3)).  A split of D determines its functional,
-    so l(pi(c1 ^ c3)) = l(pi c1) ^ l(pi c3).  l is checked to be
-    bijective, so pi is linear: pi = l^-1 M l with M in GL(m, 2).
-(iv) Let T = I + E_01 (a transvection) and S the cyclic shift of the
-    basis.  The conjugates S^k T S^-k are the I + E_(k,k+1), indices mod
-    m; the commutator of I + E_ij and I + E_jk is I + E_ik, so they give
-    every I + E_ij, and these generate SL(m, 2) = GL(m, 2).  So
-    <T, S> = GL(m, 2).
+(i) The closed form kappa[reps[i] ^ D[x]] = 0 for i = 0 and
+    (-1)^(wt(i) + i.x) otherwise is checked cell by cell, at every
+    vertex.  So kappa is zero exactly on D, a subgroup (D[x] ^ D[y] =
+    D[x ^ y]).  a and b are non-adjacent iff a ^ b is in D, and phi keeps
+    non-adjacency, so phi permutes the cosets of D; fixing 0, it fixes
+    D, and it induces a permutation pi of the coset indices: phi(reps[i]
+    + D) = reps[pi i] + D.
+(ii) Between the cells (i, x) and (0, z) the colour is kappa[reps[i] ^
+    D[x ^ z]] = (-1)^(wt(i) + i.x + i.z).  So towards D, a vertex of
+    coset i != 0 is red on one half of the split of D by the hyperplane
+    ker i and blue on the other.  phi fixes D and sends a vertex's red
+    half of D to the red (s = +1) or blue (s = -1) half of its image;
+    red and blue halves are complements in D, so phi maps the split by
+    i onto the split by pi i.
+(iii) The split by i ^ j is the XOR of the splits by i and j, so phi
+    maps it onto the XOR of the splits by pi i and pi j; by (ii) it also
+    maps it onto the split by pi(i ^ j).  A split of D determines its
+    functional, so pi(i ^ j) = pi i ^ pi j: pi is linear, an M in
+    GL(m, 2).
+(iv) Let T = I + E_01 (a transvection: T i = i ^ i_1 e_0) and S the
+    cyclic shift of the basis.  The conjugates S^k T S^-k are the
+    I + E_(k,k+1), indices mod m; the commutator of I + E_ij and I + E_jk
+    is I + E_ik, so they give every I + E_ij, and these generate
+    SL(m, 2) = GL(m, 2).  So <T, S> = GL(m, 2).
 (v) alpha -> M_alpha is a homomorphism from Aut_0, the automorphisms
-    fixing 0, to GL(m, 2).  Two sign +1 walks lift T and S to
-    automorphisms, each checked over all pairs and checked to induce T
-    and S, so by (iv) it is onto.  For a swap psi fixing 0 pick alpha in
-    Aut_0 with M_alpha = M_psi: psi o alpha^-1 is a swap with pi = id.
-    So a swap exists iff one exists that fixes every coset, and one
-    min-domain walk with every vertex held to its own coset decides it.
-    The kernel K (the pi = id automorphisms) and the lifts generate
-    Aut_0, of order |K| * |GL(m, 2)|, and the swaps fixing 0 are the
-    coset psi o Aut_0.
+    fixing 0, to GL(m, 2).  It is onto, because T and S lift to
+    automorphisms fixing 0.  Both lifts are XOR-linear maps of the
+    cells, so each keeps kappa on every pair iff it keeps kappa at every
+    vertex, and each fixes D (i = 0 stays 0):
+    phi_S rotates every vertex's base-4 digits one place, reps[i] ^ D[x]
+    -> reps[S i] ^ D[S x].  wt(S i) = wt(i) and (S i).(S x) = i.x, so
+    the sign (-1)^(wt(i) + i.x) is kept.
+    phi_T sends reps[i] ^ D[x] -> reps[T i] ^ D[N x ^ t_i], with N x =
+    x ^ x_0 e_1 = (T^t)^-1 x and t_i = i_1 e_1.  wt(T i) = wt(i) + i_1
+    mod 2, (T i).(N x) = i.x and (T i).t_i = i_1, so the exponent moves
+    by 2 i_1 and the sign is kept.
+    Both are built in closed form, checked over all pairs and checked to
+    send coset i to coset T i or S i.  For a swap psi fixing 0 pick
+    alpha in Aut_0 with M_alpha = M_psi: psi o alpha^-1 is a swap with
+    pi = id.  So a swap exists iff one exists that fixes every coset,
+    and one min-domain walk with every vertex held to its own coset
+    decides it.  The kernel K (the pi = id automorphisms) and the lifts
+    generate Aut_0, of order |K| * |GL(m, 2)|, and the swaps fixing 0
+    are the coset psi o Aut_0.
 
-At m = 4 the pi = id walk runs out in 169 nodes and each lift takes 256,
-so the whole certificate takes 681 nodes.
+At m = 4 the pi = id walk runs out in 169 nodes, and at m = 5 in 1681.
 """
 
 from __future__ import annotations
@@ -78,7 +87,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bent import _fwht
 from .graphs import build_delta
 
 _SEARCH_ALL_MAX_M = 2
@@ -107,7 +115,7 @@ class SwapMap:
 @dataclass(frozen=True)
 class SearchOutcome:
     """A search's verdict.  An EXHAUSTED `search_blocks` run carries its
-    certificate: {"lifts": [phi_T, phi_S], "nodes": {walk: nodes}}."""
+    certificate: {"lifts": [phi_T, phi_S]}."""
 
     status: SearchStatus
     witness: SwapMap | None
@@ -118,6 +126,12 @@ class SearchOutcome:
 
 
 @lru_cache(maxsize=None)
+def _kappa(m):
+    """kappa of Delta_m as an int8 array."""
+    return np.array(build_delta(m).kappa, dtype=np.int8)
+
+
+@lru_cache(maxsize=None)
 def _tables(m: int):
     """kappa of Delta_m plus, per colour, the image-constraint bitmasks.
 
@@ -125,10 +139,9 @@ def _tables(m: int):
     image of a new vertex constrained against an assigned image y is one
     AND away, and that AND also rules out y itself.
     """
-    kappa = build_delta(m).kappa
-    v = len(kappa)
-    idx = np.arange(v)
-    diff = np.array(kappa, dtype=np.int8)[np.bitwise_xor.outer(idx, idx)]
+    kappa = _kappa(m)
+    idx = np.arange(kappa.size)
+    diff = kappa[np.bitwise_xor.outer(idx, idx)]
     masks = []
     for t in (-1, 0, 1):
         rows = diff == t
@@ -136,7 +149,7 @@ def _tables(m: int):
             rows[idx, idx] = False
         packed = np.packbits(rows, axis=1, bitorder="little")
         masks.append([int.from_bytes(row.tobytes(), "little") for row in packed])
-    return kappa, masks
+    return tuple(kappa.tolist()), masks
 
 
 def _keeps(m, phi, sign):
@@ -144,7 +157,7 @@ def _keeps(m, phi, sign):
 
     All ordered pairs at once: the check is symmetric in a and b, and
     kappa[0] = 0 makes it hold on the diagonal."""
-    kappa = np.array(_tables(m)[0], dtype=np.int8)
+    kappa = _kappa(m)
     phi = np.array(phi, dtype=np.min_scalar_type(len(kappa) - 1))
     vertices = np.arange(phi.size, dtype=phi.dtype)
     images = kappa[np.bitwise_xor.outer(phi, phi)]
@@ -321,117 +334,78 @@ def _enumerate(m, sign, domains=None):
 
 @dataclass(frozen=True)
 class _Blocks:
-    """Delta_m's coset blocks, read off kappa and checked.
+    """Delta_m's coset blocks in closed form, checked against kappa.
 
-    Coset i is reps[i] + D, where reps[i] in C has bit k of i as its bit
-    2k; coset[y] is the coset of vertex y and masks[i] the bitmask of the
-    vertices of coset i.  For i > 0, kappa[reps[i] ^ D[x]] = signs[i] *
-    (-1)^(ell[i].x), with ell[i] an m-bit vector; ell[0] = signs[0] = 0.
+    cells[i, x] = reps[i] ^ D[x] is the vertex x of coset i, coset[y] the
+    coset of vertex y, and domains[y] the bitmask of the vertices of
+    vertex y's own coset.
     """
 
-    reps: tuple[int, ...]
-    coset: tuple[int, ...]
-    masks: tuple[int, ...]
-    ell: tuple[int, ...]
-    signs: tuple[int, ...]
+    cells: np.ndarray
+    coset: np.ndarray
+    domains: list[int]
 
 
 def _block_system(kappa) -> _Blocks:
-    """The coset blocks of the difference graph with this kappa, with
-    hypotheses (i)-(iii) of the module docstring checked; RuntimeError
-    if one fails.  Each coset's spike is read off one transform by
-    bent's FWHT kernel."""
+    """The coset blocks of the difference graph with this kappa, built in
+    closed form and checked against kappa at every vertex (step (i) of the
+    module docstring); RuntimeError names the first vertex that
+    disagrees."""
     kappa = np.asarray(kappa, dtype=np.int8)
     m = (kappa.size.bit_length() - 1) // 2
-    r = 1 << m
-    x = np.arange(r)
-    xor = np.bitwise_xor.outer(x, x)
-    zeros = np.flatnonzero(kappa == 0)  # D, ascending
-    if zeros.size != r or (np.bitwise_xor.outer(zeros, zeros) != zeros[xor]).any():
-        raise RuntimeError("the zeros of kappa are not a subgroup D of order 2^m")
-    reps = np.zeros(r, dtype=np.int64)
+    x = np.arange(1 << m)
+    reps = np.zeros_like(x)
+    parity = np.zeros_like(x)  # parity[u] = wt(u) mod 2
     for k in range(m):
         reps |= ((x >> k) & 1) << (2 * k)
-    cells = np.bitwise_xor.outer(reps, zeros)  # cells[i, x] = reps[i] ^ D[x]
-    coset = np.full(kappa.size, -1)
+        parity ^= (x >> k) & 1
+    cells = np.bitwise_xor.outer(reps, 3 * reps)
+    closed = np.empty_like(kappa)
+    closed[cells] = 1 - 2 * (parity[:, None] ^ parity[np.bitwise_and.outer(x, x)])
+    closed[cells[0]] = 0
+    wrong = np.flatnonzero(kappa != closed)
+    if wrong.size:
+        raise RuntimeError(f"kappa disagrees with the blocks' closed form at vertex {wrong[0]}")
+    coset = np.empty(kappa.size, dtype=x.dtype)
     coset[cells] = x[:, None]
-    if (coset < 0).any():
-        raise RuntimeError("C does not meet every coset of D once")
-    ell = np.zeros(r, dtype=np.int64)
-    signs = np.zeros(r, dtype=np.int64)
-    for i in range(1, r):
-        spectrum = _fwht(kappa[cells[i]], 1)
-        spikes = np.flatnonzero(spectrum)
-        if spikes.size != 1 or abs(int(spectrum[spikes[0]])) != r:
-            raise RuntimeError(
-                f"kappa on the coset {reps[i]} + D has no single Walsh spike of height 2^m"
-            )
-        ell[i] = spikes[0]
-        signs[i] = np.sign(spectrum[spikes[0]])
-    linear = (ell[xor] == np.bitwise_xor.outer(ell, ell)).all()
-    if not linear or sorted(ell.tolist()) != x.tolist():
-        raise RuntimeError("the spike positions l(c) are not linear and bijective in c")
-    members = np.zeros((r, kappa.size), dtype=bool)
-    members[x[:, None], cells] = True
-    packed = np.packbits(members, axis=1, bitorder="little")
-    return _Blocks(
-        tuple(reps.tolist()),
-        tuple(coset.tolist()),
-        tuple(int.from_bytes(row.tobytes(), "little") for row in packed),
-        tuple(ell.tolist()),
-        tuple(signs.tolist()),
-    )
+    packed = (np.packbits(coset == i, bitorder="little") for i in x)
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return _Blocks(cells, coset, [masks[i] for i in coset])
 
 
 @lru_cache(maxsize=None)
 def _blocks(m):
-    return _block_system(_tables(m)[0])
+    return _block_system(_kappa(m))
 
 
 def _gl_order(m):
     return math.prod((1 << m) - (1 << i) for i in range(m))
 
 
-def _generators(m):
-    """T = I + E_01 and the cyclic shift S of the basis, as tables of
-    their action on m-bit vectors; none at m = 1, where GL(1, 2) = 1."""
-    if m == 1:
-        return {}
+def _lifts(m):
+    """phi_T and phi_S of step (v) of the module docstring, built in closed
+    form on the blocks; each is checked over all pairs and checked to send
+    coset i to coset T i or S i.  RuntimeError if a check fails."""
+    blocks = _blocks(m)
     r = 1 << m
-    return {
-        "T": tuple(u ^ ((u >> 1) & 1) for u in range(r)),
-        "S": tuple(((u << 1) | (u >> (m - 1))) & (r - 1) for u in range(r)),
-    }
+    i = np.arange(r)[:, None]
+    x = np.arange(r)[None, :]
 
+    def shift(u):
+        return ((u << 1) | (u >> (m - 1))) & (r - 1)
 
-def _domains(blocks, M):
-    """Per-vertex domain masks that hold every vertex of coset i to
-    coset pi(i), where pi = l^-1 M l and M is a table on m-bit vectors."""
-    where = {u: i for i, u in enumerate(blocks.ell)}
-    to = [where[M[u]] for u in blocks.ell]
-    return [blocks.masks[to[i]] for i in blocks.coset]
-
-
-def _induced(blocks, phi):
-    """The table of M = l pi l^-1 for a map phi that permutes the cosets."""
-    M = [0] * len(blocks.ell)
-    for i, c in enumerate(blocks.reps):
-        M[blocks.ell[i]] = blocks.ell[blocks.coset[phi[c]]]
-    return tuple(M)
-
-
-def _lift(m, blocks, name, M, node_budget=None):
-    """An automorphism fixing 0 that induces M on the blocks, found by
-    one sign +1 walk and checked over all pairs; as _first.  RuntimeError
-    if the walk ends without one."""
-    status, alpha, nodes, max_depth = _first(
-        m, "mcv", +1, node_budget, None, _domains(blocks, M)
-    )
-    if status is not SearchStatus.INCONCLUSIVE and (
-        alpha is None or not _keeps(m, alpha, +1) or _induced(blocks, alpha) != M
+    lifts = []
+    # (i, x) -> (T i, N x ^ t_i) and (S i, S x); the mask drops e_1 at m = 1
+    for name, to, at in (
+        ("T", i ^ ((i >> 1) & 1), (x ^ ((x & 1) << 1) ^ (i & 2)) & (r - 1)),
+        ("S", shift(i), shift(x)),
     ):
-        raise RuntimeError(f"the generator {name} of GL({m}, 2) does not lift to an automorphism")
-    return status, alpha, nodes, max_depth
+        phi = np.empty_like(blocks.coset)
+        phi[blocks.cells] = blocks.cells[to, at]
+        if not _keeps(m, phi, +1) or (blocks.coset[phi[blocks.cells]] != to).any():
+            raise RuntimeError(f"the lift of the generator {name} of GL({m}, 2) fails its checks")
+        lifts.append(phi.tolist())
+    return lifts
 
 
 def search_blocks(m: int, *, node_budget: int | None = None) -> SearchOutcome:
@@ -440,41 +414,23 @@ def search_blocks(m: int, *, node_budget: int | None = None) -> SearchOutcome:
 
     One min-domain walk looks for a swap that holds every vertex to its
     own coset (pi = id); a witness still goes through verify_swap.  When
-    that walk runs out, two sign +1 walks lift T and S to automorphisms
-    fixing 0 before EXHAUSTED is returned, with the certificate
-    {"lifts": [phi_T, phi_S], "nodes": {"swap": .., "T": .., "S": ..}}.
-    node_budget bounds the nodes of all the walks together; exceeding
-    it yields INCONCLUSIVE.  RuntimeError if a checked hypothesis fails.
+    that walk runs out, the closed-form lifts of T and S are checked
+    before EXHAUSTED is returned, with the certificate {"lifts": [phi_T,
+    phi_S]}.  node_budget bounds the walk's nodes; exceeding it yields
+    INCONCLUSIVE.  RuntimeError if a checked hypothesis fails.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if node_budget is not None and node_budget < 1:
         raise ValueError("node budget must be >= 1")
     start = time.monotonic()
-    blocks = _blocks(m)
-    walks = {}
-    identity = tuple(range(1 << m))
-    status, phi, walks["swap"], max_depth = _first(
-        m, "mcv", -1, node_budget, None, _domains(blocks, identity)
-    )
-    certificate = None
-    if status is SearchStatus.EXHAUSTED:
-        lifts = []
-        for name, M in _generators(m).items():
-            left = None if node_budget is None else node_budget - sum(walks.values())
-            lifted, alpha, walks[name], depth = _lift(m, blocks, name, M, left)
-            max_depth = max(max_depth, depth)
-            if lifted is SearchStatus.INCONCLUSIVE:
-                status = lifted
-                break
-            lifts.append(list(alpha))
-        else:
-            certificate = {"lifts": lifts, "nodes": walks}
+    status, phi, nodes, max_depth = _first(m, "mcv", -1, node_budget, None, _blocks(m).domains)
+    certificate = {"lifts": _lifts(m)} if status is SearchStatus.EXHAUSTED else None
     witness = None if phi is None else SwapMap(m, phi)
     if witness is not None and not verify_swap(witness):
         raise RuntimeError("search produced a map that fails verification")
     elapsed = time.monotonic() - start
-    return SearchOutcome(status, witness, sum(walks.values()), max_depth, elapsed, certificate)
+    return SearchOutcome(status, witness, nodes, max_depth, elapsed, certificate)
 
 
 def _closure(gens):
@@ -519,10 +475,8 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     psi = search_blocks(m).witness
     if psi is None:
         return []
-    blocks = _blocks(m)
-    kernel = _enumerate(m, +1, _domains(blocks, tuple(range(1 << m))))
-    lifts = [_lift(m, blocks, name, M)[1] for name, M in _generators(m).items()]
-    auts = _closure(kernel + lifts)
+    kernel = _enumerate(m, +1, _blocks(m).domains)
+    auts = _closure(kernel + _lifts(m))
     if len(auts) != len(kernel) * _gl_order(m):
         raise RuntimeError("K and the lifts do not generate |K| * |GL(m, 2)| automorphisms")
     coset = np.array(psi.phi, dtype=auts.dtype)[auts]

@@ -7,8 +7,9 @@ pair by pair, butterflies on a list, spectra, bentness and duals read
 off them, differences counted pair by pair, Delta_m rebuilt pair by
 pair from signed-permutation products, common neighbours counted on
 packed adjacency rows, the search's constraint masks built pair by
-pair, swaps checked pair by pair, and swaps listed by a recursive
-backtracking search in natural vertex order.
+pair, swaps checked pair by pair, swaps listed by a recursive
+backtracking search in natural vertex order, and Delta_m's coset blocks
+read off one Walsh spike per coset.
 They are quadratic where ctwin is spectral, and the search visits
 millions of nodes at m = 3 where ctwin's enumeration visits 75k, so
 tests use them at small sizes.
@@ -274,3 +275,30 @@ def natural_search(m, sign=-1):
     counters = [1, 1]
     gen = _iter_assignments(kappa, masks, [0], ((1 << v) - 1) ^ 1, counters, sign)
     return gen, counters
+
+
+def coset_spikes(kappa):
+    """The coset blocks of a difference graph read off kappa the long way.
+
+    D is the ascending list of zeros of kappa and reps[i] puts bit k of i
+    at bit 2k.  For each i > 0 the butterfly above transforms kappa on
+    reps[i] ^ D[x], x = 0, 1, ..., and must show a single spike of height
+    2^m, whose position is ell[i] and whose sign is signs[i] (ell[0] =
+    signs[0] = 0).  Returns (reps, D, ell, signs); ValueError if D does
+    not have 2^m elements or a coset has no single spike.
+    """
+    m = (len(kappa).bit_length() - 1) // 2
+    r = 1 << m
+    zeros = [y for y, k in enumerate(kappa) if k == 0]
+    if len(zeros) != r:
+        raise ValueError(f"kappa has {len(zeros)} zeros, not 2^m")
+    reps = [sum(((i >> k) & 1) << (2 * k) for k in range(m)) for i in range(r)]
+    ell, signs = [0] * r, [0] * r
+    for i in range(1, r):
+        spectrum = fwht([kappa[reps[i] ^ d] for d in zeros])
+        spikes = [u for u, w in enumerate(spectrum) if w]
+        if len(spikes) != 1 or abs(spectrum[spikes[0]]) != r:
+            raise ValueError(f"kappa on the coset {reps[i]} + D has no single spike")
+        ell[i] = spikes[0]
+        signs[i] = 1 if spectrum[spikes[0]] > 0 else -1
+    return reps, zeros, ell, signs

@@ -15,6 +15,7 @@ import pytest
 from ctwin.bent import BoolFunc, predicted_params, sigma_function, tau, tau_function
 from ctwin.cli import main
 from ctwin.graphs import BLUE, build_delta, to_graph6
+from ctwin.swap import search_all
 
 import oracles
 
@@ -354,10 +355,10 @@ def test_search_budget_inconclusive(capsys):
 
 def _check_m4_certificate(result):
     # the certificate's lifts must be automorphisms fixing 0 (checked
-    # pair by pair here); its node counts are pinned
+    # pair by pair here); its node count is pinned
     assert set(result) == {"m", "status", "nodes", "certificate"}
-    assert (result["m"], result["status"], result["nodes"]) == (4, "exhausted", 681)
-    assert result["certificate"]["nodes"] == {"swap": 169, "T": 256, "S": 256}
+    assert (result["m"], result["status"], result["nodes"]) == (4, "exhausted", 169)
+    assert set(result["certificate"]) == {"lifts"}
     kappa = build_delta(4).kappa
     for phi in result["certificate"]["lifts"]:
         assert sorted(phi) == list(range(256)) and phi[0] == 0
@@ -394,14 +395,13 @@ def test_search_m4_certificate_within_budget(tmp_path):
     _check_m4_certificate(report["result"])
 
 
-def test_search_budget_spans_every_walk(capsys):
-    # 169 nodes exhaust the pi = id walk, so 300 run out inside lift T
-    # and 500 inside lift S; the count trips strictly above the cap
-    for budget in (169, 300, 500, 680):
-        code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", str(budget))
-        assert code == 3, budget
-        assert report["result"] == {"m": 4, "status": "inconclusive", "nodes": budget + 1}
-    code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "681")
+def test_search_budget_bounds_the_walk(capsys):
+    # the pi = id walk runs out in 169 nodes; the count trips strictly
+    # above the cap, and the lifts take no nodes
+    code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "168")
+    assert code == 3
+    assert report["result"] == {"m": 4, "status": "inconclusive", "nodes": 169}
+    code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "169")
     assert code == 2
     _check_m4_certificate(report["result"])
 
@@ -414,11 +414,12 @@ def test_search_range_guard(capsys):
 
 
 def test_search_at_guard_limit_within_budget(tmp_path):
-    # m = 5 is the search guard's largest m: the certificate in 10 s and 200 MB
-    code, report, rss = run_budgeted(tmp_path, ["search", "--m", "5"], 10.0)
+    # m = 5 is the search guard's largest m: the certificate in 5 s and 100 MB
+    code, report, rss = run_budgeted(tmp_path, ["search", "--m", "5"], 5.0)
     assert code == 2
-    assert (report["result"]["m"], report["result"]["status"]) == (5, "exhausted")
-    assert rss < 200.0, f"search --m 5 peaked at {rss:.0f} MB, budget 200 MB"
+    result = report["result"]
+    assert (result["m"], result["status"], result["nodes"]) == (5, "exhausted", 1681)
+    assert rss < 100.0, f"search --m 5 peaked at {rss:.0f} MB, budget 100 MB"
 
 
 def test_search_all_m1(capsys):
@@ -426,6 +427,17 @@ def test_search_all_m1(capsys):
     assert code == 0
     assert report["result"]["witnesses"] == [[0, 2, 1, 3]]
     assert report["result"]["count"] == 1
+
+
+def test_search_all_follows_the_cli_guard(capsys):
+    # the library guards search_all to m <= 2; the CLI's own guard is m <= 5
+    code, report = run_cli(capsys, "search", "--m", "3", "--all", "5")
+    assert code == 0
+    assert report["result"]["witnesses"] == [list(w.phi) for w in search_all(3, 5, force=True)]
+    assert report["result"]["count"] == 5
+    code, report = run_cli(capsys, "search", "--m", "4", "--all")
+    assert code == 2
+    assert report["result"] == {"m": 4, "witnesses": [], "count": 0}
 
 
 def test_search_bad_budget(capsys):

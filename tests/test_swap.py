@@ -321,7 +321,7 @@ def exhaustive(m, sign):
 
 
 def _fixing_every_coset(m):
-    return swap._domains(swap._blocks(m), tuple(range(1 << m)))
+    return swap._blocks(m).domains
 
 
 def _coset_index(m, y):
@@ -331,26 +331,30 @@ def _coset_index(m, y):
     return sum(((c >> (2 * k)) & 1) << k for k in range(m))
 
 
+def _rejected_at(kappa, vertex):
+    with pytest.raises(RuntimeError, match=rf"closed form at vertex {vertex}$"):
+        swap._block_system(kappa)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_block_checks_pass_and_one_flipped_sign_fails_them(m):
     kappa = build_delta(m).kappa
     blocks = swap._block_system(kappa)
     zeros = [y for y in range(len(kappa)) if kappa[y] == 0]
+    assert blocks.cells[0].tolist() == zeros
+    members = [0] * (1 << m)
     for y in range(len(kappa)):
         assert blocks.coset[y] == _coset_index(m, y)
+        members[_coset_index(m, y)] |= 1 << y
+    assert blocks.domains == [members[_coset_index(m, y)] for y in range(len(kappa))]
     for i in range(1, 1 << m):
-        c = blocks.reps[i]
-        assert blocks.signs[i] == (-1) ** sigma(m, c)
+        c = blocks.cells[i, 0]
         for x, d in enumerate(zeros):
-            parity = (blocks.ell[i] & x).bit_count() & 1
-            assert kappa[c ^ d] == blocks.signs[i] * (-1) ** parity
+            assert kappa[c ^ d] == (-1) ** (sigma(m, c) + (i & x).bit_count())
     z = random.Random(m).choice([y for y in range(len(kappa)) if kappa[y]])
     flipped = list(kappa)
     flipped[z] = -flipped[z]
-    # at m = 1 a two-point coset always has one spike, at the wrong place
-    failed = "single Walsh spike" if m > 1 else "not linear and bijective"
-    with pytest.raises(RuntimeError, match=failed):
-        swap._block_system(flipped)
+    _rejected_at(flipped, z)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -359,23 +363,35 @@ def test_block_checks_catch_a_new_zero_and_swapped_cosets(m):
     blocks = swap._block_system(kappa)
     zeroed = list(kappa)
     zeroed[1] = 0
-    with pytest.raises(RuntimeError, match="not a subgroup"):
-        swap._block_system(zeroed)
-    # every coset keeps its single spike, but l(1) and l(3) trade places
+    _rejected_at(zeroed, 1)
+    # cosets 1 and 3 trade their values: each keeps a single Walsh spike
     swapped = list(kappa)
     for y, i in enumerate(blocks.coset):
         if i in (1, 3):
-            swapped[y] = kappa[y ^ blocks.reps[1] ^ blocks.reps[3]]
-    with pytest.raises(RuntimeError, match="not linear and bijective"):
-        swap._block_system(swapped)
+            swapped[y] = kappa[y ^ int(blocks.cells[1, 0] ^ blocks.cells[3, 0])]
+    _rejected_at(swapped, min(y for y in range(len(kappa)) if swapped[y] != kappa[y]))
 
 
 def test_flipped_sign_stops_the_m4_certificate(monkeypatch):
     kappa = list(build_delta(4).kappa)
     kappa[1] = -kappa[1]
     monkeypatch.setattr(swap, "_blocks", lambda m: swap._block_system(kappa))
-    with pytest.raises(RuntimeError, match="single Walsh spike"):
+    with pytest.raises(RuntimeError, match="closed form at vertex 1$"):
         search_blocks(4)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_spike_oracle_reads_the_closed_form(m):
+    # kappa from build_delta: above m = 5 _tables would hold v^2 entries
+    kappa = build_delta(m).kappa
+    reps, zeros, ell, signs = oracles.coset_spikes(kappa)
+    r = 1 << m
+    assert zeros == [3 * c for c in reps]
+    assert ell[1:] == list(range(1, r))
+    assert signs[1:] == [(-1) ** i.bit_count() for i in range(1, r)]
+    cells = [[c ^ d for d in zeros] for c in reps]
+    assert sorted(itertools.chain.from_iterable(cells)) == list(range(len(kappa)))
+    assert swap._block_system(kappa).cells.tolist() == cells
 
 
 @pytest.mark.parametrize("sign", [-1, +1])
@@ -405,11 +421,20 @@ def test_search_all_m4_is_empty():
     assert search_all(4, 10, force=True) == []
 
 
+def _generator_tables(m):
+    """T = I + E_01 and the cyclic shift S of the basis, as tables of
+    their action on m-bit vectors."""
+    r = 1 << m
+    T = [u ^ ((u >> 1) & 1) for u in range(r)]
+    S = [((u << 1) | (u >> (m - 1))) & (r - 1) for u in range(r)]
+    return T, S
+
+
 def test_generators_generate_gl():
+    # step (iv) of the reduction: <T, S> = GL(m, 2)
     assert [swap._gl_order(m) for m in range(1, 5)] == [1, 6, 168, 20160]
-    assert swap._generators(1) == {}
     for m in (2, 3, 4):
-        T, S = swap._generators(m).values()
+        T, S = _generator_tables(m)
         basis = [1 << k for k in range(m)]
         # T = I + E_01 sends e_1 to e_0 + e_1; S sends e_k to e_(k+1 mod m)
         assert [T[e] for e in basis] == [1, 3] + basis[2:]
@@ -419,26 +444,35 @@ def test_generators_generate_gl():
         assert len(swap._closure([T, S])) == swap._gl_order(m)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_lifts_are_automorphisms_inducing_their_generator(m):
-    blocks = swap._blocks(m)
-    ell = blocks.ell
-    for name, M in swap._generators(m).items():
-        status, alpha, _, _ = swap._lift(m, blocks, name, M)
-        assert status is SearchStatus.FOUND
-        assert alpha[0] == 0 and _is_automorphism(m, alpha)
+    v = 1 << (2 * m)
+    phi_T, phi_S = swap._lifts(m)
+    # phi_S rotates the base-4 digits one place
+    assert phi_S == [((y << 2) | (y >> (2 * m - 2))) & (v - 1) for y in range(v)]
+    for M, alpha in zip(_generator_tables(m), (phi_T, phi_S)):
+        assert alpha[0] == 0 and sorted(alpha) == list(range(v))
+        assert _is_automorphism(m, alpha) if m <= 3 else swap._keeps(m, alpha, +1)
         for y, image in enumerate(alpha):
-            assert ell[_coset_index(m, image)] == M[ell[_coset_index(m, y)]]
+            assert _coset_index(m, image) == M[_coset_index(m, y)]
 
 
-# (m, node_budget) -> (status, nodes, max_depth, nodes per walk if exhausted)
+def test_failed_lift_check_stops_the_certificate(monkeypatch):
+    monkeypatch.setattr(swap, "_keeps", lambda m, phi, sign: False)
+    with pytest.raises(RuntimeError, match=r"lift of the generator T of GL\(4, 2\)"):
+        search_blocks(4)
+
+
+# (m, node_budget) -> (status, nodes, max_depth); one pi = id walk
 BLOCKS_GOLDEN = {
-    (1, None): ("found", 4, 4, None),
-    (2, None): ("found", 16, 16, None),
-    (3, None): ("found", 64, 64, None),
-    (4, None): ("exhausted", 681, 256, {"swap": 169, "T": 256, "S": 256}),
-    (4, 50): ("inconclusive", 51, 5, None),
-    (4, 300): ("inconclusive", 301, 131, None),
+    (1, None): ("found", 4, 4),
+    (2, None): ("found", 16, 16),
+    (3, None): ("found", 64, 64),
+    (4, None): ("exhausted", 169, 5),
+    (4, 50): ("inconclusive", 51, 5),
+    (4, 168): ("inconclusive", 169, 5),
+    (4, 169): ("exhausted", 169, 5),
+    (4, 300): ("exhausted", 169, 5),
 }
 
 
@@ -446,12 +480,14 @@ BLOCKS_GOLDEN = {
 def test_block_search_golden(key):
     m, budget = key
     out = search_blocks(m, node_budget=budget)
-    nodes = out.certificate and out.certificate["nodes"]
-    assert (out.status.value, out.nodes, out.max_depth, nodes) == BLOCKS_GOLDEN[key]
+    assert (out.status.value, out.nodes, out.max_depth) == BLOCKS_GOLDEN[key]
     if out.witness is not None:
         assert out.witness.phi[0] == 0 and verify_swap(out.witness)
-    if out.certificate is not None:
+    if out.status is SearchStatus.EXHAUSTED:
+        assert list(out.certificate) == ["lifts"]
         assert all(_is_automorphism(m, phi) for phi in out.certificate["lifts"])
+    else:
+        assert out.certificate is None
 
 
 def test_block_search_argument_validation():
