@@ -21,12 +21,20 @@ tables stay exact and cheap up to tens of millions of entries.
 
 Every transform (spectra, bentness, duals, difference-set counts) runs
 through one staged butterfly kernel, `_fwht`: the low half of the index
-bits on a transposed copy, the high half on the copy back, each stage in
-the narrowest signed type its bound allows.  A spectrum of (-1)^f is
-bounded by 2^n, so its first stage runs in int16 up to 14 levels and its
-second in int32 up to n = 30; an autocorrelation's second pass is
-bounded by v * |S| <= 4^n and runs in int64 at the sizes where that
-needs it.  All of it is exact integer arithmetic.
+bits on a transposed copy, the high half on the transpose back, each
+stage in the narrowest signed type its bound allows.  A spectrum of
+(-1)^f is bounded by 2^n, so its first stage runs in int16 up to 14
+levels and its second in int32 up to n = 30; an autocorrelation's
+second pass is bounded by v * |S| <= 4^n and runs in int64 at the sizes
+where that needs it.
+
+Bentness and duals need no spectrum.  The kernel's modular mode runs
+every stage in uint16 and returns the spectrum modulo 2^16 (2^32 past
+n = 29), and by Parseval's identity f on n = 2k bits is bent iff every
+residue is +-2^k (see `is_bent`).  When both stages share a type and
+the matrix is square, as they do there, the second stage transposes in
+place, so a bentness check at n = 24 holds one 32 MB array.  All of it
+is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -205,50 +213,96 @@ def _signed(peak: int):
     raise ValueError("values too large for exact int64 arithmetic")
 
 
-# Source rows per slab of a transposing copy.  Copying a whole transpose
-# at once reads the source one row-stride apart and misses the cache on
-# almost every entry; in slabs each source line is read once (at n = 24,
-# 0.11-0.12 s -> 0.03-0.04 s per copy on 2 vCPU).
+def _unsigned(n: int):
+    """uint16 for n // 2 <= 14, uint32 for n // 2 <= 30: the narrowest
+    unsigned type whose modulus exceeds 2^(n//2 + 1), so that +-2^(n//2)
+    are distinct nonzero residues in it."""
+    for dtype in (np.uint16, np.uint32):
+        if n // 2 + 1 < np.iinfo(dtype).bits:
+            return dtype
+    raise ValueError("arity too large for residues modulo 2^32")
+
+
+# Source rows per slab of a transposing copy, and the side of the tiles
+# an in-place transpose swaps.  Copying a whole transpose at once reads
+# the source one row-stride apart and misses the cache on almost every
+# entry; in slabs each source line is read once (at n = 24, 0.11-0.12 s
+# -> 0.03-0.04 s per copy on 2 vCPU).
 _SLAB = 128
 
 
-def _fwht(a: np.ndarray, top: int, total: int | None = None) -> np.ndarray:
+def _transpose_square(x: np.ndarray):
+    """Transpose a square array in place by swapping _SLAB x _SLAB tiles
+    across the diagonal; only one tile is ever copied aside."""
+    size = x.shape[0]
+    for i in range(0, size, _SLAB):
+        diagonal = x[i : i + _SLAB, i : i + _SLAB]
+        diagonal[...] = diagonal.T.copy()
+        for j in range(i + _SLAB, size, _SLAB):
+            upper = x[i : i + _SLAB, j : j + _SLAB]
+            lower = x[j : j + _SLAB, i : i + _SLAB]
+            tile = upper.T.copy()
+            upper[...] = lower.T
+            lower[...] = tile
+
+
+def _fwht(a: np.ndarray, top: int, total: int | None = None, modular: bool = False) -> np.ndarray:
     """Butterflies by the Sylvester matrix H_n on an integer array of
     length 2^n with max|a| <= top and, if given, sum|a| <= total.
 
     H_n = H_hi (x) H_lo splits the index into lo = n - n//2 low bits and
     hi = n//2 high ones (Fino-Algazi).  The lo levels run on a transposed
-    (2^lo, 2^hi) copy and the hi levels on the (2^hi, 2^lo) copy back, so
-    every level adds and subtracts contiguous runs of at least 2^hi
-    entries.  After k levels an entry is a signed sum of 2^k inputs, so
-    it is at most top * 2^k and at most total; the doubled 2y a butterfly
-    makes stays within top * 2^k and 2 * total.  Each stage is therefore
-    exact in the narrowest signed type holding min(top * 2^k, 2 * total)
-    for its last level k: int16 for a +-1 input up to k = 14, int32 for
-    spectra up to n = 30.  The copies are the only conversions, and the
-    input is dropped once the first one is made, so a caller that passes
-    a temporary gets its memory back at once.
+    (2^lo, 2^hi) copy and the hi levels on the (2^hi, 2^lo) transpose
+    back, so every level adds and subtracts contiguous runs of at least
+    2^hi entries.  After k levels an entry is a signed sum of 2^k inputs,
+    so it is at most top * 2^k and at most total; the doubled 2y a
+    butterfly makes stays within top * 2^k and 2 * total.  Each stage is
+    therefore exact in the narrowest signed type holding
+    min(top * 2^k, 2 * total) for its last level k: int16 for a +-1
+    input up to k = 14, int32 for spectra up to n = 30.
+
+    With modular=True every stage runs in `_unsigned(n)` whatever the
+    bound, and the result is the transform modulo 2^16 (2^32 when
+    n // 2 > 14).  A butterfly only adds, subtracts and doubles, and
+    each of these is exact modulo the type's range: uint32 arithmetic
+    wraps, and uint16 operands are promoted to int, where a sum, a
+    difference and a doubling cannot overflow, before the store wraps.
+    A product by -2 could overflow that int, so both modes double and
+    subtract instead.
+
+    The first stage always copies, so the caller's array is never
+    written, and the input is dropped once that copy is made: a caller
+    that passes a temporary gets its memory back at once.  When the
+    second stage keeps the first stage's type and the matrix is square
+    (n even), it transposes the kernel's own array in place.
     """
     n = a.size.bit_length() - 1
     hi = n // 2
     lo = n - hi
     x = a.reshape(1 << hi, 1 << lo)
     del a
-    for levels, reached in ((lo, lo), (hi, n)):
-        peak = top << reached
-        if total is not None:
-            peak = min(peak, 2 * total)
-        t = np.empty(x.shape[::-1], _signed(peak))
-        for r in range(0, x.shape[0], _SLAB):
-            t[:, r : r + _SLAB] = x[r : r + _SLAB].T
-        x = t
+    for second, (levels, reached) in enumerate(((lo, lo), (hi, n))):
+        if modular:
+            dtype = _unsigned(n)
+        else:
+            peak = top << reached
+            if total is not None:
+                peak = min(peak, 2 * total)
+            dtype = _signed(peak)
+        if second and hi == lo and x.dtype == dtype:
+            _transpose_square(x)
+        else:
+            t = np.empty(x.shape[::-1], dtype)
+            for r in range(0, x.shape[0], _SLAB):
+                t[:, r : r + _SLAB] = x[r : r + _SLAB].T
+            x = t
         run = x.shape[1]
         for _ in range(levels):
             pairs = x.reshape(-1, 2, run)
             u, w = pairs[:, 0], pairs[:, 1]
             u += w
-            w *= -2
-            w += u  # (u + w) - 2w = u - w
+            w *= 2
+            np.subtract(u, w, out=w)  # (u + w) - 2w = u - w
             run *= 2
     return x.reshape(-1)
 
@@ -257,6 +311,14 @@ def _spectrum(f: BoolFunc) -> np.ndarray:
     """W_f = H_n (-1)^f, with |W_f| <= 2^n.  The signs array is passed
     as a temporary, so the kernel frees it after its first copy."""
     return _fwht(_signs(f), 1)
+
+
+def _shifted_residues(f: BoolFunc) -> np.ndarray:
+    """W_f + 2^k modulo 2^16 (2^32 when k > 14) for n = 2k, so that an
+    entry W_f = 2^k reads 2^(k+1) and an entry W_f = -2^k reads 0."""
+    w = _fwht(_signs(f), 1, modular=True)
+    w += 1 << (f.n // 2)
+    return w
 
 
 def fwht(values) -> list[int]:
@@ -283,27 +345,45 @@ def walsh_transform(f: BoolFunc) -> list[int]:
 def is_bent(f: BoolFunc) -> bool:
     """True iff every spectrum entry has magnitude 2^(n/2).
 
-    Odd arities can never be bent: the magnitude would not be an integer.
+    Odd arities can never be bent: the magnitude would not be an
+    integer.  For n = 2k the residues of the spectrum modulo M = 2^16
+    (M = 2^32 when 15 <= k <= 30) decide it exactly:
+
+    Lemma.  f is bent iff W_f(u) = +-2^k (mod M) for every u.
+
+    Proof.  A bent f has W_f(u) = +-2^k.  Conversely, if W_f(u) =
+    +-2^k + jM for an integer j, then |W_f(u)| >= min(2^k, M - 2^k) =
+    2^k, since 2^(k+1) < M.  Parseval's identity sum_u W_f(u)^2 = 2^(2n)
+    holds for every Boolean function, and its 2^n squares are each at
+    least 2^(2k) = 2^n, so each equals 2^n: |W_f(u)| = 2^k for every u.
+
+    The residues are shifted by r = 2^k, so that r reads 2r and -r reads
+    0, and bit 2r is cleared: f is bent iff nothing is left.
     """
     if f.n & 1:
         return False
-    spectrum = _spectrum(f)
-    np.abs(spectrum, out=spectrum)
-    return bool((spectrum == 1 << (f.n // 2)).all())
+    w = _shifted_residues(f)
+    w &= np.iinfo(w.dtype).max ^ (2 << (f.n // 2))
+    return not w.any()
 
 
 def dual(f: BoolFunc) -> BoolFunc:
-    """The bent function read off the spectrum signs of a bent f."""
+    """The bent function read off the spectrum signs of a bent f.
+
+    Bentness is decided on the residues as in `is_bent`; a sign is
+    negative where the shifted residue is 0.  Only a function that is
+    not bent pays for the exact spectrum, to name its first entry of
+    the wrong magnitude.
+    """
     if f.n & 1:
         raise ValueError("input not bent: odd arity")
-    spectrum = _spectrum(f)
-    negative = spectrum < 0
-    np.abs(spectrum, out=spectrum)
-    off = np.flatnonzero(spectrum != 1 << (f.n // 2))
-    if off.size:
-        i = int(off[0])
-        entry = -int(spectrum[i]) if negative[i] else int(spectrum[i])
-        raise ValueError(f"input not bent: spectrum entry {entry} at {i}")
+    w = _shifted_residues(f)
+    negative = w == 0
+    w &= np.iinfo(w.dtype).max ^ (2 << (f.n // 2))
+    if w.any():
+        spectrum = _spectrum(f)
+        i = int(np.flatnonzero(np.abs(spectrum) != 1 << (f.n // 2))[0])
+        raise ValueError(f"input not bent: spectrum entry {int(spectrum[i])} at {i}")
     signs = np.packbits(negative, bitorder="little")
     return BoolFunc(f.n, int.from_bytes(signs.tobytes(), "little"))
 

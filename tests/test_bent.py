@@ -212,6 +212,55 @@ def test_fwht_result_type_is_narrowest():
         assert out[0] == top << n and not out[1:].any()
 
 
+def test_fwht_modular_is_exact_modulo_2_16():
+    # +-1 vectors, fair and biased (a bias of 0.15 puts W(0) near
+    # +-0.7 * 2^n, past 2^16 from n = 17 on) and constant; odd n takes
+    # the copying second stage and even n the in-place one
+    rng = np.random.default_rng(41)
+    for n in range(15, 21):
+        size = 1 << n
+        vectors = [np.ones(size, np.int8), -np.ones(size, np.int8)]
+        for p in (0.5, 0.15, 0.85):
+            vectors.append(np.where(rng.random(size) < p, -1, 1).astype(np.int8))
+        for signs in vectors:
+            exact = bent._fwht(signs, 1)
+            residues = bent._fwht(signs, 1, modular=True)
+            assert residues.dtype == np.uint16, n
+            assert np.array_equal(residues, (exact & 0xFFFF).astype(np.uint16)), n
+        if n >= 17:
+            assert np.abs(exact).max() > 1 << 16, n
+
+
+def test_fwht_never_writes_the_callers_array():
+    # inputs already in a stage's type (int16 and uint16) included, at
+    # even n too, where the second stage transposes in place
+    rng = np.random.default_rng(43)
+    for n in (0, 1, 2, 7, 8, 14, 15):
+        for dtype, modular in [
+            (np.int8, False), (np.int8, True), (np.int16, False),
+            (np.uint16, True), (np.int64, False),
+        ]:
+            a = rng.integers(-1, 2, 1 << n).astype(dtype)
+            held = a.tobytes()
+            out = bent._fwht(a, 1, modular=modular)
+            assert a.tobytes() == held, (n, dtype, modular)
+            # a uint16 input holds -1 as 2^16 - 1, which is -1 modulo 2^16
+            want = oracles.fwht(a.astype(np.int64).tolist())
+            if modular:
+                want = [w % (1 << 16) for w in want]
+            assert out.tolist() == want, (n, dtype, modular)
+
+
+def test_unsigned_type_rule():
+    # modulo 2^16 while n // 2 <= 14, modulo 2^32 while n // 2 <= 30
+    for n in range(62):
+        want = np.uint16 if n // 2 <= 14 else np.uint32
+        assert bent._unsigned(n) == want, n
+    for n in (62, 63, 80):
+        with pytest.raises(ValueError, match="2\\^32"):
+            bent._unsigned(n)
+
+
 def test_spectral_functions_match_oracle():
     rng = random.Random(37)
     for n in range(2, 13):
@@ -263,6 +312,34 @@ def test_twins_are_bent():
 def test_non_bent_cases():
     assert not is_bent(BoolFunc(2, 0))
     assert not is_bent(BoolFunc(3, 0b01010101))  # odd arity
+
+
+def test_residues_of_an_unbent_spectrum_can_match():
+    # n = 18: the first (2^18 - 66048) / 2 entries set give W(0) = 66048,
+    # which is 2^9 modulo 2^16; Parseval makes some other residue differ,
+    # and dual names the first exact entry of the wrong magnitude
+    weight = ((1 << 18) - 66048) // 2
+    f = BoolFunc(18, (1 << weight) - 1)
+    assert walsh_transform(f)[0] == 66048 == (1 << 16) + (1 << 9)
+    assert not is_bent(f)
+    with pytest.raises(ValueError) as got:
+        dual(f)
+    assert str(got.value) == "input not bent: spectrum entry 66048 at 0"
+
+
+def test_bent_functions_on_four_variables():
+    # all 2^16 functions, against spectra from the dense Sylvester matrix
+    h = np.array(dense_sylvester(4))
+    bits = np.arange(1 << 16)[:, None] >> np.arange(16) & 1
+    spectra = (1 - 2 * bits) @ h
+    bent_mask = (np.abs(spectra) == 4).all(axis=1)
+    assert bent_mask.sum() == 896
+    for b in range(1 << 16):
+        f = BoolFunc(4, b)
+        assert is_bent(f) == bent_mask[b], b
+        if bent_mask[b]:
+            negative = spectra[b] < 0
+            assert dual(f).bits == int(np.dot(negative, 1 << np.arange(16))), b
 
 
 def test_dual_sigma1_is_tau1():

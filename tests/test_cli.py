@@ -175,13 +175,13 @@ def test_bent_sigma5(capsys):
 
 
 def test_bent_at_guard_limit_within_budget(tmp_path):
-    # m = 12 is the bent guard's largest m: 10 s and 200 MB
+    # m = 12 is the bent guard's largest m: 10 s and 120 MB
     code, report, rss = run_budgeted(
         tmp_path, ["bent", "--m", "12", "--function", "tau"], 10.0
     )
     assert code == 0
     assert report["result"] == {"bent": True, "magnitude": 4096}
-    assert rss < 200.0, f"bent --m 12 peaked at {rss:.0f} MB, budget 200 MB"
+    assert rss < 120.0, f"bent --m 12 peaked at {rss:.0f} MB, budget 120 MB"
 
 
 def test_table_at_guard_limit_within_budget(tmp_path):
