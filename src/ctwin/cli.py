@@ -37,7 +37,7 @@ from .graphs import (
     predicted_srg_params,
     verify_srg,
 )
-from .swap import SearchStatus, search_all, search_blocks
+from .swap import _SEARCH_MAX_M, SearchStatus, search_all, search_blocks
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -49,7 +49,6 @@ _BENT_MAX_M = 12
 _CONFIRM_MAX_M = 8
 _GRAPH_MAX_M = 8
 _JSON_EDGES_MAX_M = 6
-_SEARCH_MAX_M = 5
 _SEARCH_ALL_DEFAULT_LIMIT = 100
 _TABLE_BLOCK = 1 << 20  # table bytes per block of `table`'s text
 

@@ -76,17 +76,21 @@ class DifferenceGraph:
         return [(a, b) for a, row in _upper_rows(self, colour) for b in row.tolist()]
 
 
+def _delta_kappa(m: int) -> np.ndarray:
+    """kappa of Delta_m as an int8 array: tau_m - sigma_m, entry by entry."""
+    sig, tav = (
+        np.unpackbits(_twin_table(m, name), count=1 << (2 * m), bitorder="little")
+        for name in ("sigma", "tau")
+    )
+    return tav.view(np.int8) - sig.view(np.int8)
+
+
 def build_delta(m: int) -> DifferenceGraph:
     """Delta_m from the bit rules: difference d is red where sigma_m(d) = 1,
     blue where tau_m(d) = 1, absent where the basis matrix is diagonal."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    sig, tav = (
-        np.unpackbits(_twin_table(m, name), count=1 << (2 * m), bitorder="little")
-        for name in ("sigma", "tau")
-    )
-    kappa = tav.view(np.int8) - sig.view(np.int8)
-    return DifferenceGraph(2 * m, tuple(kappa.tolist()))
+    return DifferenceGraph(2 * m, tuple(_delta_kappa(m).tolist()))
 
 
 def oracle_build_delta(m: int) -> DifferenceGraph:

@@ -8,11 +8,9 @@ constant keeps every pair difference, so the pin loses no generality);
 candidates are drawn in ascending order, which makes every run
 deterministic.
 
-The engine (`_walk`) keeps per-vertex constraint sets as bitmasks, up to
-date with one big-int AND per constraint added.  In natural vertex order
-a frame caches the AND of what the earlier vertices impose on the next
-one; in min-domain order ("mcv") a frame carries the domains of every
-unassigned vertex and branches on the first with the fewest candidates.
+The engine (`_walk`) keeps per-vertex domains as bitmasks, narrowed by
+one big-int AND per constraint added, and branches fail-first: on the
+unassigned vertex with the fewest candidates (min-domain order, "mcv").
 An optional list of per-vertex domain masks is ANDed into every vertex's
 starting domain.
 
@@ -20,7 +18,8 @@ starting domain.
 whole tree, which at m = 4 takes hours.  `search_blocks` (the CLI's
 `search`) and `search_all` use the coset blocks of Delta_m instead, and
 check at run time every hypothesis the reduction below needs, raising
-RuntimeError when one fails.
+RuntimeError when one fails.  The searches stop at m = 5: their
+constraint tables hold 16^m entries.
 
 The reduction.  Let phi fix 0 and satisfy kappa[phi a ^ phi b] =
 s * kappa[a ^ b] with s = -1 (a swap) or +1 (an automorphism).  For
@@ -87,10 +86,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import build_delta
+from .graphs import _delta_kappa
 
+_SEARCH_MAX_M = 5
 _SEARCH_ALL_MAX_M = 2
-_DEADLINE_STRIDE = 1024  # nodes between wall-clock checks
 
 
 class SearchStatus(Enum):
@@ -128,7 +127,7 @@ class SearchOutcome:
 @lru_cache(maxsize=None)
 def _kappa(m):
     """kappa of Delta_m as an int8 array."""
-    return np.array(build_delta(m).kappa, dtype=np.int8)
+    return _delta_kappa(m)
 
 
 @lru_cache(maxsize=None)
@@ -193,25 +192,23 @@ def _min_domain_frame(verts, doms):
     return [verts[i], doms[i], (verts[:i] + verts[i + 1 :], doms[:i] + doms[i + 1 :])]
 
 
-def _walk(m, order, sign, visit, node_budget=None, deadline=None, domains=None):
-    """Depth-first walk over the assignments with phi[0] = 0.
+def _walk(m, sign, visit, node_budget=None, domains=None):
+    """Depth-first min-domain walk over the assignments with phi[0] = 0.
 
-    One explicit stack of frames [vertex, candidates left, state]; a node
-    is counted when a candidate is assigned, and the pinned vertex 0 is
-    the first node.  sign = -1 asks for kappa[phi[a] ^ phi[b]] =
-    -kappa[a ^ b] (swaps), sign = +1 for equality (colour-preserving
-    automorphisms).  Both orders start every vertex's domain from doms,
-    its constraints under vertex 0.  order "natural" branches on vertices
-    0, 1, 2, ... and a frame's state is the AND of the constraints that
-    the vertices before it put on the vertex after it.  order "mcv"
-    branches on the first unassigned vertex of smallest domain, and a
-    frame's state is the domains of the other unassigned vertices,
-    narrowed by one AND per assignment.  domains, if given, holds one
-    mask per vertex that is ANDed into doms.
+    One explicit stack of frames [vertex, candidates left, (other
+    unassigned vertices, their domains)]; a frame branches on the first
+    unassigned vertex of smallest domain, and each assignment narrows the
+    other domains by one AND.  A node is counted when a candidate is
+    assigned, and the pinned vertex 0 is the first node.  sign = -1 asks
+    for kappa[phi[a] ^ phi[b]] = -kappa[a ^ b] (swaps), sign = +1 for
+    equality (colour-preserving automorphisms).  Every vertex's domain
+    starts as its constraints under vertex 0, ANDed with domains[a] when
+    the per-vertex masks are given.
 
     visit(phi) is called at each complete assignment; the walk stops
     with FOUND when it returns true.  Returns (status, nodes, max_depth):
-    INCONCLUSIVE when a budget trips, EXHAUSTED when the tree runs out.
+    INCONCLUSIVE when the node budget trips, EXHAUSTED when the tree runs
+    out.
     """
     kappa, masks = _tables(m)
     v = len(kappa)
@@ -219,17 +216,11 @@ def _walk(m, order, sign, visit, node_budget=None, deadline=None, domains=None):
     cons = [masks[1 + sign * k] for k in kappa]
     phi = [0] + [None] * (v - 1)
     verts = list(range(1, v))
-    doms = [cons[a][0] for a in verts]  # doms[a - 1]: vertex a's domain
+    doms = [cons[a][0] for a in verts]
     if domains is not None:
         doms = [d & domains[a] for a, d in zip(verts, doms)]
-    nodes = max_depth = 1
-    if node_budget is not None and nodes > node_budget:
-        return SearchStatus.INCONCLUSIVE, nodes, max_depth
-    mcv = order == "mcv"
-    if mcv:
-        root = _min_domain_frame(verts, doms)
-    else:
-        root = [1, doms[0], doms[1]]  # v >= 4
+    nodes = max_depth = 1  # a node budget is >= 1, so the pin never trips it
+    root = _min_domain_frame(verts, doms)
     stack = [root] if root else []
     while stack:
         frame = stack[-1]
@@ -242,9 +233,6 @@ def _walk(m, order, sign, visit, node_budget=None, deadline=None, domains=None):
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             return SearchStatus.INCONCLUSIVE, nodes, max_depth
-        if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
-            if time.monotonic() > deadline:
-                return SearchStatus.INCONCLUSIVE, nodes, max_depth
         depth = 1 + len(stack)
         if depth > max_depth:
             max_depth = depth
@@ -254,30 +242,17 @@ def _walk(m, order, sign, visit, node_budget=None, deadline=None, domains=None):
         if depth == v:
             if visit(tuple(phi)):
                 return SearchStatus.FOUND, nodes, max_depth
-        elif mcv:
+        else:
             rest, rest_doms = frame[2]
             child = _min_domain_frame(
                 rest, [d & cons[a ^ x][c] for a, d in zip(rest, rest_doms)]
             )
             if child:
                 stack.append(child)
-        else:
-            y = x + 1
-            nxt = frame[2] & cons[y ^ x][c]
-            if nxt:
-                z = y + 1
-                pre = 0  # the last vertex has no successor
-                if z < v:
-                    pre = doms[y]
-                    for b in range(1, y):
-                        pre &= cons[z ^ b][phi[b]]
-                        if not pre:
-                            break
-                stack.append([y, nxt, pre])
     return SearchStatus.EXHAUSTED, nodes, max_depth
 
 
-def _first(m, order, sign, node_budget=None, deadline=None, domains=None):
+def _first(m, sign, node_budget=None, domains=None):
     """One walk that stops at its first complete assignment:
     (status, phi or None, nodes, max_depth)."""
     found = []
@@ -286,35 +261,36 @@ def _first(m, order, sign, node_budget=None, deadline=None, domains=None):
         found.append(phi)
         return True
 
-    status, nodes, max_depth = _walk(m, order, sign, keep_first, node_budget, deadline, domains)
+    status, nodes, max_depth = _walk(m, sign, keep_first, node_budget, domains)
     return status, found[0] if found else None, nodes, max_depth
 
 
-def search_swap(
-    m: int,
-    *,
-    node_budget: int | None = None,
-    time_budget: float | None = None,
-    order: str = "natural",
-) -> SearchOutcome:
-    """Find a colour-swapping permutation of Delta_m or exhaust the tree.
-
-    One depth-first walk below the pinned vertex 0, in natural or
-    min-domain order; the witness, node count and max depth are
-    deterministic.  Exceeding either budget yields status INCONCLUSIVE,
-    never EXHAUSTED.
-    """
+def _check_search(m, node_budget):
+    """ValueError for an m or node budget the searches do not take, raised
+    before any table is built."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > _SEARCH_MAX_M:
+        raise ValueError(f"the search is guarded to m <= {_SEARCH_MAX_M}")
     if node_budget is not None and node_budget < 1:
         raise ValueError("node budget must be >= 1")
-    if time_budget is not None and time_budget <= 0:
-        raise ValueError("time budget must be positive")
-    if order not in ("natural", "mcv"):
+
+
+def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -> SearchOutcome:
+    """Find a colour-swapping permutation of Delta_m or exhaust the tree.
+
+    One min-domain walk over the whole tree below the pinned vertex 0,
+    with no reduction; the witness, node count and max depth are
+    deterministic, and a witness goes through verify_swap.  Exceeding
+    node_budget yields INCONCLUSIVE, never EXHAUSTED.  Guarded to m <= 5.
+    order accepts only "mcv"; the keyword remains only so that existing
+    callers keep working.
+    """
+    _check_search(m, node_budget)
+    if order != "mcv":
         raise ValueError(f"unknown assignment order {order!r}")
     start = time.monotonic()
-    deadline = start + time_budget if time_budget is not None else None
-    status, phi, nodes, max_depth = _first(m, order, -1, node_budget, deadline)
+    status, phi, nodes, max_depth = _first(m, -1, node_budget)
     witness = None if phi is None else SwapMap(m, phi)
     if witness is not None and not verify_swap(witness):
         raise RuntimeError("search produced a map that fails verification")
@@ -326,7 +302,7 @@ def _enumerate(m, sign, domains=None):
     rule (-1: swaps, +1: colour-preserving automorphisms) within the
     domain masks, sorted."""
     maps = []
-    _walk(m, "mcv", sign, maps.append, domains=domains)
+    _walk(m, sign, maps.append, domains=domains)
     return sorted(maps)
 
 
@@ -417,14 +393,12 @@ def search_blocks(m: int, *, node_budget: int | None = None) -> SearchOutcome:
     that walk runs out, the closed-form lifts of T and S are checked
     before EXHAUSTED is returned, with the certificate {"lifts": [phi_T,
     phi_S]}.  node_budget bounds the walk's nodes; exceeding it yields
-    INCONCLUSIVE.  RuntimeError if a checked hypothesis fails.
+    INCONCLUSIVE.  Guarded to m <= 5.  RuntimeError if a checked
+    hypothesis fails.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if node_budget is not None and node_budget < 1:
-        raise ValueError("node budget must be >= 1")
+    _check_search(m, node_budget)
     start = time.monotonic()
-    status, phi, nodes, max_depth = _first(m, "mcv", -1, node_budget, None, _blocks(m).domains)
+    status, phi, nodes, max_depth = _first(m, -1, node_budget, _blocks(m).domains)
     certificate = {"lifts": _lifts(m)} if status is SearchStatus.EXHAUSTED else None
     witness = None if phi is None else SwapMap(m, phi)
     if witness is not None and not verify_swap(witness):
@@ -455,7 +429,8 @@ def _closure(gens):
 
 def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     """All normalized colour-swapping maps in lexicographic phi order,
-    truncated at `limit`.  Guarded to m <= 2 unless force=True.
+    truncated at `limit`.  Guarded to m <= 2 unless force=True;
+    search_blocks, called before any other work, holds m to 1..5.
 
     Built from the coset blocks: the swaps fixing 0 are psi o Aut_0, for
     the first swap psi with pi = id.  Aut_0 is the closure of K, every
@@ -466,8 +441,6 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if m > _SEARCH_ALL_MAX_M and not force:
         raise ValueError(
             f"enumeration is guarded to m <= {_SEARCH_ALL_MAX_M}; pass force=True to override"
