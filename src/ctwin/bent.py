@@ -15,9 +15,11 @@ oracle command and the test suite).
 
 The twin tables have one builder, `_twin_table`, which concatenates
 whole byte quadrants of packed little-endian uint8 arrays (entry i at
-bit i % 8 of byte i // 8); the CLI writes them out from that form.  A
-BoolFunc packs its truth table one bit per entry into a Python int, so
-tables stay exact and cheap up to tens of millions of entries.
+bit i % 8 of byte i // 8).  That packed form is the only stored form of
+a truth table: the CLI writes tables out from it, with the one hex rule
+`_hex_digits` that BoolFunc.hex() also uses, and a BoolFunc holds its
+table in it as read-only bytes.  A Python int (`BoolFunc.bits`) is made
+only for a caller that asks for one.
 
 Every transform (spectra, bentness, duals, difference-set counts) runs
 through one staged butterfly kernel, `_fwht`: the low half of the index
@@ -31,58 +33,111 @@ where that needs it.
 Bentness and duals need no spectrum.  The kernel's modular mode runs
 every stage in uint16 and returns the spectrum modulo 2^16 (2^32 past
 n = 29), and by Parseval's identity f on n = 2k bits is bent iff every
-residue is +-2^k (see `is_bent`).  When both stages share a type and
-the matrix is square, as they do there, the second stage transposes in
-place, so a bentness check at n = 24 holds one 32 MB array.  All of it
-is exact integer arithmetic.
+residue is +-2^k (see `is_bent`).  The kernel's first stage reads a
+packed table a slab of rows at a time, each slab unpacked straight into
+its transposed copy, as +-1 for spectra and residues and as 0/1 for
+autocorrelations, so no unpacked table is ever whole.  When both stages
+share a type and the matrix is square, as they do for bentness, the
+second stage transposes in place, so a bentness check at n = 24 holds
+one 32 MB array and the 2 MB packed table.  All of it is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
 
+import binascii
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 
+# the number of set bits of each byte value
+_BYTE_WEIGHTS = np.array([b.bit_count() for b in range(256)], np.uint8)
+
+
+def _packed_size(n: int) -> int:
+    """Bytes in a packed truth table on n bits: one below n = 3."""
+    return max(1, (1 << n) >> 3)
+
+
+def _hex_digits(table: np.ndarray, n: int, block: int):
+    """The hex digits of a packed truth table on n bits, highest entry
+    first, as ASCII byte blocks: the bytes hexlified last first, `block`
+    bytes at a time, so the text is never whole.  Below n = 3 there is
+    one digit, where a whole byte would give two."""
+    if n < 3:
+        yield b"%x" % table[0]
+        return
+    for end in range(table.size, 0, -block):
+        yield binascii.hexlify(table[max(0, end - block) : end][::-1].tobytes())
+
+
 @dataclass(frozen=True)
 class BoolFunc:
-    """Boolean function on n bits; bit i of `bits` is the value at input i."""
+    """Boolean function on n bits, its truth table packed little-endian
+    into `packed`: the value at input i is bit i % 8 of byte i // 8.
+    Below n = 3 the table is one byte whose bits above entry 2^n - 1
+    are 0."""
 
     n: int
-    bits: int
+    packed: bytes
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("arity must be >= 1")
-        if self.bits < 0 or self.bits.bit_length() > 1 << self.n:
+        if not isinstance(self.packed, bytes):
+            raise TypeError("the packed truth table must be bytes (BoolFunc.from_bits takes an int)")
+        if len(self.packed) != _packed_size(self.n) or self.packed[0] >> self.size:
             raise ValueError("truth table does not fit the declared arity")
 
     @property
     def size(self) -> int:
         return 1 << self.n
 
+    @property
+    def bits(self) -> int:
+        """The truth table as a Python int, bit i the value at input i,
+        made anew on each call."""
+        return int.from_bytes(self.packed, "little")
+
+    def _bytes(self) -> np.ndarray:
+        """The packed table as a read-only uint8 array, without a copy."""
+        return np.frombuffer(self.packed, np.uint8)
+
     def __call__(self, i: int) -> int:
         if not 0 <= i < self.size:
             raise ValueError(f"input {i} out of range for arity {self.n}")
-        return (self.bits >> i) & 1
+        return (self.packed[i >> 3] >> (i & 7)) & 1
 
     def table(self) -> list[int]:
-        return _unpack(self).tolist()
+        return np.unpackbits(self._bytes(), count=self.size, bitorder="little").tolist()
 
     def weight(self) -> int:
-        return self.bits.bit_count()
+        return int(_BYTE_WEIGHTS[self._bytes()].sum())
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.table()) if b)
 
     def complement(self) -> BoolFunc:
-        return BoolFunc(self.n, self.bits ^ ((1 << self.size) - 1))
+        flipped = ~self._bytes()
+        if self.n < 3:
+            flipped &= (1 << self.size) - 1
+        return BoolFunc(self.n, flipped.tobytes())
 
     def __xor__(self, other: BoolFunc) -> BoolFunc:
         if self.n != other.n:
             raise ValueError("arity mismatch")
-        return BoolFunc(self.n, self.bits ^ other.bits)
+        return BoolFunc(self.n, (self._bytes() ^ other._bytes()).tobytes())
+
+    @classmethod
+    def from_bits(cls, n: int, bits: int) -> BoolFunc:
+        """From a Python int whose bit i is the value at input i."""
+        if n < 1:
+            raise ValueError("arity must be >= 1")
+        if bits < 0 or bits.bit_length() > 1 << n:
+            raise ValueError("truth table does not fit the declared arity")
+        return cls(n, bits.to_bytes(_packed_size(n), "little"))
 
     @classmethod
     def from_values(cls, n: int, values) -> BoolFunc:
@@ -91,12 +146,12 @@ class BoolFunc:
             raise ValueError("truth table entries must be 0 or 1")
         if len(vals) != 1 << n:
             raise ValueError(f"expected {1 << n} entries, got {len(vals)}")
-        return cls(n, int("".join("01"[v] for v in reversed(vals)), 2))
+        return cls(n, np.packbits(np.array(vals, np.uint8), bitorder="little").tobytes())
 
     def hex(self) -> str:
         """Serialize as "tt:<arity>:<hex>", highest-index entry first."""
-        width = (self.size + 3) // 4
-        return f"tt:{self.n}:{self.bits:0{width}x}"
+        digits = _hex_digits(self._bytes(), self.n, len(self.packed))
+        return f"tt:{self.n}:" + b"".join(digits).decode()
 
     @classmethod
     def from_hex(cls, text: str) -> BoolFunc:
@@ -106,9 +161,11 @@ class BoolFunc:
         n = int(m.group(1))
         if n < 1:
             raise ValueError("arity must be >= 1")
-        if len(m.group(2)) != ((1 << n) + 3) // 4:
+        digits = m.group(2)
+        if len(digits) != ((1 << n) + 3) // 4:
             raise ValueError("hex payload length does not match the arity")
-        return cls(n, int(m.group(2), 16))
+        # one digit below n = 3, read as a byte
+        return cls(n, bytes.fromhex(digits.zfill(2))[::-1])
 
 
 # --- the twin functions --------------------------------------------------
@@ -181,29 +238,15 @@ def _twin_table(m: int, function: str) -> np.ndarray:
 
 def sigma_function(m: int) -> BoolFunc:
     """Full truth table of sigma_m as a BoolFunc on 2m bits."""
-    return BoolFunc(2 * m, int.from_bytes(_twin_table(m, "sigma"), "little"))
+    return BoolFunc(2 * m, _twin_table(m, "sigma").tobytes())
 
 
 def tau_function(m: int) -> BoolFunc:
     """Full truth table of tau_m as a BoolFunc on 2m bits."""
-    return BoolFunc(2 * m, int.from_bytes(_twin_table(m, "tau"), "little"))
+    return BoolFunc(2 * m, _twin_table(m, "tau").tobytes())
 
 
 # --- Walsh-Hadamard transform ---------------------------------------------
-
-def _unpack(f: BoolFunc) -> np.ndarray:
-    """The truth table as a uint8 array, entry i at index i."""
-    raw = np.frombuffer(f.bits.to_bytes((f.size + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=f.size, bitorder="little")
-
-
-def _signs(f: BoolFunc) -> np.ndarray:
-    """(-1)^f as an int8 array, made in place in the unpacked table."""
-    a = _unpack(f).view(np.int8)
-    a *= -2
-    a += 1
-    return a
-
 
 def _signed(peak: int):
     """The narrowest of int16, int32 and int64 that holds +-peak."""
@@ -246,9 +289,40 @@ def _transpose_square(x: np.ndarray):
             lower[...] = tile
 
 
-def _fwht(a: np.ndarray, top: int, total: int | None = None, modular: bool = False) -> np.ndarray:
+class _Unpacked:
+    """The packed truth table of f read by `_fwht` as the integer array
+    of its entries: (-1)^f as int8 with signs set, f as uint8 0/1
+    without.  It offers only what the kernel's first stage takes:
+    `size`, `reshape` to (rows, width) and slices of rows, each unpacked
+    from just its own bytes when taken, so the table is never unpacked
+    whole.  A slice must start at a whole byte, as a slab of _SLAB rows
+    does."""
+
+    def __init__(self, f: BoolFunc, signs: bool, shape: tuple[int, int] | None = None):
+        self.f, self.signs = f, signs
+        self.size = f.size
+        self.shape = shape or (1, self.size)
+
+    def reshape(self, rows: int, width: int) -> _Unpacked:
+        return _Unpacked(self.f, self.signs, (rows, width))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.shape[0])
+        width = self.shape[1]
+        first, count = start * width, (stop - start) * width
+        packed = self.f._bytes()[first >> 3 : (first + count + 7) >> 3]
+        x = np.unpackbits(packed, count=count, bitorder="little")
+        if self.signs:
+            x = x.view(np.int8)
+            x *= -2
+            x += 1
+        return x.reshape(-1, width)
+
+
+def _fwht(a: np.ndarray | _Unpacked, top: int, total: int | None = None, modular: bool = False) -> np.ndarray:
     """Butterflies by the Sylvester matrix H_n on an integer array of
-    length 2^n with max|a| <= top and, if given, sum|a| <= total.
+    length 2^n, or an `_Unpacked` table read as one, with max|a| <= top
+    and, if given, sum|a| <= total.
 
     H_n = H_hi (x) H_lo splits the index into lo = n - n//2 low bits and
     hi = n//2 high ones (Fino-Algazi).  The lo levels run on a transposed
@@ -270,8 +344,9 @@ def _fwht(a: np.ndarray, top: int, total: int | None = None, modular: bool = Fal
     A product by -2 could overflow that int, so both modes double and
     subtract instead.
 
-    The first stage always copies, so the caller's array is never
-    written, and the input is dropped once that copy is made: a caller
+    The first stage always copies, slab by slab, so the caller's array
+    is never written, an `_Unpacked` table is unpacked one slab at a
+    time, and the input is dropped once that copy is made: a caller
     that passes a temporary gets its memory back at once.  When the
     second stage keeps the first stage's type and the matrix is square
     (n even), it transposes the kernel's own array in place.
@@ -308,15 +383,14 @@ def _fwht(a: np.ndarray, top: int, total: int | None = None, modular: bool = Fal
 
 
 def _spectrum(f: BoolFunc) -> np.ndarray:
-    """W_f = H_n (-1)^f, with |W_f| <= 2^n.  The signs array is passed
-    as a temporary, so the kernel frees it after its first copy."""
-    return _fwht(_signs(f), 1)
+    """W_f = H_n (-1)^f, with |W_f| <= 2^n."""
+    return _fwht(_Unpacked(f, signs=True), 1)
 
 
 def _shifted_residues(f: BoolFunc) -> np.ndarray:
     """W_f + 2^k modulo 2^16 (2^32 when k > 14) for n = 2k, so that an
     entry W_f = 2^k reads 2^(k+1) and an entry W_f = -2^k reads 0."""
-    w = _fwht(_signs(f), 1, modular=True)
+    w = _fwht(_Unpacked(f, signs=True), 1, modular=True)
     w += 1 << (f.n // 2)
     return w
 
@@ -384,8 +458,7 @@ def dual(f: BoolFunc) -> BoolFunc:
         spectrum = _spectrum(f)
         i = int(np.flatnonzero(np.abs(spectrum) != 1 << (f.n // 2))[0])
         raise ValueError(f"input not bent: spectrum entry {int(spectrum[i])} at {i}")
-    signs = np.packbits(negative, bitorder="little")
-    return BoolFunc(f.n, int.from_bytes(signs.tobytes(), "little"))
+    return BoolFunc(f.n, np.packbits(negative, bitorder="little").tobytes())
 
 
 def tokareva_compose(f0: BoolFunc, f1: BoolFunc, f2: BoolFunc, f3: BoolFunc) -> BoolFunc:
@@ -406,11 +479,11 @@ def tokareva_compose(f0: BoolFunc, f1: BoolFunc, f2: BoolFunc, f3: BoolFunc) -> 
         except ValueError as e:
             raise ValueError(f"quadrant f{k} is not bent ({e})") from None
     acc = duals[0] ^ duals[1] ^ duals[2] ^ duals[3]
-    if acc.bits != (1 << acc.size) - 1:
+    if acc.weight() != acc.size:
         raise ValueError("dual-sum condition violated: duals do not XOR to 1")
     q = f0.size
     bits = f0.bits | (f1.bits << q) | (f2.bits << (2 * q)) | (f3.bits << (3 * q))
-    return BoolFunc(arity + 2, bits)
+    return BoolFunc.from_bits(arity + 2, bits)
 
 
 # --- difference sets -------------------------------------------------------
@@ -436,9 +509,10 @@ class DiffSetParams:
         return (self.v, self.k, self.lam, self.n)
 
 
-def _autocorrelation(indicator: np.ndarray) -> np.ndarray:
+def _autocorrelation(indicator: np.ndarray | _Unpacked) -> np.ndarray:
     """counts[d] = |S & (S ^ d)| for the set S in Z_2^n marked by a 0/1
-    array of length v = 2^n, so counts[0] = |S|.
+    array of length v = 2^n, or by an `_Unpacked` table without signs,
+    so counts[0] = |S|.
 
     Wiener-Khinchin: the transform of the squared spectrum W_S^2 is v times
     the autocorrelation.  The first pass has |W_S| <= |S| = W_S(0) = k, so
@@ -467,7 +541,7 @@ def verify_difference_set(f: BoolFunc) -> DiffSetParams:
         raise ValueError("support is empty")
     if k == v:
         raise ValueError("support is the whole group")
-    counts = _autocorrelation(_unpack(f))
+    counts = _autocorrelation(_Unpacked(f, signs=False))
     lam = int(counts[1])
     off = np.flatnonzero(counts[1:] != lam)
     if off.size:

@@ -8,7 +8,6 @@ for humans goes to stderr.  Exit codes: 0 success (or witness found),
 from __future__ import annotations
 
 import argparse
-import binascii
 import itertools
 import json
 import os
@@ -19,6 +18,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .bent import (
+    _hex_digits,
     _twin_table,
     is_bent,
     predicted_params,
@@ -130,17 +130,10 @@ def _bit_blocks(table, n):
 
 def _hex_blocks(table, n):
     """BoolFunc.hex() of the packed truth table on n bits as a JSON
-    string, "tt:<n>:" then the digits, highest entry first: the bytes
-    are hexlified last first, in blocks of 2 * _TABLE_BLOCK characters,
-    so the text is never whole."""
+    string, "tt:<n>:" then the digits in blocks of 2 * _TABLE_BLOCK
+    characters, so the text is never whole."""
     yield b'"tt:%d:' % n
-    if n < 3:
-        # hex() gives one digit, where a whole byte would give two
-        yield b"%x" % table[0]
-    else:
-        for end in range(table.size, 0, -_TABLE_BLOCK):
-            block = table[max(0, end - _TABLE_BLOCK) : end]
-            yield binascii.hexlify(block[::-1].tobytes())
+    yield from _hex_digits(table, n, _TABLE_BLOCK)
     yield b'"'
 
 

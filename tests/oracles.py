@@ -9,7 +9,8 @@ pair from signed-permutation products, common neighbours counted on
 packed adjacency rows, the search's constraint masks built pair by
 pair, swaps checked pair by pair, swaps listed by a recursive
 backtracking search in natural vertex order, and Delta_m's coset blocks
-read off one Walsh spike per coset.
+read off one Walsh spike per coset.  The transform's input, which ctwin
+unpacks a slab at a time, is unpacked here whole, as an array.
 They are quadratic where ctwin is spectral, and the search visits
 millions of nodes at m = 3 where ctwin's enumeration visits 75k, so
 tests use them at small sizes.
@@ -61,6 +62,19 @@ def edge_list(graph, colour):
     return [
         (a, b) for a in range(v) for b in range(a + 1, v) if graph.kappa[a ^ b] == colour
     ]
+
+
+def unpacked(f):
+    """f's whole truth table at once, as a uint8 0/1 array."""
+    return np.unpackbits(np.frombuffer(f.packed, np.uint8), count=f.size, bitorder="little")
+
+
+def signs(f):
+    """(-1)^f as a whole int8 array, made in place in the unpacked table."""
+    a = unpacked(f).view(np.int8)
+    a *= -2
+    a += 1
+    return a
 
 
 def fwht(values):

@@ -143,7 +143,7 @@ def test_property_suites():
         size = 1 << n
         vec = [rng.randrange(-20, 20) for _ in range(size)]
         assert fwht(fwht(vec)) == [size * x for x in vec]
-        f = BoolFunc(n, rng.randrange(1 << size))
+        f = BoolFunc.from_bits(n, rng.randrange(1 << size))
         assert sum(w * w for w in walsh_transform(f)) == size * size
 
     # dual involution and complement commutation for the twins, m <= 4

@@ -137,7 +137,7 @@ def test_index_range_checks():
 # --- transform ---------------------------------------------------------------
 
 def test_walsh_constant_function():
-    f = BoolFunc(2, 0)
+    f = BoolFunc.from_bits(2, 0)
     assert walsh_transform(f) == [4, 0, 0, 0]
 
 
@@ -151,13 +151,13 @@ def test_walsh_matches_dense_small():
         for bits in [0, (1 << (1 << n)) - 1] + [
             rng.randrange(1 << (1 << n)) for _ in range(6)
         ]:
-            f = BoolFunc(n, bits)
+            f = BoolFunc.from_bits(n, bits)
             assert walsh_transform(f) == dense_wht(signed(f))
 
 
 def test_walsh_matches_dense_random_n10():
     rng = random.Random(9)
-    f = BoolFunc(10, rng.randrange(1 << 1024))
+    f = BoolFunc.from_bits(10, rng.randrange(1 << 1024))
     assert walsh_transform(f) == dense_wht(signed(f))
 
 
@@ -167,7 +167,7 @@ def test_fwht_involution_and_parseval():
         size = 1 << n
         vec = [rng.randrange(-50, 50) for _ in range(size)]
         assert fwht(fwht(vec)) == [size * x for x in vec]
-        f = BoolFunc(n, rng.randrange(1 << size))
+        f = BoolFunc.from_bits(n, rng.randrange(1 << size))
         spec = walsh_transform(f)
         assert sum(w * w for w in spec) == size * size
 
@@ -265,13 +265,13 @@ def test_spectral_functions_match_oracle():
     rng = random.Random(37)
     for n in range(2, 13):
         size = 1 << n
-        tables = [BoolFunc(n, rng.randrange(1 << size))]
+        tables = [BoolFunc.from_bits(n, rng.randrange(1 << size))]
         if n % 2 == 0:
             # a twin plus a linear function is bent; one flipped entry is not
             u = rng.randrange(size)
             linear = BoolFunc.from_values(n, [(u & x).bit_count() & 1 for x in range(size)])
             twin = (sigma_function if n % 4 else tau_function)(n // 2) ^ linear
-            tables += [twin, BoolFunc(n, twin.bits ^ (1 << rng.randrange(size)))]
+            tables += [twin, BoolFunc.from_bits(n, twin.bits ^ (1 << rng.randrange(size)))]
         for f in tables:
             assert walsh_transform(f) == oracles.walsh_transform(f)
             assert is_bent(f) == oracles.is_bent(f)
@@ -283,6 +283,55 @@ def test_spectral_functions_match_oracle():
                 assert str(got.value) == str(e)
             else:
                 assert dual(f) == want
+
+
+def _kernel_inputs(n, rng):
+    """Random, constant and one-entry tables on n bits, the twins at even
+    n, and at even n a twin plus a linear function (bent) and the same
+    with one entry flipped (not bent)."""
+    size = 1 << n
+    funcs = [BoolFunc.from_bits(n, rng.randrange(1 << size)) for _ in range(2)]
+    funcs += [BoolFunc.from_bits(n, 0), BoolFunc.from_bits(n, (1 << size) - 1)]
+    funcs.append(BoolFunc.from_bits(n, 1 << rng.randrange(size)))
+    if n % 2 == 0:
+        u = rng.randrange(size)
+        linear = BoolFunc.from_values(n, [(u & x).bit_count() & 1 for x in range(size)])
+        twin = tau_function(n // 2) ^ linear
+        flipped = BoolFunc.from_bits(n, twin.bits ^ (1 << rng.randrange(size)))
+        funcs += [sigma_function(n // 2), tau_function(n // 2), twin, flipped]
+    return funcs
+
+
+def test_streamed_kernel_matches_whole_array_route():
+    # the kernel unpacks a packed table slab by slab; the whole-array
+    # route unpacks it at once and passes (-1)^f or f as an array.  Every
+    # n from 1 to 16 covers rows shorter than a byte (n < 5), odd n's
+    # copying second stage and even n's in-place one
+    rng = random.Random(47)
+    for n in range(1, 17):
+        for f in _kernel_inputs(n, rng):
+            for modular in (False, True):
+                want = bent._fwht(oracles.signs(f), 1, modular=modular)
+                got = bent._fwht(bent._Unpacked(f, signs=True), 1, modular=modular)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, modular)
+            want = bent._autocorrelation(oracles.unpacked(f))
+            got = bent._autocorrelation(bent._Unpacked(f, signs=False))
+            assert got.dtype == want.dtype and np.array_equal(got, want), n
+
+
+def test_streamed_duals_match_whole_array_route():
+    # dual reads its signs off the streamed residues; the whole-array
+    # route reads them off the exact spectrum
+    rng = random.Random(53)
+    for n in range(2, 17, 2):
+        for f in _kernel_inputs(n, rng):
+            spectrum = bent._fwht(oracles.signs(f), 1)
+            if (np.abs(spectrum) == 1 << (n // 2)).all():
+                negative = np.packbits(spectrum < 0, bitorder="little").tobytes()
+                assert dual(f) == BoolFunc(n, negative), n
+            else:
+                with pytest.raises(ValueError, match="not bent"):
+                    dual(f)
 
 
 def test_fwht_rejects_bad_lengths():
@@ -310,8 +359,8 @@ def test_twins_are_bent():
 
 
 def test_non_bent_cases():
-    assert not is_bent(BoolFunc(2, 0))
-    assert not is_bent(BoolFunc(3, 0b01010101))  # odd arity
+    assert not is_bent(BoolFunc.from_bits(2, 0))
+    assert not is_bent(BoolFunc.from_bits(3, 0b01010101))  # odd arity
 
 
 def test_residues_of_an_unbent_spectrum_can_match():
@@ -319,7 +368,7 @@ def test_residues_of_an_unbent_spectrum_can_match():
     # which is 2^9 modulo 2^16; Parseval makes some other residue differ,
     # and dual names the first exact entry of the wrong magnitude
     weight = ((1 << 18) - 66048) // 2
-    f = BoolFunc(18, (1 << weight) - 1)
+    f = BoolFunc.from_bits(18, (1 << weight) - 1)
     assert walsh_transform(f)[0] == 66048 == (1 << 16) + (1 << 9)
     assert not is_bent(f)
     with pytest.raises(ValueError) as got:
@@ -335,7 +384,7 @@ def test_bent_functions_on_four_variables():
     bent_mask = (np.abs(spectra) == 4).all(axis=1)
     assert bent_mask.sum() == 896
     for b in range(1 << 16):
-        f = BoolFunc(4, b)
+        f = BoolFunc.from_bits(4, b)
         assert is_bent(f) == bent_mask[b], b
         if bent_mask[b]:
             negative = spectra[b] < 0
@@ -356,9 +405,9 @@ def test_dual_involution_and_complement():
 
 def test_dual_rejects_non_bent():
     with pytest.raises(ValueError, match="not bent"):
-        dual(BoolFunc(2, 0))
+        dual(BoolFunc.from_bits(2, 0))
     with pytest.raises(ValueError, match="odd arity"):
-        dual(BoolFunc(3, 1))
+        dual(BoolFunc.from_bits(3, 1))
 
 
 # --- composition -------------------------------------------------------------
@@ -374,12 +423,22 @@ def test_compose_dual_sum_is_all_ones():
     assert acc.bits == (1 << acc.size) - 1
 
 
+def test_compose_builds_the_next_twins():
+    # the quadrant rules sigma_{m+1} = (s, ~s, s, s) and tau_{m+1} =
+    # (t, s, ~s, t), whose duals XOR to 1, from quadrants of one digit
+    # (m = 1) up to 2^14 entries
+    for m in range(1, 8):
+        s, t = sigma_function(m), tau_function(m)
+        assert tokareva_compose(s, s.complement(), s, s) == sigma_function(m + 1), m
+        assert tokareva_compose(t, s, s.complement(), t) == tau_function(m + 1), m
+
+
 def test_compose_rejects_bad_inputs():
     s1, s2 = sigma_function(1), sigma_function(2)
     with pytest.raises(ValueError, match="arity mismatch"):
         tokareva_compose(s1, s1, s1, s2)
     with pytest.raises(ValueError, match="not bent"):
-        tokareva_compose(s1, s1, s1, BoolFunc(2, 0))
+        tokareva_compose(s1, s1, s1, BoolFunc.from_bits(2, 0))
     with pytest.raises(ValueError, match="dual-sum"):
         tokareva_compose(s1, s1, s1, s1)
 
@@ -410,9 +469,9 @@ def test_difference_set_rejects_non_example():
 
 def test_difference_set_preconditions():
     with pytest.raises(ValueError, match="empty"):
-        verify_difference_set(BoolFunc(2, 0))
+        verify_difference_set(BoolFunc.from_bits(2, 0))
     with pytest.raises(ValueError, match="whole group"):
-        verify_difference_set(BoolFunc(2, 0b1111))
+        verify_difference_set(BoolFunc.from_bits(2, 0b1111))
 
 
 def test_predicted_params_values():
@@ -432,15 +491,45 @@ def test_hex_roundtrip():
     assert sigma_function(1).hex() == "tt:2:2"
     assert tau_function(1).hex() == "tt:2:4"
     rng = random.Random(21)
-    for n in (1, 2, 5, 8):
-        f = BoolFunc(n, rng.randrange(1 << (1 << n)))
-        assert BoolFunc.from_hex(f.hex()) == f
+    for n in range(1, 13):
+        size = 1 << n
+        for bits in (0, (1 << size) - 1, 1, 1 << (size - 1), rng.randrange(1 << size)):
+            f = BoolFunc.from_bits(n, bits)
+            assert f.hex() == f"tt:{n}:{bits:0{(size + 3) // 4}x}", (n, bits)
+            assert BoolFunc.from_hex(f.hex()) == f, (n, bits)
 
 
 def test_hex_rejects_malformed():
-    for bad in ("tt:2:100", "tt:2", "f:2:2", "tt:2:Z", "tt:0:1"):
+    for bad in ("tt:2:100", "tt:2", "f:2:2", "tt:2:Z", "tt:0:1", "tt:1:4", "tt:3:000"):
         with pytest.raises(ValueError):
             BoolFunc.from_hex(bad)
+
+
+def test_packed_table_invariants():
+    # value semantics on the packed bytes; an int is no table, and no
+    # bit may sit past the last entry of a one-byte table
+    assert BoolFunc(3, b"\x96") == BoolFunc.from_bits(3, 0x96)
+    assert len({BoolFunc(3, b"\x96"), BoolFunc.from_bits(3, 0x96)}) == 1
+    with pytest.raises(TypeError):
+        BoolFunc(2, 0)
+    for n, packed in [(2, b"\x10"), (1, b"\x04"), (3, b"\x00\x00"), (4, b"\x00"), (0, b"\x00")]:
+        with pytest.raises(ValueError):
+            BoolFunc(n, packed)
+    with pytest.raises(ValueError, match="does not fit"):
+        BoolFunc.from_bits(2, 16)
+    rng = random.Random(59)
+    for n in range(1, 11):
+        size = 1 << n
+        bits, other = rng.randrange(1 << size), rng.randrange(1 << size)
+        f, g = BoolFunc.from_bits(n, bits), BoolFunc.from_bits(n, other)
+        assert f.bits == bits and len(f.packed) == max(1, size // 8)
+        assert f.table() == [bits >> i & 1 for i in range(size)]
+        assert [f(i) for i in range(size)] == f.table()
+        assert f.weight() == bits.bit_count()
+        assert f.support() == tuple(i for i in range(size) if bits >> i & 1)
+        assert f.complement().bits == bits ^ ((1 << size) - 1)
+        assert (f ^ g).bits == bits ^ other
+        assert BoolFunc.from_values(n, f.table()) == f
 
 
 def test_spectrum_is_json_serializable():

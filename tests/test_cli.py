@@ -116,10 +116,22 @@ def test_table_text_matches_big_int_oracle(capsys, m):
     # hex is BoolFunc.hex() and bits the int's binary digits reversed,
     # both of the big-int tables
     for function, bits in zip(("sigma", "tau"), oracles.twin_bits(m)):
-        f = BoolFunc(2 * m, bits)
+        f = BoolFunc.from_bits(2 * m, bits)
         for fmt, text in (("hex", f.hex()), ("bits", format(bits, f"0{f.size}b")[::-1])):
             _, report = run_cli(capsys, "table", "--m", str(m), "--function", function, "--format", fmt)
             assert report["result"]["table"] == text, (function, fmt)
+
+
+@pytest.mark.parametrize("function", ["sigma", "tau"])
+def test_boolfunc_hex_is_the_table_payload(capsys, function):
+    # one hex rule for BoolFunc.hex() and `table`, and both are the
+    # big-int oracle's digits, zero-padded to one digit per four entries
+    make = sigma_function if function == "sigma" else tau_function
+    for m in range(1, 9):
+        _, report = run_cli(capsys, "table", "--m", str(m), "--function", function)
+        bits = oracles.twin_bits(m)[function == "tau"]
+        digits = f"{bits:0{max(1, 1 << (2 * m - 2))}x}"
+        assert make(m).hex() == report["result"]["table"] == f"tt:{2 * m}:{digits}", m
 
 
 def test_table_bits_at_guard_limit_within_budget(tmp_path):
@@ -175,13 +187,13 @@ def test_bent_sigma5(capsys):
 
 
 def test_bent_at_guard_limit_within_budget(tmp_path):
-    # m = 12 is the bent guard's largest m: 10 s and 120 MB
+    # m = 12 is the bent guard's largest m: 10 s and 80 MB
     code, report, rss = run_budgeted(
         tmp_path, ["bent", "--m", "12", "--function", "tau"], 10.0
     )
     assert code == 0
     assert report["result"] == {"bent": True, "magnitude": 4096}
-    assert rss < 120.0, f"bent --m 12 peaked at {rss:.0f} MB, budget 120 MB"
+    assert rss < 80.0, f"bent --m 12 peaked at {rss:.0f} MB, budget 80 MB"
 
 
 def test_table_at_guard_limit_within_budget(tmp_path):

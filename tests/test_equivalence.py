@@ -61,13 +61,13 @@ def relabel(values, rows):
 def difference_sets(rng, n):
     """Random tables, f o A relabellings of the twins, and non-examples."""
     v = 1 << n
-    funcs = [BoolFunc(n, rng.randrange(1 << v)) for _ in range(4)]
-    funcs += [BoolFunc(n, 0), BoolFunc(n, (1 << v) - 1), BoolFunc(n, 1), BoolFunc(n, 0b11)]
+    funcs = [BoolFunc.from_bits(n, rng.randrange(1 << v)) for _ in range(4)]
+    funcs += [BoolFunc.from_bits(n, 0), BoolFunc.from_bits(n, (1 << v) - 1), BoolFunc.from_bits(n, 1), BoolFunc.from_bits(n, 0b11)]
     if n % 2 == 0:
         for twin in (sigma_function(n // 2), tau_function(n // 2)):
             g = BoolFunc.from_values(n, relabel(twin.table(), random_invertible(rng, n)))
             assert verify_difference_set(g) == predicted_params(n // 2)
-            funcs += [g, g.complement(), BoolFunc(n, g.bits ^ (1 << rng.randrange(v)))]
+            funcs += [g, g.complement(), BoolFunc.from_bits(n, g.bits ^ (1 << rng.randrange(v)))]
     return funcs
 
 
@@ -79,10 +79,10 @@ def colour_graphs(rng, n):
         for _ in range(3)
     ]
     graphs += [
-        cayley_graph(BoolFunc(n, rng.randrange(1 << v) & ~1)),
+        cayley_graph(BoolFunc.from_bits(n, rng.randrange(1 << v) & ~1)),
         DifferenceGraph(n, (0,) * v),
         DifferenceGraph(n, (0,) + (1,) * (v - 1)),
-        cayley_graph(BoolFunc(n, 0b110 | 1 << (v - 1))),  # mu in {0, 2} at n = 3
+        cayley_graph(BoolFunc.from_bits(n, 0b110 | 1 << (v - 1))),  # mu in {0, 2} at n = 3
     ]
     if n % 2 == 0:
         kappa = relabel(build_delta(n // 2).kappa, random_invertible(rng, n))

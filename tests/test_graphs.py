@@ -148,7 +148,7 @@ def test_cayley_sigma1_is_red_subgraph():
 
 
 def test_cayley_empty_function():
-    g = cayley_graph(BoolFunc(2, 0))
+    g = cayley_graph(BoolFunc.from_bits(2, 0))
     assert g.edges(BLUE) == []
 
 
@@ -158,7 +158,7 @@ def test_cayley_tau2_edge_count():
 
 def test_cayley_rejects_loops():
     with pytest.raises(ValueError, match="loops"):
-        cayley_graph(BoolFunc(2, 0b0001))
+        cayley_graph(BoolFunc.from_bits(2, 0b0001))
 
 
 def test_srg_delta2_both_colours():
@@ -212,7 +212,7 @@ def test_srg_rejects_nonconstant_mu():
 
 def test_srg_rejects_empty_colour():
     with pytest.raises(ValueError, match="empty"):
-        verify_srg(cayley_graph(BoolFunc(2, 0)), BLUE)
+        verify_srg(cayley_graph(BoolFunc.from_bits(2, 0)), BLUE)
 
 
 def test_common_neighbour_counts_translation_invariant():
@@ -236,7 +236,7 @@ def test_graph6_delta1_red():
 
 
 def test_graph6_empty_graph():
-    assert to_graph6(cayley_graph(BoolFunc(2, 0)), BLUE) == b"C?"
+    assert to_graph6(cayley_graph(BoolFunc.from_bits(2, 0)), BLUE) == b"C?"
 
 
 def test_graph6_roundtrip(monkeypatch):

@@ -176,7 +176,10 @@ def test_tables_match_oracle(m):
 
 
 # (m, order, node_budget) -> (status, nodes, max_depth); a change to the
-# engine may make nodes cheaper but must not move these
+# engine may make nodes cheaper but must not move these.  A row with no
+# budget of its own runs under twice its pinned count: a budget the walk
+# never reaches leaves its outcome as it is, and a walk that branches
+# badly fails in seconds instead of running for minutes
 GOLDEN = {
     (1, "mcv", None): ("found", 4, 4),
     (2, "mcv", None): ("found", 16, 16),
@@ -188,7 +191,8 @@ GOLDEN = {
 @pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: f"m{k[0]}-{k[1]}-{k[2]}")
 def test_golden_node_counts(key):
     m, order, budget = key
-    out = search_swap(m, order=order, node_budget=budget)
+    cap = 2 * GOLDEN[key][1] if budget is None else budget
+    out = search_swap(m, order=order, node_budget=cap)
     assert (out.status.value, out.nodes, out.max_depth) == GOLDEN[key]
 
 
@@ -205,19 +209,19 @@ def _is_automorphism(m, alpha):
 @pytest.mark.parametrize("m, count", [(2, 12), (3, 1344)])
 def test_aut0_as_large_as_swaps_fixing_zero(m, count):
     # Aut_0: the colour-preserving automorphisms that fix vertex 0
-    auts = swap._enumerate(m, +1)
-    assert len(auts) == count == len(swap._enumerate(m, -1))
+    auts = exhaustive(m, +1)
+    assert len(auts) == count == len(exhaustive(m, -1))
     assert auts[0] == tuple(range(1 << (2 * m)))
 
 
 @pytest.mark.parametrize("sign", [-1, +1])
 def test_natural_walk_lists_every_map_m2(sign):
     # the walk's whole tree, sorted, is the recursive oracle's lexicographic list
-    assert swap._enumerate(2, sign) == list(oracles.natural_search(2, sign)[0])
+    assert exhaustive(2, sign) == list(oracles.natural_search(2, sign)[0])
 
 
 def test_aut0_matches_oracle_m2():
-    auts = swap._enumerate(2, +1)
+    auts = exhaustive(2, +1)
     gen, _ = oracles.natural_search(2, sign=+1)
     assert auts == list(gen)
     assert all(_is_automorphism(2, alpha) for alpha in auts)
@@ -225,7 +229,7 @@ def test_aut0_matches_oracle_m2():
 
 def test_swaps_form_a_coset_of_aut0_m2():
     swaps = {w.phi for w in search_all(2, 1000)}
-    auts = swap._enumerate(2, +1)
+    auts = exhaustive(2, +1)
     for phi in swaps:
         composed = {tuple(phi[a] for a in alpha) for alpha in auts}
         assert composed == swaps
@@ -299,10 +303,23 @@ def test_mcv_order_same_status():
 # --- the coset blocks ---------------------------------------------------------
 
 
+# nodes of a whole walk over the maps fixing 0, the same for either
+# sign: (unrestricted, fixing every coset)
+WALK_NODES = {1: (4, 4), 2: (160, 31), 3: (74642, 501)}
+
+
 @functools.lru_cache(maxsize=None)
-def exhaustive(m, sign):
-    """Every map fixing 0 for the sign, from the unrestricted engine."""
-    return swap._enumerate(m, sign)
+def exhaustive(m, sign, fixing=False):
+    """Every map fixing 0 for the sign, sorted, from one walk of the
+    engine, unrestricted or fixing every coset.  The walk runs under a
+    node budget of twice its pinned count, so that a walk that branches
+    badly fails in seconds instead of running for minutes."""
+    maps = []
+    domains = _fixing_every_coset(m) if fixing else None
+    pinned = WALK_NODES[m][fixing]
+    status, nodes, _ = swap._walk(m, sign, maps.append, 2 * pinned, domains)
+    assert (status, nodes) == (SearchStatus.EXHAUSTED, pinned), (m, sign, fixing)
+    return sorted(maps)
 
 
 def _fixing_every_coset(m):
@@ -382,7 +399,7 @@ def test_spike_oracle_reads_the_closed_form(m):
 @pytest.mark.parametrize("sign", [-1, +1])
 @pytest.mark.parametrize("m, count", [(1, 1), (2, 12), (3, 1344)])
 def test_coset_fixing_counts_times_gl_order(m, count, sign):
-    restricted = swap._enumerate(m, sign, _fixing_every_coset(m))
+    restricted = exhaustive(m, sign, fixing=True)
     assert len(restricted) * swap._gl_order(m) == len(exhaustive(m, sign)) == count
 
 
@@ -395,7 +412,7 @@ def test_natural_order_honours_domain_masks(m, sign):
     fixing = [
         phi for phi in exhaustive(m, sign) if all(domains[a] >> y & 1 for a, y in enumerate(phi))
     ]
-    assert swap._enumerate(m, sign, domains) == fixing
+    assert exhaustive(m, sign, fixing=True) == fixing
     assert len(fixing) == {2: 2, 3: 8}[m]
 
 
