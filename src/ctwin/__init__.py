@@ -4,7 +4,7 @@ The package builds the signed monomial basis of Rep(R_{m,m}), the twin
 bent functions sigma_m and tau_m on 2m bits, verifies their Hadamard
 difference-set and strongly-regular-graph consequences, and searches for
 a red/blue colour-swapping automorphism of the two-colour difference
-graph Delta_m, on its coset blocks or over the whole tree.
+graph Delta_m on its coset blocks.
 """
 
 from .algebra import (
@@ -59,7 +59,6 @@ from .swap import (
     SwapMap,
     normalize,
     search_all,
-    search_blocks,
     search_swap,
     verify_swap,
 )

@@ -37,7 +37,7 @@ from .graphs import (
     predicted_srg_params,
     verify_srg,
 )
-from .swap import _SEARCH_MAX_M, SearchStatus, search_all, search_blocks
+from .swap import _SEARCH_MAX_M, SearchStatus, search_all, search_swap
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -198,7 +198,7 @@ def _cmd_search(args):
             "count": len(witnesses),
         }
         return result, EXIT_OK if witnesses else EXIT_EXHAUSTED
-    outcome = search_blocks(args.m, node_budget=args.node_budget)
+    outcome = search_swap(args.m, node_budget=args.node_budget)
     if outcome.status is SearchStatus.FOUND:
         return {"m": args.m, "phi": list(outcome.witness.phi)}, EXIT_OK
     result = {"m": args.m, "status": outcome.status.value, "nodes": outcome.nodes}

@@ -1,25 +1,19 @@
-"""Colour-swapping permutations of Delta_m: verification, one
-backtracking engine, and the coset-block search that settles each m.
+"""Colour-swapping permutations of Delta_m: verification, and the search
+on the coset blocks that settles each m.
 
 A swap is a vertex permutation phi with kappa[phi[a] ^ phi[b]] =
 -kappa[a ^ b] for all a, b: it sends red edges to blue ones, blue to red,
 and non-edges to non-edges.  Every search pins phi[0] = 0 (XOR by a
-constant keeps every pair difference, so the pin loses no generality);
-candidates are drawn in ascending order, which makes every run
-deterministic.
+constant keeps every pair difference, so the pin loses no generality),
+and every run is deterministic.
 
-The engine (`_walk`) keeps per-vertex domains as bitmasks, narrowed by
-one big-int AND per constraint added, and branches fail-first: on the
-unassigned vertex with the fewest candidates (min-domain order, "mcv").
-An optional list of per-vertex domain masks is ANDed into every vertex's
-starting domain.
-
-`search_swap` is the library's assumption-free search: one walk over the
-whole tree, which at m = 4 takes hours.  `search_blocks` (the CLI's
-`search`) and `search_all` use the coset blocks of Delta_m instead, and
-check at run time every hypothesis the reduction below needs, raising
-RuntimeError when one fails.  The searches stop at m = 5: their
-constraint tables hold 16^m entries.
+`search_swap` (the CLI's `search`) and `search_all` work on the coset
+blocks of Delta_m and check at run time every hypothesis the reduction
+below needs, raising RuntimeError when one fails.  By the reduction the
+swaps that fix every coset are the solutions of a linear system over
+GF(2), one equation per pair of cosets, and `_solve` row-reduces it; no
+search tree is walked.  The searches stop at m = 5: the checks of a
+witness and of the lifts over every pair build v x v arrays.
 
 The reduction.  Let phi fix 0 and satisfy kappa[phi a ^ phi b] =
 s * kappa[a ^ b] with s = -1 (a swap) or +1 (an automorphism).  For
@@ -60,20 +54,45 @@ cell reps[i] ^ D[x], and the cells of coset i are reps[i] + D.
     phi_S rotates every vertex's base-4 digits one place, reps[i] ^ D[x]
     -> reps[S i] ^ D[S x].  wt(S i) = wt(i) and (S i).(S x) = i.x, so
     the sign (-1)^(wt(i) + i.x) is kept.
-    phi_T sends reps[i] ^ D[x] -> reps[T i] ^ D[N x ^ t_i], with N x =
-    x ^ x_0 e_1 = (T^t)^-1 x and t_i = i_1 e_1.  wt(T i) = wt(i) + i_1
-    mod 2, (T i).(N x) = i.x and (T i).t_i = i_1, so the exponent moves
+    phi_T sends reps[i] ^ D[x] -> reps[T i] ^ D[N x ^ b_i], with N x =
+    x ^ x_0 e_1 = (T^t)^-1 x and b_i = i_1 e_1.  wt(T i) = wt(i) + i_1
+    mod 2, (T i).(N x) = i.x and (T i).b_i = i_1, so the exponent moves
     by 2 i_1 and the sign is kept.
     Both are built in closed form, checked over all pairs and checked to
     send coset i to coset T i or S i.  For a swap psi fixing 0 pick
     alpha in Aut_0 with M_alpha = M_psi: psi o alpha^-1 is a swap with
     pi = id.  So a swap exists iff one exists that fixes every coset,
-    and one min-domain walk with every vertex held to its own coset
-    decides it.  The kernel K (the pi = id automorphisms) and the lifts
-    generate Aut_0, of order |K| * |GL(m, 2)|, and the swaps fixing 0
-    are the coset psi o Aut_0.
+    and step (vi) decides that.  The kernel K (the pi = id automorphisms)
+    and the lifts generate Aut_0, of order |K| * |GL(m, 2)|, and the
+    swaps fixing 0 are the coset psi o Aut_0.
+(vi) A phi with pi = id sends reps[i] ^ D[x] to reps[i] ^ D[f_i(x)],
+    with f_i a permutation of GF(2)^m and f_0(0) = 0.  reps and D are
+    XOR-linear, so for i != j the cells (i, x) and (j, y) differ by
+    reps[i ^ j] ^ D[x ^ y], of colour (-1)^(wt(i ^ j) + (i ^ j).(x ^ y))
+    by (i).  Write rhs = 1 for s = -1 and rhs = 0 for s = +1.  The wt
+    terms cancel, and phi keeps the rule on that pair iff
+        (i ^ j).(f_i(x) ^ x) + (i ^ j).(f_j(y) ^ y) = rhs.
+    The pairs (0, i) with y = 0 give i.(f_i(x) ^ x) = rhs for every x,
+    and then i.(f_0(y) ^ y) = 0 for every i != 0 and every y: phi is
+    the identity on D.  The pairs (i, j) then hold (i ^ j).(f_i(x) ^ x)
+    constant in x, and every u != 0 is i ^ j for j = i ^ u, so f_i(x) ^
+    x is a constant t_i: f_i is the translation by t_i, with t_0 = 0.
+    Conversely every such t gives a map with pi = id; it keeps kappa = 0
+    inside each coset, since D[x ^ t_i] ^ D[y ^ t_i] = D[x ^ y], and it
+    keeps the rule on every other pair iff
+        (i ^ j).(t_i ^ t_j) = rhs   for every pair i < j of cosets.
+    So the pi = id swaps (rhs 1) and K (rhs 0) are the solutions of
+    2^(m-1) (2^m - 1) equations in the m (2^m - 1) bits of t_1, ...,
+    t_(2^m - 1).  For m >= 4 the swap system has none.  Let A =
+    span(e_0, e_1), B = span(e_2, e_3) and take the 15 pairs {a, b}
+    with a in A, b in B and (a, b) != (0, 0).  In their sum the
+    coefficient of t_a is the sum of a ^ b over b in B, that of t_b the
+    sum of a ^ b over a in A, and both are 0; the right sides sum to
+    15 = 1.  So the sum reads 0 = 1.
 
-At m = 4 the pi = id walk runs out in 169 nodes, and at m = 5 in 1681.
+`_solve` reduces the pairs in (i, j) order and meets 0 = 1 at m = 4
+after 51 of the 120 equations and at m = 5 after 99 of the 496; at both
+(and at every m up to 8) the equations it combines are exactly these 15.
 """
 
 from __future__ import annotations
@@ -113,13 +132,12 @@ class SwapMap:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """A search's verdict.  An EXHAUSTED `search_blocks` run carries its
-    certificate: {"lifts": [phi_T, phi_S]}."""
+    """A search's verdict.  An EXHAUSTED run carries its certificate:
+    {"refutation": [(i, j), ...], "lifts": [phi_T, phi_S]}."""
 
     status: SearchStatus
     witness: SwapMap | None
     nodes: int
-    max_depth: int
     elapsed: float
     certificate: dict | None = None
 
@@ -128,27 +146,6 @@ class SearchOutcome:
 def _kappa(m):
     """kappa of Delta_m as an int8 array."""
     return _delta_kappa(m)
-
-
-@lru_cache(maxsize=None)
-def _tables(m: int):
-    """kappa of Delta_m plus, per colour, the image-constraint bitmasks.
-
-    masks[t + 1][y] packs every x != y with kappa[x ^ y] = t, so the
-    image of a new vertex constrained against an assigned image y is one
-    AND away, and that AND also rules out y itself.
-    """
-    kappa = _kappa(m)
-    idx = np.arange(kappa.size)
-    diff = kappa[np.bitwise_xor.outer(idx, idx)]
-    masks = []
-    for t in (-1, 0, 1):
-        rows = diff == t
-        if t == 0:
-            rows[idx, idx] = False
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        masks.append([int.from_bytes(row.tobytes(), "little") for row in packed])
-    return tuple(kappa.tolist()), masks
 
 
 def _keeps(m, phi, sign):
@@ -181,93 +178,9 @@ def normalize(swap: SwapMap) -> SwapMap:
     return SwapMap(swap.m, tuple(p ^ t for p in swap.phi))
 
 
-def _min_domain_frame(verts, doms):
-    """Frame branching on the first of `verts` with the fewest candidates,
-    or None when some domain is empty."""
-    sizes = [d.bit_count() for d in doms]
-    k = min(sizes)
-    if not k:
-        return None
-    i = sizes.index(k)
-    return [verts[i], doms[i], (verts[:i] + verts[i + 1 :], doms[:i] + doms[i + 1 :])]
-
-
-def _walk(m, sign, visit, node_budget=None, domains=None):
-    """Depth-first min-domain walk over the assignments with phi[0] = 0.
-
-    One explicit stack of frames [vertex, candidates left, (other
-    unassigned vertices, their domains)]; a frame branches on the first
-    unassigned vertex of smallest domain, and each assignment narrows the
-    other domains by one AND.  A node is counted when a candidate is
-    assigned, and the pinned vertex 0 is the first node.  sign = -1 asks
-    for kappa[phi[a] ^ phi[b]] = -kappa[a ^ b] (swaps), sign = +1 for
-    equality (colour-preserving automorphisms).  Every vertex's domain
-    starts as its constraints under vertex 0, ANDed with domains[a] when
-    the per-vertex masks are given.
-
-    visit(phi) is called at each complete assignment; the walk stops
-    with FOUND when it returns true.  Returns (status, nodes, max_depth):
-    INCONCLUSIVE when the node budget trips, EXHAUSTED when the tree runs
-    out.
-    """
-    kappa, masks = _tables(m)
-    v = len(kappa)
-    # cons[a ^ b][phi[b]] = the images vertex a may take given phi[b]
-    cons = [masks[1 + sign * k] for k in kappa]
-    phi = [0] + [None] * (v - 1)
-    verts = list(range(1, v))
-    doms = [cons[a][0] for a in verts]
-    if domains is not None:
-        doms = [d & domains[a] for a, d in zip(verts, doms)]
-    nodes = max_depth = 1  # a node budget is >= 1, so the pin never trips it
-    root = _min_domain_frame(verts, doms)
-    stack = [root] if root else []
-    while stack:
-        frame = stack[-1]
-        cand = frame[1]
-        if not cand:
-            stack.pop()
-            continue
-        bit = cand & -cand
-        frame[1] = cand ^ bit
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            return SearchStatus.INCONCLUSIVE, nodes, max_depth
-        depth = 1 + len(stack)
-        if depth > max_depth:
-            max_depth = depth
-        x = frame[0]
-        c = bit.bit_length() - 1
-        phi[x] = c
-        if depth == v:
-            if visit(tuple(phi)):
-                return SearchStatus.FOUND, nodes, max_depth
-        else:
-            rest, rest_doms = frame[2]
-            child = _min_domain_frame(
-                rest, [d & cons[a ^ x][c] for a, d in zip(rest, rest_doms)]
-            )
-            if child:
-                stack.append(child)
-    return SearchStatus.EXHAUSTED, nodes, max_depth
-
-
-def _first(m, sign, node_budget=None, domains=None):
-    """One walk that stops at its first complete assignment:
-    (status, phi or None, nodes, max_depth)."""
-    found = []
-
-    def keep_first(phi):
-        found.append(phi)
-        return True
-
-    status, nodes, max_depth = _walk(m, sign, keep_first, node_budget, domains)
-    return status, found[0] if found else None, nodes, max_depth
-
-
 def _check_search(m, node_budget):
     """ValueError for an m or node budget the searches do not take, raised
-    before any table is built."""
+    before kappa is built."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > _SEARCH_MAX_M:
@@ -276,50 +189,18 @@ def _check_search(m, node_budget):
         raise ValueError("node budget must be >= 1")
 
 
-def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -> SearchOutcome:
-    """Find a colour-swapping permutation of Delta_m or exhaust the tree.
-
-    One min-domain walk over the whole tree below the pinned vertex 0,
-    with no reduction; the witness, node count and max depth are
-    deterministic, and a witness goes through verify_swap.  Exceeding
-    node_budget yields INCONCLUSIVE, never EXHAUSTED.  Guarded to m <= 5.
-    order accepts only "mcv"; the keyword remains only so that existing
-    callers keep working.
-    """
-    _check_search(m, node_budget)
-    if order != "mcv":
-        raise ValueError(f"unknown assignment order {order!r}")
-    start = time.monotonic()
-    status, phi, nodes, max_depth = _first(m, -1, node_budget)
-    witness = None if phi is None else SwapMap(m, phi)
-    if witness is not None and not verify_swap(witness):
-        raise RuntimeError("search produced a map that fails verification")
-    return SearchOutcome(status, witness, nodes, max_depth, time.monotonic() - start)
-
-
-def _enumerate(m, sign, domains=None):
-    """Every assignment fixing vertex 0 that satisfies the sign's pair
-    rule (-1: swaps, +1: colour-preserving automorphisms) within the
-    domain masks, sorted."""
-    maps = []
-    _walk(m, sign, maps.append, domains=domains)
-    return sorted(maps)
-
-
 # --- the coset blocks ------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Blocks:
     """Delta_m's coset blocks in closed form, checked against kappa.
 
-    cells[i, x] = reps[i] ^ D[x] is the vertex x of coset i, coset[y] the
-    coset of vertex y, and domains[y] the bitmask of the vertices of
-    vertex y's own coset.
+    cells[i, x] = reps[i] ^ D[x] is the vertex x of coset i, and coset[y]
+    the coset of vertex y.
     """
 
     cells: np.ndarray
     coset: np.ndarray
-    domains: list[int]
 
 
 def _block_system(kappa) -> _Blocks:
@@ -344,9 +225,7 @@ def _block_system(kappa) -> _Blocks:
         raise RuntimeError(f"kappa disagrees with the blocks' closed form at vertex {wrong[0]}")
     coset = np.empty(kappa.size, dtype=x.dtype)
     coset[cells] = x[:, None]
-    packed = (np.packbits(coset == i, bitorder="little") for i in x)
-    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return _Blocks(cells, coset, [masks[i] for i in coset])
+    return _Blocks(cells, coset)
 
 
 @lru_cache(maxsize=None)
@@ -371,7 +250,7 @@ def _lifts(m):
         return ((u << 1) | (u >> (m - 1))) & (r - 1)
 
     lifts = []
-    # (i, x) -> (T i, N x ^ t_i) and (S i, S x); the mask drops e_1 at m = 1
+    # (i, x) -> (T i, N x ^ b_i) and (S i, S x); the mask drops e_1 at m = 1
     for name, to, at in (
         ("T", i ^ ((i >> 1) & 1), (x ^ ((x & 1) << 1) ^ (i & 2)) & (r - 1)),
         ("S", shift(i), shift(x)),
@@ -384,27 +263,98 @@ def _lifts(m):
     return lifts
 
 
-def search_blocks(m: int, *, node_budget: int | None = None) -> SearchOutcome:
+def _solve(m, rhs, node_budget=None):
+    """Row-reduce the pair equations (i ^ j).(t_i ^ t_j) = rhs of step
+    (vi) of the module docstring, for i < j in (i, j) order.
+
+    An equation is a big-int row: bit 0 holds its right side and bit
+    m c + k the unknown bit k of t_c (c >= 1; t_0 = 0 is no unknown), and
+    a row's top bit is its pivot.  Each row carries the bitmask of the
+    input equations combined into it.  Returns (status, nodes, result),
+    where nodes counts the equations reduced: FOUND with the echelon
+    basis {pivot: row}, EXHAUSTED with the pairs (i, j) whose equations
+    sum to 0 = 1, or INCONCLUSIVE with None when an equation is left
+    after node_budget.
+    """
+    r = 1 << m
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    basis = {}  # pivot -> (row, input equations)
+    for n, (i, j) in enumerate(pairs):
+        if n == node_budget:
+            return SearchStatus.INCONCLUSIVE, n + 1, None
+        row, eqs = (i ^ j) << (m * j) | rhs, 1 << n
+        if i:
+            row ^= (i ^ j) << (m * i)
+        top = row.bit_length() - 1
+        while top in basis:
+            row ^= basis[top][0]
+            eqs ^= basis[top][1]
+            top = row.bit_length() - 1
+        if top > 0:
+            basis[top] = (row, eqs)
+        elif row:  # 0 = 1
+            return SearchStatus.EXHAUSTED, n + 1, [pairs[k] for k in range(n + 1) if eqs >> k & 1]
+    return SearchStatus.FOUND, len(pairs), {top: row for top, (row, _) in basis.items()}
+
+
+def _solutions(m, basis):
+    """Every solution t = [t_0, ..., t_(2^m - 1)] of an echelon basis from
+    _solve, the one with every free unknown 0 first.  A row's bits other
+    than its pivot lie below it, so the pivots are set in ascending
+    order."""
+    r = 1 << m
+    free = [b for b in range(m, m * r) if b not in basis]
+    for choice in range(1 << len(free)):
+        x = 1  # bit 0 stands for the right side
+        for k, b in enumerate(free):
+            x |= (choice >> k & 1) << b
+        for top in sorted(basis):
+            x |= ((basis[top] & x).bit_count() & 1) << top
+        yield [0] + [x >> (m * c) & (r - 1) for c in range(1, r)]
+
+
+def _translations(cells, t):
+    """The pi = id map reps[i] ^ D[x] -> reps[i] ^ D[x ^ t[i]] on the
+    blocks' cells, as a tuple."""
+    x = np.arange(len(cells))
+    phi = np.empty(cells.size, dtype=cells.dtype)
+    phi[cells] = cells[x[:, None], x ^ np.array(t)[:, None]]
+    return tuple(phi.tolist())
+
+
+def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -> SearchOutcome:
     """Find a colour-swapping permutation of Delta_m, or certify that
     none exists, on the coset blocks (see the module docstring).
 
-    One min-domain walk looks for a swap that holds every vertex to its
-    own coset (pi = id); a witness still goes through verify_swap.  When
-    that walk runs out, the closed-form lifts of T and S are checked
-    before EXHAUSTED is returned, with the certificate {"lifts": [phi_T,
-    phi_S]}.  node_budget bounds the walk's nodes; exceeding it yields
-    INCONCLUSIVE.  Guarded to m <= 5.  RuntimeError if a checked
-    hypothesis fails.
+    The blocks' closed form is checked first; `_solve` then reduces the
+    pi = id system of step (vi), and nodes counts the pair equations
+    reduced.  A solvable system gives FOUND with the solution whose free
+    unknowns are all 0, which at m = 1, 2, 3 (the m with a swap) is the
+    lexicographically first swap with pi = id; it still goes through
+    verify_swap.  A refuted one gives EXHAUSTED once the closed-form
+    lifts of T and S pass their checks, with the certificate
+    {"refutation": [(i, j), ...], "lifts": [phi_T, phi_S]}.  Exceeding
+    node_budget yields INCONCLUSIVE with node_budget + 1 nodes.
+
+    The system has at most 496 equations and no choice of order: order
+    accepts only "mcv", and it and node_budget stay because the
+    benchmark's steps pass them.  Guarded to m <= 5.  RuntimeError if a
+    checked hypothesis fails.
     """
     _check_search(m, node_budget)
+    if order != "mcv":
+        raise ValueError(f"unknown assignment order {order!r}")
     start = time.monotonic()
-    status, phi, nodes, max_depth = _first(m, -1, node_budget, _blocks(m).domains)
-    certificate = {"lifts": _lifts(m)} if status is SearchStatus.EXHAUSTED else None
-    witness = None if phi is None else SwapMap(m, phi)
-    if witness is not None and not verify_swap(witness):
-        raise RuntimeError("search produced a map that fails verification")
-    elapsed = time.monotonic() - start
-    return SearchOutcome(status, witness, nodes, max_depth, elapsed, certificate)
+    cells = _blocks(m).cells
+    status, nodes, found = _solve(m, 1, node_budget)
+    witness = certificate = None
+    if status is SearchStatus.FOUND:
+        witness = SwapMap(m, _translations(cells, next(_solutions(m, found))))
+        if not verify_swap(witness):
+            raise RuntimeError("search produced a map that fails verification")
+    elif status is SearchStatus.EXHAUSTED:
+        certificate = {"refutation": found, "lifts": _lifts(m)}
+    return SearchOutcome(status, witness, nodes, time.monotonic() - start, certificate)
 
 
 def _closure(gens):
@@ -430,14 +380,17 @@ def _closure(gens):
 def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     """All normalized colour-swapping maps in lexicographic phi order,
     truncated at `limit`.  Guarded to m <= 2 unless force=True;
-    search_blocks, called before any other work, holds m to 1..5.
+    search_swap, called before any other work, holds m to 1..5.
 
     Built from the coset blocks: the swaps fixing 0 are psi o Aut_0, for
-    the first swap psi with pi = id.  Aut_0 is the closure of K, every
-    pi = id automorphism, and the lifts of T and S, checked to have
-    |K| * |GL(m, 2)| elements.  When there is no psi (m >= 4) the list
-    is empty and no closure is built.  `limit` truncates the full sorted
-    list; it does not shorten the work.
+    search_swap's witness psi.  Aut_0 is the closure of K and the lifts
+    of T and S, checked to have |K| * |GL(m, 2)| elements; K, every
+    pi = id automorphism, is the solution set of step (vi)'s system with
+    right side 0.  When there is no psi (m >= 4) the list is empty and
+    no closure is built.  `limit` truncates the full sorted list; it
+    does not shorten the work.  search_swap runs here with no node
+    budget and its one order: it keeps `order` and `node_budget` only
+    because the benchmark's steps pass them.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -445,10 +398,12 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
         raise ValueError(
             f"enumeration is guarded to m <= {_SEARCH_ALL_MAX_M}; pass force=True to override"
         )
-    psi = search_blocks(m).witness
+    psi = search_swap(m).witness
     if psi is None:
         return []
-    kernel = _enumerate(m, +1, _blocks(m).domains)
+    _, _, basis = _solve(m, 0)
+    cells = _blocks(m).cells
+    kernel = [_translations(cells, t) for t in _solutions(m, basis)]
     auts = _closure(kernel + _lifts(m))
     if len(auts) != len(kernel) * _gl_order(m):
         raise RuntimeError("K and the lifts do not generate |K| * |GL(m, 2)| automorphisms")

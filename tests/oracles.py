@@ -6,14 +6,15 @@ shifts, graph6 characters packed one 6-bit row at a time, edge lists
 pair by pair, butterflies on a list, spectra, bentness and duals read
 off them, differences counted pair by pair, Delta_m rebuilt pair by
 pair from signed-permutation products, common neighbours counted on
-packed adjacency rows, the search's constraint masks built pair by
-pair, swaps checked pair by pair, swaps listed by a recursive
-backtracking search in natural vertex order, and Delta_m's coset blocks
-read off one Walsh spike per coset.  The transform's input, which ctwin
-unpacks a slab at a time, is unpacked here whole, as an array.
-They are quadratic where ctwin is spectral, and the search visits
-millions of nodes at m = 3 where ctwin's enumeration visits 75k, so
-tests use them at small sizes.
+packed adjacency rows, swaps checked pair by pair, swaps and
+automorphisms found by backtracking over every vertex (a min-domain walk
+on constraint masks built pair by pair, and a recursive search in
+natural vertex order), and Delta_m's coset blocks read off one Walsh
+spike per coset.  The transform's input, which ctwin unpacks a slab at a
+time, is unpacked here whole, as an array.  They are quadratic where
+ctwin is spectral, and the walks visit up to millions of nodes at m = 3
+where ctwin's search reduces 28 equations, so tests use them at small
+sizes.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from ctwin.algebra import SymmetryClass, classify, gamma
 from ctwin.bent import BoolFunc, DiffSetParams, sigma, tau
 from ctwin.graphs import BLUE, RED, DifferenceGraph, SrgParams, build_delta
+from ctwin.swap import SearchStatus
 
 
 def twin_bits(m):
@@ -241,8 +243,10 @@ def verify_swap(m, phi):
 
 
 def tables(m):
-    """swap._tables pair by pair: kappa of Delta_m and masks[t + 1][y],
-    which packs every x != y with kappa[x ^ y] = t."""
+    """The walk's constraint masks, pair by pair: kappa of Delta_m and
+    masks[t + 1][y], which packs every x != y with kappa[x ^ y] = t, so
+    the image of a new vertex constrained against an assigned image y is
+    one AND away, and that AND also rules out y itself."""
     kappa = build_delta(m).kappa
     v = len(kappa)
     masks = [[0] * v for _ in range(3)]
@@ -251,6 +255,77 @@ def tables(m):
             if x != y:
                 masks[kappa[x ^ y] + 1][y] |= 1 << x
     return kappa, masks
+
+
+def _min_domain_frame(verts, doms):
+    """Frame branching on the first of `verts` with the fewest candidates,
+    or None when some domain is empty."""
+    sizes = [d.bit_count() for d in doms]
+    k = min(sizes)
+    if not k:
+        return None
+    i = sizes.index(k)
+    return [verts[i], doms[i], (verts[:i] + verts[i + 1 :], doms[:i] + doms[i + 1 :])]
+
+
+def min_domain_walk(m, sign, visit, node_budget=None, domains=None):
+    """Depth-first min-domain walk over the maps with phi[0] = 0 and
+    kappa[phi[a] ^ phi[b]] = sign * kappa[a ^ b] for all a, b, on the
+    constraint masks of `tables`; it needs no fact about Delta_m.
+
+    One explicit stack of frames [vertex, candidates left, (other
+    unassigned vertices, their domains)]; a frame branches on the first
+    unassigned vertex of smallest domain, candidates are tried in
+    ascending order, and each assignment narrows the other domains by
+    one AND.  A node is counted when a candidate is assigned, and the
+    pinned vertex 0 is the first node.  Every vertex's domain starts as
+    its constraints under vertex 0, ANDed with domains[a] when the
+    per-vertex masks are given.
+
+    visit(phi) is called at each complete assignment; the walk stops
+    with FOUND when it returns true.  Returns (status, nodes, max_depth):
+    INCONCLUSIVE when the node budget trips, EXHAUSTED when the tree runs
+    out.
+    """
+    kappa, masks = tables(m)
+    v = len(kappa)
+    # cons[a ^ b][phi[b]] = the images vertex a may take given phi[b]
+    cons = [masks[1 + sign * k] for k in kappa]
+    phi = [0] + [None] * (v - 1)
+    verts = list(range(1, v))
+    doms = [cons[a][0] for a in verts]
+    if domains is not None:
+        doms = [d & domains[a] for a, d in zip(verts, doms)]
+    nodes = max_depth = 1  # a node budget is >= 1, so the pin never trips it
+    root = _min_domain_frame(verts, doms)
+    stack = [root] if root else []
+    while stack:
+        frame = stack[-1]
+        cand = frame[1]
+        if not cand:
+            stack.pop()
+            continue
+        bit = cand & -cand
+        frame[1] = cand ^ bit
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            return SearchStatus.INCONCLUSIVE, nodes, max_depth
+        depth = 1 + len(stack)
+        max_depth = max(max_depth, depth)
+        x = frame[0]
+        c = bit.bit_length() - 1
+        phi[x] = c
+        if depth == v:
+            if visit(tuple(phi)):
+                return SearchStatus.FOUND, nodes, max_depth
+        else:
+            rest, rest_doms = frame[2]
+            child = _min_domain_frame(
+                rest, [d & cons[a ^ x][c] for a, d in zip(rest, rest_doms)]
+            )
+            if child:
+                stack.append(child)
+    return SearchStatus.EXHAUSTED, nodes, max_depth
 
 
 def _iter_assignments(kappa, masks, phi, unused, counters, sign):

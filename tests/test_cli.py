@@ -367,10 +367,12 @@ def test_search_budget_inconclusive(capsys):
 
 def _check_m4_certificate(result):
     # the certificate's lifts must be automorphisms fixing 0 (checked
-    # pair by pair here); its node count is pinned
+    # pair by pair here); its node count and its 15 refuting pairs are
+    # pinned
     assert set(result) == {"m", "status", "nodes", "certificate"}
-    assert (result["m"], result["status"], result["nodes"]) == (4, "exhausted", 169)
-    assert set(result["certificate"]) == {"lifts"}
+    assert (result["m"], result["status"], result["nodes"]) == (4, "exhausted", 51)
+    assert set(result["certificate"]) == {"refutation", "lifts"}
+    assert len(result["certificate"]["refutation"]) == 15
     kappa = build_delta(4).kappa
     for phi in result["certificate"]["lifts"]:
         assert sorted(phi) == list(range(256)) and phi[0] == 0
@@ -408,18 +410,18 @@ def test_search_m4_certificate_within_budget(tmp_path):
 
 
 def test_search_budget_bounds_the_walk(capsys):
-    # the pi = id walk runs out in 169 nodes; the count trips strictly
-    # above the cap, and the lifts take no nodes
-    code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "168")
+    # the pi = id system meets 0 = 1 at its 51st pair equation; the count
+    # trips strictly above the cap, and the lifts take no nodes
+    code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "50")
     assert code == 3
-    assert report["result"] == {"m": 4, "status": "inconclusive", "nodes": 169}
-    code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "169")
+    assert report["result"] == {"m": 4, "status": "inconclusive", "nodes": 51}
+    code, report = run_cli(capsys, "search", "--m", "4", "--node-budget", "51")
     assert code == 2
     _check_m4_certificate(report["result"])
 
 
 def test_search_range_guard(capsys):
-    # the constraint tables grow as 4^(2m): m = 6 is refused before any is built
+    # the pair checks build v x v arrays: m = 6 is refused before any is built
     code, report = run_cli(capsys, "search", "--m", "6")
     assert (code, set(report)) == (1, {"error"})
     assert report["error"] == "--m must be in 1..5, got 6"
@@ -430,7 +432,7 @@ def test_search_at_guard_limit_within_budget(tmp_path):
     code, report, rss = run_budgeted(tmp_path, ["search", "--m", "5"], 5.0)
     assert code == 2
     result = report["result"]
-    assert (result["m"], result["status"], result["nodes"]) == (5, "exhausted", 1681)
+    assert (result["m"], result["status"], result["nodes"]) == (5, "exhausted", 99)
     assert rss < 100.0, f"search --m 5 peaked at {rss:.0f} MB, budget 100 MB"
 
 

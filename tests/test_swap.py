@@ -1,4 +1,5 @@
-"""Colour-swap verification, normalization, and the backtracking search."""
+"""Colour-swap verification, normalization, and the search on the coset
+blocks, against the oracles' backtracking walks."""
 
 import functools
 import itertools
@@ -15,7 +16,6 @@ from ctwin.swap import (
     SwapMap,
     normalize,
     search_all,
-    search_blocks,
     search_swap,
     verify_swap,
 )
@@ -170,16 +170,12 @@ def test_int8_kappa_matches_build_delta(m):
     assert kappa.tolist() == list(build_delta(m).kappa)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_tables_match_oracle(m):
-    assert swap._tables(m) == oracles.tables(m)
-
-
-# (m, order, node_budget) -> (status, nodes, max_depth); a change to the
-# engine may make nodes cheaper but must not move these.  A row with no
-# budget of its own runs under twice its pinned count: a budget the walk
-# never reaches leaves its outcome as it is, and a walk that branches
-# badly fails in seconds instead of running for minutes
+# (m, order, node_budget) -> (status, nodes, max_depth) of the oracles'
+# min-domain walk over the whole tree, stopping at its first swap; a
+# change to the walk may make nodes cheaper but must not move these.  A
+# row with no budget of its own runs under twice its pinned count: a
+# budget the walk never reaches leaves its outcome as it is, and a walk
+# that branches badly fails in seconds instead of running for minutes
 GOLDEN = {
     (1, "mcv", None): ("found", 4, 4),
     (2, "mcv", None): ("found", 16, 16),
@@ -192,8 +188,12 @@ GOLDEN = {
 def test_golden_node_counts(key):
     m, order, budget = key
     cap = 2 * GOLDEN[key][1] if budget is None else budget
-    out = search_swap(m, order=order, node_budget=cap)
-    assert (out.status.value, out.nodes, out.max_depth) == GOLDEN[key]
+    found = []
+    status, nodes, max_depth = oracles.min_domain_walk(
+        m, -1, lambda phi: found.append(phi) or True, cap
+    )
+    assert (status.value, nodes, max_depth) == GOLDEN[key]
+    assert all(oracles.verify_swap(m, phi) for phi in found)
 
 
 def _is_automorphism(m, alpha):
@@ -245,13 +245,12 @@ def test_search_all_guards():
 
 
 def test_searches_stop_above_m5_before_building_tables(monkeypatch):
-    # the constraint tables hold 16^m entries; at m = 6 building them adds 144 MB
-    # to the peak RSS
+    # the pair checks of a witness and of the lifts build v x v arrays
     def no_tables(m):
         raise AssertionError(f"kappa built for m = {m}")
 
     monkeypatch.setattr(swap, "_kappa", no_tables)
-    for search in (search_swap, search_blocks, lambda m: search_all(m, 1, force=True)):
+    for search in (search_swap, lambda m: search_all(m, 1, force=True)):
         with pytest.raises(ValueError, match=r"guarded to m <= 5$"):
             search(6)
 
@@ -288,7 +287,7 @@ def test_witness_exchanges_neighbour_sets():
 def test_search_leaves_recursion_limit_alone():
     before = sys.getrecursionlimit()
     out = search_swap(4, node_budget=2000)
-    assert out.status is SearchStatus.INCONCLUSIVE
+    assert out.status is SearchStatus.EXHAUSTED
     assert sys.getrecursionlimit() == before
 
 
@@ -310,20 +309,26 @@ WALK_NODES = {1: (4, 4), 2: (160, 31), 3: (74642, 501)}
 
 @functools.lru_cache(maxsize=None)
 def exhaustive(m, sign, fixing=False):
-    """Every map fixing 0 for the sign, sorted, from one walk of the
-    engine, unrestricted or fixing every coset.  The walk runs under a
-    node budget of twice its pinned count, so that a walk that branches
-    badly fails in seconds instead of running for minutes."""
+    """Every map fixing 0 for the sign, sorted, from one whole walk of the
+    oracles' min-domain walk, unrestricted or fixing every coset.  The
+    walk runs under a node budget of twice its pinned count, so that a
+    walk that branches badly fails in seconds instead of running for
+    minutes."""
     maps = []
     domains = _fixing_every_coset(m) if fixing else None
     pinned = WALK_NODES[m][fixing]
-    status, nodes, _ = swap._walk(m, sign, maps.append, 2 * pinned, domains)
+    status, nodes, _ = oracles.min_domain_walk(m, sign, maps.append, 2 * pinned, domains)
     assert (status, nodes) == (SearchStatus.EXHAUSTED, pinned), (m, sign, fixing)
     return sorted(maps)
 
 
 def _fixing_every_coset(m):
-    return swap._blocks(m).domains
+    """domains[y]: the bitmask of the vertices in vertex y's coset."""
+    v = 1 << (2 * m)
+    members = [0] * (1 << m)
+    for y in range(v):
+        members[_coset_index(m, y)] |= 1 << y
+    return [members[_coset_index(m, y)] for y in range(v)]
 
 
 def _coset_index(m, y):
@@ -344,11 +349,8 @@ def test_block_checks_pass_and_one_flipped_sign_fails_them(m):
     blocks = swap._block_system(kappa)
     zeros = [y for y in range(len(kappa)) if kappa[y] == 0]
     assert blocks.cells[0].tolist() == zeros
-    members = [0] * (1 << m)
     for y in range(len(kappa)):
         assert blocks.coset[y] == _coset_index(m, y)
-        members[_coset_index(m, y)] |= 1 << y
-    assert blocks.domains == [members[_coset_index(m, y)] for y in range(len(kappa))]
     for i in range(1, 1 << m):
         c = blocks.cells[i, 0]
         for x, d in enumerate(zeros):
@@ -379,12 +381,12 @@ def test_flipped_sign_stops_the_m4_certificate(monkeypatch):
     kappa[1] = -kappa[1]
     monkeypatch.setattr(swap, "_blocks", lambda m: swap._block_system(kappa))
     with pytest.raises(RuntimeError, match="closed form at vertex 1$"):
-        search_blocks(4)
+        search_swap(4)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_spike_oracle_reads_the_closed_form(m):
-    # kappa from build_delta: above m = 5 _tables would hold v^2 entries
+    # kappa from build_delta, not from swap._kappa
     kappa = build_delta(m).kappa
     reps, zeros, ell, signs = oracles.coset_spikes(kappa)
     r = 1 << m
@@ -464,38 +466,111 @@ def test_lifts_are_automorphisms_inducing_their_generator(m):
 def test_failed_lift_check_stops_the_certificate(monkeypatch):
     monkeypatch.setattr(swap, "_keeps", lambda m, phi, sign: False)
     with pytest.raises(RuntimeError, match=r"lift of the generator T of GL\(4, 2\)"):
-        search_blocks(4)
+        search_swap(4)
 
 
-# (m, node_budget) -> (status, nodes, max_depth); one pi = id walk
+# (m, node_budget) -> (status, nodes): the pair equations reduced.  The
+# system has 2^(m-1) (2^m - 1) equations and meets 0 = 1 at the 51st at
+# m = 4 and the 99th at m = 5
 BLOCKS_GOLDEN = {
-    (1, None): ("found", 4, 4),
-    (2, None): ("found", 16, 16),
-    (3, None): ("found", 64, 64),
-    (4, None): ("exhausted", 169, 5),
-    (4, 50): ("inconclusive", 51, 5),
-    (4, 168): ("inconclusive", 169, 5),
-    (4, 169): ("exhausted", 169, 5),
-    (4, 300): ("exhausted", 169, 5),
+    (1, None): ("found", 1),
+    (2, None): ("found", 6),
+    (3, None): ("found", 28),
+    (4, None): ("exhausted", 51),
+    (5, None): ("exhausted", 99),
+    (4, 50): ("inconclusive", 51),
+    (4, 51): ("exhausted", 51),
+    (4, 168): ("exhausted", 51),
+    (4, 169): ("exhausted", 51),
+    (4, 300): ("exhausted", 51),
 }
 
 
 @pytest.mark.parametrize("key", list(BLOCKS_GOLDEN), ids=lambda k: f"m{k[0]}-{k[1]}")
 def test_block_search_golden(key):
     m, budget = key
-    out = search_blocks(m, node_budget=budget)
-    assert (out.status.value, out.nodes, out.max_depth) == BLOCKS_GOLDEN[key]
+    out = search_swap(m, node_budget=budget)
+    assert (out.status.value, out.nodes) == BLOCKS_GOLDEN[key]
     if out.witness is not None:
         assert out.witness.phi[0] == 0 and verify_swap(out.witness)
     if out.status is SearchStatus.EXHAUSTED:
-        assert list(out.certificate) == ["lifts"]
-        assert all(_is_automorphism(m, phi) for phi in out.certificate["lifts"])
+        assert list(out.certificate) == ["refutation", "lifts"]
+        assert all(swap._keeps(m, phi, +1) for phi in out.certificate["lifts"])
     else:
         assert out.certificate is None
 
 
 def test_block_search_argument_validation():
     with pytest.raises(ValueError):
-        search_blocks(0)
+        search_swap(0)
     with pytest.raises(ValueError):
-        search_blocks(1, node_budget=0)
+        search_swap(1, node_budget=0)
+
+
+# --- the pi = id system -------------------------------------------------------
+
+
+def _refuting_pairs():
+    """The 15 pairs {a, b} with a in span(e_0, e_1), b in span(e_2, e_3)
+    and (a, b) != (0, 0), in (i, j) order."""
+    return sorted(
+        tuple(sorted((a, b))) for a in range(4) for b in (0, 4, 8, 12) if a or b
+    )
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_refutation_sums_to_zero_equals_one(m):
+    # plain XOR, no call into the solver: every unknown bit t_c[k] occurs
+    # in an even number of the listed equations (i ^ j).(t_i ^ t_j) = 1,
+    # and their right sides sum to 1
+    pairs = search_swap(m).certificate["refutation"]
+    assert len(pairs) % 2 == 1
+    assert len(set(pairs)) == len(pairs)
+    assert all(0 <= i < j < 1 << m for i, j in pairs)
+    for c in range(1, 1 << m):
+        for k in range(m):
+            hits = sum(c in (i, j) and (i ^ j) >> k & 1 for i, j in pairs)
+            assert hits % 2 == 0, (c, k)
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_swap_system_is_refuted_by_the_15_pairs(m):
+    status, nodes, pairs = swap._solve(m, 1)
+    assert status is SearchStatus.EXHAUSTED
+    assert pairs == _refuting_pairs()
+    # the last of them, (3, 12), is the equation that reads 0 = 1
+    assert nodes == sum((1 << m) - 1 - i for i in range(3)) + 9
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_kernel_system_leaves_m_choose_2_free_unknowns(m):
+    status, nodes, basis = swap._solve(m, 0)
+    assert (status, nodes) == (SearchStatus.FOUND, (1 << (m - 1)) * ((1 << m) - 1))
+    unknowns = m * ((1 << m) - 1)
+    assert unknowns - len(basis) == m * (m - 1) // 2
+
+
+def _pi_id_map(m, t):
+    """phi(reps[i] ^ D[x]) = reps[i] ^ D[x ^ t[i]], from the base-4
+    digits: reps[i] has digit 1 where i has bit 1, D[x] digit 3."""
+    def reps(u):
+        return sum(((u >> k) & 1) << (2 * k) for k in range(m))
+
+    phi = [0] * (1 << (2 * m))
+    for i, ti in enumerate(t):
+        for x in range(1 << m):
+            phi[reps(i) ^ 3 * reps(x)] = reps(i) ^ 3 * reps(x ^ ti)
+    return tuple(phi)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_solver_matches_the_oracle_walk(m):
+    # the solutions for rhs 1 (swaps) and 0 (automorphisms) are the walk's
+    # coset-fixing maps, and search_swap's witness is the first of them
+    for rhs, sign in ((1, -1), (0, +1)):
+        status, _, basis = swap._solve(m, rhs)
+        assert status is SearchStatus.FOUND
+        maps = sorted(_pi_id_map(m, t) for t in swap._solutions(m, basis))
+        assert maps == exhaustive(m, sign, fixing=True)
+        assert len(maps) == {1: 1, 2: 2, 3: 8}[m]
+    assert search_swap(m).witness.phi == exhaustive(m, -1, fixing=True)[0]
