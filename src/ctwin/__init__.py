@@ -44,13 +44,11 @@ from .graphs import (
     build_delta,
     cayley_graph,
     export_graph,
-    from_graph6,
     graph6_blocks,
     json_edges_blocks,
     oracle_build_delta,
     predicted_srg_params,
     to_graph6,
-    to_json_edges,
     verify_srg,
 )
 from .swap import (

@@ -116,15 +116,6 @@ class BoolFunc:
     def weight(self) -> int:
         return int(_BYTE_WEIGHTS[self._bytes()].sum())
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.table()) if b)
-
-    def complement(self) -> BoolFunc:
-        flipped = ~self._bytes()
-        if self.n < 3:
-            flipped &= (1 << self.size) - 1
-        return BoolFunc(self.n, flipped.tobytes())
-
     def __xor__(self, other: BoolFunc) -> BoolFunc:
         if self.n != other.n:
             raise ValueError("arity mismatch")

@@ -47,6 +47,9 @@ EXIT_INCONCLUSIVE = 3
 _TABLE_MAX_M = 14
 _BENT_MAX_M = 12
 _CONFIRM_MAX_M = 8
+# the largest m whose parameters print: v = 4^m then has 4300 digits,
+# Python's default limit on converting an int to decimal text
+_PARAMS_MAX_M = 7142
 _GRAPH_MAX_M = 8
 _JSON_EDGES_MAX_M = 6
 _SEARCH_ALL_DEFAULT_LIMIT = 100
@@ -102,10 +105,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _check_m(m: int, low: int, high: int | None):
-    if m < low or (high is not None and m > high):
-        bound = f"{low}..{high}" if high is not None else f">= {low}"
-        raise UsageError(f"--m must be in {bound}, got {m}")
+def _check_m(m: int, low: int, high: int):
+    if not low <= m <= high:
+        raise UsageError(f"--m must be in {low}..{high}, got {m}")
 
 
 def _cmd_table(args):
@@ -144,7 +146,7 @@ def _cmd_bent(args):
 
 
 def _cmd_params(args):
-    _check_m(args.m, 1, None)
+    _check_m(args.m, 1, _PARAMS_MAX_M)
     ds = predicted_params(args.m)
     srg = predicted_srg_params(args.m)
     result = {"ds": list(ds.as_tuple()), "srg": list(srg.as_tuple()), "confirmed": None}

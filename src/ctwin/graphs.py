@@ -2,7 +2,11 @@
 functions, strong-regularity verification, and graph export.
 
 Adjacency is never stored as a v x v structure: a graph on Z_2^n is a
-length-2^n colour table indexed by vertex difference.  Common-neighbour
+length-2^n colour table kappa indexed by vertex difference, held as
+read-only int8 bytes.  Delta_m's table has one builder, `_delta_kappa`,
+cached per m and shared with the swap search; every reader here views
+the bytes as an int8 array without a copy, and a tuple is made only for
+a caller that asks for one (`DifferenceGraph.kappa`).  Common-neighbour
 counts depend only on the difference of the two vertices, so strong
 regularity is read off one autocorrelation of the colour class, and
 graph6 is encoded column by column straight from the table.
@@ -13,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,55 +39,58 @@ _GRAPH6_LOW_BITS = 6
 
 @dataclass(frozen=True)
 class DifferenceGraph:
-    """Edge-coloured graph on Z_2^n_bits with colour(a, b) = kappa[a ^ b].
+    """Edge-coloured graph on Z_2^n_bits where the pair (a, b) has the
+    colour kappa[a ^ b], kappa held in `colours` as int8 bytes.
 
     kappa values are -1 (red), +1 (blue) or 0 (no edge); kappa[0] is a
     structural zero since vertices carry no loops.
     """
 
     n_bits: int
-    kappa: tuple[int, ...]
+    colours: bytes
 
     def __post_init__(self):
         if self.n_bits < 1:
             raise ValueError("n_bits must be >= 1")
-        if len(self.kappa) != 1 << self.n_bits:
+        if not isinstance(self.colours, bytes):
+            raise TypeError("the colour table must be int8 bytes")
+        kappa = self._int8()
+        if kappa.size != 1 << self.n_bits:
             raise ValueError("kappa length must be 2^n_bits")
-        if self.kappa[0] != 0:
+        if kappa[0] != 0:
             raise ValueError("difference 0 cannot carry an edge")
-        if any(c not in (-1, 0, 1) for c in self.kappa):
+        if kappa.min() < -1 or kappa.max() > 1:
             raise ValueError("colours must be -1, 0 or +1")
 
     @property
     def v(self) -> int:
         return 1 << self.n_bits
 
-    def colour(self, a: int, b: int) -> int:
-        if not (0 <= a < self.v and 0 <= b < self.v):
-            raise ValueError("vertex out of range")
-        if a == b:
-            raise ValueError("no loops: vertices must differ")
-        return self.kappa[a ^ b]
+    @property
+    def kappa(self) -> tuple[int, ...]:
+        """kappa as a tuple of ints, made anew on each call."""
+        return tuple(self._int8().tolist())
 
-    def differences(self, colour: int) -> tuple[int, ...]:
-        """All nonzero differences carrying the given colour."""
-        return tuple(d for d in range(1, self.v) if self.kappa[d] == colour)
-
-    def degree(self, colour: int) -> int:
-        return len(self.differences(colour))
+    def _int8(self) -> np.ndarray:
+        """kappa as a read-only int8 array, without a copy."""
+        return np.frombuffer(self.colours, np.int8)
 
     def edges(self, colour: int) -> list[tuple[int, int]]:
         """Sorted list of edges (a, b) with a < b in the given colour."""
         return [(a, b) for a, row in _upper_rows(self, colour) for b in row.tolist()]
 
 
+@lru_cache(maxsize=None)
 def _delta_kappa(m: int) -> np.ndarray:
-    """kappa of Delta_m as an int8 array: tau_m - sigma_m, entry by entry."""
+    """kappa of Delta_m as a read-only int8 array: tau_m - sigma_m, entry
+    by entry.  Built once per m."""
     sig, tav = (
         np.unpackbits(_twin_table(m, name), count=1 << (2 * m), bitorder="little")
         for name in ("sigma", "tau")
     )
-    return tav.view(np.int8) - sig.view(np.int8)
+    kappa = tav.view(np.int8) - sig.view(np.int8)
+    kappa.flags.writeable = False
+    return kappa
 
 
 def build_delta(m: int) -> DifferenceGraph:
@@ -90,7 +98,7 @@ def build_delta(m: int) -> DifferenceGraph:
     blue where tau_m(d) = 1, absent where the basis matrix is diagonal."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return DifferenceGraph(2 * m, tuple(_delta_kappa(m).tolist()))
+    return DifferenceGraph(2 * m, _delta_kappa(m).tobytes())
 
 
 def oracle_build_delta(m: int) -> DifferenceGraph:
@@ -144,21 +152,23 @@ def oracle_build_delta(m: int) -> DifferenceGraph:
     neither = np.zeros(a.size, dtype=bool)
     neither[disjoint] = ~(skew | symmetric)
     # the first v - 1 pairs are (0, d) for d = 1..v-1
-    kappa = np.concatenate(([0], colour[: v - 1]))
+    kappa = np.concatenate((np.zeros(1, np.int8), colour[: v - 1]))
     bad = neither | (colour != kappa[a ^ b])
     if bad.any():
         first = int(bad.argmax())
         if neither[first]:
             raise ValueError("matrix is neither symmetric nor skew")
         raise RuntimeError(f"pairs with difference {a[first] ^ b[first]} disagree on colour")
-    return DifferenceGraph(2 * m, tuple(kappa.tolist()))
+    return DifferenceGraph(2 * m, kappa.tobytes())
 
 
 def cayley_graph(f: BoolFunc) -> DifferenceGraph:
     """Single-colour graph with a ~ b iff f(a ^ b) = 1; edges carry +1."""
     if f(0):
         raise ValueError("f(0) = 1 would create loops")
-    return DifferenceGraph(f.n, tuple(f.table()))
+    # the unpacked 0/1 table is kappa's int8 bytes as it stands
+    table = np.unpackbits(f._bytes(), count=f.size, bitorder="little")
+    return DifferenceGraph(f.n, table.tobytes())
 
 
 # --- strong regularity -------------------------------------------------------
@@ -190,7 +200,7 @@ def verify_srg(graph: DifferenceGraph, colour: int) -> SrgParams:
     lambda, mu and the first offending pair are those a pairwise check in
     lexicographic order would report.
     """
-    in_colour = np.array(graph.kappa) == colour
+    in_colour = graph._int8() == colour
     in_colour[0] = False  # no loops, even for the colour 0 of non-edges
     counts = _autocorrelation(in_colour)
     k = int(counts[0])
@@ -241,7 +251,7 @@ def graph6_blocks(graph: DifferenceGraph, colour: int):
         head = bytes([n + 63])
     else:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    body = _upper_triangle(np.array(graph.kappa) == colour)
+    body = _upper_triangle(graph._int8() == colour)
     return itertools.chain((head,), map(_graph6_chars, body))
 
 
@@ -292,43 +302,13 @@ def _upper_triangle(adjacent: np.ndarray):
         yield np.concatenate(columns)
 
 
-def from_graph6(data: bytes) -> tuple[int, list[tuple[int, int]]]:
-    """Decode graph6 bytes into (vertex count, sorted edge list)."""
-    if not data:
-        raise ValueError("empty graph6 payload")
-    if data[0] == 126:
-        if len(data) < 4 or data[1] == 126:
-            raise ValueError("unsupported graph6 size header")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
-    else:
-        n = data[0] - 63
-        body = data[1:]
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(body) != need:
-        raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[pos // 6] - 63
-            if (byte >> (5 - pos % 6)) & 1:
-                edges.append((i, j))
-            pos += 1
-    return n, sorted(edges)
-
-
 def _upper_rows(graph: DifferenceGraph, colour: int):
     """(a, the neighbours b > a of vertex a in ascending order) for every
     vertex a: the rows of the adjacency matrix's upper triangle."""
-    adjacent = np.array(graph.kappa) == colour
+    adjacent = graph._int8() == colour
     v = graph.v
     for a in range(v):
         yield a, a + 1 + np.flatnonzero(adjacent[np.arange(a + 1, v) ^ a])
-
-
-def to_json_edges(graph: DifferenceGraph, colour: int) -> bytes:
-    return b"".join(json_edges_blocks(graph, colour))
 
 
 def json_edges_blocks(graph: DifferenceGraph, colour: int):
@@ -354,5 +334,5 @@ def export_graph(graph: DifferenceGraph, colour: int, fmt: str) -> bytes:
     if fmt == "graph6":
         return to_graph6(graph, colour)
     if fmt == "json-edges":
-        return to_json_edges(graph, colour)
+        return b"".join(json_edges_blocks(graph, colour))
     raise ValueError(f"unknown export format {fmt!r}")

@@ -142,18 +142,12 @@ class SearchOutcome:
     certificate: dict | None = None
 
 
-@lru_cache(maxsize=None)
-def _kappa(m):
-    """kappa of Delta_m as an int8 array."""
-    return _delta_kappa(m)
-
-
 def _keeps(m, phi, sign):
     """kappa[phi[a] ^ phi[b]] == sign * kappa[a ^ b] for every pair.
 
     All ordered pairs at once: the check is symmetric in a and b, and
     kappa[0] = 0 makes it hold on the diagonal."""
-    kappa = _kappa(m)
+    kappa = _delta_kappa(m)
     phi = np.array(phi, dtype=np.min_scalar_type(len(kappa) - 1))
     vertices = np.arange(phi.size, dtype=phi.dtype)
     images = kappa[np.bitwise_xor.outer(phi, phi)]
@@ -230,7 +224,7 @@ def _block_system(kappa) -> _Blocks:
 
 @lru_cache(maxsize=None)
 def _blocks(m):
-    return _block_system(_kappa(m))
+    return _block_system(_delta_kappa(m))
 
 
 def _gl_order(m):

@@ -4,17 +4,18 @@ Each one computes what a fast path in ctwin computes, by the textbook
 route and mostly in pure Python: the twin truth tables by big-int
 shifts, graph6 characters packed one 6-bit row at a time, edge lists
 pair by pair, butterflies on a list, spectra, bentness and duals read
-off them, differences counted pair by pair, Delta_m rebuilt pair by
-pair from signed-permutation products, common neighbours counted on
-packed adjacency rows, swaps checked pair by pair, swaps and
-automorphisms found by backtracking over every vertex (a min-domain walk
-on constraint masks built pair by pair, and a recursive search in
-natural vertex order), and Delta_m's coset blocks read off one Walsh
-spike per coset.  The transform's input, which ctwin unpacks a slab at a
-time, is unpacked here whole, as an array.  They are quadratic where
-ctwin is spectral, and the walks visit up to millions of nodes at m = 3
-where ctwin's search reduces 28 equations, so tests use them at small
-sizes.
+off them, supports, complements and differences counted entry by entry
+or pair by pair, Delta_m rebuilt pair by pair from signed-permutation
+products, common neighbours counted on packed adjacency rows, swaps
+checked pair by pair, swaps and automorphisms found by backtracking
+over every vertex (a min-domain walk on constraint masks built pair by
+pair, and a recursive search in natural vertex order), and Delta_m's
+coset blocks read off one Walsh spike per coset.  A graph6 decoder, bit
+by bit, reads ctwin's payloads back.  The transform's input, which
+ctwin unpacks a slab at a time, is unpacked here whole, as an array.
+They are quadratic where ctwin is spectral, and the walks visit up to
+millions of nodes at m = 3 where ctwin's search reduces 28 equations, so
+tests use them at small sizes.
 """
 
 import numpy as np
@@ -48,6 +49,53 @@ def graph6_chars(bits):
     return ((np.packbits(bits.reshape(-1, 6), axis=1) >> 2) + 63).tobytes()
 
 
+def int8_bytes(values):
+    """A colour table as the int8 bytes a DifferenceGraph holds."""
+    return np.array(values, np.int8).tobytes()
+
+
+def support(f):
+    """The inputs where f is 1, in ascending order, read off its table."""
+    return tuple(i for i, b in enumerate(f.table()) if b)
+
+
+def complement(f):
+    """1 - f, entry by entry."""
+    return BoolFunc.from_values(f.n, [1 - b for b in f.table()])
+
+
+def degree(graph, colour):
+    """The neighbours of vertex 0 in the colour, counted one by one."""
+    kappa = graph.kappa
+    return sum(1 for b in range(1, graph.v) if kappa[b] == colour)
+
+
+def from_graph6(data):
+    """Decode graph6 bytes into (vertex count, sorted edge list), bit by bit."""
+    if not data:
+        raise ValueError("empty graph6 payload")
+    if data[0] == 126:
+        if len(data) < 4 or data[1] == 126:
+            raise ValueError("unsupported graph6 size header")
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
+    else:
+        n = data[0] - 63
+        body = data[1:]
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")
+    edges = []
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            byte = body[pos // 6] - 63
+            if (byte >> (5 - pos % 6)) & 1:
+                edges.append((i, j))
+            pos += 1
+    return n, sorted(edges)
+
+
 def upper_triangle_kappa(graph):
     """graph6's order of the pairs i < j, column by column, as an int8
     array of their colours kappa[i ^ j]."""
@@ -60,10 +108,9 @@ def upper_triangle_kappa(graph):
 
 def edge_list(graph, colour):
     """Every pair a < b whose difference carries the colour, pair by pair."""
+    kappa = graph.kappa
     v = graph.v
-    return [
-        (a, b) for a in range(v) for b in range(a + 1, v) if graph.kappa[a ^ b] == colour
-    ]
+    return [(a, b) for a in range(v) for b in range(a + 1, v) if kappa[a ^ b] == colour]
 
 
 def unpacked(f):
@@ -127,13 +174,13 @@ def difference_counts(support, v):
 
 def difference_set_params(f):
     """verify_difference_set by pairwise counting, with its error messages."""
-    support = f.support()
+    elements = support(f)
     v = f.size
-    if not support:
+    if not elements:
         raise ValueError("support is empty")
-    if len(support) == v:
+    if len(elements) == v:
         raise ValueError("support is the whole group")
-    counts = difference_counts(support, v)
+    counts = difference_counts(elements, v)
     lam = counts[1]
     for g in range(2, v):
         if counts[g] != lam:
@@ -141,7 +188,7 @@ def difference_set_params(f):
                 f"not a difference set: difference 1 occurs {lam} times "
                 f"but difference {g} occurs {counts[g]} times"
             )
-    k = len(support)
+    k = len(elements)
     return DiffSetParams(v, k, lam, k - lam)
 
 
@@ -170,12 +217,13 @@ def pairwise_delta(m, gamma=gamma):
             d = a ^ b
             if seen.setdefault(d, colour) != colour:
                 raise RuntimeError(f"pairs with difference {d} disagree on colour")
-    return DifferenceGraph(2 * m, tuple(seen[d] for d in range(v)))
+    return DifferenceGraph(2 * m, int8_bytes([seen[d] for d in range(v)]))
 
 
 def adjacency_rows(graph, colour):
     """Packed neighbour bitmasks of one colour class, one int per vertex."""
-    diffs = graph.differences(colour)
+    kappa = graph.kappa
+    diffs = [d for d in range(1, graph.v) if kappa[d] == colour]
     rows = []
     for a in range(graph.v):
         row = 0

@@ -110,8 +110,9 @@ def test_oracle_equivalence_m4():
 def test_tokareva_reconstruction_m2_to_m5():
     for m in range(2, 6):
         s, t = sigma_function(m - 1), tau_function(m - 1)
-        assert tokareva_compose(t, s, s.complement(), t) == tau_function(m)
-        acc = dual(t) ^ dual(s) ^ dual(s.complement()) ^ dual(t)
+        s_bar = oracles.complement(s)
+        assert tokareva_compose(t, s, s_bar, t) == tau_function(m)
+        acc = dual(t) ^ dual(s) ^ dual(s_bar) ^ dual(t)
         assert acc.bits == (1 << acc.size) - 1, "dual sum must be all-ones"
     _passed("four-block composition rebuilds tau_m, m=2..5")
 
@@ -152,7 +153,7 @@ def test_property_suites():
     for m in range(1, 5):
         for f in (sigma_function(m), tau_function(m)):
             assert dual(dual(f)) == f
-            assert dual(f.complement()) == dual(f).complement()
+            assert dual(oracles.complement(f)) == oracles.complement(dual(f))
 
     # SRG counting identity on every returned parameter set, m <= 4
     for m in range(1, 5):

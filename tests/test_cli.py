@@ -258,6 +258,33 @@ def test_params_large_m_closed_form_only(capsys):
     assert report["result"]["ds"][0] == 4**20
 
 
+def _params_in_fresh_interpreter(m):
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctwin", "params", "--m", str(m)],
+        capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_params_prints_up_to_its_guard():
+    # v = 4^7142 has 4300 digits, the most Python turns into decimal text
+    # by default
+    code, out, _ = _params_in_fresh_interpreter(7142)
+    assert code == 0 and out.count("\n") == 1
+    result = json.loads(out)["result"]
+    assert result["ds"] == list(predicted_params(7142).as_tuple())
+    assert result["srg"][0] == 4**7142 and result["confirmed"] is None
+
+
+@pytest.mark.parametrize("m", [7143, 10**8])
+def test_params_refuses_above_its_guard(m):
+    # refused before any number is made: one error object, no traceback
+    code, out, err = _params_in_fresh_interpreter(m)
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out) == {"error": f"--m must be in 1..7142, got {m}"}
+    assert "Traceback" not in err
+
+
 def test_graph_graph6_payload(capsys):
     code, report = run_cli(capsys, "graph", "--m", "1", "--colour", "red")
     assert code == 0

@@ -67,7 +67,7 @@ def difference_sets(rng, n):
         for twin in (sigma_function(n // 2), tau_function(n // 2)):
             g = BoolFunc.from_values(n, relabel(twin.table(), random_invertible(rng, n)))
             assert verify_difference_set(g) == predicted_params(n // 2)
-            funcs += [g, g.complement(), BoolFunc.from_bits(n, g.bits ^ (1 << rng.randrange(v)))]
+            funcs += [g, oracles.complement(g), BoolFunc.from_bits(n, g.bits ^ (1 << rng.randrange(v)))]
     return funcs
 
 
@@ -75,22 +75,22 @@ def colour_graphs(rng, n):
     """Random colour tables, relabelled Delta_m, and non-examples."""
     v = 1 << n
     graphs = [
-        DifferenceGraph(n, (0,) + tuple(rng.choice((-1, 0, 1)) for _ in range(v - 1)))
+        DifferenceGraph(n, oracles.int8_bytes([0] + [rng.choice((-1, 0, 1)) for _ in range(v - 1)]))
         for _ in range(3)
     ]
     graphs += [
         cayley_graph(BoolFunc.from_bits(n, rng.randrange(1 << v) & ~1)),
-        DifferenceGraph(n, (0,) * v),
-        DifferenceGraph(n, (0,) + (1,) * (v - 1)),
+        DifferenceGraph(n, bytes(v)),
+        DifferenceGraph(n, bytes([0] + [1] * (v - 1))),
         cayley_graph(BoolFunc.from_bits(n, 0b110 | 1 << (v - 1))),  # mu in {0, 2} at n = 3
     ]
     if n % 2 == 0:
         kappa = relabel(build_delta(n // 2).kappa, random_invertible(rng, n))
-        g = DifferenceGraph(n, tuple(kappa))
+        g = DifferenceGraph(n, oracles.int8_bytes(kappa))
         assert verify_srg(g, RED) == verify_srg(g, BLUE) == predicted_srg_params(n // 2)
         flipped = list(kappa)
         flipped[rng.choice([d for d in range(v) if kappa[d]])] *= -1
-        graphs += [g, DifferenceGraph(n, tuple(flipped))]
+        graphs += [g, DifferenceGraph(n, oracles.int8_bytes(flipped))]
     return graphs
 
 

@@ -18,7 +18,6 @@ from ctwin.graphs import (
     build_delta,
     cayley_graph,
     export_graph,
-    from_graph6,
     oracle_build_delta,
     predicted_srg_params,
     to_graph6,
@@ -36,11 +35,62 @@ def test_delta1_edges():
 
 
 def test_no_loops():
-    g = build_delta(1)
-    with pytest.raises(ValueError, match="no loops"):
-        g.colour(2, 2)
-    with pytest.raises(ValueError, match="cannot carry an edge"):
-        DifferenceGraph(2, (1, -1, 1, 0))
+    with pytest.raises(ValueError, match="^difference 0 cannot carry an edge$"):
+        DifferenceGraph(2, oracles.int8_bytes([1, -1, 1, 0]))
+
+
+def test_difference_graph_takes_only_bytes():
+    for colours in ((0, -1, 1, 0), [0, -1, 1, 0], np.array([0, -1, 1, 0], np.int8), bytearray(4)):
+        with pytest.raises(TypeError, match="bytes"):
+            DifferenceGraph(2, colours)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([0, -1, 1], "kappa length must be 2\\^n_bits"),
+        ([0, -1, 1, 0, 0], "kappa length must be 2\\^n_bits"),
+        ([0, -1, 2, 0], "colours must be -1, 0 or \\+1"),
+        ([0, -2, 1, 0], "colours must be -1, 0 or \\+1"),
+        ([0, -128, 1, 127], "colours must be -1, 0 or \\+1"),
+    ],
+)
+def test_difference_graph_rejects_bad_tables(values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DifferenceGraph(2, oracles.int8_bytes(values))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_kappa_is_the_tuple_of_tau_minus_sigma(m):
+    # the tuple the graph gives on request, entry by entry from the
+    # big-int twin tables
+    s, t = oracles.twin_bits(m)
+    expected = tuple((t >> d & 1) - (s >> d & 1) for d in range(1 << (2 * m)))
+    kappa = build_delta(m).kappa
+    assert kappa == expected
+    assert all(type(k) is int for k in kappa)
+
+
+def test_equal_graphs_compare_and_hash_equal():
+    for m in (1, 2, 3):
+        fast, slow = build_delta(m), oracle_build_delta(m)
+        assert fast == slow and hash(fast) == hash(slow)
+        assert fast == DifferenceGraph(2 * m, oracles.int8_bytes(fast.kappa))
+    flipped = list(build_delta(2).kappa)
+    flipped[1] = -flipped[1]
+    assert build_delta(2) != DifferenceGraph(4, oracles.int8_bytes(flipped))
+    assert len({build_delta(2), oracle_build_delta(2), build_delta(1)}) == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cayley_graph_from_one_packed_byte(n):
+    # up to n = 3 the packed table is one byte; below n = 3 its high bits
+    # are unused
+    for bits in range(0, 1 << (1 << n), 2):
+        f = BoolFunc.from_bits(n, bits)
+        g = cayley_graph(f)
+        assert (g.n_bits, g.kappa) == (n, tuple(f.table()))
+        assert g.edges(BLUE) == oracles.edge_list(g, BLUE)
 
 
 def test_delta2_red_degree():
@@ -140,7 +190,7 @@ def test_colour_disjointness_and_degree_sum():
         red, blue = set(g.edges(RED)), set(g.edges(BLUE))
         assert not red & blue
         dcount = diagonal_count(m)
-        assert g.degree(RED) + g.degree(BLUE) + (dcount - 1) == g.v - 1
+        assert oracles.degree(g, RED) + oracles.degree(g, BLUE) + (dcount - 1) == g.v - 1
 
 
 def test_cayley_sigma1_is_red_subgraph():
@@ -246,7 +296,7 @@ def test_graph6_roundtrip(monkeypatch):
         for m in (1, 2, 3):
             for colour in (RED, BLUE):
                 g = build_delta(m)
-                n, edges = from_graph6(to_graph6(g, colour))
+                n, edges = oracles.from_graph6(to_graph6(g, colour))
                 assert n == g.v
                 assert edges == g.edges(colour)
 
@@ -298,13 +348,13 @@ def test_graph6_long_size_header():
     g = build_delta(3)  # 64 vertices needs the 4-byte header
     data = to_graph6(g, RED)
     assert data[0] == 126
-    n, edges = from_graph6(data)
+    n, edges = oracles.from_graph6(data)
     assert n == 64
     assert edges == g.edges(RED)
 
 
 def test_graph6_size_guard():
-    big = DifferenceGraph(17, (0,) + (1,) * ((1 << 17) - 1))
+    big = DifferenceGraph(17, bytes([0] + [1] * ((1 << 17) - 1)))
     with pytest.raises(ValueError, match="at most"):
         to_graph6(big, BLUE)
 

@@ -6,9 +6,10 @@ import itertools
 import random
 import sys
 
+import numpy as np
 import pytest
 
-from ctwin import swap
+from ctwin import graphs, swap
 from ctwin.bent import sigma
 from ctwin.graphs import BLUE, RED, build_delta
 from ctwin.swap import (
@@ -165,8 +166,10 @@ def test_verify_swap_matches_oracle_m3(m3_swaps):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_int8_kappa_matches_build_delta(m):
-    kappa = swap._kappa(m)
+    kappa = graphs._delta_kappa(m)
     assert kappa.dtype.name == "int8"
+    # one cached, read-only array per m
+    assert graphs._delta_kappa(m) is kappa and not kappa.flags.writeable
     assert kappa.tolist() == list(build_delta(m).kappa)
 
 
@@ -249,7 +252,7 @@ def test_searches_stop_above_m5_before_building_tables(monkeypatch):
     def no_tables(m):
         raise AssertionError(f"kappa built for m = {m}")
 
-    monkeypatch.setattr(swap, "_kappa", no_tables)
+    monkeypatch.setattr(swap, "_delta_kappa", no_tables)
     for search in (search_swap, lambda m: search_all(m, 1, force=True)):
         with pytest.raises(ValueError, match=r"guarded to m <= 5$"):
             search(6)
@@ -384,9 +387,19 @@ def test_flipped_sign_stops_the_m4_certificate(monkeypatch):
         search_swap(4)
 
 
+@pytest.mark.parametrize("m", [9, 10, 11])
+def test_block_checks_pass_beyond_the_oracles_range(m):
+    # the closed form's check is O(4^m), so it reaches past the m <= 8 of
+    # the spike oracle; cells[0] is D, the zeros of kappa
+    kappa = graphs._delta_kappa(m)
+    blocks = swap._block_system(kappa)
+    assert blocks.cells[0].tolist() == np.flatnonzero(kappa == 0).tolist()
+    assert (blocks.coset[blocks.cells] == np.arange(1 << m)[:, None]).all()
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_spike_oracle_reads_the_closed_form(m):
-    # kappa from build_delta, not from swap._kappa
+    # kappa from build_delta, not from graphs._delta_kappa
     kappa = build_delta(m).kappa
     reps, zeros, ell, signs = oracles.coset_spikes(kappa)
     r = 1 << m
