@@ -55,7 +55,6 @@ from .swap import (
     SearchOutcome,
     SearchStatus,
     SwapMap,
-    normalize,
     search_all,
     search_swap,
     verify_swap,

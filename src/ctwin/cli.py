@@ -27,6 +27,7 @@ from .bent import (
     verify_difference_set,
 )
 from .graphs import (
+    _DELTA_MAX_M,
     _ORACLE_MAX_M,
     BLUE,
     RED,
@@ -37,7 +38,7 @@ from .graphs import (
     predicted_srg_params,
     verify_srg,
 )
-from .swap import _SEARCH_MAX_M, SearchStatus, search_all, search_swap
+from .swap import SearchStatus, search_all, search_swap
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,11 +47,9 @@ EXIT_INCONCLUSIVE = 3
 
 _TABLE_MAX_M = 14
 _BENT_MAX_M = 12
-_CONFIRM_MAX_M = 8
 # the largest m whose parameters print: v = 4^m then has 4300 digits,
 # Python's default limit on converting an int to decimal text
 _PARAMS_MAX_M = 7142
-_GRAPH_MAX_M = 8
 _JSON_EDGES_MAX_M = 6
 _SEARCH_ALL_DEFAULT_LIMIT = 100
 _TABLE_BLOCK = 1 << 20  # table bytes per block of `table`'s text
@@ -150,7 +149,7 @@ def _cmd_params(args):
     ds = predicted_params(args.m)
     srg = predicted_srg_params(args.m)
     result = {"ds": list(ds.as_tuple()), "srg": list(srg.as_tuple()), "confirmed": None}
-    if args.m <= _CONFIRM_MAX_M:
+    if args.m <= _DELTA_MAX_M:
         graph = build_delta(args.m)
         measured = (
             verify_difference_set(sigma_function(args.m)),
@@ -169,7 +168,7 @@ def _cmd_params(args):
 
 def _cmd_graph(args):
     graph6 = args.format == "graph6"
-    _check_m(args.m, 1, _GRAPH_MAX_M if graph6 else _JSON_EDGES_MAX_M)
+    _check_m(args.m, 1, _DELTA_MAX_M if graph6 else _JSON_EDGES_MAX_M)
     colour = RED if args.colour == "red" else BLUE
     graph = build_delta(args.m)
     blocks = (graph6_blocks if graph6 else json_edges_blocks)(graph, colour)
@@ -189,7 +188,7 @@ def _cmd_graph(args):
 
 
 def _cmd_search(args):
-    _check_m(args.m, 1, _SEARCH_MAX_M)
+    _check_m(args.m, 1, _DELTA_MAX_M)
     if args.all is not None:
         if args.node_budget is not None:
             raise UsageError("--node-budget does not apply to --all")

@@ -29,6 +29,9 @@ BLUE = 1
 COLOUR_NAMES = {RED: "red", BLUE: "blue"}
 
 _ORACLE_MAX_M = 4
+# the largest m at which Delta_m is built for a command: graph6 holds
+# 4^8 vertices at most, and params and the searches stop here too
+_DELTA_MAX_M = 8
 _GRAPH6_MAX_VERTICES = 1 << 16
 # upper-triangle bits unpacked at once while encoding graph6
 _GRAPH6_BLOCK_BITS = 1 << 22

@@ -12,8 +12,10 @@ blocks of Delta_m and check at run time every hypothesis the reduction
 below needs, raising RuntimeError when one fails.  By the reduction the
 swaps that fix every coset are the solutions of a linear system over
 GF(2), one equation per pair of cosets, and `_solve` row-reduces it; no
-search tree is walked.  The searches stop at m = 5: the checks of a
-witness and of the lifts over every pair build v x v arrays.
+search tree is walked.  The lifts of step (v) are checked as the
+XOR-linear maps they are, in O(v m), so the searches share Delta_m's
+guard, m <= 8 (`graphs._DELTA_MAX_M`); only a witness, which exists at
+m <= 3, is checked over every pair.
 
 The reduction.  Let phi fix 0 and satisfy kappa[phi a ^ phi b] =
 s * kappa[a ^ b] with s = -1 (a swap) or +1 (an automorphism).  For
@@ -58,13 +60,20 @@ cell reps[i] ^ D[x], and the cells of coset i are reps[i] + D.
     x ^ x_0 e_1 = (T^t)^-1 x and b_i = i_1 e_1.  wt(T i) = wt(i) + i_1
     mod 2, (T i).(N x) = i.x and (T i).b_i = i_1, so the exponent moves
     by 2 i_1 and the sign is kept.
-    Both are built in closed form, checked over all pairs and checked to
-    send coset i to coset T i or S i.  For a swap psi fixing 0 pick
-    alpha in Aut_0 with M_alpha = M_psi: psi o alpha^-1 is a swap with
-    pi = id.  So a swap exists iff one exists that fixes every coset,
-    and step (vi) decides that.  The kernel K (the pi = id automorphisms)
-    and the lifts generate Aut_0, of order |K| * |GL(m, 2)|, and the
-    swaps fixing 0 are the coset psi o Aut_0.
+    Both are built in closed form, and `_lifts` checks each as this step
+    argues, in O(v m): phi[a ^ e_k] = phi[a] ^ phi[e_k] for every vertex
+    a and unit vector e_k, kappa[phi a] = kappa[a] at every vertex, and
+    coset i goes to coset T i or S i.  Such a map is one to one: if
+    phi d = 0 then kappa[a ^ d] = kappa[a] for every a, so d is a zero
+    of kappa, d = D[x], and x = 0 by (i) (take a = reps[i] with
+    i.x = 1).  Being linear, each lift is fixed by its 2m images
+    phi[e_k], which the certificate lists.
+    For a swap psi fixing 0 pick alpha in Aut_0 with M_alpha = M_psi:
+    psi o alpha^-1 is a swap with pi = id.  So a swap exists iff one
+    exists that fixes every coset, and step (vi) decides that.  The
+    kernel K (the pi = id automorphisms) and the lifts generate Aut_0,
+    of order |K| * |GL(m, 2)|, and the swaps fixing 0 are the coset
+    psi o Aut_0.
 (vi) A phi with pi = id sends reps[i] ^ D[x] to reps[i] ^ D[f_i(x)],
     with f_i a permutation of GF(2)^m and f_0(0) = 0.  reps and D are
     XOR-linear, so for i != j the cells (i, x) and (j, y) differ by
@@ -90,24 +99,23 @@ cell reps[i] ^ D[x], and the cells of coset i are reps[i] + D.
     sum of a ^ b over a in A, and both are 0; the right sides sum to
     15 = 1.  So the sum reads 0 = 1.
 
-`_solve` reduces the pairs in (i, j) order and meets 0 = 1 at m = 4
-after 51 of the 120 equations and at m = 5 after 99 of the 496; at both
-(and at every m up to 8) the equations it combines are exactly these 15.
+`_solve` reduces the pairs in (i, j) order and meets 0 = 1 after 51 of
+the 120 equations at m = 4, 99 of 496 at m = 5 and 771 of 32640 at
+m = 8; at every m from 4 to 8 the equations it combines are exactly
+these 15.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
-from .graphs import _delta_kappa
+from .graphs import _DELTA_MAX_M, _delta_kappa
 
-_SEARCH_MAX_M = 5
 _SEARCH_ALL_MAX_M = 2
 
 
@@ -133,43 +141,26 @@ class SwapMap:
 @dataclass(frozen=True)
 class SearchOutcome:
     """A search's verdict.  An EXHAUSTED run carries its certificate:
-    {"refutation": [(i, j), ...], "lifts": [phi_T, phi_S]}."""
+    {"refutation": [(i, j), ...], "lifts": [T_images, S_images]}, each
+    lift given by its images of the 2m unit vectors e_k, in order of k."""
 
     status: SearchStatus
     witness: SwapMap | None
     nodes: int
-    elapsed: float
     certificate: dict | None = None
-
-
-def _keeps(m, phi, sign):
-    """kappa[phi[a] ^ phi[b]] == sign * kappa[a ^ b] for every pair.
-
-    All ordered pairs at once: the check is symmetric in a and b, and
-    kappa[0] = 0 makes it hold on the diagonal."""
-    kappa = _delta_kappa(m)
-    phi = np.array(phi, dtype=np.min_scalar_type(len(kappa) - 1))
-    vertices = np.arange(phi.size, dtype=phi.dtype)
-    images = kappa[np.bitwise_xor.outer(phi, phi)]
-    return bool((images == sign * kappa[np.bitwise_xor.outer(vertices, vertices)]).all())
 
 
 def verify_swap(swap: SwapMap) -> bool:
     """Exhaustive pair check: every red edge must land on a blue one and
-    vice versa, and non-edges must stay non-edges."""
-    return _keeps(swap.m, swap.phi, -1)
+    vice versa, and non-edges must stay non-edges.
 
-
-def normalize(swap: SwapMap) -> SwapMap:
-    """Translate a verified swap so that vertex 0 is fixed.
-
-    XOR by phi[0] preserves every pair difference, so the result still
-    verifies.
-    """
-    if not verify_swap(swap):
-        raise ValueError("map does not swap the colours")
-    t = swap.phi[0]
-    return SwapMap(swap.m, tuple(p ^ t for p in swap.phi))
+    All ordered pairs at once, on v x v arrays: the check is symmetric in
+    a and b, and kappa[0] = 0 makes it hold on the diagonal."""
+    kappa = _delta_kappa(swap.m)
+    phi = np.array(swap.phi, dtype=np.min_scalar_type(len(kappa) - 1))
+    vertices = np.arange(phi.size, dtype=phi.dtype)
+    images = kappa[np.bitwise_xor.outer(phi, phi)]
+    return bool((images == -kappa[np.bitwise_xor.outer(vertices, vertices)]).all())
 
 
 def _check_search(m, node_budget):
@@ -177,8 +168,8 @@ def _check_search(m, node_budget):
     before kappa is built."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > _SEARCH_MAX_M:
-        raise ValueError(f"the search is guarded to m <= {_SEARCH_MAX_M}")
+    if m > _DELTA_MAX_M:
+        raise ValueError(f"the search is guarded to m <= {_DELTA_MAX_M}")
     if node_budget is not None and node_budget < 1:
         raise ValueError("node budget must be >= 1")
 
@@ -231,10 +222,22 @@ def _gl_order(m):
     return math.prod((1 << m) - (1 << i) for i in range(m))
 
 
+def _is_linear_automorphism(m, phi):
+    """phi[a ^ e] == phi[a] ^ phi[e] for every vertex a and unit vector e,
+    and kappa[phi[a]] == kappa[a] at every vertex of Delta_m: by step (v)
+    of the module docstring, phi is then an automorphism.  O(v m), with
+    no v x v array."""
+    kappa = _delta_kappa(m)
+    vertices = np.arange(kappa.size)
+    linear = all((phi[vertices ^ e] == phi ^ phi[e]).all() for e in 1 << np.arange(2 * m))
+    return linear and bool((kappa[phi] == kappa).all())
+
+
 def _lifts(m):
-    """phi_T and phi_S of step (v) of the module docstring, built in closed
-    form on the blocks; each is checked over all pairs and checked to send
-    coset i to coset T i or S i.  RuntimeError if a check fails."""
+    """phi_T and phi_S of step (v) of the module docstring, as arrays,
+    built in closed form on the blocks; each is checked to be XOR-linear,
+    to keep kappa at every vertex and to send coset i to coset T i or
+    S i.  RuntimeError if a check fails."""
     blocks = _blocks(m)
     r = 1 << m
     i = np.arange(r)[:, None]
@@ -251,9 +254,9 @@ def _lifts(m):
     ):
         phi = np.empty_like(blocks.coset)
         phi[blocks.cells] = blocks.cells[to, at]
-        if not _keeps(m, phi, +1) or (blocks.coset[phi[blocks.cells]] != to).any():
+        if not _is_linear_automorphism(m, phi) or (blocks.coset[phi[blocks.cells]] != to).any():
             raise RuntimeError(f"the lift of the generator {name} of GL({m}, 2) fails its checks")
-        lifts.append(phi.tolist())
+        lifts.append(phi)
     return lifts
 
 
@@ -327,18 +330,18 @@ def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -
     lexicographically first swap with pi = id; it still goes through
     verify_swap.  A refuted one gives EXHAUSTED once the closed-form
     lifts of T and S pass their checks, with the certificate
-    {"refutation": [(i, j), ...], "lifts": [phi_T, phi_S]}.  Exceeding
+    {"refutation": [(i, j), ...], "lifts": [T_images, S_images]}, where
+    each lift is its list of images phi[1 << k], k < 2m.  Exceeding
     node_budget yields INCONCLUSIVE with node_budget + 1 nodes.
 
-    The system has at most 496 equations and no choice of order: order
+    The system has at most 32640 equations and no choice of order: order
     accepts only "mcv", and it and node_budget stay because the
-    benchmark's steps pass them.  Guarded to m <= 5.  RuntimeError if a
+    benchmark's steps pass them.  Guarded to m <= 8.  RuntimeError if a
     checked hypothesis fails.
     """
     _check_search(m, node_budget)
     if order != "mcv":
         raise ValueError(f"unknown assignment order {order!r}")
-    start = time.monotonic()
     cells = _blocks(m).cells
     status, nodes, found = _solve(m, 1, node_budget)
     witness = certificate = None
@@ -347,8 +350,9 @@ def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -
         if not verify_swap(witness):
             raise RuntimeError("search produced a map that fails verification")
     elif status is SearchStatus.EXHAUSTED:
-        certificate = {"refutation": found, "lifts": _lifts(m)}
-    return SearchOutcome(status, witness, nodes, time.monotonic() - start, certificate)
+        units = 1 << np.arange(2 * m)
+        certificate = {"refutation": found, "lifts": [phi[units].tolist() for phi in _lifts(m)]}
+    return SearchOutcome(status, witness, nodes, certificate)
 
 
 def _closure(gens):
@@ -374,7 +378,7 @@ def _closure(gens):
 def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     """All normalized colour-swapping maps in lexicographic phi order,
     truncated at `limit`.  Guarded to m <= 2 unless force=True;
-    search_swap, called before any other work, holds m to 1..5.
+    search_swap, called before any other work, holds m to 1..8.
 
     Built from the coset blocks: the swaps fixing 0 are psi o Aut_0, for
     search_swap's witness psi.  Aut_0 is the closure of K and the lifts
@@ -396,8 +400,7 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     if psi is None:
         return []
     _, _, basis = _solve(m, 0)
-    cells = _blocks(m).cells
-    kernel = [_translations(cells, t) for t in _solutions(m, basis)]
+    kernel = [_translations(_blocks(m).cells, t) for t in _solutions(m, basis)]
     auts = _closure(kernel + _lifts(m))
     if len(auts) != len(kernel) * _gl_order(m):
         raise RuntimeError("K and the lifts do not generate |K| * |GL(m, 2)| automorphisms")

@@ -4,13 +4,14 @@ Each one computes what a fast path in ctwin computes, by the textbook
 route and mostly in pure Python: the twin truth tables by big-int
 shifts, graph6 characters packed one 6-bit row at a time, edge lists
 pair by pair, butterflies on a list, spectra, bentness and duals read
-off them, supports, complements and differences counted entry by entry
-or pair by pair, Delta_m rebuilt pair by pair from signed-permutation
-products, common neighbours counted on packed adjacency rows, swaps
-checked pair by pair, swaps and automorphisms found by backtracking
-over every vertex (a min-domain walk on constraint masks built pair by
-pair, and a recursive search in natural vertex order), and Delta_m's
-coset blocks read off one Walsh spike per coset.  A graph6 decoder, bit
+off them, algebraic normal forms by the Moebius butterfly, supports,
+complements and differences counted entry by entry or pair by pair,
+Delta_m rebuilt pair by pair from signed-permutation products, common
+neighbours counted on packed adjacency rows, swaps checked pair by pair
+and translated to fix vertex 0, swaps and automorphisms found by
+backtracking over every vertex (a min-domain walk on constraint masks
+built pair by pair, and a recursive search in natural vertex order),
+and Delta_m's coset blocks read off one Walsh spike per coset.  A graph6 decoder, bit
 by bit, reads ctwin's payloads back.  The transform's input, which
 ctwin unpacks a slab at a time, is unpacked here whole, as an array.
 They are quadratic where ctwin is spectral, and the walks visit up to
@@ -23,7 +24,7 @@ import numpy as np
 from ctwin.algebra import SymmetryClass, classify, gamma
 from ctwin.bent import BoolFunc, DiffSetParams, sigma, tau
 from ctwin.graphs import BLUE, RED, DifferenceGraph, SrgParams, build_delta
-from ctwin.swap import SearchStatus
+from ctwin.swap import SearchStatus, SwapMap
 
 
 def twin_bits(m):
@@ -137,6 +138,20 @@ def fwht(values):
                 x, y = out[j], out[j + h]
                 out[j] = x + y
                 out[j + h] = x - y
+        h *= 2
+    return out
+
+
+def anf(bits):
+    """The algebraic normal form of a truth table by the Moebius
+    transform: entry s is the coefficient of the monomial of the input
+    bits set in s, the XOR of the table over the subsets of s."""
+    out = list(bits)
+    h = 1
+    while h < len(out):
+        for start in range(0, len(out), 2 * h):
+            for j in range(start, start + h):
+                out[j + h] ^= out[j]
         h *= 2
     return out
 
@@ -288,6 +303,16 @@ def verify_swap(m, phi):
             if kappa[pa ^ phi[b]] != -kappa[a ^ b]:
                 return False
     return True
+
+
+def normalize(swap):
+    """A swap translated so that vertex 0 is fixed.  XOR by phi[0] keeps
+    every pair difference, so the result is still a swap; ValueError for
+    a map that is not one."""
+    if not verify_swap(swap.m, swap.phi):
+        raise ValueError("map does not swap the colours")
+    t = swap.phi[0]
+    return SwapMap(swap.m, tuple(p ^ t for p in swap.phi))
 
 
 def tables(m):

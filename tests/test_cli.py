@@ -393,15 +393,20 @@ def test_search_budget_inconclusive(capsys):
 
 
 def _check_m4_certificate(result):
-    # the certificate's lifts must be automorphisms fixing 0 (checked
-    # pair by pair here); its node count and its 15 refuting pairs are
-    # pinned
+    # each lift is listed by its 8 images of the unit vectors; the map
+    # they span by XOR must be an automorphism fixing 0 (checked pair by
+    # pair here); the node count and the 15 refuting pairs are pinned
     assert set(result) == {"m", "status", "nodes", "certificate"}
     assert (result["m"], result["status"], result["nodes"]) == (4, "exhausted", 51)
     assert set(result["certificate"]) == {"refutation", "lifts"}
     assert len(result["certificate"]["refutation"]) == 15
     kappa = build_delta(4).kappa
-    for phi in result["certificate"]["lifts"]:
+    for images in result["certificate"]["lifts"]:
+        assert len(images) == 8
+        phi = [0] * 256
+        for a in range(256):
+            for k in range(8):
+                phi[a] ^= images[k] if a >> k & 1 else 0
         assert sorted(phi) == list(range(256)) and phi[0] == 0
         assert all(
             kappa[phi[a] ^ phi[b]] == kappa[a ^ b] for a in range(256) for b in range(a)
@@ -448,19 +453,21 @@ def test_search_budget_bounds_the_walk(capsys):
 
 
 def test_search_range_guard(capsys):
-    # the pair checks build v x v arrays: m = 6 is refused before any is built
-    code, report = run_cli(capsys, "search", "--m", "6")
+    # the search shares Delta_m's guard: m = 9 is refused
+    code, report = run_cli(capsys, "search", "--m", "9")
     assert (code, set(report)) == (1, {"error"})
-    assert report["error"] == "--m must be in 1..5, got 6"
+    assert report["error"] == "--m must be in 1..8, got 9"
 
 
 def test_search_at_guard_limit_within_budget(tmp_path):
-    # m = 5 is the search guard's largest m: the certificate in 5 s and 100 MB
-    code, report, rss = run_budgeted(tmp_path, ["search", "--m", "5"], 5.0)
+    # m = 8 is the search guard's largest m: the certificate in 2 s and 60 MB
+    code, report, rss = run_budgeted(tmp_path, ["search", "--m", "8"], 2.0)
     assert code == 2
     result = report["result"]
-    assert (result["m"], result["status"], result["nodes"]) == (5, "exhausted", 99)
-    assert rss < 100.0, f"search --m 5 peaked at {rss:.0f} MB, budget 100 MB"
+    assert (result["m"], result["status"], result["nodes"]) == (8, "exhausted", 771)
+    assert len(result["certificate"]["refutation"]) == 15
+    assert [len(images) for images in result["certificate"]["lifts"]] == [16, 16]
+    assert rss < 60.0, f"search --m 8 peaked at {rss:.0f} MB, budget 60 MB"
 
 
 def test_search_all_m1(capsys):
@@ -471,7 +478,7 @@ def test_search_all_m1(capsys):
 
 
 def test_search_all_follows_the_cli_guard(capsys):
-    # the library guards search_all to m <= 2; the CLI's own guard is m <= 5
+    # the library guards search_all to m <= 2; the CLI's own guard is m <= 8
     code, report = run_cli(capsys, "search", "--m", "3", "--all", "5")
     assert code == 0
     assert report["result"]["witnesses"] == [list(w.phi) for w in search_all(3, 5, force=True)]

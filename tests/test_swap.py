@@ -10,12 +10,11 @@ import numpy as np
 import pytest
 
 from ctwin import graphs, swap
-from ctwin.bent import sigma
+from ctwin.bent import sigma, sigma_function, tau_function
 from ctwin.graphs import BLUE, RED, build_delta
 from ctwin.swap import (
     SearchStatus,
     SwapMap,
-    normalize,
     search_all,
     search_swap,
     verify_swap,
@@ -66,15 +65,15 @@ def test_swap_map_validation():
 
 def test_normalize():
     fixed = SwapMap(1, (0, 2, 1, 3))
-    assert normalize(fixed) == fixed
+    assert oracles.normalize(fixed) == fixed
     translated = SwapMap(1, (3, 1, 2, 0))
-    assert normalize(translated) == fixed
-    assert normalize(normalize(translated)) == normalize(translated)
+    assert oracles.normalize(translated) == fixed
+    assert oracles.normalize(oracles.normalize(translated)) == oracles.normalize(translated)
 
 
 def test_normalize_rejects_non_swap():
     with pytest.raises(ValueError, match="does not swap"):
-        normalize(SwapMap(1, (0, 1, 2, 3)))
+        oracles.normalize(SwapMap(1, (0, 1, 2, 3)))
 
 
 def test_search_m1():
@@ -200,13 +199,12 @@ def test_golden_node_counts(key):
 
 
 def _is_automorphism(m, alpha):
-    kappa = build_delta(m).kappa
-    v = len(kappa)
-    return all(
-        kappa[alpha[a] ^ alpha[b]] == kappa[a ^ b]
-        for a in range(v)
-        for b in range(a + 1, v)
-    )
+    """kappa[alpha[a] ^ alpha[b]] == kappa[a ^ b] for every pair, one
+    vertex a against all b at a time."""
+    kappa = np.array(build_delta(m).kappa)
+    alpha = np.asarray(alpha)
+    vertices = np.arange(len(kappa))
+    return all((kappa[alpha[a] ^ alpha] == kappa[a ^ vertices]).all() for a in vertices)
 
 
 @pytest.mark.parametrize("m, count", [(2, 12), (3, 1344)])
@@ -247,21 +245,22 @@ def test_search_all_guards():
         search_all(3, 1)
 
 
-def test_searches_stop_above_m5_before_building_tables(monkeypatch):
-    # the pair checks of a witness and of the lifts build v x v arrays
-    def no_tables(m):
+def test_searches_stop_above_m8_before_building_kappa(monkeypatch):
+    # the searches share Delta_m's guard, graphs._DELTA_MAX_M
+    def no_kappa(m):
         raise AssertionError(f"kappa built for m = {m}")
 
-    monkeypatch.setattr(swap, "_delta_kappa", no_tables)
+    monkeypatch.setattr(swap, "_delta_kappa", no_kappa)
+    assert graphs._DELTA_MAX_M == 8
     for search in (search_swap, lambda m: search_all(m, 1, force=True)):
-        with pytest.raises(ValueError, match=r"guarded to m <= 5$"):
-            search(6)
+        with pytest.raises(ValueError, match=r"guarded to m <= 8$"):
+            search(9)
 
 
 def test_pinning_loses_no_generality_m1():
     unpinned = brute_force_swaps_m1(fix_zero=False)
     pinned = {w.phi for w in search_all(1, 100)}
-    assert pinned == {normalize(SwapMap(1, phi)).phi for phi in unpinned}
+    assert pinned == {oracles.normalize(SwapMap(1, phi)).phi for phi in unpinned}
     assert bool(unpinned) == bool(pinned)
 
 
@@ -272,7 +271,7 @@ def test_translations_still_verify_m2():
         t = rng.randrange(16)
         translated = SwapMap(2, tuple(p ^ t for p in base.phi))
         assert verify_swap(translated)
-        assert normalize(translated) == normalize(base)
+        assert oracles.normalize(translated) == oracles.normalize(base)
 
 
 def test_witness_exchanges_neighbour_sets():
@@ -466,20 +465,88 @@ def test_generators_generate_gl():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_lifts_are_automorphisms_inducing_their_generator(m):
     v = 1 << (2 * m)
-    phi_T, phi_S = swap._lifts(m)
+    phi_T, phi_S = (phi.tolist() for phi in swap._lifts(m))
     # phi_S rotates the base-4 digits one place
     assert phi_S == [((y << 2) | (y >> (2 * m - 2))) & (v - 1) for y in range(v)]
     for M, alpha in zip(_generator_tables(m), (phi_T, phi_S)):
         assert alpha[0] == 0 and sorted(alpha) == list(range(v))
-        assert _is_automorphism(m, alpha) if m <= 3 else swap._keeps(m, alpha, +1)
+        assert _is_automorphism(m, alpha)
         for y, image in enumerate(alpha):
             assert _coset_index(m, image) == M[_coset_index(m, y)]
 
 
 def test_failed_lift_check_stops_the_certificate(monkeypatch):
-    monkeypatch.setattr(swap, "_keeps", lambda m, phi, sign: False)
+    monkeypatch.setattr(swap, "_is_linear_automorphism", lambda m, phi: False)
     with pytest.raises(RuntimeError, match=r"lift of the generator T of GL\(4, 2\)"):
         search_swap(4)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_lift_check_needs_linearity_and_kappa(m):
+    kappa = graphs._delta_kappa(m)
+    phi_T, phi_S = swap._lifts(m)
+    assert swap._is_linear_automorphism(m, phi_T) and swap._is_linear_automorphism(m, phi_S)
+    # two vertices of one colour exchanged: kappa is kept at every vertex,
+    # but the map is not linear
+    a, b = [y for y in range(1, kappa.size) if kappa[y] == kappa[1]][-2:]
+    exchanged = phi_S.copy()
+    exchanged[[a, b]] = phi_S[[b, a]]
+    assert (kappa[exchanged] == kappa).all()
+    assert not swap._is_linear_automorphism(m, exchanged)
+    # phi_S with the images of e_0 and e_1 exchanged: linear and one to
+    # one, but digits 1 and 2 trade places, so kappa breaks
+    images = [int(phi_S[1 << k]) for k in range(2 * m)]
+    images[0], images[1] = images[1], images[0]
+    linear = _from_images(images)
+    assert sorted(linear.tolist()) == list(range(kappa.size))
+    assert (kappa[linear] != kappa).any()
+    assert not swap._is_linear_automorphism(m, linear)
+
+
+def _from_images(images):
+    """The XOR-linear map with phi[1 << k] = images[k]: phi[a] is the XOR
+    of the images of a's set bits."""
+    a = np.arange(1 << len(images))
+    phi = np.zeros_like(a)
+    for k, image in enumerate(images):
+        phi ^= ((a >> k) & 1) * image
+    return phi
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_certificate_lifts_rebuild_from_their_images(m):
+    v = 1 << (2 * m)
+    lifts = search_swap(m).certificate["lifts"]
+    assert [len(images) for images in lifts] == [2 * m, 2 * m]
+    coset = _coset_index(m, np.arange(v))
+    for M, images in zip(_generator_tables(m), lifts):
+        alpha = _from_images(images)
+        assert alpha[0] == 0 and sorted(alpha.tolist()) == list(range(v))
+        assert (coset[alpha] == np.array(M)[coset]).all()
+        if m <= 5:
+            assert _is_automorphism(m, alpha)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_anf_degrees_of_the_twins(m):
+    # sigma_m is quadratic and tau_m has degree m (2 at m = 1): an affine
+    # map keeps the degree, so for m >= 3 no affine map takes one to the other
+    def degree(f):
+        return max(s.bit_count() for s, c in enumerate(oracles.anf(f.table())) if c)
+
+    assert degree(sigma_function(m)) == 2
+    assert degree(tau_function(m)) == max(2, m)
+
+
+def _is_linear(phi):
+    n = len(phi).bit_length() - 1
+    return list(phi) == _from_images([phi[1 << k] for k in range(n)]).tolist()
+
+
+def test_swaps_are_linear_at_m2_and_none_is_at_m3(m3_swaps):
+    m2_swaps = [w.phi for w in search_all(2, 1000)]
+    assert len(m2_swaps) == 12 and all(_is_linear(phi) for phi in m2_swaps)
+    assert len(m3_swaps) == 1344 and not any(_is_linear(phi) for phi in m3_swaps)
 
 
 # (m, node_budget) -> (status, nodes): the pair equations reduced.  The
@@ -508,7 +575,7 @@ def test_block_search_golden(key):
         assert out.witness.phi[0] == 0 and verify_swap(out.witness)
     if out.status is SearchStatus.EXHAUSTED:
         assert list(out.certificate) == ["refutation", "lifts"]
-        assert all(swap._keeps(m, phi, +1) for phi in out.certificate["lifts"])
+        assert all(_is_automorphism(m, _from_images(images)) for images in out.certificate["lifts"])
     else:
         assert out.certificate is None
 
