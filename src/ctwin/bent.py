@@ -13,13 +13,13 @@ with tau_1 = 1 only on the index 10.  Both are computed from bits alone;
 the matrix route exists only as an independent cross-check (see the
 oracle command and the test suite).
 
-The twin tables have one builder, `_twin_table`, which concatenates
-whole byte quadrants of packed little-endian uint8 arrays (entry i at
-bit i % 8 of byte i // 8).  That packed form is the only stored form of
-a truth table: the CLI writes tables out from it, with the one hex rule
-`_hex_digits` that BoolFunc.hex() also uses, and a BoolFunc holds its
-table in it as read-only bytes.  A Python int (`BoolFunc.bits`) is made
-only for a caller that asks for one.
+The twin tables have one builder, `twins._twin_table`, which joins
+whole byte quadrants of packed little-endian bytes (entry i at bit i % 8
+of byte i // 8).  That packed form is the only stored form of a truth
+table: the CLI writes tables out from it, with the one hex rule
+`twins._hex_digits` that BoolFunc.hex() also uses, and a BoolFunc holds
+its table in it as bytes.  A Python int (`BoolFunc.bits`) is made only
+for a caller that asks for one.
 
 Every transform (spectra, bentness, duals, difference-set counts) runs
 through one staged butterfly kernel, `_fwht`: the low half of the index
@@ -45,11 +45,12 @@ arithmetic.
 
 from __future__ import annotations
 
-import binascii
 import re
 from dataclasses import dataclass
 
 import numpy as np
+
+from .twins import _hex_digits, _twin_table
 
 
 # the number of set bits of each byte value
@@ -59,18 +60,6 @@ _BYTE_WEIGHTS = np.array([b.bit_count() for b in range(256)], np.uint8)
 def _packed_size(n: int) -> int:
     """Bytes in a packed truth table on n bits: one below n = 3."""
     return max(1, (1 << n) >> 3)
-
-
-def _hex_digits(table: np.ndarray, n: int, block: int):
-    """The hex digits of a packed truth table on n bits, highest entry
-    first, as ASCII byte blocks: the bytes hexlified last first, `block`
-    bytes at a time, so the text is never whole.  Below n = 3 there is
-    one digit, where a whole byte would give two."""
-    if n < 3:
-        yield b"%x" % table[0]
-        return
-    for end in range(table.size, 0, -block):
-        yield binascii.hexlify(table[max(0, end - block) : end][::-1].tobytes())
 
 
 @dataclass(frozen=True)
@@ -141,7 +130,7 @@ class BoolFunc:
 
     def hex(self) -> str:
         """Serialize as "tt:<arity>:<hex>", highest-index entry first."""
-        digits = _hex_digits(self._bytes(), self.n, len(self.packed))
+        digits = _hex_digits(self.packed, self.n, len(self.packed))
         return f"tt:{self.n}:" + b"".join(digits).decode()
 
     @classmethod
@@ -193,48 +182,14 @@ def tau(m: int, i: int) -> int:
     return 1 if i == 2 else 0
 
 
-# sigma_2 and tau_2 packed little-endian, two bytes each; their first
-# quadrants (the low nibbles of byte 0) are sigma_1 and tau_1
-_TWINS_M2 = {"sigma": (0xD2, 0x22), "tau": (0x24, 0x4D)}
-
-
-def _twin_table(m: int, function: str) -> np.ndarray:
-    """Truth table of sigma_m or tau_m ("sigma" or "tau") packed
-    little-endian into uint8: entry i is bit i % 8 of byte i // 8.  At
-    m = 1 it is one byte whose high nibble is 0.
-
-    Built from the m = 2 pair by the quadrant rules on whole bytes,
-
-        sigma_{l+1} = (sigma_l, ~sigma_l, sigma_l, sigma_l)
-        tau_{l+1}   = (tau_l, sigma_l, ~sigma_l, tau_l),
-
-    keeping only the previous level's pair, and making at the top level
-    only the function asked for.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if function not in _TWINS_M2:
-        raise ValueError(f"unknown twin function {function!r}")
-    tables = {name: np.array(pair, np.uint8) for name, pair in _TWINS_M2.items()}
-    if m == 1:
-        return tables[function][:1] & 15
-    for level in range(3, m + 1):
-        s, t = tables["sigma"], tables["tau"]
-        flipped = ~s
-        quadrants = {"sigma": (s, flipped, s, s), "tau": (t, s, flipped, t)}
-        wanted = (function,) if level == m else quadrants
-        tables = {name: np.concatenate(quadrants[name]) for name in wanted}
-    return tables[function]
-
-
 def sigma_function(m: int) -> BoolFunc:
     """Full truth table of sigma_m as a BoolFunc on 2m bits."""
-    return BoolFunc(2 * m, _twin_table(m, "sigma").tobytes())
+    return BoolFunc(2 * m, _twin_table(m, "sigma"))
 
 
 def tau_function(m: int) -> BoolFunc:
     """Full truth table of tau_m as a BoolFunc on 2m bits."""
-    return BoolFunc(2 * m, _twin_table(m, "tau").tobytes())
+    return BoolFunc(2 * m, _twin_table(m, "tau"))
 
 
 # --- Walsh-Hadamard transform ---------------------------------------------

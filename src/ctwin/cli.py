@@ -3,6 +3,10 @@
 Each invocation prints exactly one JSON object on stdout; anything meant
 for humans goes to stderr.  Exit codes: 0 success (or witness found),
 1 error or bad usage, 2 search exhausted, 3 search inconclusive.
+
+Each command imports the layers it uses when it runs, so `search` and
+`table` in hex run on the standard library alone and numpy loads only
+with the commands that do array work.
 """
 
 from __future__ import annotations
@@ -15,30 +19,7 @@ import sys
 import time
 from collections.abc import Iterator
 
-import numpy as np
-
-from .bent import (
-    _hex_digits,
-    _twin_table,
-    is_bent,
-    predicted_params,
-    sigma_function,
-    tau_function,
-    verify_difference_set,
-)
-from .graphs import (
-    _DELTA_MAX_M,
-    _ORACLE_MAX_M,
-    BLUE,
-    RED,
-    build_delta,
-    graph6_blocks,
-    json_edges_blocks,
-    oracle_build_delta,
-    predicted_srg_params,
-    verify_srg,
-)
-from .swap import SearchStatus, search_all, search_swap
+from .twins import _DELTA_MAX_M, _hex_digits, _twin_table
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -120,6 +101,9 @@ def _bit_blocks(table, n):
     """The packed truth table on n bits as a JSON string of "0"/"1",
     entry 0 first, in blocks of 8 * _TABLE_BLOCK characters, so the text
     is never whole."""
+    import numpy as np
+
+    table = np.frombuffer(table, np.uint8)
     yield b'"'
     for i in range(0, table.size, _TABLE_BLOCK):
         count = min(8 * _TABLE_BLOCK, (1 << n) - 8 * i)
@@ -139,12 +123,17 @@ def _hex_blocks(table, n):
 
 
 def _cmd_bent(args):
+    from .bent import is_bent, sigma_function, tau_function
+
     _check_m(args.m, 1, _BENT_MAX_M)
     f = sigma_function(args.m) if args.function == "sigma" else tau_function(args.m)
     return {"bent": is_bent(f), "magnitude": 1 << args.m}, EXIT_OK
 
 
 def _cmd_params(args):
+    from .bent import predicted_params, sigma_function, tau_function, verify_difference_set
+    from .graphs import BLUE, RED, build_delta, predicted_srg_params, verify_srg
+
     _check_m(args.m, 1, _PARAMS_MAX_M)
     ds = predicted_params(args.m)
     srg = predicted_srg_params(args.m)
@@ -167,6 +156,8 @@ def _cmd_params(args):
 
 
 def _cmd_graph(args):
+    from .graphs import BLUE, RED, build_delta, graph6_blocks, json_edges_blocks
+
     graph6 = args.format == "graph6"
     _check_m(args.m, 1, _DELTA_MAX_M if graph6 else _JSON_EDGES_MAX_M)
     colour = RED if args.colour == "red" else BLUE
@@ -188,6 +179,8 @@ def _cmd_graph(args):
 
 
 def _cmd_search(args):
+    from .swap import SearchStatus, search_all, search_swap
+
     _check_m(args.m, 1, _DELTA_MAX_M)
     if args.all is not None:
         if args.node_budget is not None:
@@ -210,6 +203,8 @@ def _cmd_search(args):
 
 
 def _cmd_oracle(args):
+    from .graphs import _ORACLE_MAX_M, build_delta, oracle_build_delta
+
     _check_m(args.m, 1, _ORACLE_MAX_M)
     if oracle_build_delta(args.m) != build_delta(args.m):
         raise RuntimeError("matrix-built graph disagrees with the bit rules")

@@ -3,7 +3,7 @@ functions, strong-regularity verification, and graph export.
 
 Adjacency is never stored as a v x v structure: a graph on Z_2^n is a
 length-2^n colour table kappa indexed by vertex difference, held as
-read-only int8 bytes.  Delta_m's table has one builder, `_delta_kappa`,
+int8 bytes.  Delta_m's table has one builder, `twins._delta_kappa`,
 cached per m and shared with the swap search; every reader here views
 the bytes as an int8 array without a copy, and a tuple is made only for
 a caller that asks for one (`DifferenceGraph.kappa`).  Common-neighbour
@@ -17,21 +17,18 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .algebra import SymmetryClass, classify, gamma
-from .bent import BoolFunc, _autocorrelation, _twin_table, sigma, tau
+from .bent import BoolFunc, _autocorrelation, sigma, tau
+from .twins import _delta_kappa
 
 RED = -1
 BLUE = 1
 COLOUR_NAMES = {RED: "red", BLUE: "blue"}
 
 _ORACLE_MAX_M = 4
-# the largest m at which Delta_m is built for a command: graph6 holds
-# 4^8 vertices at most, and params and the searches stop here too
-_DELTA_MAX_M = 8
 _GRAPH6_MAX_VERTICES = 1 << 16
 # upper-triangle bits unpacked at once while encoding graph6
 _GRAPH6_BLOCK_BITS = 1 << 22
@@ -83,25 +80,12 @@ class DifferenceGraph:
         return [(a, b) for a, row in _upper_rows(self, colour) for b in row.tolist()]
 
 
-@lru_cache(maxsize=None)
-def _delta_kappa(m: int) -> np.ndarray:
-    """kappa of Delta_m as a read-only int8 array: tau_m - sigma_m, entry
-    by entry.  Built once per m."""
-    sig, tav = (
-        np.unpackbits(_twin_table(m, name), count=1 << (2 * m), bitorder="little")
-        for name in ("sigma", "tau")
-    )
-    kappa = tav.view(np.int8) - sig.view(np.int8)
-    kappa.flags.writeable = False
-    return kappa
-
-
 def build_delta(m: int) -> DifferenceGraph:
     """Delta_m from the bit rules: difference d is red where sigma_m(d) = 1,
     blue where tau_m(d) = 1, absent where the basis matrix is diagonal."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return DifferenceGraph(2 * m, _delta_kappa(m).tobytes())
+    return DifferenceGraph(2 * m, _delta_kappa(m))
 
 
 def oracle_build_delta(m: int) -> DifferenceGraph:

@@ -13,9 +13,11 @@ below needs, raising RuntimeError when one fails.  By the reduction the
 swaps that fix every coset are the solutions of a linear system over
 GF(2), one equation per pair of cosets, and `_solve` row-reduces it; no
 search tree is walked.  The lifts of step (v) are checked as the
-XOR-linear maps they are, in O(v m), so the searches share Delta_m's
-guard, m <= 8 (`graphs._DELTA_MAX_M`); only a witness, which exists at
-m <= 3, is checked over every pair.
+XOR-linear maps they are, in O(v), so the searches share Delta_m's
+guard, m <= 8 (`twins._DELTA_MAX_M`); only a witness, which exists at
+m <= 3, is checked over every pair.  Everything here is plain Python on
+bytes, tuples and big ints: kappa is `twins._delta_kappa`'s int8 bytes,
+and no search loads numpy.
 
 The reduction.  Let phi fix 0 and satisfy kappa[phi a ^ phi b] =
 s * kappa[a ^ b] with s = -1 (a swap) or +1 (an automorphism).  For
@@ -61,9 +63,9 @@ cell reps[i] ^ D[x], and the cells of coset i are reps[i] + D.
     mod 2, (T i).(N x) = i.x and (T i).b_i = i_1, so the exponent moves
     by 2 i_1 and the sign is kept.
     Both are built in closed form, and `_lifts` checks each as this step
-    argues, in O(v m): phi[a ^ e_k] = phi[a] ^ phi[e_k] for every vertex
-    a and unit vector e_k, kappa[phi a] = kappa[a] at every vertex, and
-    coset i goes to coset T i or S i.  Such a map is one to one: if
+    argues, in O(v): phi is the XOR-linear map with the images phi[e_k]
+    of the unit vectors e_k, kappa[phi a] = kappa[a] at every vertex,
+    and coset i goes onto coset T i or S i.  Such a map is one to one: if
     phi d = 0 then kappa[a ^ d] = kappa[a] for every a, so d is a zero
     of kappa, d = D[x], and x = 0 by (i) (take a = reps[i] with
     i.x = 1).  Being linear, each lift is fixed by its 2m images
@@ -108,15 +110,17 @@ these 15.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import itemgetter
 
-import numpy as np
-
-from .graphs import _DELTA_MAX_M, _delta_kappa
+from .twins import _DELTA_MAX_M, _delta_kappa
 
 _SEARCH_ALL_MAX_M = 2
+# an int8 byte b -> -b
+_NEG = bytes(-b & 255 for b in range(256))
 
 
 class SearchStatus(Enum):
@@ -154,13 +158,44 @@ def verify_swap(swap: SwapMap) -> bool:
     """Exhaustive pair check: every red edge must land on a blue one and
     vice versa, and non-edges must stay non-edges.
 
-    All ordered pairs at once, on v x v arrays: the check is symmetric in
-    a and b, and kappa[0] = 0 makes it hold on the diagonal."""
+    The pairs (a, a ^ d) are checked one difference d at a time: the v
+    differences phi[a] ^ phi[a ^ d] must all have the colour -kappa[d].
+    phi is one big int with a field per vertex, and d runs in Gray-code
+    order, so the fields XOR-translated by d come from those of the last
+    d by one swap of adjacent blocks (d = 0 holds, as kappa[0] = 0).  A
+    row's colours are read by one translate while a vertex fits a byte
+    (v <= 256), field by field above.  O(v^2) time and O(v m) memory:
+    no v x v array is made."""
     kappa = _delta_kappa(swap.m)
-    phi = np.array(swap.phi, dtype=np.min_scalar_type(len(kappa) - 1))
-    vertices = np.arange(phi.size, dtype=phi.dtype)
-    images = kappa[np.bitwise_xor.outer(phi, phi)]
-    return bool((images == -kappa[np.bitwise_xor.outer(vertices, vertices)]).all())
+    negated = kappa.translate(_NEG)
+    v = len(kappa)
+    fields = f"<{v}{'B' if v <= 256 else 'H'}"
+    width = struct.calcsize(fields)  # bytes per row
+    if v <= 256:
+        table = kappa.ljust(256, b"\0")
+
+        def colours(row):
+            return row.translate(table)
+    else:
+        def colours(row):
+            return bytes(map(kappa.__getitem__, struct.unpack(fields, row)))
+
+    bits = 8 * width // v  # per field
+    full = (1 << (8 * width)) - 1
+    # level k: shift and mask that swap adjacent blocks of 2^k fields
+    levels = []
+    for k in range(2 * swap.m):
+        shift = bits << k
+        levels.append((shift, full // ((1 << 2 * shift) - 1) * ((1 << shift) - 1)))
+    phi = int.from_bytes(struct.pack(fields, *swap.phi), "little")
+    translated = phi  # field a holds phi[a ^ d]
+    for n in range(1, v):
+        shift, mask = levels[(n & -n).bit_length() - 1]
+        translated = (translated & mask) << shift | (translated >> shift) & mask
+        d = n ^ (n >> 1)
+        if colours((phi ^ translated).to_bytes(width, "little")) != negated[d : d + 1] * v:
+            return False
+    return True
 
 
 def _check_search(m, node_budget):
@@ -180,37 +215,37 @@ def _check_search(m, node_budget):
 class _Blocks:
     """Delta_m's coset blocks in closed form, checked against kappa.
 
-    cells[i, x] = reps[i] ^ D[x] is the vertex x of coset i, and coset[y]
-    the coset of vertex y.
+    The vertex x of coset i is the cell reps[i] ^ zeros[x]; zeros, the
+    D of the module docstring, is coset 0.
     """
 
-    cells: np.ndarray
-    coset: np.ndarray
+    reps: tuple[int, ...]
+    zeros: tuple[int, ...]
 
 
-def _block_system(kappa) -> _Blocks:
-    """The coset blocks of the difference graph with this kappa, built in
-    closed form and checked against kappa at every vertex (step (i) of the
-    module docstring); RuntimeError names the first vertex that
-    disagrees."""
-    kappa = np.asarray(kappa, dtype=np.int8)
-    m = (kappa.size.bit_length() - 1) // 2
-    x = np.arange(1 << m)
-    reps = np.zeros_like(x)
-    parity = np.zeros_like(x)  # parity[u] = wt(u) mod 2
+def _block_system(kappa: bytes) -> _Blocks:
+    """The coset blocks of the difference graph with this int8 kappa,
+    built in closed form and checked against kappa at every vertex, one
+    coset at a time (step (i) of the module docstring); RuntimeError
+    names the first vertex that disagrees."""
+    m = (len(kappa).bit_length() - 1) // 2
+    reps = [0]  # bit k of i -> base-4 digit k of reps[i]
     for k in range(m):
-        reps |= ((x >> k) & 1) << (2 * k)
-        parity ^= (x >> k) & 1
-    cells = np.bitwise_xor.outer(reps, 3 * reps)
-    closed = np.empty_like(kappa)
-    closed[cells] = 1 - 2 * (parity[:, None] ^ parity[np.bitwise_and.outer(x, x)])
-    closed[cells[0]] = 0
-    wrong = np.flatnonzero(kappa != closed)
-    if wrong.size:
-        raise RuntimeError(f"kappa disagrees with the blocks' closed form at vertex {wrong[0]}")
-    coset = np.empty(kappa.size, dtype=x.dtype)
-    coset[cells] = x[:, None]
-    return _Blocks(cells, coset)
+        reps += [c | 1 << (2 * k) for c in reps]
+    zeros = [3 * c for c in reps]
+    wrong = []
+    for i, c in enumerate(reps):
+        # (-1)^(wt(i) + i.x) over x, bit by bit of x; 0 on coset 0
+        closed = bytes(1) if i == 0 else b"\xff" if i.bit_count() & 1 else b"\x01"
+        for k in range(m):
+            closed += closed.translate(_NEG) if i >> k & 1 else closed
+        cells = [c ^ d for d in zeros]
+        got = bytes(map(kappa.__getitem__, cells))
+        if got != closed:
+            wrong += (y for y, a, b in zip(cells, got, closed) if a != b)
+    if wrong:
+        raise RuntimeError(f"kappa disagrees with the blocks' closed form at vertex {min(wrong)}")
+    return _Blocks(tuple(reps), tuple(zeros))
 
 
 @lru_cache(maxsize=None)
@@ -222,39 +257,56 @@ def _gl_order(m):
     return math.prod((1 << m) - (1 << i) for i in range(m))
 
 
+def _cell_map(blocks, to, at):
+    """The vertex map reps[i] ^ D[x] -> reps[to(i)] ^ D[at(i)[x]] on the
+    blocks' cells, as a tuple."""
+    reps, zeros = blocks.reps, blocks.zeros
+    phi = [0] * (len(reps) * len(zeros))
+    for i, c in enumerate(reps):
+        target = reps[to(i)]
+        for d, x in zip(zeros, at(i)):
+            phi[c ^ d] = target ^ zeros[x]
+    return tuple(phi)
+
+
 def _is_linear_automorphism(m, phi):
-    """phi[a ^ e] == phi[a] ^ phi[e] for every vertex a and unit vector e,
-    and kappa[phi[a]] == kappa[a] at every vertex of Delta_m: by step (v)
-    of the module docstring, phi is then an automorphism.  O(v m), with
-    no v x v array."""
+    """phi is the XOR-linear map with the images phi[1 << k], k < 2m, and
+    kappa[phi[a]] == kappa[a] at every vertex of Delta_m: by step (v) of
+    the module docstring, phi is then an automorphism.  The linear map
+    is expanded from its images by doubling, in O(v), with no v x v
+    array."""
+    linear = [0]
+    for k in range(2 * m):
+        image = phi[1 << k]
+        linear += [y ^ image for y in linear]
     kappa = _delta_kappa(m)
-    vertices = np.arange(kappa.size)
-    linear = all((phi[vertices ^ e] == phi ^ phi[e]).all() for e in 1 << np.arange(2 * m))
-    return linear and bool((kappa[phi] == kappa).all())
+    return linear == list(phi) and bytes(map(kappa.__getitem__, phi)) == kappa
 
 
 def _lifts(m):
-    """phi_T and phi_S of step (v) of the module docstring, as arrays,
+    """phi_T and phi_S of step (v) of the module docstring, as tuples,
     built in closed form on the blocks; each is checked to be XOR-linear,
-    to keep kappa at every vertex and to send coset i to coset T i or
-    S i.  RuntimeError if a check fails."""
+    to keep kappa at every vertex, to send D onto D and to send reps[i]
+    into coset T i or S i, so that, being linear, it sends coset i onto
+    that coset.  RuntimeError if a check fails."""
     blocks = _blocks(m)
+    reps, zeros = blocks.reps, blocks.zeros
     r = 1 << m
-    i = np.arange(r)[:, None]
-    x = np.arange(r)[None, :]
-
-    def shift(u):
-        return ((u << 1) | (u >> (m - 1))) & (r - 1)
+    shifted = [((u << 1) | (u >> (m - 1))) & (r - 1) for u in range(r)]  # S u
+    normal = [u ^ (((u & 1) << 1) & (r - 1)) for u in range(r)]  # N u
+    subgroup = set(zeros)
 
     lifts = []
-    # (i, x) -> (T i, N x ^ b_i) and (S i, S x); the mask drops e_1 at m = 1
+    # (i, x) -> (T i, N x ^ b_i) and (S i, S x); the masks drop e_1 at m = 1
     for name, to, at in (
-        ("T", i ^ ((i >> 1) & 1), (x ^ ((x & 1) << 1) ^ (i & 2)) & (r - 1)),
-        ("S", shift(i), shift(x)),
+        ("T", lambda i: i ^ ((i >> 1) & 1), lambda i: [u ^ (i & 2 & (r - 1)) for u in normal]),
+        ("S", shifted.__getitem__, lambda i: shifted),
     ):
-        phi = np.empty_like(blocks.coset)
-        phi[blocks.cells] = blocks.cells[to, at]
-        if not _is_linear_automorphism(m, phi) or (blocks.coset[phi[blocks.cells]] != to).any():
+        phi = _cell_map(blocks, to, at)
+        onto = set(map(phi.__getitem__, zeros)) == subgroup and all(
+            phi[c] ^ reps[to(i)] in subgroup for i, c in enumerate(reps)
+        )
+        if not _is_linear_automorphism(m, phi) or not onto:
             raise RuntimeError(f"the lift of the generator {name} of GL({m}, 2) fails its checks")
         lifts.append(phi)
     return lifts
@@ -310,13 +362,11 @@ def _solutions(m, basis):
         yield [0] + [x >> (m * c) & (r - 1) for c in range(1, r)]
 
 
-def _translations(cells, t):
+def _translations(blocks, t):
     """The pi = id map reps[i] ^ D[x] -> reps[i] ^ D[x ^ t[i]] on the
     blocks' cells, as a tuple."""
-    x = np.arange(len(cells))
-    phi = np.empty(cells.size, dtype=cells.dtype)
-    phi[cells] = cells[x[:, None], x ^ np.array(t)[:, None]]
-    return tuple(phi.tolist())
+    xs = range(len(t))
+    return _cell_map(blocks, lambda i: i, lambda i: [x ^ t[i] for x in xs])
 
 
 def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -> SearchOutcome:
@@ -342,37 +392,36 @@ def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -
     _check_search(m, node_budget)
     if order != "mcv":
         raise ValueError(f"unknown assignment order {order!r}")
-    cells = _blocks(m).cells
+    blocks = _blocks(m)
     status, nodes, found = _solve(m, 1, node_budget)
     witness = certificate = None
     if status is SearchStatus.FOUND:
-        witness = SwapMap(m, _translations(cells, next(_solutions(m, found))))
+        witness = SwapMap(m, _translations(blocks, next(_solutions(m, found))))
         if not verify_swap(witness):
             raise RuntimeError("search produced a map that fails verification")
     elif status is SearchStatus.EXHAUSTED:
-        units = 1 << np.arange(2 * m)
-        certificate = {"refutation": found, "lifts": [phi[units].tolist() for phi in _lifts(m)]}
+        units = [1 << k for k in range(2 * m)]
+        certificate = {"refutation": found, "lifts": [[phi[u] for u in units] for phi in _lifts(m)]}
     return SearchOutcome(status, witness, nodes, certificate)
 
 
 def _closure(gens):
-    """The group that the permutations gens generate, as an array with
-    one element per row, the identity first."""
-    v = len(gens[0])
-    dtype = np.min_scalar_type(v - 1)
-    gens = np.array(gens, dtype=dtype)
-    frontier = np.arange(v, dtype=dtype)[None, :]
-    group = dict.fromkeys([frontier.tobytes()])
-    while len(frontier):
-        # frontier[:, gens][f, g, a] = (f o g)[a]
+    """The group that the permutations gens generate, as a list of
+    tuples, the identity first."""
+    identity = tuple(range(len(gens[0])))
+    group = {identity: None}  # a dict keeps the order of discovery
+    frontier = [identity]
+    compose = [itemgetter(*g) for g in gens]  # compose[k](f) = f o gens[k]
+    while frontier:
         fresh = []
-        for row in frontier[:, gens].reshape(-1, v):
-            key = row.tobytes()
-            if key not in group:
-                group[key] = None
-                fresh.append(key)
-        frontier = np.frombuffer(b"".join(fresh), dtype).reshape(-1, v)
-    return np.frombuffer(b"".join(group), dtype).reshape(-1, v)
+        for f in frontier:
+            for right in compose:
+                composed = right(f)
+                if composed not in group:
+                    group[composed] = None
+                    fresh.append(composed)
+        frontier = fresh
+    return list(group)
 
 
 def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
@@ -400,13 +449,12 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     if psi is None:
         return []
     _, _, basis = _solve(m, 0)
-    kernel = [_translations(_blocks(m).cells, t) for t in _solutions(m, basis)]
+    kernel = [_translations(_blocks(m), t) for t in _solutions(m, basis)]
     auts = _closure(kernel + _lifts(m))
     if len(auts) != len(kernel) * _gl_order(m):
         raise RuntimeError("K and the lifts do not generate |K| * |GL(m, 2)| automorphisms")
-    coset = np.array(psi.phi, dtype=auts.dtype)[auts]
-    coset = coset[np.lexsort(coset.T[::-1])][:limit]  # rows in lexicographic order
-    maps = [SwapMap(m, tuple(phi)) for phi in coset.tolist()]
+    coset = sorted(itemgetter(*alpha)(psi.phi) for alpha in auts)[:limit]  # psi o alpha
+    maps = [SwapMap(m, phi) for phi in coset]
     if not all(verify_swap(w) for w in maps):
         raise RuntimeError("enumeration produced a map that fails verification")
     return maps

@@ -460,14 +460,14 @@ def test_search_range_guard(capsys):
 
 
 def test_search_at_guard_limit_within_budget(tmp_path):
-    # m = 8 is the search guard's largest m: the certificate in 2 s and 60 MB
+    # m = 8 is the search guard's largest m: the certificate in 2 s and 30 MB
     code, report, rss = run_budgeted(tmp_path, ["search", "--m", "8"], 2.0)
     assert code == 2
     result = report["result"]
     assert (result["m"], result["status"], result["nodes"]) == (8, "exhausted", 771)
     assert len(result["certificate"]["refutation"]) == 15
     assert [len(images) for images in result["certificate"]["lifts"]] == [16, 16]
-    assert rss < 60.0, f"search --m 8 peaked at {rss:.0f} MB, budget 60 MB"
+    assert rss < 30.0, f"search --m 8 peaked at {rss:.0f} MB, budget 30 MB"
 
 
 def test_search_all_m1(capsys):

@@ -1,0 +1,102 @@
+"""The package's lazy surface: `import ctwin` and the swap search run on
+the standard library alone, and numpy loads only with the layers that do
+array work.  What loads is checked in fresh interpreters, whose
+sys.modules start without numpy."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import ctwin
+
+# every name the package exported when its __init__ imported them all,
+# by the layer that defines it
+EXPORTED = {
+    "algebra": "E1 E1E2 E2 I2 SignedPerm SymmetryClass bit_pairs classify diagonal_count "
+    "from_bit_pairs gamma generator",
+    "bent": "BoolFunc DiffSetParams dual fwht is_bent predicted_params sigma sigma_function "
+    "tau tau_function tokareva_compose verify_difference_set walsh_transform",
+    "graphs": "BLUE RED DifferenceGraph SrgParams build_delta cayley_graph export_graph "
+    "graph6_blocks json_edges_blocks oracle_build_delta predicted_srg_params to_graph6 "
+    "verify_srg",
+    "swap": "SearchOutcome SearchStatus SwapMap search_all search_swap verify_swap",
+}
+LAYERS = ("algebra", "bent", "graphs", "swap", "cli")
+
+
+def _fresh(code):
+    """Run code in a fresh interpreter; returns its stdout, parsed as
+    JSON."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_LIBRARY = """
+import json, sys
+import ctwin
+seen = {"import": "numpy" in sys.modules}
+ctwin.search_swap(4)
+seen["search_swap"] = "numpy" in sys.modules
+ctwin.search_all(3, 2000, force=True)
+seen["search_all"] = "numpy" in sys.modules
+ctwin.is_bent
+seen["is_bent"] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def _imported_by_command(argv):
+    """(exit code, the modules imported) of `python -m ctwin ARGV`, read
+    off the interpreter's -X importtime report."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ctwin", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    report = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert report, proc.stderr
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in report}
+
+
+def test_library_search_loads_no_numpy():
+    seen = _fresh(_LIBRARY)
+    assert seen == {"import": False, "search_swap": False, "search_all": False, "is_bent": True}
+
+
+SEARCH_LAYERS = {"ctwin.twins", "ctwin.swap"}
+ARRAY_LAYERS = {"numpy", "ctwin.algebra", "ctwin.bent", "ctwin.graphs"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded, absent",
+    [
+        (["search", "--m", "3"], 0, SEARCH_LAYERS, ARRAY_LAYERS),
+        (["search", "--m", "8"], 2, SEARCH_LAYERS, ARRAY_LAYERS),
+        (["search", "--m", "2", "--all"], 0, SEARCH_LAYERS, ARRAY_LAYERS),
+        (["table", "--m", "3", "--function", "tau"], 0,
+         {"ctwin.twins"}, ARRAY_LAYERS | {"ctwin.swap"}),
+        (["bent", "--m", "3", "--function", "tau"], 0,
+         {"numpy", "ctwin.bent"}, {"ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
+    ],
+)
+def test_commands_load_only_their_layers(argv, code, loaded, absent):
+    returned, modules = _imported_by_command(argv)
+    assert returned == code
+    assert loaded <= modules and not absent & modules
+
+
+def test_exported_names_and_layers_resolve():
+    names = {name: layer for layer, names in EXPORTED.items() for name in names.split()}
+    assert sorted(ctwin.__all__) == sorted(names)
+    listed = dir(ctwin)
+    for name, layer in names.items():
+        value = getattr(ctwin, name)
+        assert value is getattr(sys.modules[f"ctwin.{layer}"], name), name
+        assert name in listed, name
+    for layer in LAYERS:
+        assert getattr(ctwin, layer) is sys.modules[f"ctwin.{layer}"], layer
+        assert layer in listed, layer
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        ctwin.nonesuch

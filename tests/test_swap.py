@@ -5,12 +5,13 @@ import functools
 import itertools
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ctwin import graphs, swap
-from ctwin.bent import sigma, sigma_function, tau_function
+from ctwin import swap, twins
+from ctwin.bent import sigma, sigma_function, tau, tau_function
 from ctwin.graphs import BLUE, RED, build_delta
 from ctwin.swap import (
     SearchStatus,
@@ -165,11 +166,42 @@ def test_verify_swap_matches_oracle_m3(m3_swaps):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_int8_kappa_matches_build_delta(m):
-    kappa = graphs._delta_kappa(m)
-    assert kappa.dtype.name == "int8"
-    # one cached, read-only array per m
-    assert graphs._delta_kappa(m) is kappa and not kappa.flags.writeable
-    assert kappa.tolist() == list(build_delta(m).kappa)
+    kappa = twins._delta_kappa(m)
+    # one cached bytes object per m, immutable, read as int8
+    assert isinstance(kappa, bytes) and twins._delta_kappa(m) is kappa
+    assert np.frombuffer(kappa, np.int8).tolist() == list(build_delta(m).kappa)
+    assert list(build_delta(m).kappa) == [tau(m, d) - sigma(m, d) for d in range(len(kappa))]
+
+
+def test_verify_swap_memory_is_linear_in_v(monkeypatch):
+    # with kappa all 0 every map passes, so the check runs every
+    # difference of every pair; at m = 5 (v = 1024) one v x v table of
+    # int8 would take 1 MB on its own
+    monkeypatch.setattr(swap, "_delta_kappa", lambda m: bytes(1 << (2 * m)))
+    identity = SwapMap(5, tuple(range(1 << 10)))
+    tracemalloc.start()
+    try:
+        assert verify_swap(identity)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"verify_swap at m = 5 allocated {peak} bytes"
+
+
+@pytest.mark.parametrize(
+    "m, differences", [(1, None), (2, None), (3, None), (5, (1, 2, 3, 511, 512, 1023))]
+)
+def test_verify_swap_checks_every_difference(monkeypatch, m, differences):
+    # with kappa nonzero at d alone, the identity breaks exactly the pairs
+    # at difference d, so a check that skipped d would pass it; at m = 5
+    # (v > 256) the colours are read field by field, and d = 512 comes last
+    v = 1 << (2 * m)
+    identity = SwapMap(m, tuple(range(v)))
+    for d in differences or range(1, v):
+        kappa = bytearray(v)
+        kappa[d] = 1
+        monkeypatch.setattr(swap, "_delta_kappa", lambda m, kappa=bytes(kappa): kappa)
+        assert not verify_swap(identity), d
 
 
 # (m, order, node_budget) -> (status, nodes, max_depth) of the oracles'
@@ -246,12 +278,12 @@ def test_search_all_guards():
 
 
 def test_searches_stop_above_m8_before_building_kappa(monkeypatch):
-    # the searches share Delta_m's guard, graphs._DELTA_MAX_M
+    # the searches share Delta_m's guard, twins._DELTA_MAX_M
     def no_kappa(m):
         raise AssertionError(f"kappa built for m = {m}")
 
     monkeypatch.setattr(swap, "_delta_kappa", no_kappa)
-    assert graphs._DELTA_MAX_M == 8
+    assert twins._DELTA_MAX_M == 8
     for search in (search_swap, lambda m: search_all(m, 1, force=True)):
         with pytest.raises(ValueError, match=r"guarded to m <= 8$"):
             search(9)
@@ -340,21 +372,28 @@ def _coset_index(m, y):
     return sum(((c >> (2 * k)) & 1) << k for k in range(m))
 
 
+def _int8(kappa):
+    """A sequence of colours -1, 0, +1 as int8 bytes."""
+    return np.array(kappa, np.int8).tobytes()
+
+
 def _rejected_at(kappa, vertex):
     with pytest.raises(RuntimeError, match=rf"closed form at vertex {vertex}$"):
-        swap._block_system(kappa)
+        swap._block_system(_int8(kappa))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_block_checks_pass_and_one_flipped_sign_fails_them(m):
     kappa = build_delta(m).kappa
-    blocks = swap._block_system(kappa)
+    blocks = swap._block_system(_int8(kappa))
     zeros = [y for y in range(len(kappa)) if kappa[y] == 0]
-    assert blocks.cells[0].tolist() == zeros
-    for y in range(len(kappa)):
-        assert blocks.coset[y] == _coset_index(m, y)
+    assert list(blocks.zeros) == zeros
+    # the cells reps[i] ^ zeros[x] are the vertices, each once, in its coset
+    cells = [(c ^ d, i) for i, c in enumerate(blocks.reps) for d in blocks.zeros]
+    assert sorted(y for y, _ in cells) == list(range(len(kappa)))
+    assert all(_coset_index(m, y) == i for y, i in cells)
     for i in range(1, 1 << m):
-        c = blocks.cells[i, 0]
+        c = blocks.reps[i]
         for x, d in enumerate(zeros):
             assert kappa[c ^ d] == (-1) ** (sigma(m, c) + (i & x).bit_count())
     z = random.Random(m).choice([y for y in range(len(kappa)) if kappa[y]])
@@ -366,22 +405,22 @@ def test_block_checks_pass_and_one_flipped_sign_fails_them(m):
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_block_checks_catch_a_new_zero_and_swapped_cosets(m):
     kappa = build_delta(m).kappa
-    blocks = swap._block_system(kappa)
+    blocks = swap._block_system(_int8(kappa))
     zeroed = list(kappa)
     zeroed[1] = 0
     _rejected_at(zeroed, 1)
     # cosets 1 and 3 trade their values: each keeps a single Walsh spike
     swapped = list(kappa)
-    for y, i in enumerate(blocks.coset):
-        if i in (1, 3):
-            swapped[y] = kappa[y ^ int(blocks.cells[1, 0] ^ blocks.cells[3, 0])]
+    for y in range(len(kappa)):
+        if _coset_index(m, y) in (1, 3):
+            swapped[y] = kappa[y ^ blocks.reps[1] ^ blocks.reps[3]]
     _rejected_at(swapped, min(y for y in range(len(kappa)) if swapped[y] != kappa[y]))
 
 
 def test_flipped_sign_stops_the_m4_certificate(monkeypatch):
     kappa = list(build_delta(4).kappa)
     kappa[1] = -kappa[1]
-    monkeypatch.setattr(swap, "_blocks", lambda m: swap._block_system(kappa))
+    monkeypatch.setattr(swap, "_blocks", lambda m: swap._block_system(_int8(kappa)))
     with pytest.raises(RuntimeError, match="closed form at vertex 1$"):
         search_swap(4)
 
@@ -389,16 +428,19 @@ def test_flipped_sign_stops_the_m4_certificate(monkeypatch):
 @pytest.mark.parametrize("m", [9, 10, 11])
 def test_block_checks_pass_beyond_the_oracles_range(m):
     # the closed form's check is O(4^m), so it reaches past the m <= 8 of
-    # the spike oracle; cells[0] is D, the zeros of kappa
-    kappa = graphs._delta_kappa(m)
+    # the spike oracle; zeros is D, the zeros of kappa, and the cells
+    # reps[i] ^ zeros[x] are the vertices, each once
+    kappa = twins._delta_kappa(m)
     blocks = swap._block_system(kappa)
-    assert blocks.cells[0].tolist() == np.flatnonzero(kappa == 0).tolist()
-    assert (blocks.coset[blocks.cells] == np.arange(1 << m)[:, None]).all()
+    values = np.frombuffer(kappa, np.int8)
+    assert list(blocks.zeros) == np.flatnonzero(values == 0).tolist()
+    cells = np.bitwise_xor.outer(blocks.reps, blocks.zeros)
+    assert (np.sort(cells, axis=None) == np.arange(values.size)).all()
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_spike_oracle_reads_the_closed_form(m):
-    # kappa from build_delta, not from graphs._delta_kappa
+    # kappa from build_delta, not from twins._delta_kappa
     kappa = build_delta(m).kappa
     reps, zeros, ell, signs = oracles.coset_spikes(kappa)
     r = 1 << m
@@ -407,7 +449,8 @@ def test_spike_oracle_reads_the_closed_form(m):
     assert signs[1:] == [(-1) ** i.bit_count() for i in range(1, r)]
     cells = [[c ^ d for d in zeros] for c in reps]
     assert sorted(itertools.chain.from_iterable(cells)) == list(range(len(kappa)))
-    assert swap._block_system(kappa).cells.tolist() == cells
+    blocks = swap._block_system(_int8(kappa))
+    assert [[c ^ d for d in blocks.zeros] for c in blocks.reps] == cells
 
 
 @pytest.mark.parametrize("sign", [-1, +1])
@@ -465,7 +508,7 @@ def test_generators_generate_gl():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 def test_lifts_are_automorphisms_inducing_their_generator(m):
     v = 1 << (2 * m)
-    phi_T, phi_S = (phi.tolist() for phi in swap._lifts(m))
+    phi_T, phi_S = (list(phi) for phi in swap._lifts(m))
     # phi_S rotates the base-4 digits one place
     assert phi_S == [((y << 2) | (y >> (2 * m - 2))) & (v - 1) for y in range(v)]
     for M, alpha in zip(_generator_tables(m), (phi_T, phi_S)):
@@ -483,23 +526,23 @@ def test_failed_lift_check_stops_the_certificate(monkeypatch):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_lift_check_needs_linearity_and_kappa(m):
-    kappa = graphs._delta_kappa(m)
+    kappa = twins._delta_kappa(m)
     phi_T, phi_S = swap._lifts(m)
     assert swap._is_linear_automorphism(m, phi_T) and swap._is_linear_automorphism(m, phi_S)
     # two vertices of one colour exchanged: kappa is kept at every vertex,
     # but the map is not linear
-    a, b = [y for y in range(1, kappa.size) if kappa[y] == kappa[1]][-2:]
-    exchanged = phi_S.copy()
-    exchanged[[a, b]] = phi_S[[b, a]]
-    assert (kappa[exchanged] == kappa).all()
-    assert not swap._is_linear_automorphism(m, exchanged)
+    a, b = [y for y in range(1, len(kappa)) if kappa[y] == kappa[1]][-2:]
+    exchanged = list(phi_S)
+    exchanged[a], exchanged[b] = phi_S[b], phi_S[a]
+    assert bytes(kappa[y] for y in exchanged) == kappa
+    assert not swap._is_linear_automorphism(m, tuple(exchanged))
     # phi_S with the images of e_0 and e_1 exchanged: linear and one to
     # one, but digits 1 and 2 trade places, so kappa breaks
-    images = [int(phi_S[1 << k]) for k in range(2 * m)]
+    images = [phi_S[1 << k] for k in range(2 * m)]
     images[0], images[1] = images[1], images[0]
-    linear = _from_images(images)
-    assert sorted(linear.tolist()) == list(range(kappa.size))
-    assert (kappa[linear] != kappa).any()
+    linear = tuple(_from_images(images).tolist())
+    assert sorted(linear) == list(range(len(kappa)))
+    assert bytes(kappa[y] for y in linear) != kappa
     assert not swap._is_linear_automorphism(m, linear)
 
 
