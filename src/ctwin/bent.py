@@ -22,25 +22,28 @@ its table in it as bytes.  A Python int (`BoolFunc.bits`) is made only
 for a caller that asks for one.
 
 Every transform (spectra, bentness, duals, difference-set counts) runs
-through one staged butterfly kernel, `_fwht`: the low half of the index
-bits on a transposed copy, the high half on the transpose back, each
-stage in the narrowest signed type its bound allows.  A spectrum of
-(-1)^f is bounded by 2^n, so its first stage runs in int16 up to 14
-levels and its second in int32 up to n = 30; an autocorrelation's
-second pass is bounded by v * |S| <= 4^n and runs in int64 at the sizes
-where that needs it.
+through one staged butterfly kernel, `_fwht(a, dtype)`: the low half of
+the index bits on a transposed copy, the high half on the transpose
+back, both in one wrapping unsigned type.  It returns H_n a modulo 2^w.
+The reduction Z -> Z/2^w keeps sums, differences and doublings, which
+is all a butterfly does, so a caller whose true result lies in a window
+of 2^w integers reads that result exactly, whatever the intermediate
+sums were.  Each caller states the bits its result needs, and
+`_ring(bits)` gives the narrowest of uint16, uint32 and uint64 with as
+many:
 
-Bentness and duals need no spectrum.  The kernel's modular mode runs
-every stage in uint16 and returns the spectrum modulo 2^16 (2^32 past
-n = 29), and by Parseval's identity f on n = 2k bits is bent iff every
-residue is +-2^k (see `is_bent`).  The kernel's first stage reads a
-packed table a slab of rows at a time, each slab unpacked straight into
-its transposed copy, as +-1 for spectra and residues and as 0/1 for
-autocorrelations, so no unpacked table is ever whole.  When both stages
-share a type and the matrix is square, as they do for bentness, the
-second stage transposes in place, so a bentness check at n = 24 holds
-one 32 MB array and the 2 MB packed table.  All of it is exact integer
-arithmetic.
+    a spectrum of (-1)^f      in [-2^n, 2^n]       n + 2 bits, read signed
+    bentness on n = 2k bits   +-2^k apart, not 0   k + 2 bits (`is_bent`)
+    v * autocorrelation       in [0, 4^n]          2n + 1 bits
+
+Bentness and duals need no spectrum: by Parseval's identity the
+residues modulo 2^16 decide them up to n = 28.  The kernel's first
+stage reads a packed table a slab of rows at a time, each slab unpacked
+straight into its transposed copy, as +-1 for spectra and residues and
+as 0/1 for autocorrelations, so no unpacked table is ever whole.  When
+n is even the second stage transposes in place, so a bentness check at
+n = 24 holds one 32 MB array and the 2 MB packed table.  All of it is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -194,22 +197,14 @@ def tau_function(m: int) -> BoolFunc:
 
 # --- Walsh-Hadamard transform ---------------------------------------------
 
-def _signed(peak: int):
-    """The narrowest of int16, int32 and int64 that holds +-peak."""
-    for dtype in (np.int16, np.int32, np.int64):
-        if peak <= np.iinfo(dtype).max:
+def _ring(bits: int):
+    """The narrowest of uint16, uint32 and uint64 with at least `bits`
+    bits: the ring Z/2^w in which `_fwht` reads a result that lies in a
+    window of 2^bits integers."""
+    for dtype in (np.uint16, np.uint32, np.uint64):
+        if bits <= np.iinfo(dtype).bits:
             return dtype
-    raise ValueError("values too large for exact int64 arithmetic")
-
-
-def _unsigned(n: int):
-    """uint16 for n // 2 <= 14, uint32 for n // 2 <= 30: the narrowest
-    unsigned type whose modulus exceeds 2^(n//2 + 1), so that +-2^(n//2)
-    are distinct nonzero residues in it."""
-    for dtype in (np.uint16, np.uint32):
-        if n // 2 + 1 < np.iinfo(dtype).bits:
-            return dtype
-    raise ValueError("arity too large for residues modulo 2^32")
+    raise ValueError(f"no unsigned type has {bits} bits")
 
 
 # Source rows per slab of a transposing copy, and the side of the tiles
@@ -265,52 +260,37 @@ class _Unpacked:
         return x.reshape(-1, width)
 
 
-def _fwht(a: np.ndarray | _Unpacked, top: int, total: int | None = None, modular: bool = False) -> np.ndarray:
-    """Butterflies by the Sylvester matrix H_n on an integer array of
-    length 2^n, or an `_Unpacked` table read as one, with max|a| <= top
-    and, if given, sum|a| <= total.
+def _fwht(a: np.ndarray | _Unpacked, dtype) -> np.ndarray:
+    """H_n a modulo 2^w, in the w-bit unsigned `dtype`, for an integer
+    array a of length 2^n or an `_Unpacked` table read as one.
+
+    The reduction Z -> Z/2^w keeps sums, differences and doublings, and
+    a butterfly does nothing else (u += w; w *= 2; w = u - w), so the
+    result is H_n a modulo 2^w whatever the intermediate entries were.
+    A caller whose true result lies in a window of 2^w integers reads it
+    exactly: a signed view of the result when the window is centred on
+    0, the result itself when it starts at 0.  The caller picks `dtype`
+    with `_ring` from that bound; there is no other mode.  Entries of a
+    are taken modulo 2^w as they are copied in, so -1 reads 2^w - 1.
 
     H_n = H_hi (x) H_lo splits the index into lo = n - n//2 low bits and
     hi = n//2 high ones (Fino-Algazi).  The lo levels run on a transposed
     (2^lo, 2^hi) copy and the hi levels on the (2^hi, 2^lo) transpose
     back, so every level adds and subtracts contiguous runs of at least
-    2^hi entries.  After k levels an entry is a signed sum of 2^k inputs,
-    so it is at most top * 2^k and at most total; the doubled 2y a
-    butterfly makes stays within top * 2^k and 2 * total.  Each stage is
-    therefore exact in the narrowest signed type holding
-    min(top * 2^k, 2 * total) for its last level k: int16 for a +-1
-    input up to k = 14, int32 for spectra up to n = 30.
-
-    With modular=True every stage runs in `_unsigned(n)` whatever the
-    bound, and the result is the transform modulo 2^16 (2^32 when
-    n // 2 > 14).  A butterfly only adds, subtracts and doubles, and
-    each of these is exact modulo the type's range: uint32 arithmetic
-    wraps, and uint16 operands are promoted to int, where a sum, a
-    difference and a doubling cannot overflow, before the store wraps.
-    A product by -2 could overflow that int, so both modes double and
-    subtract instead.
-
-    The first stage always copies, slab by slab, so the caller's array
-    is never written, an `_Unpacked` table is unpacked one slab at a
-    time, and the input is dropped once that copy is made: a caller
-    that passes a temporary gets its memory back at once.  When the
-    second stage keeps the first stage's type and the matrix is square
-    (n even), it transposes the kernel's own array in place.
+    2^hi entries.  The first stage copies slab by slab, so the caller's
+    array is never written, an `_Unpacked` table is unpacked one slab at
+    a time, and the input is dropped once that copy is made: a caller
+    that passes a temporary gets its memory back at once.  When n is
+    even the matrix is square and the second stage transposes the
+    kernel's own array in place.
     """
     n = a.size.bit_length() - 1
     hi = n // 2
     lo = n - hi
     x = a.reshape(1 << hi, 1 << lo)
     del a
-    for second, (levels, reached) in enumerate(((lo, lo), (hi, n))):
-        if modular:
-            dtype = _unsigned(n)
-        else:
-            peak = top << reached
-            if total is not None:
-                peak = min(peak, 2 * total)
-            dtype = _signed(peak)
-        if second and hi == lo and x.dtype == dtype:
+    for second, levels in enumerate((lo, hi)):
+        if second and hi == lo:
             _transpose_square(x)
         else:
             t = np.empty(x.shape[::-1], dtype)
@@ -329,14 +309,18 @@ def _fwht(a: np.ndarray | _Unpacked, top: int, total: int | None = None, modular
 
 
 def _spectrum(f: BoolFunc) -> np.ndarray:
-    """W_f = H_n (-1)^f, with |W_f| <= 2^n."""
-    return _fwht(_Unpacked(f, signs=True), 1)
+    """W_f = H_n (-1)^f as signed integers: |W_f| <= 2^n, so n + 2 bits
+    hold it (int16 up to n = 14, int32 up to n = 30)."""
+    w = _fwht(_Unpacked(f, signs=True), _ring(f.n + 2))
+    return w.view(f"i{w.itemsize}")
 
 
 def _shifted_residues(f: BoolFunc) -> np.ndarray:
-    """W_f + 2^k modulo 2^16 (2^32 when k > 14) for n = 2k, so that an
-    entry W_f = 2^k reads 2^(k+1) and an entry W_f = -2^k reads 0."""
-    w = _fwht(_Unpacked(f, signs=True), 1, modular=True)
+    """W_f + 2^k modulo M = 2^16 (2^32 when k > 14) for n = 2k, so that
+    an entry W_f = 2^k reads 2^(k+1) and an entry W_f = -2^k reads 0.
+    The ring needs k + 2 bits, so that +-2^k are distinct nonzero
+    residues (see `is_bent`)."""
+    w = _fwht(_Unpacked(f, signs=True), _ring(f.n // 2 + 2))
     w += 1 << (f.n // 2)
     return w
 
@@ -345,16 +329,18 @@ def fwht(values) -> list[int]:
     """Transform by the Sylvester matrix H_n, as exact integers.
 
     Length must be a power of two, and max|x| * length must stay below
-    2^62, so that every partial sum fits int64.
+    2^62, so that the result, read signed, fits int64.
     """
     vec = list(values)
     n = len(vec)
     if n == 0 or n & (n - 1):
         raise ValueError("length must be a positive power of two")
-    top = max(map(abs, vec))
-    if top * n >= 1 << 62:
+    bound = max(map(abs, vec)) * n
+    if bound >= 1 << 62:
         raise ValueError("values too large for exact int64 arithmetic")
-    return _fwht(np.array(vec, dtype=np.int64), top).tolist()
+    # every result entry lies in [-bound, bound], which a signed view holds
+    w = _fwht(np.array(vec, dtype=np.int64), _ring(bound.bit_length() + 1))
+    return w.view(f"i{w.itemsize}").tolist()
 
 
 def walsh_transform(f: BoolFunc) -> list[int]:
@@ -366,8 +352,9 @@ def is_bent(f: BoolFunc) -> bool:
     """True iff every spectrum entry has magnitude 2^(n/2).
 
     Odd arities can never be bent: the magnitude would not be an
-    integer.  For n = 2k the residues of the spectrum modulo M = 2^16
-    (M = 2^32 when 15 <= k <= 30) decide it exactly:
+    integer.  For n = 2k the residues of the spectrum modulo the M =
+    2^w of `_shifted_residues` (2^16 up to k = 14), where 2^(k+1) < M,
+    decide it exactly:
 
     Lemma.  f is bent iff W_f(u) = +-2^k (mod M) for every u.
 
@@ -458,24 +445,24 @@ class DiffSetParams:
 def _autocorrelation(indicator: np.ndarray | _Unpacked) -> np.ndarray:
     """counts[d] = |S & (S ^ d)| for the set S in Z_2^n marked by a 0/1
     array of length v = 2^n, or by an `_Unpacked` table without signs,
-    so counts[0] = |S|.
+    so counts[0] = |S|, as unsigned integers.
 
-    Wiener-Khinchin: the transform of the squared spectrum W_S^2 is v times
-    the autocorrelation.  The first pass has |W_S| <= |S| = W_S(0) = k, so
-    W_S is widened to hold k^2 before it is squared.  The second pass sums
-    terms W_S^2 >= 0 whose total is v * k <= 4^n (Parseval), which bounds
-    its every partial sum and keeps it in int64 for n <= 30.
+    Wiener-Khinchin: the transform of the squared spectrum W_S^2 is v
+    times the autocorrelation, and v * counts[d] lies in [0, v * |S|],
+    within [0, 4^n].  So one ring of 2n + 1 bits holds the result, and
+    both passes and the squaring between them run in it: the reduction
+    modulo 2^w keeps products too, so W_S^2 modulo 2^w is the square of
+    W_S modulo 2^w, however large W_S^2 is.  The low n bits of each
+    entry must then be 0, and counts is the rest.
     """
-    v = indicator.size
-    spectrum = _fwht(indicator, 1)
-    k = int(spectrum[0])
-    squares = spectrum.astype(_signed(k * k))
-    squares *= squares
-    # an int64 divisor, since v need not fit the transform's own type
-    counts, rest = np.divmod(_fwht(squares, k * k, v * k), np.int64(v))
-    if rest.any():
+    n = indicator.size.bit_length() - 1
+    dtype = _ring(2 * n + 1)
+    counts = _fwht(indicator, dtype)
+    counts *= counts
+    counts = _fwht(counts, dtype)
+    if (counts & ((1 << n) - 1)).any():
         raise RuntimeError("autocorrelation transform not divisible by v")
-    return counts
+    return counts >> n
 
 
 def verify_difference_set(f: BoolFunc) -> DiffSetParams:

@@ -6,7 +6,8 @@ for humans goes to stderr.  Exit codes: 0 success (or witness found),
 
 Each command imports the layers it uses when it runs, so `search` and
 `table` in hex run on the standard library alone and numpy loads only
-with the commands that do array work.
+with the commands that do array work.  Where numpy cannot be imported,
+those commands print the one error object and exit 1.
 """
 
 from __future__ import annotations
@@ -100,17 +101,19 @@ def _cmd_table(args):
 def _bit_blocks(table, n):
     """The packed truth table on n bits as a JSON string of "0"/"1",
     entry 0 first, in blocks of 8 * _TABLE_BLOCK characters, so the text
-    is never whole."""
+    is never whole.  numpy is imported at the call, before any block is
+    written."""
     import numpy as np
 
     table = np.frombuffer(table, np.uint8)
-    yield b'"'
-    for i in range(0, table.size, _TABLE_BLOCK):
+
+    def block(i):
         count = min(8 * _TABLE_BLOCK, (1 << n) - 8 * i)
         chars = np.unpackbits(table[i : i + _TABLE_BLOCK], count=count, bitorder="little")
         chars += ord("0")
-        yield chars.data
-    yield b'"'
+        return chars.data
+
+    return itertools.chain((b'"',), map(block, range(0, table.size, _TABLE_BLOCK)), (b'"',))
 
 
 def _hex_blocks(table, n):
@@ -266,7 +269,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         start = time.monotonic()
         result, code = _DISPATCH[args.cmd](args)
-    except (UsageError, ValueError, OSError, RuntimeError) as e:
+    except (UsageError, ValueError, OSError, RuntimeError, ImportError) as e:
         _emit([json.dumps({"error": str(e)}).encode() + b"\n"])
         print(f"ctwin: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -27,9 +27,31 @@ or 1) and D[x] = 3 * reps[x] (digits 0 or 3).  Base-4 digit by digit,
 cell reps[i] ^ D[x], and the cells of coset i are reps[i] + D.
 
 (i) The closed form kappa[reps[i] ^ D[x]] = 0 for i = 0 and
-    (-1)^(wt(i) + i.x) otherwise is checked cell by cell, at every
-    vertex.  So kappa is zero exactly on D, a subgroup (D[x] ^ D[y] =
-    D[x ^ y]).  a and b are non-adjacent iff a ^ b is in D, and phi keeps
+    (-1)^(wt(i) + i.x) otherwise holds for every m, by induction on the
+    quadrant rules that build kappa_l = tau_l - sigma_l on 2l bits.
+    Sigma on the cells: sigma_l(reps[i] ^ D[x]) = wt(i) + i.x mod 2 for
+    every i, 0 included.  Base-4 digit k of the cell is i_k ^ 3 x_k,
+    which is 1 exactly when i_k = 1 and x_k = 0, so wt(i) - i.x digits
+    equal 1, and sigma_l is the parity of that count.
+    The quadrant rules: tau_(l+1) = (tau_l, sigma_l, ~sigma_l, tau_l)
+    and sigma_(l+1) = (sigma_l, ~sigma_l, sigma_l, sigma_l) by top
+    digit q, so kappa_(l+1) reads kappa_l for q = 0 and 3,
+    2 sigma_l - 1 for q = 1 and 1 - 2 sigma_l for q = 2.  A cell of
+    level l + 1 is (i', x') = ((i_t, i), (x_t, x)): the cell (i, x) of
+    level l below the top digit i_t ^ 3 x_t, which is 0, 1, 3, 2 for
+    (i_t, x_t) = (0, 0), (1, 0), (0, 1), (1, 1).  The closed form's
+    exponent moves by i_t (1 + x_t).  (0, 0) and (0, 1) read kappa_l at
+    (i, x), with i' = 0 iff i = 0 and the exponent unmoved.  (1, 0)
+    reads 2 sigma_l - 1 = -(-1)^(wt(i) + i.x), the exponent plus 1, and
+    (1, 1) reads 1 - 2 sigma_l = (-1)^(wt(i) + i.x), the exponent plus
+    2; both have i' != 0.
+    Base: kappa_1 = (0, -1, +1, 0) on the digits 0..3, which are the
+    cells (0, 0), (1, 0), (1, 1), (0, 1), and the closed form reads 0,
+    -1, +1, 0 there.
+    The searches still check the closed form cell by cell, at every
+    vertex, at run time.
+    So kappa is zero exactly on D, a subgroup (D[x] ^ D[y] = D[x ^ y]).
+    a and b are non-adjacent iff a ^ b is in D, and phi keeps
     non-adjacency, so phi permutes the cosets of D; fixing 0, it fixes
     D, and it induces a permutation pi of the coset indices: phi(reps[i]
     + D) = reps[pi i] + D.

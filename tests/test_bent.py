@@ -197,25 +197,43 @@ def test_fwht_stage_widths_match_oracle():
                         assert fwht(vec) == oracles.fwht(vec), (n, levels, top)
 
 
-def test_fwht_result_type_is_narrowest():
-    # all n levels: max|x| * 2^n picks int16, int32 or int64
+def _spy_rings(monkeypatch):
+    """Record the dtype of every `_fwht` call."""
+    rings = []
+    kernel = bent._fwht
+
+    def spy(a, dtype):
+        rings.append(dtype)
+        return kernel(a, dtype)
+
+    monkeypatch.setattr(bent, "_fwht", spy)
+    return rings
+
+
+def test_fwht_result_type_is_narrowest(monkeypatch):
+    # max|x| * 2^n picks uint16, uint32 or uint64, read as int16, int32
+    # or int64
+    rings = _spy_rings(monkeypatch)
     for n, top, dtype in [
-        (0, 1, np.int16),
-        (12, 7, np.int16),
-        (12, 8, np.int32),
-        (12, (1 << 19) - 1, np.int32),
-        (12, 1 << 19, np.int64),
-        (16, 1, np.int32),
+        (0, 1, np.uint16),
+        (12, 7, np.uint16),
+        (12, 8, np.uint32),
+        (12, (1 << 19) - 1, np.uint32),
+        (12, 1 << 19, np.uint64),
+        (16, 1, np.uint32),
     ]:
-        out = bent._fwht(np.full(1 << n, top, dtype=np.int64), top)
-        assert out.dtype == dtype, (n, top)
-        assert out[0] == top << n and not out[1:].any()
+        out = fwht([top] * (1 << n))
+        assert rings == [dtype], (n, top)
+        assert out[0] == top << n and not any(out[1:])
+        rings.clear()
 
 
 def test_fwht_modular_is_exact_modulo_2_16():
     # +-1 vectors, fair and biased (a bias of 0.15 puts W(0) near
     # +-0.7 * 2^n, past 2^16 from n = 17 on) and constant; odd n takes
-    # the copying second stage and even n the in-place one
+    # the copying second stage and even n the in-place one.  uint32
+    # holds every spectrum here, so its signed view is exact, and uint64
+    # checks it
     rng = np.random.default_rng(41)
     for n in range(15, 21):
         size = 1 << n
@@ -223,8 +241,10 @@ def test_fwht_modular_is_exact_modulo_2_16():
         for p in (0.5, 0.15, 0.85):
             vectors.append(np.where(rng.random(size) < p, -1, 1).astype(np.int8))
         for signs in vectors:
-            exact = bent._fwht(signs, 1)
-            residues = bent._fwht(signs, 1, modular=True)
+            exact = bent._fwht(signs, np.uint32).view(np.int32)
+            wide = bent._fwht(signs, np.uint64).view(np.int64)
+            assert np.array_equal(exact, wide), n
+            residues = bent._fwht(signs, np.uint16)
             assert residues.dtype == np.uint16, n
             assert np.array_equal(residues, (exact & 0xFFFF).astype(np.uint16)), n
         if n >= 17:
@@ -232,33 +252,82 @@ def test_fwht_modular_is_exact_modulo_2_16():
 
 
 def test_fwht_never_writes_the_callers_array():
-    # inputs already in a stage's type (int16 and uint16) included, at
+    # inputs already in the ring's type (uint16 in uint16) included, at
     # even n too, where the second stage transposes in place
     rng = np.random.default_rng(43)
     for n in (0, 1, 2, 7, 8, 14, 15):
-        for dtype, modular in [
-            (np.int8, False), (np.int8, True), (np.int16, False),
-            (np.uint16, True), (np.int64, False),
+        for dtype, ring in [
+            (np.int8, np.uint16), (np.int8, np.uint32), (np.int16, np.uint16),
+            (np.uint16, np.uint16), (np.int64, np.uint64), (np.int64, np.uint16),
         ]:
             a = rng.integers(-1, 2, 1 << n).astype(dtype)
             held = a.tobytes()
-            out = bent._fwht(a, 1, modular=modular)
-            assert a.tobytes() == held, (n, dtype, modular)
+            out = bent._fwht(a, ring)
+            assert a.tobytes() == held, (n, dtype, ring)
+            assert out.dtype == ring, (n, dtype, ring)
             # a uint16 input holds -1 as 2^16 - 1, which is -1 modulo 2^16
-            want = oracles.fwht(a.astype(np.int64).tolist())
-            if modular:
-                want = [w % (1 << 16) for w in want]
-            assert out.tolist() == want, (n, dtype, modular)
+            bits = np.iinfo(ring).bits
+            want = [w % (1 << bits) for w in oracles.fwht(a.astype(np.int64).tolist())]
+            assert out.tolist() == want, (n, dtype, ring)
 
 
 def test_unsigned_type_rule():
-    # modulo 2^16 while n // 2 <= 14, modulo 2^32 while n // 2 <= 30
+    # the residues of bentness: modulo 2^16 while n // 2 <= 14, modulo
+    # 2^32 while n // 2 <= 30, as k + 2 bits for n = 2k ask
     for n in range(62):
         want = np.uint16 if n // 2 <= 14 else np.uint32
-        assert bent._unsigned(n) == want, n
-    for n in (62, 63, 80):
-        with pytest.raises(ValueError, match="2\\^32"):
-            bent._unsigned(n)
+        assert bent._ring(n // 2 + 2) == want, n
+    assert bent._ring(62 // 2 + 2) == np.uint64
+
+
+def test_ring_is_the_narrowest_with_enough_bits():
+    for bits in range(65):
+        want = np.uint16 if bits <= 16 else np.uint32 if bits <= 32 else np.uint64
+        assert bent._ring(bits) == want, bits
+    for bits in (65, 80):
+        with pytest.raises(ValueError, match=f"no unsigned type has {bits} bits"):
+            bent._ring(bits)
+
+
+def test_spectrum_ring_edge():
+    # |W_f| <= 2^n needs n + 2 bits: n = 14 is the last int16 spectrum,
+    # and the constant functions reach the bound, +-2^15 at n = 15
+    rng = random.Random(59)
+    for n, dtype in [(14, np.int16), (15, np.int32)]:
+        size = 1 << n
+        for f in (BoolFunc.from_bits(n, 0), BoolFunc.from_bits(n, (1 << size) - 1),
+                  BoolFunc.from_bits(n, rng.randrange(1 << size))):
+            spectrum = bent._spectrum(f)
+            assert spectrum.dtype == dtype, n
+            assert spectrum.tolist() == oracles.walsh_transform(f), n
+        assert bent._spectrum(BoolFunc.from_bits(n, 0))[0] == size
+        assert bent._spectrum(BoolFunc.from_bits(n, (1 << size) - 1))[0] == -size
+
+
+def test_fwht_ring_edge(monkeypatch):
+    # max|x| * length = 2^15 - 1 fits int16 and 2^15 does not; the same
+    # one step past int32
+    rings = _spy_rings(monkeypatch)
+    for bound, dtype in [
+        ((1 << 15) - 1, np.uint16), (1 << 15, np.uint32),
+        ((1 << 31) - 1, np.uint32), (1 << 31, np.uint64),
+    ]:
+        vectors = [[bound], [-bound]]
+        if bound % 2 == 0:
+            vectors.append([bound // 2, -(bound // 2)])  # two entries of bound / 2
+        for vec in vectors:
+            assert fwht(vec) == oracles.fwht(vec), vec
+            assert rings == [dtype], vec
+            rings.clear()
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_autocorrelation_of_the_whole_group(n):
+    # v * counts = 4^n reaches the bound of 2n + 1 bits: uint32 at n = 15,
+    # uint64 from n = 16 on, where uint32 would wrap to 0
+    counts = bent._autocorrelation(np.ones(1 << n, np.uint8))
+    assert counts.dtype == (np.uint32 if n == 15 else np.uint64), n
+    assert (counts == 1 << n).all(), n
 
 
 def test_spectral_functions_match_oracle():
@@ -310,10 +379,10 @@ def test_streamed_kernel_matches_whole_array_route():
     rng = random.Random(47)
     for n in range(1, 17):
         for f in _kernel_inputs(n, rng):
-            for modular in (False, True):
-                want = bent._fwht(oracles.signs(f), 1, modular=modular)
-                got = bent._fwht(bent._Unpacked(f, signs=True), 1, modular=modular)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (n, modular)
+            for ring in (np.uint16, np.uint32, np.uint64):
+                want = bent._fwht(oracles.signs(f), ring)
+                got = bent._fwht(bent._Unpacked(f, signs=True), ring)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, ring)
             want = bent._autocorrelation(oracles.unpacked(f))
             got = bent._autocorrelation(bent._Unpacked(f, signs=False))
             assert got.dtype == want.dtype and np.array_equal(got, want), n
@@ -325,7 +394,7 @@ def test_streamed_duals_match_whole_array_route():
     rng = random.Random(53)
     for n in range(2, 17, 2):
         for f in _kernel_inputs(n, rng):
-            spectrum = bent._fwht(oracles.signs(f), 1)
+            spectrum = bent._fwht(oracles.signs(f), np.uint32).view(np.int32)
             if (np.abs(spectrum) == 1 << (n // 2)).all():
                 negative = np.packbits(spectrum < 0, bitorder="little").tobytes()
                 assert dual(f) == BoolFunc(n, negative), n
@@ -394,6 +463,24 @@ def test_bent_functions_on_four_variables():
 def test_dual_sigma1_is_tau1():
     assert dual(sigma_function(1)) == tau_function(1)
     assert dual(tau_function(1)) == sigma_function(1)
+
+
+def _swap_digit_bits(f):
+    """f o P, where P swaps the two bits of every base-4 digit of the
+    index (digits 1 <-> 2)."""
+    i = np.arange(f.size)
+    low = (1 << f.n) // 3  # 0b0101...01
+    p = ((i & low) << 1) | ((i >> 1) & low)
+    return BoolFunc(f.n, np.packbits(oracles.unpacked(f)[p], bitorder="little").tobytes())
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_duals_of_the_twins_swap_their_digits(m):
+    # dual(sigma_m) = sigma_m o P and dual(tau_m) = tau_m o P, and P
+    # moves both twins, so neither is self-dual
+    for f in (sigma_function(m), tau_function(m)):
+        assert dual(f) == _swap_digit_bits(f) != f, m
+        assert _swap_digit_bits(_swap_digit_bits(f)) == f
 
 
 def test_dual_involution_and_complement():

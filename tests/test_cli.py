@@ -549,6 +549,35 @@ def test_stdout_is_single_json_document(capsys, argv):
     assert out.count("\n") == 1
 
 
+_WITHOUT_NUMPY = (
+    "import sys; sys.modules['numpy'] = None; "
+    "from ctwin.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bent", "--m", "3", "--function", "tau"),
+        ("params", "--m", "2"),
+        ("graph", "--m", "2", "--colour", "red"),
+        ("oracle", "--m", "2"),
+        ("table", "--m", "3", "--function", "tau", "--format", "bits"),
+    ],
+)
+def test_commands_without_numpy_report_one_error(argv):
+    # where numpy cannot be imported, a command that needs it still
+    # prints one JSON object, the error, and exits 1 without a traceback
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.count("\n") == 1
+    assert list(json.loads(proc.stdout)) == ["error"]
+    assert "numpy" in json.loads(proc.stdout)["error"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_report_envelope_fields(capsys):
     _, report = run_cli(capsys, "params", "--m", "1")
     assert set(report) == {"command", "params", "result", "elapsed_ms"}

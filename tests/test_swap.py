@@ -438,6 +438,37 @@ def test_block_checks_pass_beyond_the_oracles_range(m):
     assert (np.sort(cells, axis=None) == np.arange(values.size)).all()
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_quadrant_identities_prove_the_closed_form(m):
+    # the steps of the proof of step (i), on the tables: the base
+    # kappa_1 = (0, -1, +1, 0); by top digit, kappa_m reads kappa_(m-1),
+    # 2 sigma - 1, 1 - 2 sigma, kappa_(m-1) with sigma = sigma_(m-1);
+    # and sigma_m(reps[i] ^ D[x]) = wt(i) + i.x mod 2 on every cell
+    def entries(table, v):
+        return np.unpackbits(np.frombuffer(table, np.uint8), count=v, bitorder="little").astype(np.int8)
+
+    v = 1 << (2 * m)
+    kappa = np.frombuffer(twins._delta_kappa(m), np.int8)
+    if m == 1:
+        assert kappa.tolist() == [0, -1, 1, 0]
+    else:
+        below = np.frombuffer(twins._delta_kappa(m - 1), np.int8)
+        sig = entries(twins._twin_table(m - 1, "sigma"), v // 4)
+        q0, q1, q2, q3 = kappa.reshape(4, -1)
+        assert np.array_equal(q0, below) and np.array_equal(q3, below)
+        assert np.array_equal(q1, 2 * sig - 1)
+        assert np.array_equal(q2, 1 - 2 * sig)
+    i = np.arange(1 << m)
+    reps = sum(((i >> k) & 1) << (2 * k) for k in range(m))
+    cells = reps[:, None] ^ (3 * reps)[None, :]
+    weights = np.array([k.bit_count() for k in range(1 << m)])
+    exponent = (weights[:, None] + weights[i[:, None] & i[None, :]]) & 1
+    assert np.array_equal(entries(twins._twin_table(m, "sigma"), v)[cells], exponent)
+    # and the closed form itself, which the three identities prove
+    closed = np.where(i[:, None] == 0, 0, 1 - 2 * exponent)
+    assert np.array_equal(kappa[cells], closed)
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_spike_oracle_reads_the_closed_form(m):
     # kappa from build_delta, not from twins._delta_kappa
