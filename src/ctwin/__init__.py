@@ -6,9 +6,12 @@ difference-set and strongly-regular-graph consequences, and searches for
 a red/blue colour-swapping automorphism of the two-colour difference
 graph Delta_m on its coset blocks.
 
-The names below load their layer on first use (PEP 562), so `import
-ctwin` and the swap search run on the standard library alone; numpy
-loads only with `bent` and `graphs`, the layers that do array work.
+The names below load their layer on first use (PEP 562), and no layer
+imports numpy when it loads, so `import ctwin`, the swap search, truth
+tables, Delta_m and graph export run on the standard library alone.
+numpy loads with the first call that runs a transform (spectra,
+bentness, difference sets, `verify_srg`) or the matrix oracle, which
+alone loads `algebra` as well.
 """
 
 import importlib

@@ -19,7 +19,9 @@ of byte i // 8).  That packed form is the only stored form of a truth
 table: the CLI writes tables out from it, with the one hex rule
 `twins._hex_digits` that BoolFunc.hex() also uses, and a BoolFunc holds
 its table in it as bytes.  A Python int (`BoolFunc.bits`) is made only
-for a caller that asks for one.
+for a caller that asks for one.  BoolFunc, the twin functions and their
+tables run on the standard library; numpy is imported by the transforms
+below on their first call.
 
 Every transform (spectra, bentness, duals, difference-set counts) runs
 through one staged butterfly kernel, `_fwht(a, dtype)`: the low half of
@@ -50,14 +52,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .twins import _SPREAD, _hex_digits, _twin_table
 
-from .twins import _hex_digits, _twin_table
-
-
-# the number of set bits of each byte value
-_BYTE_WEIGHTS = np.array([b.bit_count() for b in range(256)], np.uint8)
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _packed_size(n: int) -> int:
@@ -93,25 +93,21 @@ class BoolFunc:
         made anew on each call."""
         return int.from_bytes(self.packed, "little")
 
-    def _bytes(self) -> np.ndarray:
-        """The packed table as a read-only uint8 array, without a copy."""
-        return np.frombuffer(self.packed, np.uint8)
-
     def __call__(self, i: int) -> int:
         if not 0 <= i < self.size:
             raise ValueError(f"input {i} out of range for arity {self.n}")
         return (self.packed[i >> 3] >> (i & 7)) & 1
 
     def table(self) -> list[int]:
-        return np.unpackbits(self._bytes(), count=self.size, bitorder="little").tolist()
+        return list(b"".join(map(_SPREAD.__getitem__, self.packed))[: self.size])
 
     def weight(self) -> int:
-        return int(_BYTE_WEIGHTS[self._bytes()].sum())
+        return self.bits.bit_count()
 
     def __xor__(self, other: BoolFunc) -> BoolFunc:
         if self.n != other.n:
             raise ValueError("arity mismatch")
-        return BoolFunc(self.n, (self._bytes() ^ other._bytes()).tobytes())
+        return BoolFunc.from_bits(self.n, self.bits ^ other.bits)
 
     @classmethod
     def from_bits(cls, n: int, bits: int) -> BoolFunc:
@@ -129,7 +125,8 @@ class BoolFunc:
             raise ValueError("truth table entries must be 0 or 1")
         if len(vals) != 1 << n:
             raise ValueError(f"expected {1 << n} entries, got {len(vals)}")
-        return cls(n, np.packbits(np.array(vals, np.uint8), bitorder="little").tobytes())
+        # binary text, highest entry first
+        return cls.from_bits(n, int("".join("1" if v else "0" for v in reversed(vals)), 2))
 
     def hex(self) -> str:
         """Serialize as "tt:<arity>:<hex>", highest-index entry first."""
@@ -201,6 +198,8 @@ def _ring(bits: int):
     """The narrowest of uint16, uint32 and uint64 with at least `bits`
     bits: the ring Z/2^w in which `_fwht` reads a result that lies in a
     window of 2^bits integers."""
+    import numpy as np
+
     for dtype in (np.uint16, np.uint32, np.uint64):
         if bits <= np.iinfo(dtype).bits:
             return dtype
@@ -251,7 +250,9 @@ class _Unpacked:
         start, stop, _ = rows.indices(self.shape[0])
         width = self.shape[1]
         first, count = start * width, (stop - start) * width
-        packed = self.f._bytes()[first >> 3 : (first + count + 7) >> 3]
+        import numpy as np
+
+        packed = np.frombuffer(self.f.packed, np.uint8)[first >> 3 : (first + count + 7) >> 3]
         x = np.unpackbits(packed, count=count, bitorder="little")
         if self.signs:
             x = x.view(np.int8)
@@ -284,6 +285,8 @@ def _fwht(a: np.ndarray | _Unpacked, dtype) -> np.ndarray:
     even the matrix is square and the second stage transposes the
     kernel's own array in place.
     """
+    import numpy as np
+
     n = a.size.bit_length() - 1
     hi = n // 2
     lo = n - hi
@@ -338,6 +341,8 @@ def fwht(values) -> list[int]:
     bound = max(map(abs, vec)) * n
     if bound >= 1 << 62:
         raise ValueError("values too large for exact int64 arithmetic")
+    import numpy as np
+
     # every result entry lies in [-bound, bound], which a signed view holds
     w = _fwht(np.array(vec, dtype=np.int64), _ring(bound.bit_length() + 1))
     return w.view(f"i{w.itemsize}").tolist()
@@ -369,6 +374,8 @@ def is_bent(f: BoolFunc) -> bool:
     """
     if f.n & 1:
         return False
+    import numpy as np
+
     w = _shifted_residues(f)
     w &= np.iinfo(w.dtype).max ^ (2 << (f.n // 2))
     return not w.any()
@@ -384,6 +391,8 @@ def dual(f: BoolFunc) -> BoolFunc:
     """
     if f.n & 1:
         raise ValueError("input not bent: odd arity")
+    import numpy as np
+
     w = _shifted_residues(f)
     negative = w == 0
     w &= np.iinfo(w.dtype).max ^ (2 << (f.n // 2))
@@ -474,6 +483,8 @@ def verify_difference_set(f: BoolFunc) -> DiffSetParams:
         raise ValueError("support is empty")
     if k == v:
         raise ValueError("support is the whole group")
+    import numpy as np
+
     counts = _autocorrelation(_Unpacked(f, signs=False))
     lam = int(counts[1])
     off = np.flatnonzero(counts[1:] != lam)

@@ -4,10 +4,12 @@ Each invocation prints exactly one JSON object on stdout; anything meant
 for humans goes to stderr.  Exit codes: 0 success (or witness found),
 1 error or bad usage, 2 search exhausted, 3 search inconclusive.
 
-Each command imports the layers it uses when it runs, so `search` and
-`table` in hex run on the standard library alone and numpy loads only
-with the commands that do array work.  Where numpy cannot be imported,
-those commands print the one error object and exit 1.
+Each command imports the layers it uses when it runs, so `search`,
+`graph` and `table` in hex run on the standard library alone, and numpy
+loads only with the commands that run a transform or stack arrays:
+`bent`, `params`, `oracle` and `table --format bits`.  Where numpy
+cannot be imported, those commands print the one error object and
+exit 1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 import time
 from collections.abc import Iterator
 
-from .twins import _DELTA_MAX_M, _hex_digits, _twin_table
+from .twins import _DELTA_MAX_M, _hex_digits, _twin_quadrants
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -93,35 +95,38 @@ def _check_m(m: int, low: int, high: int):
 
 def _cmd_table(args):
     _check_m(args.m, 1, _TABLE_MAX_M)
-    table = _twin_table(args.m, args.function)
-    blocks = (_bit_blocks if args.format == "bits" else _hex_blocks)(table, 2 * args.m)
+    quadrants = _twin_quadrants(args.m, args.function)
+    blocks = (_bit_blocks if args.format == "bits" else _hex_blocks)(quadrants, 2 * args.m)
     return {"function": args.function, "m": args.m, "table": blocks}, EXIT_OK
 
 
-def _bit_blocks(table, n):
-    """The packed truth table on n bits as a JSON string of "0"/"1",
-    entry 0 first, in blocks of 8 * _TABLE_BLOCK characters, so the text
-    is never whole.  numpy is imported at the call, before any block is
+def _bit_blocks(quadrants, n):
+    """The packed truth table on n bits, given as the pieces that join to
+    it, as a JSON string of "0"/"1", entry 0 first, in blocks of at most
+    8 * _TABLE_BLOCK characters, so neither the table nor its text is
+    ever whole.  numpy is imported at the call, before any block is
     written."""
     import numpy as np
 
-    table = np.frombuffer(table, np.uint8)
-
-    def block(i):
-        count = min(8 * _TABLE_BLOCK, (1 << n) - 8 * i)
-        chars = np.unpackbits(table[i : i + _TABLE_BLOCK], count=count, bitorder="little")
+    def block(piece):
+        # below n = 3 the one piece is a byte with fewer than 8 entries
+        count = min(8 * len(piece), 1 << n)
+        chars = np.unpackbits(np.frombuffer(piece, np.uint8), count=count, bitorder="little")
         chars += ord("0")
         return chars.data
 
-    return itertools.chain((b'"',), map(block, range(0, table.size, _TABLE_BLOCK)), (b'"',))
+    pieces = (q[i : i + _TABLE_BLOCK] for q in quadrants for i in range(0, len(q), _TABLE_BLOCK))
+    return itertools.chain((b'"',), map(block, pieces), (b'"',))
 
 
-def _hex_blocks(table, n):
-    """BoolFunc.hex() of the packed truth table on n bits as a JSON
-    string, "tt:<n>:" then the digits in blocks of 2 * _TABLE_BLOCK
-    characters, so the text is never whole."""
+def _hex_blocks(quadrants, n):
+    """BoolFunc.hex() of the packed truth table on n bits, given as the
+    pieces that join to it, as a JSON string: "tt:<n>:" then the digits
+    of each piece, highest piece first, in blocks of 2 * _TABLE_BLOCK
+    characters, so neither the table nor its text is ever whole."""
     yield b'"tt:%d:' % n
-    yield from _hex_digits(table, n, _TABLE_BLOCK)
+    for quadrant in reversed(quadrants):
+        yield from _hex_digits(quadrant, n, _TABLE_BLOCK)
     yield b'"'
 
 

@@ -4,25 +4,32 @@ functions, strong-regularity verification, and graph export.
 Adjacency is never stored as a v x v structure: a graph on Z_2^n is a
 length-2^n colour table kappa indexed by vertex difference, held as
 int8 bytes.  Delta_m's table has one builder, `twins._delta_kappa`,
-cached per m and shared with the swap search; every reader here views
-the bytes as an int8 array without a copy, and a tuple is made only for
-a caller that asks for one (`DifferenceGraph.kappa`).  Common-neighbour
-counts depend only on the difference of the two vertices, so strong
-regularity is read off one autocorrelation of the colour class, and
-graph6 is encoded column by column straight from the table.
+cached per m and shared with the swap search, and a tuple is made only
+for a caller that asks for one (`DifferenceGraph.kappa`).
+Common-neighbour counts depend only on the difference of the two
+vertices, so strong regularity is read off one autocorrelation of the
+colour class.
+
+Export has one kernel, `_translates`: the colour class is a big int
+whose binary text is the class's indicator, index 0 first, and row (or
+column) j of the adjacency matrix is its XOR translate T_j, reached
+from T_(j-1) by a couple of swaps of bit runs.  graph6 cuts each column
+off the top of a translate, and edge lists pick each row's neighbours
+by the digits of its translate's binary text.  Building graphs and
+exporting them run on the standard library; numpy loads only with
+`verify_srg`, whose autocorrelation is a transform, and with the
+matrix oracle, which also loads `ctwin.algebra`.
 """
 
 from __future__ import annotations
 
+import binascii
 import itertools
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
-from .algebra import SymmetryClass, classify, gamma
 from .bent import BoolFunc, _autocorrelation, sigma, tau
-from .twins import _delta_kappa
+from .twins import _SPREAD, _delta_kappa
 
 RED = -1
 BLUE = 1
@@ -30,11 +37,19 @@ COLOUR_NAMES = {RED: "red", BLUE: "blue"}
 
 _ORACLE_MAX_M = 4
 _GRAPH6_MAX_VERTICES = 1 << 16
-# upper-triangle bits unpacked at once while encoding graph6
-_GRAPH6_BLOCK_BITS = 1 << 22
-# low index bits that graph6's column gather resolves by a table of
-# 2^_GRAPH6_LOW_BITS shifted copies of the colour class
-_GRAPH6_LOW_BITS = 6
+# graph6 bit-stream bits after which a block of characters is cut
+_GRAPH6_BLOCK_BITS = 1 << 19
+
+# colour -> translate table marking kappa's bytes of that colour b"1"
+# and every other byte b"0"
+_SELECT = {c: bytes(48 + (b == (c & 255)) for b in range(256)) for c in (RED, 0, BLUE)}
+_NO_COLOUR = b"0" * 256
+# the binary digits b"0" and b"1" -> the bytes 0 and 1
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+# the base64 alphabet -> graph6's characters, value k -> chr(63 + k)
+_SEXTETS = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 @dataclass(frozen=True)
@@ -54,12 +69,12 @@ class DifferenceGraph:
             raise ValueError("n_bits must be >= 1")
         if not isinstance(self.colours, bytes):
             raise TypeError("the colour table must be int8 bytes")
-        kappa = self._int8()
-        if kappa.size != 1 << self.n_bits:
+        if len(self.colours) != 1 << self.n_bits:
             raise ValueError("kappa length must be 2^n_bits")
-        if kappa[0] != 0:
+        if self.colours[0]:
             raise ValueError("difference 0 cannot carry an edge")
-        if kappa.min() < -1 or kappa.max() > 1:
+        # whatever is left once the bytes of -1, 0 and +1 are deleted
+        if self.colours.translate(None, b"\0\1\xff"):
             raise ValueError("colours must be -1, 0 or +1")
 
     @property
@@ -69,15 +84,11 @@ class DifferenceGraph:
     @property
     def kappa(self) -> tuple[int, ...]:
         """kappa as a tuple of ints, made anew on each call."""
-        return tuple(self._int8().tolist())
-
-    def _int8(self) -> np.ndarray:
-        """kappa as a read-only int8 array, without a copy."""
-        return np.frombuffer(self.colours, np.int8)
+        return tuple(memoryview(self.colours).cast("b"))
 
     def edges(self, colour: int) -> list[tuple[int, int]]:
         """Sorted list of edges (a, b) with a < b in the given colour."""
-        return [(a, b) for a, row in _upper_rows(self, colour) for b in row.tolist()]
+        return [(a, b) for a, row in _rows(self, colour, range(self.v)) for b in row]
 
 
 def build_delta(m: int) -> DifferenceGraph:
@@ -104,11 +115,16 @@ def oracle_build_delta(m: int) -> DifferenceGraph:
 
     All v(v-1)/2 pairs are worked at once on the stacked (v, n) perm and
     sign arrays of the basis, in int8 (n = 2^m <= 16 under the guard).
+    numpy and `ctwin.algebra` are imported here, on the first call.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > _ORACLE_MAX_M:
         raise ValueError(f"oracle path is guarded to m <= {_ORACLE_MAX_M}")
+    import numpy as np
+
+    from .algebra import SymmetryClass, classify, gamma
+
     v = 1 << (2 * m)
     basis = [gamma(m, i) for i in range(v)]
     for i, g in enumerate(basis):
@@ -153,9 +169,8 @@ def cayley_graph(f: BoolFunc) -> DifferenceGraph:
     """Single-colour graph with a ~ b iff f(a ^ b) = 1; edges carry +1."""
     if f(0):
         raise ValueError("f(0) = 1 would create loops")
-    # the unpacked 0/1 table is kappa's int8 bytes as it stands
-    table = np.unpackbits(f._bytes(), count=f.size, bitorder="little")
-    return DifferenceGraph(f.n, table.tobytes())
+    # the table spread to one byte per entry is kappa's int8 bytes as it stands
+    return DifferenceGraph(f.n, b"".join(map(_SPREAD.__getitem__, f.packed))[: f.size])
 
 
 # --- strong regularity -------------------------------------------------------
@@ -185,9 +200,11 @@ def verify_srg(graph: DifferenceGraph, colour: int) -> SrgParams:
     differences of the colour, so one autocorrelation of S covers every
     pair.  Vertex 0 meets each difference d once, as the pair (0, d), so
     lambda, mu and the first offending pair are those a pairwise check in
-    lexicographic order would report.
+    lexicographic order would report.  numpy is imported on the call.
     """
-    in_colour = graph._int8() == colour
+    import numpy as np
+
+    in_colour = np.frombuffer(graph.colours, np.int8) == colour
     in_colour[0] = False  # no loops, even for the colour 0 of non-edges
     counts = _autocorrelation(in_colour)
     k = int(counts[0])
@@ -228,7 +245,7 @@ def to_graph6(graph: DifferenceGraph, colour: int) -> bytes:
 
 def graph6_blocks(graph: DifferenceGraph, colour: int):
     """to_graph6's bytes as an iterator of blocks: the size header, then
-    the body in pieces of at most _GRAPH6_BLOCK_BITS / 6 characters, so a
+    the body in pieces of about _GRAPH6_BLOCK_BITS / 6 characters, so a
     writer never holds the whole payload.  The vertex limit is checked
     on the call, before any block is made."""
     n = graph.v
@@ -238,64 +255,101 @@ def graph6_blocks(graph: DifferenceGraph, colour: int):
         head = bytes([n + 63])
     else:
         head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    body = _upper_triangle(graph._int8() == colour)
-    return itertools.chain((head,), map(_graph6_chars, body))
+    return itertools.chain((head,), _graph6_body(_indicator(graph, colour), n))
 
 
-def _graph6_chars(bits: np.ndarray) -> bytes:
-    """Six bits per character, offset by 63, the last one padded with 0s.
-
-    The bits are packed into bytes once, most significant first, and
-    every 3 bytes (24 bits) are regrouped into 4 sextets with shifts."""
-    packed = np.zeros(-(-bits.size // 24) * 3, np.uint8)
-    packed[: (bits.size + 7) // 8] = np.packbits(bits)
-    b0, b1, b2 = packed.reshape(-1, 3).T
-    chars = np.empty((b0.size, 4), np.uint8)
-    chars[:, 0] = b0 >> 2
-    chars[:, 1] = (b0 & 3) << 4 | b1 >> 4
-    chars[:, 2] = (b1 & 15) << 2 | b2 >> 6
-    chars[:, 3] = b2 & 63
-    chars += 63
-    return chars.reshape(-1)[: (bits.size + 5) // 6].tobytes()
+def _indicator(graph: DifferenceGraph, colour: int) -> bytes:
+    """The colour class as binary text: byte d is b"1" where kappa[d] is
+    the colour, b"0" elsewhere.  Read by int(., 2) it is the class with
+    index d at bit v - 1 - d, most significant first."""
+    return graph.colours.translate(_SELECT.get(colour, _NO_COLOUR))
 
 
-def _upper_triangle(adjacent: np.ndarray):
-    """graph6's bit stream, adjacency of (i, j) for i < j in column order,
-    in blocks of whole 6-bit characters (the last block may be short).
+def _translates(a: int, width: int):
+    """T_j(a) for j = 0, 1, ..., width - 1, for a < 2^width and width a
+    power of two: T_j(a) has bit i ^ j of a at bit i.
 
-    Columns j = 0 mod 12 start on a character boundary, since
-    j(j - 1)/2 is then a multiple of 6, so blocks are cut there.
+    From j - 1 to j the index moves by j ^ (j - 1) = 2^(l+1) - 1, where
+    l counts the trailing zeros of j, so T_j is T_(j-1) with adjacent
+    runs of 2^k bits exchanged at each level k = 0..l: two swaps per
+    step on average, each a few shifts and masks of the whole int.
 
-    Column j is adjacent[i ^ j] for i < j.  With w = 2^low, the low bits
-    of j permute entries within aligned runs of w and the high bits
-    permute whole runs, so the column is made of whole runs of the
-    precomputed shifted[j mod w] = adjacent[k ^ (j mod w)], gathered
-    run by run rather than entry by entry and cut at j."""
-    n = adjacent.size
-    low = min(_GRAPH6_LOW_BITS, n.bit_length() - 1)
-    w = 1 << low
-    vertices = np.arange(n)
-    shifted = np.stack([adjacent[vertices ^ c] for c in range(w)]).reshape(w, n >> low, w)
-    runs = np.arange(n >> low)
-    columns, size = [], 0
-    for j in range(1, n):
-        if j % 12 == 0 and size >= _GRAPH6_BLOCK_BITS:
-            yield np.concatenate(columns)
-            columns, size = [], 0
-        rows = shifted[j & (w - 1)].take(runs[: -(-j >> low)] ^ (j >> low), axis=0)
-        columns.append(rows.reshape(-1)[:j])
-        size += j
-    if columns:
-        yield np.concatenate(columns)
+    Reversing the order of a's bits commutes with every T_j, so a caller
+    may hold index d at bit width - 1 - d, as int(text, 2) does.
+    """
+    levels = []  # (2^k, the bits i < width whose bit k is 0)
+    run = 1
+    while run < width:
+        levels.append((run, ((1 << width) - 1) // ((1 << 2 * run) - 1) * ((1 << run) - 1)))
+        run *= 2
+    yield a
+    for j in range(1, width):
+        for run, mask in levels[: (j & -j).bit_length()]:
+            a = (a >> run) & mask | (a & mask) << run
+        yield a
 
 
-def _upper_rows(graph: DifferenceGraph, colour: int):
-    """(a, the neighbours b > a of vertex a in ascending order) for every
-    vertex a: the rows of the adjacency matrix's upper triangle."""
-    adjacent = graph._int8() == colour
+def _graph6_body(indicator: bytes, v: int):
+    """graph6's characters for the pairs i < j of v vertices, adjacent
+    where indicator[i ^ j] is b"1", column by column, in blocks.
+
+    Column j is bits 0..j-1 of row j, so for 2^p <= j < 2^(p+1) it needs
+    only the class's first w = 2^(p+1) indices, and the walk restarts at
+    each power of two on that width, from T_(2^p), the two halves
+    exchanged.  Held most significant first, column j is the top j bits
+    of its translate: shifted to end on a byte boundary, it joins a bit
+    stream whose last byte may be partial.  The bits that follow the
+    column into that byte are cleared when the next column fills it, so
+    the stream is graph6's bits packed most significant first, and every
+    3 whole bytes are 4 base64 sextets.  A block is cut at a multiple of
+    3 bytes, and the last one is trimmed to the characters the pairs
+    need, its pad bits 0.
+    """
+    stream = bytearray()  # the bits not yet cut, most significant first
+    rem = 0  # the bits in stream's last byte, where it is partial
+    sent = 0  # the stream bytes cut into blocks
+    for p in range(v.bit_length() - 1):
+        h = 1 << p
+        w = 2 * h
+        low = int(indicator[:w], 2)
+        first = low >> h | (low & ((1 << h) - 1)) << h
+        for j, t in zip(range(h, w), _translates(first, w)):
+            pad = -(rem + j) & 7
+            shift = w - j - pad
+            column = (t >> shift if shift >= 0 else t << -shift).to_bytes((rem + j + pad) >> 3, "big")
+            if rem:
+                stream[-1] = stream[-1] & (0xFF00 >> rem) | column[0]
+                stream += memoryview(column)[1:]
+            else:
+                stream += column
+            rem = (rem + j) & 7
+            if len(stream) << 3 >= _GRAPH6_BLOCK_BITS:
+                whole = len(stream) - (rem > 0)
+                cut = whole - whole % 3
+                yield _sextets(stream[:cut])
+                del stream[:cut]
+                sent += cut
+    if rem:
+        stream[-1] &= 0xFF00 >> rem
+    yield _sextets(stream)[: -(-(v * (v - 1) // 2 - 8 * sent) // 6)]
+
+
+def _sextets(stream) -> bytes:
+    """graph6 characters of a bit stream packed most significant first:
+    each 6 bits, the last padded with 0s, as chr(63 + value).  Padding
+    to whole base64 groups is left on for the caller to trim."""
+    return binascii.b2a_base64(stream, newline=False).translate(_SEXTETS)
+
+
+def _rows(graph: DifferenceGraph, colour: int, names):
+    """(a, the names of a's neighbours b > a in ascending order) for
+    every vertex a: the upper triangle of the adjacency matrix, row a
+    picked from names[a + 1:] by the digits of T_a's binary text, whose
+    digit b is the colour class's bit a ^ b."""
     v = graph.v
-    for a in range(v):
-        yield a, a + 1 + np.flatnonzero(adjacent[np.arange(a + 1, v) ^ a])
+    for a, t in enumerate(_translates(int(_indicator(graph, colour), 2), v)):
+        digits = f"{t:0{v}b}"[a + 1 :].encode().translate(_DIGITS)
+        yield a, itertools.compress(names[a + 1 :], digits)
 
 
 def json_edges_blocks(graph: DifferenceGraph, colour: int):
@@ -308,9 +362,9 @@ def json_edges_blocks(graph: DifferenceGraph, colour: int):
     # every vertex's decimal name, encoded once
     names = [b"%d" % a for a in range(graph.v)]
     sep = b""
-    for a, row in _upper_rows(graph, colour):
-        if row.size:
-            pairs = (b"], [%s, " % names[a]).join([names[b] for b in row.tolist()])
+    for a, row in _rows(graph, colour, names):
+        pairs = (b"], [%s, " % names[a]).join(row)
+        if pairs:
             yield b"%s[%s, %s]" % (sep, names[a], pairs)
             sep = b", "
     yield b"]}"

@@ -1,12 +1,15 @@
 """The twin truth tables and Delta_m's colour table as bytes, on the
 standard library alone.
 
-sigma_m and tau_m have one builder, `_twin_table`, which joins whole byte
-quadrants of packed little-endian tables (entry i at bit i % 8 of byte
-i // 8).  Delta_m's colour table kappa = tau_m - sigma_m has one builder,
+sigma_m and tau_m have one builder, `_twin_quadrants`, which makes the
+four top-level byte quadrants of a packed little-endian table (entry i
+at bit i % 8 of byte i // 8) from whole quadrants of the level below;
+`_twin_table` joins them, and `table` writes them out unjoined.
+Delta_m's colour table kappa = tau_m - sigma_m has one builder,
 `_delta_kappa`, cached per m as int8 bytes (red -1 is the byte 255).
-The search and the hex text of a table (`_hex_digits`) read both as
-bytes; `bent` and `graphs` view them as numpy arrays without a copy.
+The search, the graph encoders and the hex text of a table
+(`_hex_digits`) read both as bytes; only the transforms in `bent` view
+them as numpy arrays, without a copy.
 """
 
 from __future__ import annotations
@@ -33,15 +36,21 @@ _KAPPA = bytes([0, 255, 1, 0]).ljust(256, b"\0")
 def _twin_table(m: int, function: str) -> bytes:
     """Truth table of sigma_m or tau_m ("sigma" or "tau") packed
     little-endian: entry i is bit i % 8 of byte i // 8.  At m = 1 it is
-    one byte whose high nibble is 0.
+    one byte whose high nibble is 0."""
+    return b"".join(_twin_quadrants(m, function))
+
+
+def _twin_quadrants(m: int, function: str) -> tuple[bytes, ...]:
+    """`_twin_table(m, function)` as the pieces it joins: its four
+    quadrants, lowest entries first, or for m <= 2 the one piece.
 
     Built from the m = 2 pair by the quadrant rules on whole bytes,
 
         sigma_{l+1} = (sigma_l, ~sigma_l, sigma_l, sigma_l)
         tau_{l+1}   = (tau_l, sigma_l, ~sigma_l, tau_l),
 
-    keeping only the previous level's pair, and making at the top level
-    only the function asked for.
+    keeping only the previous level's pair, joining each level below the
+    top, and making at the top level only the function asked for.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -49,14 +58,15 @@ def _twin_table(m: int, function: str) -> bytes:
         raise ValueError(f"unknown twin function {function!r}")
     tables = {name: bytes(pair) for name, pair in _TWINS_M2.items()}
     if m == 1:
-        return bytes([tables[function][0] & 15])
+        return (bytes([tables[function][0] & 15]),)
     for level in range(3, m + 1):
         s, t = tables["sigma"], tables["tau"]
         flipped = s.translate(_NOT)
         quadrants = {"sigma": (s, flipped, s, s), "tau": (t, s, flipped, t)}
-        wanted = (function,) if level == m else quadrants
-        tables = {name: b"".join(quadrants[name]) for name in wanted}
-    return tables[function]
+        if level == m:
+            return quadrants[function]
+        tables = {name: b"".join(pieces) for name, pieces in quadrants.items()}
+    return (tables[function],)
 
 
 def _hex_digits(table: bytes, n: int, block: int):

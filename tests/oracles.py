@@ -235,6 +235,28 @@ def pairwise_delta(m, gamma=gamma):
     return DifferenceGraph(2 * m, int8_bytes([seen[d] for d in range(v)]))
 
 
+def random_invertible(rng, n):
+    """Rows of a random invertible n x n matrix over GF(2), as bitmasks."""
+    while True:
+        rows = [rng.randrange(1, 1 << n) for _ in range(n)]
+        span = {0}
+        for r in rows:
+            if r in span:
+                break
+            span |= {x ^ r for x in span}
+        else:
+            return rows
+
+
+def apply(rows, x):
+    return sum(((row & x).bit_count() & 1) << r for r, row in enumerate(rows))
+
+
+def relabel(values, rows):
+    """The table x -> values[A x]."""
+    return [values[apply(rows, x)] for x in range(len(values))]
+
+
 def adjacency_rows(graph, colour):
     """Packed neighbour bitmasks of one colour class, one int per vertex."""
     kappa = graph.kappa

@@ -99,6 +99,16 @@ def test_twin_table_matches_point_rules():
             assert not values[v:].any()
 
 
+def test_twin_quadrants_join_to_the_table():
+    # four equal quadrants from m = 3 on, the whole table as one piece below
+    for m in range(1, 11):
+        for name in ("sigma", "tau"):
+            pieces = twins._twin_quadrants(m, name)
+            assert b"".join(pieces) == twins._twin_table(m, name), (m, name)
+            assert len(pieces) == (4 if m >= 3 else 1)
+            assert len({len(piece) for piece in pieces}) == 1
+
+
 def test_twin_table_rejects_bad_arguments():
     with pytest.raises(ValueError, match="m must be"):
         twins._twin_table(0, "sigma")

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from ctwin import cli
 from ctwin.bent import BoolFunc, predicted_params, sigma_function, tau, tau_function
 from ctwin.cli import main
-from ctwin.graphs import BLUE, build_delta, to_graph6
+from ctwin.graphs import BLUE, RED, build_delta, to_graph6
 from ctwin.swap import search_all
 
 import oracles
@@ -109,6 +110,19 @@ def test_table_bits_stream_is_the_whole_string(capsys, function):
 def test_table_hex_stream_is_the_whole_string(capsys, function):
     # BoolFunc.hex(), highest entry first; m = 1 and 2 have one digit
     _check_table_stream(capsys, function, "hex", lambda f: f.hex())
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 20])
+def test_table_text_is_the_same_for_every_block_size(monkeypatch, capsys, block):
+    # the quadrants are written without being joined, cut into blocks
+    # inside each quadrant and at its end
+    monkeypatch.setattr(cli, "_TABLE_BLOCK", block)
+    for m in range(1, 8):
+        for function, bits in zip(("sigma", "tau"), oracles.twin_bits(m)):
+            f = BoolFunc.from_bits(2 * m, bits)
+            for fmt, text in (("hex", f.hex()), ("bits", format(bits, f"0{f.size}b")[::-1])):
+                _, report = run_cli(capsys, "table", "--m", str(m), "--function", function, "--format", fmt)
+                assert report["result"]["table"] == text, (m, function, fmt)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 10])
@@ -560,7 +574,6 @@ _WITHOUT_NUMPY = (
     [
         ("bent", "--m", "3", "--function", "tau"),
         ("params", "--m", "2"),
-        ("graph", "--m", "2", "--colour", "red"),
         ("oracle", "--m", "2"),
         ("table", "--m", "3", "--function", "tau", "--format", "bits"),
     ],
@@ -576,6 +589,25 @@ def test_commands_without_numpy_report_one_error(argv):
     assert list(json.loads(proc.stdout)) == ["error"]
     assert "numpy" in json.loads(proc.stdout)["error"]
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("fmt", ["graph6", "json-edges"])
+def test_graph_without_numpy_prints_the_same_payload(fmt):
+    # graph runs on the standard library: with numpy blocked it exits 0
+    # and prints the payload that it prints where numpy can be imported
+    argv = ("graph", "--m", "2", "--colour", "red", "--format", fmt)
+    results = []
+    for code in (_WITHOUT_NUMPY, _WITHOUT_NUMPY.replace("sys.modules['numpy'] = None", "import numpy")):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("\n") == 1
+        results.append(json.loads(proc.stdout)["result"])
+    assert results[0] == results[1]
+    edges = oracles.edge_list(build_delta(2), RED)
+    if fmt == "graph6":
+        assert oracles.from_graph6(results[0]["payload"].encode()) == (16, edges)
+    else:
+        assert results[0]["payload"]["edges"] == [list(e) for e in edges]
 
 
 def test_report_envelope_fields(capsys):

@@ -36,28 +36,6 @@ def outcome(fn, *args):
         return f"rejected: {e}"
 
 
-def random_invertible(rng, n):
-    """Rows of a random invertible n x n matrix over GF(2), as bitmasks."""
-    while True:
-        rows = [rng.randrange(1, 1 << n) for _ in range(n)]
-        span = {0}
-        for r in rows:
-            if r in span:
-                break
-            span |= {x ^ r for x in span}
-        else:
-            return rows
-
-
-def apply(rows, x):
-    return sum(((row & x).bit_count() & 1) << r for r, row in enumerate(rows))
-
-
-def relabel(values, rows):
-    """The table x -> values[A x]."""
-    return [values[apply(rows, x)] for x in range(len(values))]
-
-
 def difference_sets(rng, n):
     """Random tables, f o A relabellings of the twins, and non-examples."""
     v = 1 << n
@@ -65,7 +43,7 @@ def difference_sets(rng, n):
     funcs += [BoolFunc.from_bits(n, 0), BoolFunc.from_bits(n, (1 << v) - 1), BoolFunc.from_bits(n, 1), BoolFunc.from_bits(n, 0b11)]
     if n % 2 == 0:
         for twin in (sigma_function(n // 2), tau_function(n // 2)):
-            g = BoolFunc.from_values(n, relabel(twin.table(), random_invertible(rng, n)))
+            g = BoolFunc.from_values(n, oracles.relabel(twin.table(), oracles.random_invertible(rng, n)))
             assert verify_difference_set(g) == predicted_params(n // 2)
             funcs += [g, oracles.complement(g), BoolFunc.from_bits(n, g.bits ^ (1 << rng.randrange(v)))]
     return funcs
@@ -85,7 +63,7 @@ def colour_graphs(rng, n):
         cayley_graph(BoolFunc.from_bits(n, 0b110 | 1 << (v - 1))),  # mu in {0, 2} at n = 3
     ]
     if n % 2 == 0:
-        kappa = relabel(build_delta(n // 2).kappa, random_invertible(rng, n))
+        kappa = oracles.relabel(build_delta(n // 2).kappa, oracles.random_invertible(rng, n))
         g = DifferenceGraph(n, oracles.int8_bytes(kappa))
         assert verify_srg(g, RED) == verify_srg(g, BLUE) == predicted_srg_params(n // 2)
         flipped = list(kappa)

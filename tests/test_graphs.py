@@ -2,12 +2,13 @@
 
 import itertools
 import json
+import random
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from ctwin import graphs
+from ctwin import algebra, graphs
 from ctwin.algebra import SignedPerm, SymmetryClass, classify, diagonal_count, gamma
 from ctwin.bent import BoolFunc, sigma_function, tau_function
 from ctwin.graphs import (
@@ -148,7 +149,7 @@ def test_oracle_error_branches(monkeypatch, mutation, error, message):
     mutated = _mutated_gamma(**mutation)
     if error is ValueError:
         assert classify(mutated(2, mutation["index"])) is SymmetryClass.DIAGONAL
-    monkeypatch.setattr(graphs, "gamma", mutated)
+    monkeypatch.setattr(algebra, "gamma", mutated)
     with pytest.raises(error, match=f"^{message}$"):
         oracle_build_delta(2)
     assert _outcome(oracles.pairwise_delta, 2, mutated) == (error, message)
@@ -165,7 +166,7 @@ def test_oracle_matches_pairwise_loop_when_one_matrix_is_mutated(monkeypatch):
             *(dict(swap=pair) for pair in itertools.combinations(range(n), 2)),
         ]:
             mutated = _mutated_gamma(index, **mutation)
-            monkeypatch.setattr(graphs, "gamma", mutated)
+            monkeypatch.setattr(algebra, "gamma", mutated)
             assert _outcome(oracle_build_delta, m) == _outcome(oracles.pairwise_delta, m, mutated), (index, mutation)
 
 
@@ -302,46 +303,94 @@ def test_graph6_roundtrip(monkeypatch):
 
 
 def test_graph6_chars_matches_packbits_oracle():
-    # every length 0..60, so every remainder mod 6 and mod 24
+    # every length 0..60, so every remainder mod 6 and mod 24: the bits
+    # packed most significant first, as the encoder's stream holds them
     rng = np.random.default_rng(60)
-    for size in range(61):
-        for _ in range(5):
-            bits = rng.random(size) < 0.5
-            assert graphs._graph6_chars(bits) == oracles.graph6_chars(bits), size
-    for size in (0, 1, 5, 6, 23, 24, 25):
-        for bits in (np.zeros(size, bool), np.ones(size, bool)):
-            assert graphs._graph6_chars(bits) == oracles.graph6_chars(bits), size
+    cases = [rng.random(size) < 0.5 for size in range(61) for _ in range(5)]
+    cases += [fill(size, bool) for size in (0, 1, 5, 6, 23, 24, 25) for fill in (np.zeros, np.ones)]
+    for bits in cases:
+        chars = graphs._sextets(np.packbits(bits).tobytes())[: (bits.size + 5) // 6]
+        assert chars == oracles.graph6_chars(bits), bits.size
+
+
+def _body_of(graph, colour):
+    data = to_graph6(graph, colour)
+    return data[(1 if graph.v <= 62 else 4) :]
+
+
+# the default cut, a cut after every column, and cuts a few columns apart
+BLOCK_BITS = (graphs._GRAPH6_BLOCK_BITS, 1, 7, 200)
 
 
 def test_graph6_matches_packbits_oracle(monkeypatch):
-    # the column gather in runs of 2^low for the default low, for runs of
-    # one entry and for runs shorter than the graph at every m
+    # the translate walk against the pair-by-pair upper triangle, in both
+    # colours and the non-edges, with the blocks cut at every column too
     for m in range(1, 7):
         g = build_delta(m)
         colours = oracles.upper_triangle_kappa(g)
-        for low in (graphs._GRAPH6_LOW_BITS, 0, 3):
-            monkeypatch.setattr(graphs, "_GRAPH6_LOW_BITS", low)
-            for colour in (RED, BLUE):
-                data = to_graph6(g, colour)
-                head = len(data) - (colours.size + 5) // 6
-                assert data[head:] == oracles.graph6_chars(colours == colour), (m, low, colour)
+        for block_bits in BLOCK_BITS:
+            monkeypatch.setattr(graphs, "_GRAPH6_BLOCK_BITS", block_bits)
+            for colour in (RED, BLUE, 0):
+                want = oracles.graph6_chars(colours == colour)
+                assert _body_of(g, colour) == want, (m, block_bits, colour)
+
+
+def _cayley_graphs(rng, n):
+    """A random Cayley graph on Z_2^n, and at even n the Cayley graph of
+    sigma_(n/2) relabelled by a random invertible matrix."""
+    v = 1 << n
+    found = [cayley_graph(BoolFunc.from_bits(n, rng.randrange(1 << v) & ~1))]
+    if n % 2 == 0:
+        relabelled = oracles.relabel(sigma_function(n // 2).table(), oracles.random_invertible(rng, n))
+        found.append(cayley_graph(BoolFunc.from_values(n, relabelled)))
+    return found
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_graph6_of_random_cayley_graphs_matches_oracle(monkeypatch, n):
+    # graphs of every size up to 4096 vertices, cut into blocks at every
+    # column and a few columns apart: the stream's last byte is partial
+    # at most cuts, and the 3-byte groups leave 0, 1 or 2 bytes behind
+    rng = random.Random(300 + n)
+    for g in _cayley_graphs(rng, n):
+        colours = oracles.upper_triangle_kappa(g)
+        for colour in (BLUE, 0):
+            want = oracles.graph6_chars(colours == colour)
+            for block_bits in BLOCK_BITS:
+                monkeypatch.setattr(graphs, "_GRAPH6_BLOCK_BITS", block_bits)
+                assert _body_of(g, colour) == want, (n, block_bits, colour)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_edges_of_random_cayley_graphs_match_oracle(n):
+    rng = random.Random(400 + n)
+    for g in _cayley_graphs(rng, n):
+        for colour in (BLUE, 0):
+            edges = oracles.edge_list(g, colour)
+            assert g.edges(colour) == edges
+            expected = json.dumps({"v": g.v, "colour": graphs.COLOUR_NAMES.get(colour, "0"), "edges": edges})
+            assert b"".join(graphs.json_edges_blocks(g, colour)) == expected.encode()
 
 
 def test_json_edges_blocks_match_json_dumps():
     cayley = cayley_graph(BoolFunc.from_values(3, [0, 1, 1, 0, 0, 0, 0, 1]))
-    cases = [(build_delta(m), colour) for m in (1, 2, 3, 4) for colour in (RED, BLUE)]
+    cases = [(build_delta(m), colour) for m in (1, 2, 3, 4) for colour in (RED, BLUE, 0)]
     for g, colour in [*cases, (cayley, BLUE)]:
-        expected = json.dumps(
-            {"v": g.v, "colour": graphs.COLOUR_NAMES[colour], "edges": oracles.edge_list(g, colour)}
-        )
+        name = graphs.COLOUR_NAMES.get(colour, str(colour))
+        expected = json.dumps({"v": g.v, "colour": name, "edges": oracles.edge_list(g, colour)})
         assert b"".join(graphs.json_edges_blocks(g, colour)) == expected.encode()
 
 
 def test_graph6_against_networkx():
-    g = build_delta(2)
-    data = to_graph6(g, BLUE)
-    nxg = nx.from_graph6_bytes(data)
-    assert sorted(tuple(sorted(e)) for e in nxg.edges()) == g.edges(BLUE)
+    rng = random.Random(500)
+    cases = [(build_delta(m), colour) for m in (1, 2, 3, 4) for colour in (RED, BLUE)]
+    cases += [(g, BLUE) for n in (3, 6, 7) for g in _cayley_graphs(rng, n)]
+    for g, colour in cases:
+        data = to_graph6(g, colour)
+        nxg = nx.from_graph6_bytes(data)
+        assert nxg.number_of_nodes() == g.v
+        assert sorted(tuple(sorted(e)) for e in nxg.edges()) == g.edges(colour)
+        assert nx.to_graph6_bytes(nxg, header=False).rstrip(b"\n") == data
 
 
 def test_graph6_long_size_header():

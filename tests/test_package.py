@@ -1,7 +1,8 @@
-"""The package's lazy surface: `import ctwin` and the swap search run on
-the standard library alone, and numpy loads only with the layers that do
-array work.  What loads is checked in fresh interpreters, whose
-sys.modules start without numpy."""
+"""The package's lazy surface: `import ctwin`, the swap search, truth
+tables and graph export run on the standard library alone, and numpy
+loads only with the calls that run a transform or stack arrays.  What
+loads is checked in fresh interpreters, whose sys.modules start without
+numpy."""
 
 import json
 import subprocess
@@ -43,8 +44,19 @@ seen["search_swap"] = "numpy" in sys.modules
 ctwin.search_all(3, 2000, force=True)
 seen["search_all"] = "numpy" in sys.modules
 ctwin.is_bent
+seen["import is_bent"] = "numpy" in sys.modules
+ctwin.is_bent(ctwin.tau_function(2))
 seen["is_bent"] = "numpy" in sys.modules
 print(json.dumps(seen))
+"""
+
+# graph export from a truth table, as a library caller does it
+_LIBRARY_EXPORT = """
+import json, sys
+import ctwin
+f = ctwin.BoolFunc.from_hex(ctwin.sigma_function(3).hex())
+data = ctwin.export_graph(ctwin.cayley_graph(f), ctwin.BLUE, "graph6")
+print(json.dumps([data.decode(), sorted({"numpy", "ctwin.algebra"} & set(sys.modules))]))
 """
 
 
@@ -62,11 +74,24 @@ def _imported_by_command(argv):
 
 def test_library_search_loads_no_numpy():
     seen = _fresh(_LIBRARY)
-    assert seen == {"import": False, "search_swap": False, "search_all": False, "is_bent": True}
+    assert seen == {
+        "import": False, "search_swap": False, "search_all": False,
+        "import is_bent": False, "is_bent": True,
+    }
+
+
+def test_library_export_loads_no_numpy():
+    data, loaded = _fresh(_LIBRARY_EXPORT)
+    assert loaded == []
+    g = ctwin.cayley_graph(ctwin.sigma_function(3))
+    assert data.encode() == ctwin.to_graph6(g, ctwin.BLUE)
 
 
 SEARCH_LAYERS = {"ctwin.twins", "ctwin.swap"}
 ARRAY_LAYERS = {"numpy", "ctwin.algebra", "ctwin.bent", "ctwin.graphs"}
+EXPORT_LAYERS = {"ctwin.twins", "ctwin.bent", "ctwin.graphs"}
+# stands for a file path in a command's arguments
+OUT = "<out>"
 
 
 @pytest.mark.parametrize(
@@ -79,9 +104,14 @@ ARRAY_LAYERS = {"numpy", "ctwin.algebra", "ctwin.bent", "ctwin.graphs"}
          {"ctwin.twins"}, ARRAY_LAYERS | {"ctwin.swap"}),
         (["bent", "--m", "3", "--function", "tau"], 0,
          {"numpy", "ctwin.bent"}, {"ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
+        (["graph", "--m", "3", "--colour", "red", "--out", OUT], 0,
+         EXPORT_LAYERS, {"numpy", "ctwin.algebra", "ctwin.swap"}),
+        (["graph", "--m", "3", "--colour", "blue", "--format", "json-edges", "--out", OUT], 0,
+         EXPORT_LAYERS, {"numpy", "ctwin.algebra", "ctwin.swap"}),
     ],
 )
-def test_commands_load_only_their_layers(argv, code, loaded, absent):
+def test_commands_load_only_their_layers(argv, code, loaded, absent, tmp_path):
+    argv = [str(tmp_path / "out") if arg == OUT else arg for arg in argv]
     returned, modules = _imported_by_command(argv)
     assert returned == code
     assert loaded <= modules and not absent & modules
