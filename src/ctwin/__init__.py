@@ -8,10 +8,11 @@ graph Delta_m on its coset blocks.
 
 The names below load their layer on first use (PEP 562), and no layer
 imports numpy when it loads, so `import ctwin`, the swap search, truth
-tables, Delta_m and graph export run on the standard library alone.
-numpy loads with the first call that runs a transform (spectra,
-bentness, difference sets, `verify_srg`) or the matrix oracle, which
-alone loads `algebra` as well.
+tables, Delta_m, graph export, difference sets (`verify_difference_set`),
+strong regularity (`verify_srg`) and the matrix oracle run on the
+standard library alone; the oracle alone loads `algebra`.  numpy loads
+with the first call that runs a spectral transform (`walsh_transform`,
+`fwht`, `is_bent`, `dual`, `tokareva_compose`).
 """
 
 import importlib

@@ -1,5 +1,5 @@
-"""Truth-table Boolean functions, the Walsh-Hadamard transform, and the
-twin functions sigma_m / tau_m on 2m bits.
+"""Truth-table Boolean functions, the Walsh-Hadamard transform, the twin
+functions sigma_m / tau_m on 2m bits, and difference counts.
 
 sigma_m(i) is the parity of the number of base-4 digits of i equal to 1;
 it marks exactly the indices whose basis matrix is skew.  tau_m marks the
@@ -19,38 +19,91 @@ of byte i // 8).  That packed form is the only stored form of a truth
 table: the CLI writes tables out from it, with the one hex rule
 `twins._hex_digits` that BoolFunc.hex() also uses, and a BoolFunc holds
 its table in it as bytes.  A Python int (`BoolFunc.bits`) is made only
-for a caller that asks for one.  BoolFunc, the twin functions and their
-tables run on the standard library; numpy is imported by the transforms
-below on their first call.
+for a caller that asks for one.  BoolFunc, the twin functions, their
+tables and difference counts run on the standard library; numpy is
+imported by the spectral transforms below (`walsh_transform`, `fwht`,
+`is_bent`, `dual`, `tokareva_compose`) on their first call.
 
-Every transform (spectra, bentness, duals, difference-set counts) runs
-through one staged butterfly kernel, `_fwht(a, dtype)`: the low half of
-the index bits on a transposed copy, the high half on the transpose
-back, both in one wrapping unsigned type.  It returns H_n a modulo 2^w.
-The reduction Z -> Z/2^w keeps sums, differences and doublings, which
-is all a butterfly does, so a caller whose true result lies in a window
-of 2^w integers reads that result exactly, whatever the intermediate
-sums were.  Each caller states the bits its result needs, and
-`_ring(bits)` gives the narrowest of uint16, uint32 and uint64 with as
-many:
+Spectra, bentness and duals run through one staged butterfly kernel,
+`_fwht(a, dtype)`: the low half of the index bits on a transposed copy,
+the high half on the transpose back, both in one wrapping unsigned
+type.  It returns H_n a modulo 2^w.  The reduction Z -> Z/2^w keeps
+sums, differences and doublings, which is all a butterfly does, so a
+caller whose true result lies in a window of 2^w integers reads that
+result exactly, whatever the intermediate sums were.  Each caller
+states the bits its result needs, and `_ring(bits)` gives the narrowest
+of uint16, uint32 and uint64 with as many:
 
     a spectrum of (-1)^f      in [-2^n, 2^n]       n + 2 bits, read signed
     bentness on n = 2k bits   +-2^k apart, not 0   k + 2 bits (`is_bent`)
-    v * autocorrelation       in [0, 4^n]          2n + 1 bits
 
 Bentness and duals need no spectrum: by Parseval's identity the
 residues modulo 2^16 decide them up to n = 28.  The kernel's first
 stage reads a packed table a slab of rows at a time, each slab unpacked
-straight into its transposed copy, as +-1 for spectra and residues and
-as 0/1 for autocorrelations, so no unpacked table is ever whole.  When
-n is even the second stage transposes in place, so a bentness check at
-n = 24 holds one 32 MB array and the 2 MB packed table.  All of it is
-exact integer arithmetic.
+straight into its transposed copy as +-1, so no unpacked table is ever
+whole.  When n is even the second stage transposes in place, so a
+bentness check at n = 24 holds one 32 MB array and the 2 MB packed
+table.
+
+Difference counts |S & (S ^ d)| have one kernel of their own, shared by
+`verify_difference_set` and `graphs.verify_srg`: `_first_off` checks
+them all at once against the spectrum of S's 0/1 indicator, which
+`_lane_spectrum` computes in biased 32-bit lanes of one Python int, on
+the level masks that `_translates` also swaps by.  All of it is exact
+integer arithmetic.
+
+Both twins are bent for every m, with dual(f) = f o P, where P swaps
+the two bits of every base-4 digit of the index (digits 1 <-> 2).  The
+proof is an induction on the quadrant rules; the checks at m <= 12
+(`bent`) and at m = 1..8 (the tests' dual(f) == f o P) are its checked
+base.
+
+    The 4-concatenation lemma (Tokareva, "On the number of bent
+    functions from iterative constructions", 2011; `tokareva_compose`).
+    Let f = (f_0, f_1, f_2, f_3) on 2l + 2 bits, quadrant q (the top
+    base-4 digit) holding f_q, each f_q bent on 2l bits.  For the top
+    digit b of u = (b, w),
+
+        W_f(b, w) = sum_q (-1)^(b.q) W_(f_q)(w)
+                  = 2^l sum_q (-1)^(b.q + f_q*(w)).
+
+    A sum of four signs is +-2 iff an odd number of them is -1, and the
+    parity of the -1s is the XOR over q of b.q + f_q*(w), where b.q
+    XORs to 0 over the four q.  So f is bent iff f_0* + f_1* + f_2* +
+    f_3* = 1 (mod 2) everywhere, and then f*(b, w) is 1 exactly where
+    the sum is -2.
+
+    tau.  tau_(l+1) = (tau, sigma, ~sigma, tau) by the quadrant rules.
+    By induction its quadrants' duals are (tau P, sigma P, ~sigma P,
+    tau P) (a complement's spectrum is the negated spectrum), which XOR
+    to 1, so tau_(l+1) is bent.  With t = (-1)^tau(Pw) and
+    s = (-1)^sigma(Pw), the sums at b = 0, 1, 2, 3 are 2t, -2s, 2s, 2t,
+    so tau_(l+1)* = (tau P, ~sigma P, sigma P, tau P) by top digit.
+    P sends the top digit b to 0, 2, 1, 3, so that is tau_(l+1) o P.
+
+    sigma.  sigma_(l+1) = (sigma, ~sigma, sigma, sigma), whose duals
+    (sigma P, ~sigma P, sigma P, sigma P) also XOR to 1.  The sums are
+    2s, 2s, -2s, 2s, so sigma_(l+1)* = (sigma P, sigma P, ~sigma P,
+    sigma P) = sigma_(l+1) o P.
+
+    Base.  sigma_1 and tau_1 mark one index each, 01 and 10, so both
+    are bent on 2 bits, and each is the other's dual: sigma_1 o P =
+    tau_1.
+
+So both supports are Hadamard difference sets for every m (Dillon,
+"Elementary Hadamard difference sets", 1974), and since sigma_m(0) =
+tau_m(0) = 0 both Cayley graphs are strongly regular with lambda = mu
+(Bernasconi & Codenotti, "Spectral analysis of Boolean functions as a
+graph eigenvalue problem", IEEE Trans. Comput., 1999).  `params` checks
+both at m <= 8.
 """
 
 from __future__ import annotations
 
+import math
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -230,21 +283,20 @@ def _transpose_square(x: np.ndarray):
 
 
 class _Unpacked:
-    """The packed truth table of f read by `_fwht` as the integer array
-    of its entries: (-1)^f as int8 with signs set, f as uint8 0/1
-    without.  It offers only what the kernel's first stage takes:
+    """The packed truth table of f read by `_fwht` as the int8 array
+    (-1)^f of its entries.  It offers only what the kernel's first stage takes:
     `size`, `reshape` to (rows, width) and slices of rows, each unpacked
     from just its own bytes when taken, so the table is never unpacked
     whole.  A slice must start at a whole byte, as a slab of _SLAB rows
     does."""
 
-    def __init__(self, f: BoolFunc, signs: bool, shape: tuple[int, int] | None = None):
-        self.f, self.signs = f, signs
+    def __init__(self, f: BoolFunc, shape: tuple[int, int] | None = None):
+        self.f = f
         self.size = f.size
         self.shape = shape or (1, self.size)
 
     def reshape(self, rows: int, width: int) -> _Unpacked:
-        return _Unpacked(self.f, self.signs, (rows, width))
+        return _Unpacked(self.f, (rows, width))
 
     def __getitem__(self, rows: slice) -> np.ndarray:
         start, stop, _ = rows.indices(self.shape[0])
@@ -253,11 +305,9 @@ class _Unpacked:
         import numpy as np
 
         packed = np.frombuffer(self.f.packed, np.uint8)[first >> 3 : (first + count + 7) >> 3]
-        x = np.unpackbits(packed, count=count, bitorder="little")
-        if self.signs:
-            x = x.view(np.int8)
-            x *= -2
-            x += 1
+        x = np.unpackbits(packed, count=count, bitorder="little").view(np.int8)
+        x *= -2
+        x += 1
         return x.reshape(-1, width)
 
 
@@ -314,7 +364,7 @@ def _fwht(a: np.ndarray | _Unpacked, dtype) -> np.ndarray:
 def _spectrum(f: BoolFunc) -> np.ndarray:
     """W_f = H_n (-1)^f as signed integers: |W_f| <= 2^n, so n + 2 bits
     hold it (int16 up to n = 14, int32 up to n = 30)."""
-    w = _fwht(_Unpacked(f, signs=True), _ring(f.n + 2))
+    w = _fwht(_Unpacked(f), _ring(f.n + 2))
     return w.view(f"i{w.itemsize}")
 
 
@@ -323,7 +373,7 @@ def _shifted_residues(f: BoolFunc) -> np.ndarray:
     an entry W_f = 2^k reads 2^(k+1) and an entry W_f = -2^k reads 0.
     The ring needs k + 2 bits, so that +-2^k are distinct nonzero
     residues (see `is_bent`)."""
-    w = _fwht(_Unpacked(f, signs=True), _ring(f.n // 2 + 2))
+    w = _fwht(_Unpacked(f), _ring(f.n // 2 + 2))
     w += 1 << (f.n // 2)
     return w
 
@@ -451,48 +501,164 @@ class DiffSetParams:
         return (self.v, self.k, self.lam, self.n)
 
 
-def _autocorrelation(indicator: np.ndarray | _Unpacked) -> np.ndarray:
-    """counts[d] = |S & (S ^ d)| for the set S in Z_2^n marked by a 0/1
-    array of length v = 2^n, or by an `_Unpacked` table without signs,
-    so counts[0] = |S|, as unsigned integers.
+# --- difference counts ----------------------------------------------------
 
-    Wiener-Khinchin: the transform of the squared spectrum W_S^2 is v
-    times the autocorrelation, and v * counts[d] lies in [0, v * |S|],
-    within [0, 4^n].  So one ring of 2n + 1 bits holds the result, and
-    both passes and the squaring between them run in it: the reduction
-    modulo 2^w keeps products too, so W_S^2 modulo 2^w is the square of
-    W_S modulo 2^w, however large W_S^2 is.  The low n bits of each
-    entry must then be 0, and counts is the rest.
+# a spectrum lane holds W + 2^31, which stays in [0, 2^32) while
+# |W| <= 2^n < 2^31
+_BIAS = 1 << 31
+_LANE_MAX_N = 30
+# a run of r < 8 bits -> the byte whose bits i with i & r == 0 are set
+_SHORT_RUNS = {1: 0x55, 2: 0x33, 4: 0x0F}
+
+
+def _level_masks(lanes: int, bits: int = 1):
+    """(2^k * bits, the mask of the lanes whose index has bit k clear)
+    for each level k with 2^k < lanes, in turn, on `lanes` lanes of
+    `bits` bits each, lane i at bits i * bits and up.  Each mask is one
+    byte pattern read by int.from_bytes, never a big-int division."""
+    size = lanes * bits
+    run = bits
+    while run < size:
+        if run < 8:
+            pattern = bytes([_SHORT_RUNS[run]]) * max(1, size >> 3)
+            yield run, int.from_bytes(pattern, "little") & ((1 << size) - 1)
+        else:
+            pattern = (b"\xff" * (run >> 3) + bytes(run >> 3)) * (size // (2 * run))
+            yield run, int.from_bytes(pattern, "little")
+        run *= 2
+
+
+def _translates(a: int, width: int):
+    """T_j(a) for j = 0, 1, ..., width - 1, for a < 2^width and width a
+    power of two: T_j(a) has bit i ^ j of a at bit i.
+
+    From j - 1 to j the index moves by j ^ (j - 1) = 2^(l+1) - 1, where
+    l counts the trailing zeros of j, so T_j is T_(j-1) with adjacent
+    runs of 2^k bits exchanged at each level k = 0..l: two swaps per
+    step on average, each a few shifts and masks of the whole int.
+
+    Reversing the order of a's bits commutes with every T_j, so a caller
+    may hold index d at bit width - 1 - d, as int(text, 2) does.
     """
-    n = indicator.size.bit_length() - 1
-    dtype = _ring(2 * n + 1)
-    counts = _fwht(indicator, dtype)
-    counts *= counts
-    counts = _fwht(counts, dtype)
-    if (counts & ((1 << n) - 1)).any():
-        raise RuntimeError("autocorrelation transform not divisible by v")
-    return counts >> n
+    levels = list(_level_masks(width))
+    yield a
+    for j in range(1, width):
+        for run, mask in levels[: (j & -j).bit_length()]:
+            a = (a >> run) & mask | (a & mask) << run
+        yield a
+
+
+def _common(s: int, n: int, d: int) -> int:
+    """|S & (S ^ d)| for the set S in Z_2^n held as the bits of s: the
+    popcount of s and its one translate T_d, reached by a swap at each
+    level k where d has bit k set."""
+    t = s
+    for k, (run, mask) in enumerate(_level_masks(1 << n)):
+        if d >> k & 1:
+            t = (t >> run) & mask | (t & mask) << run
+    return (s & t).bit_count()
+
+
+def _lane_spectrum(s: int, n: int) -> int:
+    """W_S(u) + 2^31 in lane u of 32 bits, little-endian, of one int, for
+    the set S in Z_2^n held as the bits of s, n <= 30: W_S = H_n 1_S,
+    the spectrum of S's 0/1 indicator.
+
+    The lanes start as 1_S + 2^31: the bits of s, spread to one byte
+    each by the 256-entry table `twins._SPREAD`, go into the low byte of
+    every lane by one slice assignment.  At level k each lane i with
+    bit k clear (`lo`) meets its partner i + 2^k (`hi`), moved down onto
+    it, and the level is the one expression
+
+        (lo + hi - B) | (lo - hi + B) << 32 * 2^k
+
+    on the whole int, B the bias in every lo lane.  After level k every
+    entry is at most 2^(k+1) <= 2^n in magnitude, so each lane of the
+    sum and of the difference lies in [0, 2^32): the sums are exact
+    integers whose base-2^32 digits are the lanes, whatever carries the
+    arithmetic made on the way.
+    """
+    v = 1 << n
+    lanes = bytearray(b"\0\0\0\x80" * v)  # 2^31 in each lane, little-endian
+    bias = int.from_bytes(lanes, "little")
+    lanes[::4] = b"".join(map(_SPREAD.__getitem__, s.to_bytes(_packed_size(n), "little")))[:v]
+    a = int.from_bytes(lanes, "little")
+    for run, mask in _level_masks(v, 32):
+        lo = a & mask
+        hi = a >> run & mask
+        level_bias = bias & mask
+        a = (lo + hi - level_bias) | (lo - hi + level_bias) << run
+    return a
+
+
+def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
+    """The first difference d != 0 whose count c(d) = |S & (S ^ d)| is
+    not lam where d is in S and mu where it is not, as (d, c(d)), or
+    None if every count is as asked.  S is the set in Z_2^n held as the
+    bits of s, bit d for element d, n <= 30; 0 must not be in S unless
+    lam = mu, as for a difference set.
+
+    The spectral criterion (Bernasconi & Codenotti 1999; for difference
+    sets, where lam = mu, Dillon 1974).  Let k = |S|, v = 2^n and
+    W_S = H_n 1_S.  Every count is as asked iff, for every u,
+
+        W_S(u)^2 = (k - mu) + (lam - mu) W_S(u) + mu v [u = 0].
+
+    Proof.  c = 1_S * 1_S is a convolution on Z_2^n, so H_n c = W_S^2
+    (Wiener-Khinchin).  The counts are as asked iff c = mu 1 +
+    (lam - mu) 1_S + (k - mu) delta_0: at d = 0 both sides read k
+    (c(0) = |S|, and 1_S(0) = 0 unless lam = mu), and at d != 0 the
+    right side reads lam on S and mu off it.  H_n is invertible
+    (H_n^2 = v I), so c equals that iff their transforms agree, and
+    H_n 1 = v delta_0, H_n 1_S = W_S and H_n delta_0 = 1 give the
+    right side above.
+
+    At u = 0, where W_S(0) = k, the identity is arithmetic on k, lam,
+    mu and v.  At u != 0 it says that W_S(u) is a root of x^2 -
+    (lam - mu) x - (k - mu); unless both roots are integers no integer
+    passes, and v >= 2 gives some u != 0.  So the check counts the lanes
+    of `_lane_spectrum` that hold a root, with C's array.count.  Only a
+    rejected S walks its translates T_d (`_translates`) in order, to
+    name the first d whose count is off: the one a pairwise count in
+    lexicographic order would name.
+    """
+    if n > _LANE_MAX_N:
+        raise ValueError(f"difference counts run in 32-bit lanes, for n <= {_LANE_MAX_N}")
+    v = 1 << n
+    k = s.bit_count()
+    b = lam - mu
+    disc = b * b + 4 * (k - mu)
+    root = math.isqrt(max(disc, 0))
+    if root * root == disc and k * (k - b - 1) + mu == mu * v:
+        roots = {(b + root) // 2, (b - root) // 2}  # b and root have one parity
+        # the lanes in native order for array, which only counts them
+        lanes = array("I", _lane_spectrum(s, n).to_bytes(4 * v, sys.byteorder))
+        if sum(lanes.count(_BIAS + r) for r in roots) == v - 1 + (k in roots):
+            return None
+    for d, t in enumerate(_translates(s, v)):
+        common = (s & t).bit_count()
+        if d and common != (lam if s >> d & 1 else mu):
+            return d, common
+    return None
 
 
 def verify_difference_set(f: BoolFunc) -> DiffSetParams:
-    """Count every nonzero difference over support x support, all at once
-    by autocorrelation, and demand a constant; returns the verified
-    (v, k, lam, n)."""
+    """Check that every nonzero difference occurs as often over support x
+    support as difference 1 does, all at once by the spectral criterion
+    of `_first_off`; returns the verified (v, k, lam, n)."""
     v, k = f.size, f.weight()
     if k == 0:
         raise ValueError("support is empty")
     if k == v:
         raise ValueError("support is the whole group")
-    import numpy as np
-
-    counts = _autocorrelation(_Unpacked(f, signs=False))
-    lam = int(counts[1])
-    off = np.flatnonzero(counts[1:] != lam)
-    if off.size:
-        g = int(off[0]) + 1
+    s = f.bits
+    lam = _common(s, f.n, 1)
+    off = _first_off(s, f.n, lam, lam)
+    if off:
+        g, count = off
         raise ValueError(
             f"not a difference set: difference 1 occurs {lam} times "
-            f"but difference {g} occurs {counts[g]} times"
+            f"but difference {g} occurs {count} times"
         )
     return DiffSetParams(v, k, lam, k - lam)
 

@@ -7,18 +7,18 @@ int8 bytes.  Delta_m's table has one builder, `twins._delta_kappa`,
 cached per m and shared with the swap search, and a tuple is made only
 for a caller that asks for one (`DifferenceGraph.kappa`).
 Common-neighbour counts depend only on the difference of the two
-vertices, so strong regularity is read off one autocorrelation of the
-colour class.
+vertices, so strong regularity is read off the colour class's
+difference counts, by the kernel `bent._first_off` that difference sets
+use too.
 
-Export has one kernel, `_translates`: the colour class is a big int
-whose binary text is the class's indicator, index 0 first, and row (or
-column) j of the adjacency matrix is its XOR translate T_j, reached
+Export has one kernel, `bent._translates`: the colour class is a big
+int whose binary text is the class's indicator, index 0 first, and row
+(or column) j of the adjacency matrix is its XOR translate T_j, reached
 from T_(j-1) by a couple of swaps of bit runs.  graph6 cuts each column
 off the top of a translate, and edge lists pick each row's neighbours
-by the digits of its translate's binary text.  Building graphs and
-exporting them run on the standard library; numpy loads only with
-`verify_srg`, whose autocorrelation is a transform, and with the
-matrix oracle, which also loads `ctwin.algebra`.
+by the digits of its translate's binary text.  Everything here runs on
+the standard library, numpy never loads, and the matrix oracle alone
+loads `ctwin.algebra`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .bent import BoolFunc, _autocorrelation, sigma, tau
+from .bent import BoolFunc, _common, _first_off, _translates, sigma, tau
 from .twins import _SPREAD, _delta_kappa
 
 RED = -1
@@ -113,16 +113,18 @@ def oracle_build_delta(m: int) -> DifferenceGraph:
     before the colour table is accepted; the first pair in lexicographic
     order that does not raises RuntimeError naming its difference.
 
-    All v(v-1)/2 pairs are worked at once on the stacked (v, n) perm and
-    sign arrays of the basis, in int8 (n = 2^m <= 16 under the guard).
-    numpy and `ctwin.algebra` are imported here, on the first call.
+    The v(v-1)/2 pairs are worked one by one, in lexicographic order, on
+    bytes with one byte per column (n = 2^m <= 16 under the guard): the
+    perms are disjoint iff the XOR of their bytes, read as one int, has
+    no zero byte; a product's rows and sign bits are one bytes.translate
+    of the right factor's rows through the left factor's, and M is
+    symmetric or skew as it equals M^T = gamma(b) * gamma(a)^T or its
+    negation.  `ctwin.algebra` is imported here, on the first call.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > _ORACLE_MAX_M:
         raise ValueError(f"oracle path is guarded to m <= {_ORACLE_MAX_M}")
-    import numpy as np
-
     from .algebra import SymmetryClass, classify, gamma
 
     v = 1 << (2 * m)
@@ -133,36 +135,42 @@ def oracle_build_delta(m: int) -> DifferenceGraph:
             raise RuntimeError(f"sigma mismatch at index {i}")
         if tau(m, i) != (cls is SymmetryClass.SYMMETRIC_OFF_DIAGONAL):
             raise RuntimeError(f"tau mismatch at index {i}")
-    perm = np.array([g.perm for g in basis], dtype=np.int8)
-    signs = np.array([g.signs for g in basis], dtype=np.int8)
-    # gamma(b)^T: column c holds gamma(b)'s entry from column inv[c]
-    inv = np.argsort(perm, axis=1).astype(np.int8)
-    signs_t = np.take_along_axis(signs, inv, axis=1)
-    a, b = np.triu_indices(v, 1)
-    disjoint = (perm[a] != perm[b]).all(axis=1)
-    ja, jb = a[disjoint], b[disjoint]
-    # M = gamma(a) * gamma(b)^T, column c: row perm_a[inv_b[c]],
-    # sign signs_a[inv_b[c]] * signs_b^T[c]
-    rows = np.take_along_axis(perm[ja], inv[jb], axis=1)
-    vals = np.take_along_axis(signs[ja], inv[jb], axis=1) * signs_t[jb]
-    # M^T = +-M iff rows is an involution and vals[rows[c]] = +-vals[c]
-    involution = (np.take_along_axis(rows, rows, axis=1) == np.arange(1 << m)).all(axis=1)
-    mirrored = np.take_along_axis(vals, rows, axis=1)
-    skew = involution & (mirrored == -vals).all(axis=1)
-    symmetric = involution & (mirrored == vals).all(axis=1)
-    colour = np.zeros(a.size, dtype=np.int8)
-    colour[disjoint] = np.where(skew, RED, BLUE)
-    neither = np.zeros(a.size, dtype=bool)
-    neither[disjoint] = ~(skew | symmetric)
-    # the first v - 1 pairs are (0, d) for d = 1..v-1
-    kappa = np.concatenate((np.zeros(1, np.int8), colour[: v - 1]))
-    bad = neither | (colour != kappa[a ^ b])
-    if bad.any():
-        first = int(bad.argmax())
-        if neither[first]:
-            raise ValueError("matrix is neither symmetric nor skew")
-        raise RuntimeError(f"pairs with difference {a[first] ^ b[first]} disagree on colour")
-    return DifferenceGraph(2 * m, kappa.tobytes())
+
+    def column_bytes(g):
+        # column c's row, with bit 7 set where its sign is -1
+        return bytes(r | (s < 0) << 7 for r, s in zip(g.perm, g.signs))
+
+    width = 1 << m
+    ones = int.from_bytes(b"\1" * width, "little")
+    high = ones << 7  # bit 7 of every column: its sign bit, and the zero-byte test's
+    perms = [int.from_bytes(bytes(g.perm), "little") for g in basis]
+    # gamma(i) as a translate table, and gamma(i)^T as its rows and its sign bits
+    tables = [column_bytes(g).ljust(256, b"\0") for g in basis]
+    transposes = [g.transpose() for g in basis]
+    rows_t = [bytes(t.perm) for t in transposes]
+    signs_t = [int.from_bytes(column_bytes(t), "little") & high for t in transposes]
+    kappa = bytearray(v)
+    for a in range(v):
+        pa, table_a, rows_ta, signs_ta = perms[a], tables[a], rows_t[a], signs_t[a]
+        for b in range(a + 1, v):
+            x = pa ^ perms[b]
+            if (x - ones) & ~x & high:  # a zero byte: the perms meet in a column
+                colour = 0
+            else:
+                # M = gamma(a) gamma(b)^T against M^T = gamma(b) gamma(a)^T
+                product = int.from_bytes(rows_t[b].translate(table_a), "little") ^ signs_t[b]
+                mirror = int.from_bytes(rows_ta.translate(tables[b]), "little") ^ signs_ta
+                if product == mirror:
+                    colour = BLUE
+                elif product ^ mirror == high:
+                    colour = RED & 255
+                else:
+                    raise ValueError("matrix is neither symmetric nor skew")
+            if not a:
+                kappa[b] = colour
+            elif kappa[a ^ b] != colour:
+                raise RuntimeError(f"pairs with difference {a ^ b} disagree on colour")
+    return DifferenceGraph(2 * m, bytes(kappa))
 
 
 def cayley_graph(f: BoolFunc) -> DifferenceGraph:
@@ -197,33 +205,33 @@ def verify_srg(graph: DifferenceGraph, colour: int) -> SrgParams:
     regular and return its parameters.
 
     Vertices a and b have |S & (S ^ a ^ b)| common neighbours, S being the
-    differences of the colour, so one autocorrelation of S covers every
-    pair.  Vertex 0 meets each difference d once, as the pair (0, d), so
-    lambda, mu and the first offending pair are those a pairwise check in
-    lexicographic order would report.  numpy is imported on the call.
+    differences of the colour, so S's difference counts cover every pair,
+    and `bent._first_off` checks them all at once.  lambda and mu are the
+    counts at the first difference in S and the first one out of it,
+    each the popcount of one translate of S.  Vertex 0 meets each
+    difference d once, as the pair (0, d), so lambda, mu and the first
+    offending pair are those a pairwise check in lexicographic order
+    would report.
     """
-    import numpy as np
-
-    in_colour = np.frombuffer(graph.colours, np.int8) == colour
-    in_colour[0] = False  # no loops, even for the colour 0 of non-edges
-    counts = _autocorrelation(in_colour)
-    k = int(counts[0])
+    # the class with index d at bit d, without 0: no loops, even for the
+    # colour 0 of non-edges
+    s = int(_indicator(graph, colour)[::-1], 2) & ~1
+    k = s.bit_count()
     if k == 0:
         raise ValueError("graph is empty in this colour")
-    adjacent, common = in_colour[1:], counts[1:]
-    if adjacent.all():
+    apart = ((1 << graph.v) - 2) & ~s
+    if not apart:
         raise ValueError("graph has no non-adjacent pairs")
-    lam = int(common[adjacent.argmax()])
-    mu = int(common[(~adjacent).argmax()])
-    off = np.flatnonzero(common != np.where(adjacent, lam, mu))
-    if off.size:
-        b = int(off[0]) + 1
-        name, pair, want = (
-            ("lambda", "adjacent", lam) if in_colour[b] else ("mu", "non-adjacent", mu)
-        )
+    n = graph.n_bits
+    lam = _common(s, n, (s & -s).bit_length() - 1)
+    mu = _common(s, n, (apart & -apart).bit_length() - 1)
+    off = _first_off(s, n, lam, mu)
+    if off:
+        b, count = off
+        name, pair, want = ("lambda", "adjacent", lam) if s >> b & 1 else ("mu", "non-adjacent", mu)
         raise ValueError(
             f"{name} not constant: {pair} pair (0, {b}) "
-            f"has {counts[b]} common neighbours, expected {want}"
+            f"has {count} common neighbours, expected {want}"
         )
     return SrgParams(graph.v, k, lam, mu)
 
@@ -263,30 +271,6 @@ def _indicator(graph: DifferenceGraph, colour: int) -> bytes:
     the colour, b"0" elsewhere.  Read by int(., 2) it is the class with
     index d at bit v - 1 - d, most significant first."""
     return graph.colours.translate(_SELECT.get(colour, _NO_COLOUR))
-
-
-def _translates(a: int, width: int):
-    """T_j(a) for j = 0, 1, ..., width - 1, for a < 2^width and width a
-    power of two: T_j(a) has bit i ^ j of a at bit i.
-
-    From j - 1 to j the index moves by j ^ (j - 1) = 2^(l+1) - 1, where
-    l counts the trailing zeros of j, so T_j is T_(j-1) with adjacent
-    runs of 2^k bits exchanged at each level k = 0..l: two swaps per
-    step on average, each a few shifts and masks of the whole int.
-
-    Reversing the order of a's bits commutes with every T_j, so a caller
-    may hold index d at bit width - 1 - d, as int(text, 2) does.
-    """
-    levels = []  # (2^k, the bits i < width whose bit k is 0)
-    run = 1
-    while run < width:
-        levels.append((run, ((1 << width) - 1) // ((1 << 2 * run) - 1) * ((1 << run) - 1)))
-        run *= 2
-    yield a
-    for j in range(1, width):
-        for run, mask in levels[: (j & -j).bit_length()]:
-            a = (a >> run) & mask | (a & mask) << run
-        yield a
 
 
 def _graph6_body(indicator: bytes, v: int):

@@ -177,6 +177,13 @@ def dual(f):
     return BoolFunc.from_values(f.n, [int(w < 0) for w in spectrum])
 
 
+def autocorrelation(f):
+    """counts[d] = |S & (S ^ d)| for the support S of f, d = 0 included,
+    by Wiener-Khinchin on whole lists of Python ints: the transform of
+    the squared spectrum of S's 0/1 indicator is v times the counts."""
+    return [c >> f.n for c in fwht([w * w for w in fwht(f.table())])]
+
+
 def difference_counts(support, v):
     """counts[g] = ordered pairs (a, b) of distinct support elements with a^b = g."""
     counts = [0] * v

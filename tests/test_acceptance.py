@@ -117,6 +117,19 @@ def test_tokareva_reconstruction_m2_to_m5():
     _passed("four-block composition rebuilds tau_m, m=2..5")
 
 
+def test_tokareva_reconstruction_of_both_twins_to_m8():
+    # the induction in the ctwin.bent docstring: the quadrant duals of
+    # sigma_m and of tau_m XOR to 1, and the composition is the twin
+    for m in range(2, 9):
+        s, t = sigma_function(m - 1), tau_function(m - 1)
+        s_bar = oracles.complement(s)
+        for parts, twin in (((s, s_bar, s, s), sigma_function(m)), ((t, s, s_bar, t), tau_function(m))):
+            assert tokareva_compose(*parts) == twin, m
+            acc = dual(parts[0]) ^ dual(parts[1]) ^ dual(parts[2]) ^ dual(parts[3])
+            assert acc.bits == (1 << acc.size) - 1, "dual sum must be all-ones"
+    _passed("four-block composition rebuilds sigma_m and tau_m, duals XOR to 1, m=2..8")
+
+
 def test_swap_search_finds_witnesses_m1_m2_m3():
     budgets = {1: 0.010, 2: 10.0, 3: 600.0}
     for m, budget in budgets.items():

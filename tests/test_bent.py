@@ -331,13 +331,78 @@ def test_fwht_ring_edge(monkeypatch):
             rings.clear()
 
 
+def _lanes(a, n):
+    """The entries W(u) of `bent._lane_spectrum`'s int, lane u unbiased."""
+    lanes = np.frombuffer(a.to_bytes(4 << n, "little"), "<u4").astype(np.int64)
+    return (lanes - bent._BIAS).tolist()
+
+
 @pytest.mark.parametrize("n", [15, 16, 17])
 def test_autocorrelation_of_the_whole_group(n):
-    # v * counts = 4^n reaches the bound of 2n + 1 bits: uint32 at n = 15,
-    # uint64 from n = 16 on, where uint32 would wrap to 0
-    counts = bent._autocorrelation(np.ones(1 << n, np.uint8))
-    assert counts.dtype == (np.uint32 if n == 15 else np.uint64), n
-    assert (counts == 1 << n).all(), n
+    # S = Z_2^n reaches the lanes' bound, |W_S(0)| = v; every difference
+    # count is v, and the spectral check accepts them without a walk
+    v = 1 << n
+    s = (1 << v) - 1
+    a = bent._lane_spectrum(s, n)
+    assert a & 0xFFFFFFFF == bent._BIAS + v
+    assert a >> 32 == int.from_bytes(b"\0\0\0\x80" * (v - 1), "little"), n
+    assert bent._common(s, n, 1) == bent._common(s, n, v - 1) == v
+    assert bent._first_off(s, n, v, v) is None
+
+
+def test_lane_spectrum_matches_the_transforms():
+    # W_S of the 0/1 indicator is H_n 1_S, and (-1)^f = 1 - 2 * 1_S makes
+    # it (v [u = 0] - W_f(u)) / 2; the empty set and the whole group reach
+    # W_S(0) = 0 and v
+    rng = random.Random(61)
+    for n in range(1, 15):
+        size = 1 << n
+        funcs = [BoolFunc.from_bits(n, rng.randrange(1 << size)) for _ in range(2)]
+        funcs += [BoolFunc.from_bits(n, 0), BoolFunc.from_bits(n, (1 << size) - 1)]
+        if n % 2 == 0:
+            funcs += [sigma_function(n // 2), tau_function(n // 2)]
+        for f in funcs:
+            got = _lanes(bent._lane_spectrum(f.bits, n), n)
+            assert got == fwht(f.table()), n
+            walsh = walsh_transform(f)
+            assert got == [((size if u == 0 else 0) - w) // 2 for u, w in enumerate(walsh)], n
+        assert _lanes(bent._lane_spectrum(0, n), n) == [0] * size
+        assert _lanes(bent._lane_spectrum((1 << size) - 1, n), n) == [size] + [0] * (size - 1)
+
+
+def test_level_masks_mark_the_lanes_with_the_level_bit_clear():
+    # lanes shorter than a byte, runs shorter than a byte and whole-byte
+    # runs, against each lane's index read bit by bit
+    for bits in (1, 2, 32):
+        for lanes in (2, 4, 8, 16, 64):
+            levels = list(bent._level_masks(lanes, bits))
+            assert [run for run, _ in levels] == [bits << k for k in range(lanes.bit_length() - 1)]
+            for k, (_, mask) in enumerate(levels):
+                lane = (1 << bits) - 1
+                want = sum(lane << (i * bits) for i in range(lanes) if not i >> k & 1)
+                assert mask == want, (bits, lanes, k)
+
+
+def test_twins_and_relabelled_delta_pass_without_a_walk(monkeypatch):
+    # the spectral check alone accepts every set whose counts are as
+    # asked; the translates are walked only to name a rejection
+    def walk(*_):
+        raise AssertionError("an accepted set walked its translates")
+
+    monkeypatch.setattr(bent, "_translates", walk)
+    rng = random.Random(67)
+    for m in range(1, 9):
+        for f in (sigma_function(m), tau_function(m)):
+            assert verify_difference_set(f) == predicted_params(m)
+            g = BoolFunc.from_values(2 * m, oracles.relabel(f.table(), oracles.random_invertible(rng, 2 * m)))
+            assert verify_difference_set(g) == predicted_params(m)
+
+
+def test_difference_counts_are_guarded_to_32_bit_lanes():
+    # W_S + 2^31 fits a lane while v = 2^n <= 2^30; the guard is checked
+    # before anything is built
+    with pytest.raises(ValueError, match="32-bit lanes, for n <= 30"):
+        bent._first_off(0, 31, 0, 0)
 
 
 def test_spectral_functions_match_oracle():
@@ -383,7 +448,7 @@ def _kernel_inputs(n, rng):
 
 def test_streamed_kernel_matches_whole_array_route():
     # the kernel unpacks a packed table slab by slab; the whole-array
-    # route unpacks it at once and passes (-1)^f or f as an array.  Every
+    # route unpacks it at once and passes (-1)^f as an array.  Every
     # n from 1 to 16 covers rows shorter than a byte (n < 5), odd n's
     # copying second stage and even n's in-place one
     rng = random.Random(47)
@@ -391,11 +456,19 @@ def test_streamed_kernel_matches_whole_array_route():
         for f in _kernel_inputs(n, rng):
             for ring in (np.uint16, np.uint32, np.uint64):
                 want = bent._fwht(oracles.signs(f), ring)
-                got = bent._fwht(bent._Unpacked(f, signs=True), ring)
+                got = bent._fwht(bent._Unpacked(f), ring)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (n, ring)
-            want = bent._autocorrelation(oracles.unpacked(f))
-            got = bent._autocorrelation(bent._Unpacked(f, signs=False))
-            assert got.dtype == want.dtype and np.array_equal(got, want), n
+            # the difference-count kernel reads the packed table a byte
+            # at a time into its lanes; the whole-array route squares the
+            # 0/1 indicator's spectrum and transforms it back
+            spectrum = bent._lane_spectrum(f.bits, n)
+            assert _lanes(spectrum, n) == bent.fwht(f.table()), n
+            if n <= 10:
+                counts = oracles.autocorrelation(f)
+                d = rng.randrange(1, 1 << n)
+                assert bent._common(f.bits, n, d) == counts[d], (n, d)
+                off = next(((g, c) for g, c in enumerate(counts) if g and c != counts[1]), None)
+                assert bent._first_off(f.bits, n, counts[1], counts[1]) == off, n
 
 
 def test_streamed_duals_match_whole_array_route():
@@ -491,6 +564,31 @@ def test_duals_of_the_twins_swap_their_digits(m):
     for f in (sigma_function(m), tau_function(m)):
         assert dual(f) == _swap_digit_bits(f) != f, m
         assert _swap_digit_bits(_swap_digit_bits(f)) == f
+
+
+@pytest.mark.parametrize("l", range(1, 7))
+def test_four_concatenation_sign_table(l):
+    # the bent.py induction step from level l to l + 1: with
+    # t = (-1)^tau_l(Pw) and s = (-1)^sigma_l(Pw), the four sums
+    # sum_q (-1)^(b.q + f_q*(w)) at top digits b = 0..3 are
+    # (2t, -2s, 2s, 2t) for tau_(l+1) and (2s, 2s, -2s, 2s) for
+    # sigma_(l+1), and each is 2 (-1)^f*(b, w) for f's dual
+    sig, ta = sigma_function(l), tau_function(l)
+    sig_bar = oracles.complement(sig)
+    quarter = 1 << (2 * l)
+    for f, parts, rule in [
+        (tau_function(l + 1), (ta, sig, sig_bar, ta), lambda t, s: (2 * t, -2 * s, 2 * s, 2 * t)),
+        (sigma_function(l + 1), (sig, sig_bar, sig, sig), lambda t, s: (2 * s, 2 * s, -2 * s, 2 * s)),
+    ]:
+        duals = [dual(p).table() for p in parts]
+        whole = dual(f).table()
+        tp, sp = _swap_digit_bits(ta).table(), _swap_digit_bits(sig).table()
+        for w in range(quarter):
+            sums = tuple(
+                sum((-1) ** (((b & q).bit_count() + duals[q][w]) & 1) for q in range(4)) for b in range(4)
+            )
+            assert sums == rule((-1) ** tp[w], (-1) ** sp[w]), (l, w)
+            assert sums == tuple(2 * (-1) ** whole[b * quarter + w] for b in range(4)), (l, w)
 
 
 def test_dual_involution_and_complement():

@@ -265,6 +265,15 @@ def test_params_confirms_at_guard_limit(capsys):
     assert elapsed < 30.0, f"params --m 8 took {elapsed:.1f}s, budget 30s"
 
 
+def test_params_at_guard_limit_within_budget(tmp_path):
+    # every difference and common-neighbour count at m = 8 from a fresh
+    # interpreter, on the standard library: 2 s and 25 MB
+    code, report, rss = run_budgeted(tmp_path, ["params", "--m", "8"], 2.0)
+    assert code == 0
+    assert report["result"]["confirmed"] is True
+    assert rss < 25.0, f"params --m 8 peaked at {rss:.0f} MB, budget 25 MB"
+
+
 def test_params_large_m_closed_form_only(capsys):
     code, report = run_cli(capsys, "params", "--m", "20")
     assert code == 0
@@ -528,9 +537,11 @@ def test_oracle_m3(capsys):
 
 def test_oracle_at_guard_limit_within_budget(tmp_path):
     # m = 4 is the oracle guard's largest m: every one of its pairs in 2 s
-    code, report, _ = run_budgeted(tmp_path, ["oracle", "--m", "4"], 2.0)
+    # and 25 MB, on bytes, without numpy
+    code, report, rss = run_budgeted(tmp_path, ["oracle", "--m", "4"], 2.0)
     assert code == 0
     assert report["result"] == {"checked": 256, "pairs": 32640, "ok": True}
+    assert rss < 25.0, f"oracle --m 4 peaked at {rss:.0f} MB, budget 25 MB"
 
 
 def test_oracle_cost_guard(capsys):
@@ -572,10 +583,8 @@ _WITHOUT_NUMPY = (
 @pytest.mark.parametrize(
     "argv",
     [
-        ("bent", "--m", "3", "--function", "tau"),
-        ("params", "--m", "2"),
-        ("oracle", "--m", "2"),
-        ("table", "--m", "3", "--function", "tau", "--format", "bits"),
+        pytest.param(("bent", "--m", "3", "--function", "tau"), id="argv0"),
+        pytest.param(("table", "--m", "3", "--function", "tau", "--format", "bits"), id="argv3"),
     ],
 )
 def test_commands_without_numpy_report_one_error(argv):
@@ -591,23 +600,38 @@ def test_commands_without_numpy_report_one_error(argv):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("fmt", ["graph6", "json-edges"])
-def test_graph_without_numpy_prints_the_same_payload(fmt):
-    # graph runs on the standard library: with numpy blocked it exits 0
-    # and prints the payload that it prints where numpy can be imported
-    argv = ("graph", "--m", "2", "--colour", "red", "--format", fmt)
+def _results_with_and_without_numpy(argv):
+    """The "result" of a command that exits 0, run with numpy blocked
+    and with numpy imported first, each in a fresh interpreter."""
     results = []
     for code in (_WITHOUT_NUMPY, _WITHOUT_NUMPY.replace("sys.modules['numpy'] = None", "import numpy")):
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("\n") == 1
         results.append(json.loads(proc.stdout)["result"])
+    return results
+
+
+@pytest.mark.parametrize("fmt", ["graph6", "json-edges"])
+def test_graph_without_numpy_prints_the_same_payload(fmt):
+    # graph runs on the standard library: with numpy blocked it exits 0
+    # and prints the payload that it prints where numpy can be imported
+    results = _results_with_and_without_numpy(("graph", "--m", "2", "--colour", "red", "--format", fmt))
     assert results[0] == results[1]
     edges = oracles.edge_list(build_delta(2), RED)
     if fmt == "graph6":
         assert oracles.from_graph6(results[0]["payload"].encode()) == (16, edges)
     else:
         assert results[0]["payload"]["edges"] == [list(e) for e in edges]
+
+
+@pytest.mark.parametrize("argv", [("params", "--m", "3"), ("oracle", "--m", "2")])
+def test_params_and_oracle_without_numpy_print_the_same_payload(argv):
+    # difference sets, strong regularity and the matrix oracle run on the
+    # standard library: with numpy blocked both exit 0 with the same result
+    results = _results_with_and_without_numpy(argv)
+    assert results[0] == results[1]
+    assert results[0].get("confirmed", results[0].get("ok")) is True
 
 
 def test_report_envelope_fields(capsys):

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from ctwin import bent
 from ctwin.bent import (
     BoolFunc,
     predicted_params,
@@ -86,3 +87,47 @@ def test_srg_matches_pairwise_oracle(n):
         for colour in (RED, BLUE):
             rows = oracles.adjacency_rows(g, colour)
             assert outcome(verify_srg, g, colour) == outcome(oracles.srg_params_from_rows, rows)
+
+
+def unequal_srgs(rng, n):
+    """Red/blue colour tables whose classes are strongly regular with
+    lambda != mu, relabelled: red on H - {0} for a random proper subgroup
+    H (disjoint cliques, lambda = |H| - 2 and mu = 0) and blue off H (a
+    complete multipartite graph), and at n = 4 the Clebsch graph
+    (16, 5, 0, 2) in blue."""
+    v = 1 << n
+    span = {0}
+    for _ in range(rng.randrange(1, n)):
+        x = rng.randrange(1, v)
+        span |= {y ^ x for y in span}
+    tables = [[0] + [RED if d in span else BLUE for d in range(1, v)]]
+    if n == 4:
+        tables.append([0] + [BLUE if d in (1, 2, 4, 8, 15) else RED for d in range(1, v)])
+    return [oracles.relabel(t, oracles.random_invertible(rng, n)) for t in tables]
+
+
+def _no_walk(*_):
+    raise AssertionError("an accepted class walked its translates")
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_unequal_lambda_mu_and_their_near_misses_match_pairwise_oracle(n, monkeypatch):
+    # the spectral check with lambda != mu: each class passes without a
+    # walk, and with one entry flipped the pairwise oracle names the same
+    # first offending pair
+    rng = random.Random(300 + n)
+    tables = unequal_srgs(rng, n)
+    graphs = [DifferenceGraph(n, oracles.int8_bytes(kappa)) for kappa in tables]
+    with monkeypatch.context() as patch:
+        patch.setattr(bent, "_translates", _no_walk)
+        params = [(verify_srg(g, RED), verify_srg(g, BLUE)) for g in graphs]
+    red, blue = params[0]
+    assert (red.lam, red.mu) == (red.k - 1, 0)  # disjoint cliques
+    assert blue.mu == blue.k  # complete multipartite
+    for kappa, g in zip(tables, graphs):
+        flipped = list(kappa)
+        flipped[rng.randrange(1, 1 << n)] *= -1
+        for graph in (g, DifferenceGraph(n, oracles.int8_bytes(flipped))):
+            for colour in (RED, BLUE):
+                rows = oracles.adjacency_rows(graph, colour)
+                assert outcome(verify_srg, graph, colour) == outcome(oracles.srg_params_from_rows, rows)

@@ -1,8 +1,8 @@
 """The package's lazy surface: `import ctwin`, the swap search, truth
-tables and graph export run on the standard library alone, and numpy
-loads only with the calls that run a transform or stack arrays.  What
-loads is checked in fresh interpreters, whose sys.modules start without
-numpy."""
+tables, graph export, difference sets, strong regularity and the matrix
+oracle run on the standard library alone, and numpy loads only with the
+spectral transforms and `table --format bits`.  What loads is checked
+in fresh interpreters, whose sys.modules start without numpy."""
 
 import json
 import subprocess
@@ -60,6 +60,16 @@ print(json.dumps([data.decode(), sorted({"numpy", "ctwin.algebra"} & set(sys.mod
 """
 
 
+# difference sets and strong regularity, as a library caller checks them
+_LIBRARY_VERIFY = """
+import json, sys
+import ctwin
+ds = ctwin.verify_difference_set(ctwin.tau_function(3))
+srg = ctwin.verify_srg(ctwin.build_delta(3), ctwin.RED)
+print(json.dumps([ds.as_tuple(), srg.as_tuple(), sorted({"numpy", "ctwin.algebra"} & set(sys.modules))]))
+"""
+
+
 def _imported_by_command(argv):
     """(exit code, the modules imported) of `python -m ctwin ARGV`, read
     off the interpreter's -X importtime report."""
@@ -87,6 +97,13 @@ def test_library_export_loads_no_numpy():
     assert data.encode() == ctwin.to_graph6(g, ctwin.BLUE)
 
 
+def test_library_verifiers_load_no_numpy():
+    ds, srg, loaded = _fresh(_LIBRARY_VERIFY)
+    assert loaded == []
+    assert ds == list(ctwin.predicted_params(3).as_tuple())
+    assert srg == list(ctwin.predicted_srg_params(3).as_tuple())
+
+
 SEARCH_LAYERS = {"ctwin.twins", "ctwin.swap"}
 ARRAY_LAYERS = {"numpy", "ctwin.algebra", "ctwin.bent", "ctwin.graphs"}
 EXPORT_LAYERS = {"ctwin.twins", "ctwin.bent", "ctwin.graphs"}
@@ -108,6 +125,10 @@ OUT = "<out>"
          EXPORT_LAYERS, {"numpy", "ctwin.algebra", "ctwin.swap"}),
         (["graph", "--m", "3", "--colour", "blue", "--format", "json-edges", "--out", OUT], 0,
          EXPORT_LAYERS, {"numpy", "ctwin.algebra", "ctwin.swap"}),
+        (["params", "--m", "3"], 0,
+         {"ctwin.twins", "ctwin.bent", "ctwin.graphs"}, {"numpy", "ctwin.algebra", "ctwin.swap"}),
+        (["oracle", "--m", "2"], 0,
+         {"ctwin.twins", "ctwin.algebra", "ctwin.graphs"}, {"numpy", "ctwin.swap"}),
     ],
 )
 def test_commands_load_only_their_layers(argv, code, loaded, absent, tmp_path):
