@@ -16,8 +16,8 @@ oracle command and the test suite).
 The twin tables have one builder, `twins._twin_table`, which joins
 whole byte quadrants of packed little-endian bytes (entry i at bit i % 8
 of byte i // 8).  That packed form is the only stored form of a truth
-table: the CLI writes tables out from it, with the one hex rule
-`twins._hex_digits` that BoolFunc.hex() also uses, and a BoolFunc holds
+table: the CLI writes tables out from it, with the one `tt:` writer
+`twins._tt_text` that BoolFunc.hex() also joins, and a BoolFunc holds
 its table in it as bytes.  A Python int (`BoolFunc.bits`) is made only
 for a caller that asks for one.  BoolFunc, the twin functions, their
 tables and difference counts run on the standard library; numpy is
@@ -49,8 +49,9 @@ Difference counts |S & (S ^ d)| have one kernel of their own, shared by
 `verify_difference_set` and `graphs.verify_srg`: `_first_off` checks
 them all at once against the spectrum of S's 0/1 indicator, which
 `_lane_spectrum` computes in biased 32-bit lanes of one Python int, on
-the level masks that `_translates` also swaps by.  All of it is exact
-integer arithmetic.
+the standard-library bit layer of `twins`: its level masks, and its
+walk `_translates` over the XOR translates of a set.  All of it is
+exact integer arithmetic, guarded to n <= 30 (`_check_lanes`).
 
 Both twins are bent for every m, with dual(f) = f o P, where P swaps
 the two bits of every base-4 digit of the index (digits 1 <-> 2).  The
@@ -107,7 +108,7 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .twins import _SPREAD, _hex_digits, _twin_table
+from .twins import _SPREAD, _level_masks, _translates, _tt_text, _twin_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -183,8 +184,7 @@ class BoolFunc:
 
     def hex(self) -> str:
         """Serialize as "tt:<arity>:<hex>", highest-index entry first."""
-        digits = _hex_digits(self.packed, self.n, len(self.packed))
-        return f"tt:{self.n}:" + b"".join(digits).decode()
+        return b"".join(_tt_text((self.packed,), self.n, len(self.packed))).decode()
 
     @classmethod
     def from_hex(cls, text: str) -> BoolFunc:
@@ -507,45 +507,13 @@ class DiffSetParams:
 # |W| <= 2^n < 2^31
 _BIAS = 1 << 31
 _LANE_MAX_N = 30
-# a run of r < 8 bits -> the byte whose bits i with i & r == 0 are set
-_SHORT_RUNS = {1: 0x55, 2: 0x33, 4: 0x0F}
 
 
-def _level_masks(lanes: int, bits: int = 1):
-    """(2^k * bits, the mask of the lanes whose index has bit k clear)
-    for each level k with 2^k < lanes, in turn, on `lanes` lanes of
-    `bits` bits each, lane i at bits i * bits and up.  Each mask is one
-    byte pattern read by int.from_bytes, never a big-int division."""
-    size = lanes * bits
-    run = bits
-    while run < size:
-        if run < 8:
-            pattern = bytes([_SHORT_RUNS[run]]) * max(1, size >> 3)
-            yield run, int.from_bytes(pattern, "little") & ((1 << size) - 1)
-        else:
-            pattern = (b"\xff" * (run >> 3) + bytes(run >> 3)) * (size // (2 * run))
-            yield run, int.from_bytes(pattern, "little")
-        run *= 2
-
-
-def _translates(a: int, width: int):
-    """T_j(a) for j = 0, 1, ..., width - 1, for a < 2^width and width a
-    power of two: T_j(a) has bit i ^ j of a at bit i.
-
-    From j - 1 to j the index moves by j ^ (j - 1) = 2^(l+1) - 1, where
-    l counts the trailing zeros of j, so T_j is T_(j-1) with adjacent
-    runs of 2^k bits exchanged at each level k = 0..l: two swaps per
-    step on average, each a few shifts and masks of the whole int.
-
-    Reversing the order of a's bits commutes with every T_j, so a caller
-    may hold index d at bit width - 1 - d, as int(text, 2) does.
-    """
-    levels = list(_level_masks(width))
-    yield a
-    for j in range(1, width):
-        for run, mask in levels[: (j & -j).bit_length()]:
-            a = (a >> run) & mask | (a & mask) << run
-        yield a
+def _check_lanes(n: int):
+    """ValueError unless the difference counts of a set in Z_2^n fit the
+    32-bit lanes of `_lane_spectrum`, raised before any mask is built."""
+    if n > _LANE_MAX_N:
+        raise ValueError(f"difference counts run in 32-bit lanes, for n <= {_LANE_MAX_N}")
 
 
 def _common(s: int, n: int, d: int) -> int:
@@ -622,8 +590,7 @@ def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
     name the first d whose count is off: the one a pairwise count in
     lexicographic order would name.
     """
-    if n > _LANE_MAX_N:
-        raise ValueError(f"difference counts run in 32-bit lanes, for n <= {_LANE_MAX_N}")
+    _check_lanes(n)
     v = 1 << n
     k = s.bit_count()
     b = lam - mu
@@ -645,7 +612,9 @@ def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
 def verify_difference_set(f: BoolFunc) -> DiffSetParams:
     """Check that every nonzero difference occurs as often over support x
     support as difference 1 does, all at once by the spectral criterion
-    of `_first_off`; returns the verified (v, k, lam, n)."""
+    of `_first_off`; returns the verified (v, k, lam, n).  Guarded to
+    n <= 30 (`_check_lanes`), before any work."""
+    _check_lanes(f.n)
     v, k = f.size, f.weight()
     if k == 0:
         raise ValueError("support is empty")

@@ -21,7 +21,7 @@ import sys
 import time
 from collections.abc import Iterator
 
-from .twins import _DELTA_MAX_M, _hex_digits, _twin_quadrants
+from .twins import _DELTA_MAX_M, _tt_text, _twin_quadrants
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -95,16 +95,20 @@ def _check_m(m: int, low: int, high: int):
 def _cmd_table(args):
     _check_m(args.m, 1, _TABLE_MAX_M)
     quadrants = _twin_quadrants(args.m, args.function)
-    blocks = (_bit_blocks if args.format == "bits" else _hex_blocks)(quadrants, 2 * args.m)
-    return {"function": args.function, "m": args.m, "table": blocks}, EXIT_OK
+    if args.format == "bits":
+        text = _bit_blocks(quadrants, 2 * args.m)
+    else:
+        text = _tt_text(quadrants, 2 * args.m, _TABLE_BLOCK)
+    # one JSON string in blocks, so neither the table nor its text is ever whole
+    table = itertools.chain((b'"',), text, (b'"',))
+    return {"function": args.function, "m": args.m, "table": table}, EXIT_OK
 
 
 def _bit_blocks(quadrants, n):
     """The packed truth table on n bits, given as the pieces that join to
-    it, as a JSON string of "0"/"1", entry 0 first, in blocks of at most
-    8 * _TABLE_BLOCK characters, so neither the table nor its text is
-    ever whole.  numpy is imported at the call, before any block is
-    written."""
+    it, as the characters "0"/"1", entry 0 first, in blocks of at most
+    8 * _TABLE_BLOCK characters.  numpy is imported at the call, before
+    any block is written."""
     import numpy as np
 
     def block(piece):
@@ -115,18 +119,7 @@ def _bit_blocks(quadrants, n):
         return chars.data
 
     pieces = (q[i : i + _TABLE_BLOCK] for q in quadrants for i in range(0, len(q), _TABLE_BLOCK))
-    return itertools.chain((b'"',), map(block, pieces), (b'"',))
-
-
-def _hex_blocks(quadrants, n):
-    """BoolFunc.hex() of the packed truth table on n bits, given as the
-    pieces that join to it, as a JSON string: "tt:<n>:" then the digits
-    of each piece, highest piece first, in blocks of 2 * _TABLE_BLOCK
-    characters, so neither the table nor its text is ever whole."""
-    yield b'"tt:%d:' % n
-    for quadrant in reversed(quadrants):
-        yield from _hex_digits(quadrant, n, _TABLE_BLOCK)
-    yield b'"'
+    return map(block, pieces)
 
 
 def _cmd_bent(args):

@@ -11,14 +11,14 @@ vertices, so strong regularity is read off the colour class's
 difference counts, by the kernel `bent._first_off` that difference sets
 use too.
 
-Export has one kernel, `bent._translates`: the colour class is a big
-int whose binary text is the class's indicator, index 0 first, and row
-(or column) j of the adjacency matrix is its XOR translate T_j, reached
-from T_(j-1) by a couple of swaps of bit runs.  graph6 cuts each column
-off the top of a translate, and edge lists pick each row's neighbours
-by the digits of its translate's binary text.  Everything here runs on
-the standard library, numpy never loads, and the matrix oracle alone
-loads `ctwin.algebra`.
+Export has one kernel, the bit layer's walk `twins._translates`: the
+colour class is a big int whose binary text is the class's indicator,
+index 0 first, and row (or column) j of the adjacency matrix is its XOR
+translate T_j, reached from T_(j-1) by a couple of swaps of bit runs.
+graph6 cuts each column off the top of a translate, and edge lists pick
+each row's neighbours by the digits of its translate's binary text.
+Everything here runs on the standard library, numpy never loads, and
+the matrix oracle alone loads `ctwin.algebra`.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .bent import BoolFunc, _common, _first_off, _translates, sigma, tau
-from .twins import _SPREAD, _delta_kappa
+from .bent import BoolFunc, _check_lanes, _common, _first_off, sigma, tau
+from .twins import _SPREAD, _delta_kappa, _translates
 
 RED = -1
 BLUE = 1
@@ -211,8 +211,10 @@ def verify_srg(graph: DifferenceGraph, colour: int) -> SrgParams:
     each the popcount of one translate of S.  Vertex 0 meets each
     difference d once, as the pair (0, d), so lambda, mu and the first
     offending pair are those a pairwise check in lexicographic order
-    would report.
+    would report.  Guarded to 2^30 vertices (`bent._check_lanes`),
+    before any work.
     """
+    _check_lanes(graph.n_bits)
     # the class with index d at bit d, without 0: no loops, even for the
     # colour 0 of non-edges
     s = int(_indicator(graph, colour)[::-1], 2) & ~1

@@ -15,9 +15,10 @@ GF(2), one equation per pair of cosets, and `_solve` row-reduces it; no
 search tree is walked.  The lifts of step (v) are checked as the
 XOR-linear maps they are, in O(v), so the searches share Delta_m's
 guard, m <= 8 (`twins._DELTA_MAX_M`); only a witness, which exists at
-m <= 3, is checked over every pair.  Everything here is plain Python on
-bytes, tuples and big ints: kappa is `twins._delta_kappa`'s int8 bytes,
-and no search loads numpy.
+m <= 3, is checked over every pair, by `verify_swap` on the level masks
+of `twins._level_masks`.  Everything here is plain Python on bytes,
+tuples and big ints: kappa is `twins._delta_kappa`'s int8 bytes, and no
+search loads numpy.
 
 The reduction.  Let phi fix 0 and satisfy kappa[phi a ^ phi b] =
 s * kappa[a ^ b] with s = -1 (a swap) or +1 (an automorphism).  For
@@ -138,7 +139,7 @@ from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
 
-from .twins import _DELTA_MAX_M, _delta_kappa
+from .twins import _DELTA_MAX_M, _delta_kappa, _level_masks
 
 _SEARCH_ALL_MAX_M = 2
 # an int8 byte b -> -b
@@ -184,10 +185,10 @@ def verify_swap(swap: SwapMap) -> bool:
     differences phi[a] ^ phi[a ^ d] must all have the colour -kappa[d].
     phi is one big int with a field per vertex, and d runs in Gray-code
     order, so the fields XOR-translated by d come from those of the last
-    d by one swap of adjacent blocks (d = 0 holds, as kappa[0] = 0).  A
-    row's colours are read by one translate while a vertex fits a byte
-    (v <= 256), field by field above.  O(v^2) time and O(v m) memory:
-    no v x v array is made."""
+    d by one swap of adjacent blocks, on the masks of `_level_masks`
+    (d = 0 holds, as kappa[0] = 0).  A row's colours are read by one
+    translate while a vertex fits a byte (v <= 256), field by field
+    above.  O(v^2) time and O(v m) memory: no v x v array is made."""
     kappa = _delta_kappa(swap.m)
     negated = kappa.translate(_NEG)
     v = len(kappa)
@@ -202,13 +203,8 @@ def verify_swap(swap: SwapMap) -> bool:
         def colours(row):
             return bytes(map(kappa.__getitem__, struct.unpack(fields, row)))
 
-    bits = 8 * width // v  # per field
-    full = (1 << (8 * width)) - 1
     # level k: shift and mask that swap adjacent blocks of 2^k fields
-    levels = []
-    for k in range(2 * swap.m):
-        shift = bits << k
-        levels.append((shift, full // ((1 << 2 * shift) - 1) * ((1 << shift) - 1)))
+    levels = list(_level_masks(v, 8 * width // v))
     phi = int.from_bytes(struct.pack(fields, *swap.phi), "little")
     translated = phi  # field a holds phi[a ^ d]
     for n in range(1, v):
@@ -407,9 +403,9 @@ def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -
     node_budget yields INCONCLUSIVE with node_budget + 1 nodes.
 
     The system has at most 32640 equations and no choice of order: order
-    accepts only "mcv", and it and node_budget stay because the
-    benchmark's steps pass them.  Guarded to m <= 8.  RuntimeError if a
-    checked hypothesis fails.
+    accepts only "mcv", and stays only because the benchmark's steps
+    pass it; node_budget is also the CLI's --node-budget.  Guarded to
+    m <= 8.  RuntimeError if a checked hypothesis fails.
     """
     _check_search(m, node_budget)
     if order != "mcv":
@@ -458,8 +454,7 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     right side 0.  When there is no psi (m >= 4) the list is empty and
     no closure is built.  `limit` truncates the full sorted list; it
     does not shorten the work.  search_swap runs here with no node
-    budget and its one order: it keeps `order` and `node_budget` only
-    because the benchmark's steps pass them.
+    budget and its one order.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")

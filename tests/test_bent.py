@@ -23,6 +23,7 @@ from ctwin.bent import (
     verify_difference_set,
     walsh_transform,
 )
+from ctwin.graphs import RED, build_delta, verify_srg
 
 import oracles
 
@@ -375,12 +376,30 @@ def test_level_masks_mark_the_lanes_with_the_level_bit_clear():
     # runs, against each lane's index read bit by bit
     for bits in (1, 2, 32):
         for lanes in (2, 4, 8, 16, 64):
-            levels = list(bent._level_masks(lanes, bits))
+            levels = list(twins._level_masks(lanes, bits))
             assert [run for run, _ in levels] == [bits << k for k in range(lanes.bit_length() - 1)]
             for k, (_, mask) in enumerate(levels):
                 lane = (1 << bits) - 1
                 want = sum(lane << (i * bits) for i in range(lanes) if not i >> k & 1)
                 assert mask == want, (bits, lanes, k)
+
+
+def test_translates_match_the_index_oracle():
+    # bit i of T_j(a) is bit i ^ j of a, for j = 0, 1, ... in turn.  The
+    # same ints with their bits reversed check that reversal commutes
+    # with every T_j, which graph export relies on: their walk is the
+    # first one's, read most significant bit first
+    rng = random.Random(71)
+    for p in range(1, 11):
+        width = 1 << p
+        for a in (rng.randrange(1 << width), rng.randrange(1 << width)):
+            text = f"{a:0{width}b}"[::-1]  # bit i of a at character i
+            walks = zip(twins._translates(a, width), twins._translates(int(text, 2), width))
+            for j, (t, r) in enumerate(walks):
+                want = "".join([text[i ^ j] for i in range(width)])
+                assert f"{t:0{width}b}"[::-1] == want, (width, j)
+                assert f"{r:0{width}b}" == want, (width, j)
+            assert j == width - 1
 
 
 def test_twins_and_relabelled_delta_pass_without_a_walk(monkeypatch):
@@ -403,6 +422,20 @@ def test_difference_counts_are_guarded_to_32_bit_lanes():
     # before anything is built
     with pytest.raises(ValueError, match="32-bit lanes, for n <= 30"):
         bent._first_off(0, 31, 0, 0)
+
+
+def test_lane_guard_is_checked_before_any_mask(monkeypatch):
+    # with the guard lowered below n = 6, both verifiers raise the lanes
+    # error before a level mask of 2^n bits is built
+    def masks(*_):
+        raise AssertionError("a level mask was built before the lane guard")
+
+    monkeypatch.setattr(bent, "_LANE_MAX_N", 4)
+    monkeypatch.setattr(bent, "_level_masks", masks)
+    with pytest.raises(ValueError, match="32-bit lanes, for n <= 4"):
+        verify_difference_set(sigma_function(3))
+    with pytest.raises(ValueError, match="32-bit lanes, for n <= 4"):
+        verify_srg(build_delta(3), RED)
 
 
 def test_spectral_functions_match_oracle():
@@ -693,6 +726,10 @@ def test_hex_roundtrip():
             f = BoolFunc.from_bits(n, bits)
             assert f.hex() == f"tt:{n}:{bits:0{(size + 3) // 4}x}", (n, bits)
             assert BoolFunc.from_hex(f.hex()) == f, (n, bits)
+        # the one writer behind hex(), its table cut into blocks of every
+        # size from one byte to the whole table
+        for block in range(1, len(f.packed) + 1):
+            assert b"".join(twins._tt_text((f.packed,), n, block)).decode() == f.hex(), (n, block)
 
 
 def test_hex_rejects_malformed():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ctwin import cli
+from ctwin import cli, twins
 from ctwin.bent import BoolFunc, predicted_params, sigma_function, tau, tau_function
 from ctwin.cli import main
 from ctwin.graphs import BLUE, RED, build_delta, to_graph6
@@ -139,13 +139,18 @@ def test_table_text_matches_big_int_oracle(capsys, m):
 @pytest.mark.parametrize("function", ["sigma", "tau"])
 def test_boolfunc_hex_is_the_table_payload(capsys, function):
     # one hex rule for BoolFunc.hex() and `table`, and both are the
-    # big-int oracle's digits, zero-padded to one digit per four entries
+    # big-int oracle's digits, zero-padded to one digit per four entries;
+    # both are the one writer twins._tt_text, joined over the whole table
+    # or over the unjoined quadrants, in blocks of one byte or _TABLE_BLOCK
     make = sigma_function if function == "sigma" else tau_function
     for m in range(1, 9):
         _, report = run_cli(capsys, "table", "--m", str(m), "--function", function)
         bits = oracles.twin_bits(m)[function == "tau"]
         digits = f"{bits:0{max(1, 1 << (2 * m - 2))}x}"
         assert make(m).hex() == report["result"]["table"] == f"tt:{2 * m}:{digits}", m
+        quadrants = twins._twin_quadrants(m, function)
+        for pieces, block in (((make(m).packed,), 1), (quadrants, 1), (quadrants, cli._TABLE_BLOCK)):
+            assert b"".join(twins._tt_text(pieces, 2 * m, block)).decode() == report["result"]["table"], m
 
 
 def test_table_bits_at_guard_limit_within_budget(tmp_path):
