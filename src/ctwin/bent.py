@@ -102,6 +102,7 @@ both at m <= 8.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from array import array
@@ -381,10 +382,12 @@ def _shifted_residues(f: BoolFunc) -> np.ndarray:
 def fwht(values) -> list[int]:
     """Transform by the Sylvester matrix H_n, as exact integers.
 
-    Length must be a power of two, and max|x| * length must stay below
-    2^62, so that the result, read signed, fits int64.
+    Any sequence of integers is taken (numpy integers too: each entry
+    goes through operator.index, so a float raises TypeError).  Length
+    must be a power of two, and max|x| * length must stay below 2^62, so
+    that the result, read signed, fits int64.
     """
-    vec = list(values)
+    vec = list(map(operator.index, values))
     n = len(vec)
     if n == 0 or n & (n - 1):
         raise ValueError("length must be a positive power of two")

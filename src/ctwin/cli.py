@@ -185,7 +185,7 @@ def _cmd_search(args):
     if args.all is not None:
         if args.node_budget is not None:
             raise UsageError("--node-budget does not apply to --all")
-        witnesses = search_all(args.m, args.all, force=True)  # _check_m guards m
+        witnesses = search_all(args.m, args.all)
         result = {
             "m": args.m,
             "witnesses": [list(w.phi) for w in witnesses],

@@ -28,7 +28,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .bent import BoolFunc, _check_lanes, _common, _first_off, sigma, tau
+from .bent import BoolFunc, _check_lanes, _common, _first_off, predicted_params, sigma, tau
 from .twins import _SPREAD, _delta_kappa, _translates
 
 RED = -1
@@ -239,11 +239,11 @@ def verify_srg(graph: DifferenceGraph, colour: int) -> SrgParams:
 
 
 def predicted_srg_params(m: int) -> SrgParams:
-    """Closed form (4^m, 2^{2m-1}-2^{m-1}, lam, lam) with lam = 2^{2m-2}-2^{m-1}."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    lam = (1 << (2 * m - 2)) - (1 << (m - 1))
-    return SrgParams(1 << (2 * m), (1 << (2 * m - 1)) - (1 << (m - 1)), lam, lam)
+    """(v, k, lam, lam) from the Hadamard difference set parameters of
+    `bent.predicted_params`: a Cayley graph on a difference set with
+    lambda = mu."""
+    p = predicted_params(m)
+    return SrgParams(p.v, p.k, p.lam, p.lam)
 
 
 # --- export -------------------------------------------------------------------

@@ -16,9 +16,11 @@ search tree is walked.  The lifts of step (v) are checked as the
 XOR-linear maps they are, in O(v), so the searches share Delta_m's
 guard, m <= 8 (`twins._DELTA_MAX_M`); only a witness, which exists at
 m <= 3, is checked over every pair, by `verify_swap` on the level masks
-of `twins._level_masks`.  Everything here is plain Python on bytes,
-tuples and big ints: kappa is `twins._delta_kappa`'s int8 bytes, and no
-search loads numpy.
+of `twins._level_masks`.  `_check_search` is the layer's one range
+check: `search_swap` and `verify_swap` call it before kappa is built,
+and `search_all` through its first call, of `search_swap`.  Everything
+here is plain Python on bytes, tuples and big ints: kappa is
+`twins._delta_kappa`'s int8 bytes, and no search loads numpy.
 
 The reduction.  Let phi fix 0 and satisfy kappa[phi a ^ phi b] =
 s * kappa[a ^ b] with s = -1 (a swap) or +1 (an automorphism).  For
@@ -141,7 +143,6 @@ from operator import itemgetter
 
 from .twins import _DELTA_MAX_M, _delta_kappa, _level_masks
 
-_SEARCH_ALL_MAX_M = 2
 # an int8 byte b -> -b
 _NEG = bytes(-b & 255 for b in range(256))
 
@@ -188,7 +189,9 @@ def verify_swap(swap: SwapMap) -> bool:
     d by one swap of adjacent blocks, on the masks of `_level_masks`
     (d = 0 holds, as kappa[0] = 0).  A row's colours are read by one
     translate while a vertex fits a byte (v <= 256), field by field
-    above.  O(v^2) time and O(v m) memory: no v x v array is made."""
+    above.  O(v^2) time and O(v m) memory: no v x v array is made.
+    Guarded to m <= 8, like the searches."""
+    _check_search(swap.m)
     kappa = _delta_kappa(swap.m)
     negated = kappa.translate(_NEG)
     v = len(kappa)
@@ -216,9 +219,10 @@ def verify_swap(swap: SwapMap) -> bool:
     return True
 
 
-def _check_search(m, node_budget):
-    """ValueError for an m or node budget the searches do not take, raised
-    before kappa is built."""
+def _check_search(m, node_budget=None):
+    """ValueError for an m or node budget the searches and verify_swap do
+    not take, raised before kappa is built: the swap layer's one range
+    check."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > _DELTA_MAX_M:
@@ -229,20 +233,10 @@ def _check_search(m, node_budget):
 
 # --- the coset blocks ------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Blocks:
-    """Delta_m's coset blocks in closed form, checked against kappa.
-
-    The vertex x of coset i is the cell reps[i] ^ zeros[x]; zeros, the
-    D of the module docstring, is coset 0.
-    """
-
-    reps: tuple[int, ...]
-    zeros: tuple[int, ...]
-
-
-def _block_system(kappa: bytes) -> _Blocks:
-    """The coset blocks of the difference graph with this int8 kappa,
+def _block_system(kappa: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The coset blocks (reps, zeros) of the difference graph with this
+    int8 kappa: the vertex x of coset i is the cell reps[i] ^ zeros[x],
+    and zeros, the D of the module docstring, is coset 0.  They are
     built in closed form and checked against kappa at every vertex, one
     coset at a time (step (i) of the module docstring); RuntimeError
     names the first vertex that disagrees."""
@@ -263,7 +257,7 @@ def _block_system(kappa: bytes) -> _Blocks:
             wrong += (y for y, a, b in zip(cells, got, closed) if a != b)
     if wrong:
         raise RuntimeError(f"kappa disagrees with the blocks' closed form at vertex {min(wrong)}")
-    return _Blocks(tuple(reps), tuple(zeros))
+    return tuple(reps), tuple(zeros)
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +272,7 @@ def _gl_order(m):
 def _cell_map(blocks, to, at):
     """The vertex map reps[i] ^ D[x] -> reps[to(i)] ^ D[at(i)[x]] on the
     blocks' cells, as a tuple."""
-    reps, zeros = blocks.reps, blocks.zeros
+    reps, zeros = blocks
     phi = [0] * (len(reps) * len(zeros))
     for i, c in enumerate(reps):
         target = reps[to(i)]
@@ -307,8 +301,7 @@ def _lifts(m):
     to keep kappa at every vertex, to send D onto D and to send reps[i]
     into coset T i or S i, so that, being linear, it sends coset i onto
     that coset.  RuntimeError if a check fails."""
-    blocks = _blocks(m)
-    reps, zeros = blocks.reps, blocks.zeros
+    blocks = reps, zeros = _blocks(m)
     r = 1 << m
     shifted = [((u << 1) | (u >> (m - 1))) & (r - 1) for u in range(r)]  # S u
     normal = [u ^ (((u & 1) << 1) & (r - 1)) for u in range(r)]  # N u
@@ -444,8 +437,9 @@ def _closure(gens):
 
 def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     """All normalized colour-swapping maps in lexicographic phi order,
-    truncated at `limit`.  Guarded to m <= 2 unless force=True;
-    search_swap, called before any other work, holds m to 1..8.
+    truncated at `limit`.  search_swap, called before any other work,
+    holds m to 1..8.  `force` is accepted and ignored: like search_swap's
+    `order`, it stays only because the benchmark's steps pass it.
 
     Built from the coset blocks: the swaps fixing 0 are psi o Aut_0, for
     search_swap's witness psi.  Aut_0 is the closure of K and the lifts
@@ -458,10 +452,6 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if m > _SEARCH_ALL_MAX_M and not force:
-        raise ValueError(
-            f"enumeration is guarded to m <= {_SEARCH_ALL_MAX_M}; pass force=True to override"
-        )
     psi = search_swap(m).witness
     if psi is None:
         return []

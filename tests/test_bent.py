@@ -535,6 +535,17 @@ def test_fwht_rejects_int64_overflow():
             fwht(vec)
 
 
+def test_fwht_takes_numpy_integers():
+    # each entry goes through operator.index before the bound is taken,
+    # so numpy integers neither lack bit_length nor overflow in the bound
+    vec = [1, -1, 1, 1, 5, 0, -7, 2]
+    assert fwht(np.array(vec, np.int64)) == fwht(vec)
+    with pytest.raises(ValueError, match="too large"):
+        fwht(np.array([2**60] * 8))
+    with pytest.raises(TypeError):
+        fwht([0.5, 0.5])
+
+
 # --- bentness and duals -----------------------------------------------------
 
 def test_twins_are_bent():

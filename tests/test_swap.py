@@ -273,18 +273,25 @@ def test_search_all_guards():
         search_all(1, 0)
     with pytest.raises(ValueError, match="m must be >= 1"):
         search_all(0, 1, force=True)
-    with pytest.raises(ValueError, match="guarded"):
-        search_all(3, 1)
+    # force is accepted and ignored: search_swap's guard is the only one
+    assert search_all(3, 5) == search_all(3, 5, force=True)
 
 
 def test_searches_stop_above_m8_before_building_kappa(monkeypatch):
-    # the searches share Delta_m's guard, twins._DELTA_MAX_M
+    # the searches and verify_swap share Delta_m's guard,
+    # twins._DELTA_MAX_M, through swap._check_search
     def no_kappa(m):
         raise AssertionError(f"kappa built for m = {m}")
 
     monkeypatch.setattr(swap, "_delta_kappa", no_kappa)
     assert twins._DELTA_MAX_M == 8
-    for search in (search_swap, lambda m: search_all(m, 1, force=True)):
+    identity = SwapMap(9, tuple(range(4**9)))
+    for search in (
+        search_swap,
+        lambda m: search_all(m, 1),
+        lambda m: search_all(m, 1, force=True),
+        lambda m: verify_swap(identity),
+    ):
         with pytest.raises(ValueError, match=r"guarded to m <= 8$"):
             search(9)
 
@@ -385,15 +392,14 @@ def _rejected_at(kappa, vertex):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_block_checks_pass_and_one_flipped_sign_fails_them(m):
     kappa = build_delta(m).kappa
-    blocks = swap._block_system(_int8(kappa))
-    zeros = [y for y in range(len(kappa)) if kappa[y] == 0]
-    assert list(blocks.zeros) == zeros
+    reps, zeros = swap._block_system(_int8(kappa))
+    assert list(zeros) == [y for y in range(len(kappa)) if kappa[y] == 0]
     # the cells reps[i] ^ zeros[x] are the vertices, each once, in its coset
-    cells = [(c ^ d, i) for i, c in enumerate(blocks.reps) for d in blocks.zeros]
+    cells = [(c ^ d, i) for i, c in enumerate(reps) for d in zeros]
     assert sorted(y for y, _ in cells) == list(range(len(kappa)))
     assert all(_coset_index(m, y) == i for y, i in cells)
     for i in range(1, 1 << m):
-        c = blocks.reps[i]
+        c = reps[i]
         for x, d in enumerate(zeros):
             assert kappa[c ^ d] == (-1) ** (sigma(m, c) + (i & x).bit_count())
     z = random.Random(m).choice([y for y in range(len(kappa)) if kappa[y]])
@@ -405,7 +411,7 @@ def test_block_checks_pass_and_one_flipped_sign_fails_them(m):
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_block_checks_catch_a_new_zero_and_swapped_cosets(m):
     kappa = build_delta(m).kappa
-    blocks = swap._block_system(_int8(kappa))
+    reps, _ = swap._block_system(_int8(kappa))
     zeroed = list(kappa)
     zeroed[1] = 0
     _rejected_at(zeroed, 1)
@@ -413,7 +419,7 @@ def test_block_checks_catch_a_new_zero_and_swapped_cosets(m):
     swapped = list(kappa)
     for y in range(len(kappa)):
         if _coset_index(m, y) in (1, 3):
-            swapped[y] = kappa[y ^ blocks.reps[1] ^ blocks.reps[3]]
+            swapped[y] = kappa[y ^ reps[1] ^ reps[3]]
     _rejected_at(swapped, min(y for y in range(len(kappa)) if swapped[y] != kappa[y]))
 
 
@@ -431,10 +437,10 @@ def test_block_checks_pass_beyond_the_oracles_range(m):
     # the spike oracle; zeros is D, the zeros of kappa, and the cells
     # reps[i] ^ zeros[x] are the vertices, each once
     kappa = twins._delta_kappa(m)
-    blocks = swap._block_system(kappa)
+    reps, zeros = swap._block_system(kappa)
     values = np.frombuffer(kappa, np.int8)
-    assert list(blocks.zeros) == np.flatnonzero(values == 0).tolist()
-    cells = np.bitwise_xor.outer(blocks.reps, blocks.zeros)
+    assert list(zeros) == np.flatnonzero(values == 0).tolist()
+    cells = np.bitwise_xor.outer(reps, zeros)
     assert (np.sort(cells, axis=None) == np.arange(values.size)).all()
 
 
@@ -480,8 +486,8 @@ def test_spike_oracle_reads_the_closed_form(m):
     assert signs[1:] == [(-1) ** i.bit_count() for i in range(1, r)]
     cells = [[c ^ d for d in zeros] for c in reps]
     assert sorted(itertools.chain.from_iterable(cells)) == list(range(len(kappa)))
-    blocks = swap._block_system(_int8(kappa))
-    assert [[c ^ d for d in blocks.zeros] for c in blocks.reps] == cells
+    block_reps, block_zeros = swap._block_system(_int8(kappa))
+    assert [[c ^ d for d in block_zeros] for c in block_reps] == cells
 
 
 @pytest.mark.parametrize("sign", [-1, +1])
