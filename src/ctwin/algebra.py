@@ -9,8 +9,9 @@ O(2^m) data; nothing here ever builds a dense matrix or touches floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from .twins import _Record, _set
 
 
 class SymmetryClass(Enum):
@@ -21,24 +22,24 @@ class SymmetryClass(Enum):
     SYMMETRIC_OFF_DIAGONAL = "symmetric-off-diagonal"
 
 
-@dataclass(frozen=True)
-class SignedPerm:
+class SignedPerm(_Record):
     """Monomial matrix M with M[perm[c], c] = signs[c], zero elsewhere.
 
     perm[c] is the row of the single nonzero entry in column c; signs[c]
     is that entry (+1 or -1).  Instances are immutable and hashable.
     """
 
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = ("perm", "signs")
 
-    def __post_init__(self):
-        n = len(self.perm)
-        if len(self.signs) != n:
+    def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...]):
+        _set(self, "perm", perm)
+        _set(self, "signs", signs)
+        n = len(perm)
+        if len(signs) != n:
             raise ValueError("perm and signs must have the same length")
-        if sorted(self.perm) != list(range(n)):
+        if sorted(perm) != list(range(n)):
             raise ValueError("perm is not a permutation of 0..n-1")
-        if any(s not in (1, -1) for s in self.signs):
+        if any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be +1 or -1")
 
     @property

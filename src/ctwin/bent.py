@@ -106,10 +106,9 @@ import operator
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .twins import _SPREAD, _level_masks, _translates, _tt_text, _twin_table
+from .twins import _SPREAD, _Record, _level_masks, _set, _translates, _tt_text, _twin_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -120,22 +119,22 @@ def _packed_size(n: int) -> int:
     return max(1, (1 << n) >> 3)
 
 
-@dataclass(frozen=True)
-class BoolFunc:
+class BoolFunc(_Record):
     """Boolean function on n bits, its truth table packed little-endian
     into `packed`: the value at input i is bit i % 8 of byte i // 8.
     Below n = 3 the table is one byte whose bits above entry 2^n - 1
     are 0."""
 
-    n: int
-    packed: bytes
+    __slots__ = ("n", "packed")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, packed: bytes):
+        _set(self, "n", n)
+        _set(self, "packed", packed)
+        if n < 1:
             raise ValueError("arity must be >= 1")
-        if not isinstance(self.packed, bytes):
+        if not isinstance(packed, bytes):
             raise TypeError("the packed truth table must be bytes (BoolFunc.from_bits takes an int)")
-        if len(self.packed) != _packed_size(self.n) or self.packed[0] >> self.size:
+        if len(packed) != _packed_size(n) or packed[0] >> self.size:
             raise ValueError("truth table does not fit the declared arity")
 
     @property
@@ -483,17 +482,15 @@ def tokareva_compose(f0: BoolFunc, f1: BoolFunc, f2: BoolFunc, f3: BoolFunc) -> 
 
 # --- difference sets -------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiffSetParams:
+class DiffSetParams(_Record):
     """(v, k, lam, n) difference set parameters with n = k - lam."""
 
-    v: int
-    k: int
-    lam: int
-    n: int
+    __slots__ = ("v", "k", "lam", "n")
 
-    def __post_init__(self):
-        if self.n != self.k - self.lam:
+    def __init__(self, v: int, k: int, lam: int, n: int):
+        for name, value in zip(self.__slots__, (v, k, lam, n)):
+            _set(self, name, value)
+        if n != k - lam:
             raise ValueError("n must equal k - lam")
 
     @property

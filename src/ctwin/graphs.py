@@ -26,10 +26,9 @@ from __future__ import annotations
 import binascii
 import itertools
 import json
-from dataclasses import dataclass
 
 from .bent import BoolFunc, _check_lanes, _common, _first_off, predicted_params, sigma, tau
-from .twins import _SPREAD, _delta_kappa, _translates
+from .twins import _SPREAD, _Record, _delta_kappa, _set, _translates
 
 RED = -1
 BLUE = 1
@@ -52,8 +51,7 @@ _SEXTETS = bytes.maketrans(
 )
 
 
-@dataclass(frozen=True)
-class DifferenceGraph:
+class DifferenceGraph(_Record):
     """Edge-coloured graph on Z_2^n_bits where the pair (a, b) has the
     colour kappa[a ^ b], kappa held in `colours` as int8 bytes.
 
@@ -61,20 +59,21 @@ class DifferenceGraph:
     structural zero since vertices carry no loops.
     """
 
-    n_bits: int
-    colours: bytes
+    __slots__ = ("n_bits", "colours")
 
-    def __post_init__(self):
-        if self.n_bits < 1:
+    def __init__(self, n_bits: int, colours: bytes):
+        _set(self, "n_bits", n_bits)
+        _set(self, "colours", colours)
+        if n_bits < 1:
             raise ValueError("n_bits must be >= 1")
-        if not isinstance(self.colours, bytes):
+        if not isinstance(colours, bytes):
             raise TypeError("the colour table must be int8 bytes")
-        if len(self.colours) != 1 << self.n_bits:
+        if len(colours) != 1 << n_bits:
             raise ValueError("kappa length must be 2^n_bits")
-        if self.colours[0]:
+        if colours[0]:
             raise ValueError("difference 0 cannot carry an edge")
         # whatever is left once the bytes of -1, 0 and +1 are deleted
-        if self.colours.translate(None, b"\0\1\xff"):
+        if colours.translate(None, b"\0\1\xff"):
             raise ValueError("colours must be -1, 0 or +1")
 
     @property
@@ -183,17 +182,15 @@ def cayley_graph(f: BoolFunc) -> DifferenceGraph:
 
 # --- strong regularity -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(_Record):
     """(v, k, lam, mu) with the standard counting identity enforced."""
 
-    v: int
-    k: int
-    lam: int
-    mu: int
+    __slots__ = ("v", "k", "lam", "mu")
 
-    def __post_init__(self):
-        if (self.v - self.k - 1) * self.mu != self.k * (self.k - 1 - self.lam):
+    def __init__(self, v: int, k: int, lam: int, mu: int):
+        for name, value in zip(self.__slots__, (v, k, lam, mu)):
+            _set(self, name, value)
+        if (v - k - 1) * mu != k * (k - 1 - lam):
             raise ValueError("(v-k-1)*mu must equal k*(k-1-lam)")
 
     def as_tuple(self) -> tuple[int, int, int, int]:

@@ -14,13 +14,15 @@ swaps that fix every coset are the solutions of a linear system over
 GF(2), one equation per pair of cosets, and `_solve` row-reduces it; no
 search tree is walked.  The lifts of step (v) are checked as the
 XOR-linear maps they are, in O(v), so the searches share Delta_m's
-guard, m <= 8 (`twins._DELTA_MAX_M`); only a witness, which exists at
-m <= 3, is checked over every pair, by `verify_swap` on the level masks
-of `twins._level_masks`.  `_check_search` is the layer's one range
-check: `search_swap` and `verify_swap` call it before kappa is built,
-and `search_all` through its first call, of `search_swap`.  Everything
-here is plain Python on bytes, tuples and big ints: kappa is
-`twins._delta_kappa`'s int8 bytes, and no search loads numpy.
+guard, m <= 8 (`twins._DELTA_MAX_M`).  Only the maps a search returns,
+which exist at m <= 3, are checked over every pair, by `_all_swaps` on
+the level masks of `twins._level_masks`: `search_swap`'s witness
+through `verify_swap`, and every map `search_all` lists in one pass
+over one big int that holds them all.  `_check_search` is the layer's
+one range check: `search_swap` and `verify_swap` call it before kappa
+is built, and `search_all` through its first call, of `search_swap`.
+Everything here is plain Python on bytes, tuples and big ints: kappa
+is `twins._delta_kappa`'s int8 bytes, and no search loads numpy.
 
 The reduction.  Let phi fix 0 and satisfy kappa[phi a ^ phi b] =
 s * kappa[a ^ b] with s = -1 (a swap) or +1 (an automorphism).  For
@@ -134,14 +136,14 @@ these 15.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
 
-from .twins import _DELTA_MAX_M, _delta_kappa, _level_masks
+from .twins import _DELTA_MAX_M, _Record, _delta_kappa, _level_masks, _set
 
 # an int8 byte b -> -b
 _NEG = bytes(-b & 255 for b in range(256))
@@ -153,49 +155,62 @@ class SearchStatus(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class SwapMap:
+class SwapMap(_Record):
     """A vertex permutation of Delta_m, phi[a] = image of vertex a."""
 
-    m: int
-    phi: tuple[int, ...]
+    __slots__ = ("m", "phi")
 
-    def __post_init__(self):
-        v = 1 << (2 * self.m)
-        if len(self.phi) != v or sorted(self.phi) != list(range(v)):
+    def __init__(self, m: int, phi: tuple[int, ...]):
+        _set(self, "m", m)
+        _set(self, "phi", phi)
+        v = 1 << (2 * m)
+        if len(phi) != v or sorted(phi) != list(range(v)):
             raise ValueError(f"phi is not a permutation of 0..{v - 1}")
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(_Record):
     """A search's verdict.  An EXHAUSTED run carries its certificate:
     {"refutation": [(i, j), ...], "lifts": [T_images, S_images]}, each
     lift given by its images of the 2m unit vectors e_k, in order of k."""
 
-    status: SearchStatus
-    witness: SwapMap | None
-    nodes: int
-    certificate: dict | None = None
+    __slots__ = ("status", "witness", "nodes", "certificate")
+
+    def __init__(
+        self, status: SearchStatus, witness: SwapMap | None, nodes: int,
+        certificate: dict | None = None,
+    ):
+        for name, value in zip(self.__slots__, (status, witness, nodes, certificate)):
+            _set(self, name, value)
 
 
 def verify_swap(swap: SwapMap) -> bool:
     """Exhaustive pair check: every red edge must land on a blue one and
-    vice versa, and non-edges must stay non-edges.
+    vice versa, and non-edges must stay non-edges.  Guarded to m <= 8,
+    like the searches; `_all_swaps` checks the pairs."""
+    _check_search(swap.m)
+    return _all_swaps(swap.m, [swap.phi])
+
+
+def _all_swaps(m, phis) -> bool:
+    """Every map in phis, each a permutation of Delta_m's vertices as a
+    tuple, is a swap: the exhaustive pair check of verify_swap, for all
+    the maps in one pass.
 
     The pairs (a, a ^ d) are checked one difference d at a time: the v
     differences phi[a] ^ phi[a ^ d] must all have the colour -kappa[d].
-    phi is one big int with a field per vertex, and d runs in Gray-code
-    order, so the fields XOR-translated by d come from those of the last
-    d by one swap of adjacent blocks, on the masks of `_level_masks`
-    (d = 0 holds, as kappa[0] = 0).  A row's colours are read by one
-    translate while a vertex fits a byte (v <= 256), field by field
-    above.  O(v^2) time and O(v m) memory: no v x v array is made.
-    Guarded to m <= 8, like the searches."""
-    _check_search(swap.m)
-    kappa = _delta_kappa(swap.m)
+    The maps are one big int with a field per vertex, map c's vertex a
+    at field c v + a, and d runs in Gray-code order, so the fields
+    XOR-translated by d come from those of the last d by one swap of
+    adjacent blocks, on the masks of `_level_masks` at the 2m levels
+    below v (d = 0 holds, as kappa[0] = 0).  A row's colours are read by
+    one translate while a vertex fits a byte (v <= 256), field by field
+    above.  O(v^2) time per map and O(v m) memory per map: no v x v
+    array is made."""
+    kappa = _delta_kappa(m)
     negated = kappa.translate(_NEG)
     v = len(kappa)
-    fields = f"<{v}{'B' if v <= 256 else 'H'}"
+    lanes = v * len(phis)
+    fields = f"<{lanes}{'B' if v <= 256 else 'H'}"
     width = struct.calcsize(fields)  # bytes per row
     if v <= 256:
         table = kappa.ljust(256, b"\0")
@@ -207,14 +222,14 @@ def verify_swap(swap: SwapMap) -> bool:
             return bytes(map(kappa.__getitem__, struct.unpack(fields, row)))
 
     # level k: shift and mask that swap adjacent blocks of 2^k fields
-    levels = list(_level_masks(v, 8 * width // v))
-    phi = int.from_bytes(struct.pack(fields, *swap.phi), "little")
-    translated = phi  # field a holds phi[a ^ d]
+    levels = list(itertools.islice(_level_masks(lanes, 8 * width // lanes), 2 * m))
+    phi = int.from_bytes(struct.pack(fields, *itertools.chain.from_iterable(phis)), "little")
+    translated = phi  # field c v + a holds map c's phi[a ^ d]
     for n in range(1, v):
         shift, mask = levels[(n & -n).bit_length() - 1]
         translated = (translated & mask) << shift | (translated >> shift) & mask
         d = n ^ (n >> 1)
-        if colours((phi ^ translated).to_bytes(width, "little")) != negated[d : d + 1] * v:
+        if colours((phi ^ translated).to_bytes(width, "little")) != negated[d : d + 1] * lanes:
             return False
     return True
 
@@ -226,7 +241,7 @@ def _check_search(m, node_budget=None):
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > _DELTA_MAX_M:
-        raise ValueError(f"the search is guarded to m <= {_DELTA_MAX_M}")
+        raise ValueError(f"the swaps of Delta_m are guarded to m <= {_DELTA_MAX_M}")
     if node_budget is not None and node_budget < 1:
         raise ValueError("node budget must be >= 1")
 
@@ -442,13 +457,15 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     `order`, it stays only because the benchmark's steps pass it.
 
     Built from the coset blocks: the swaps fixing 0 are psi o Aut_0, for
-    search_swap's witness psi.  Aut_0 is the closure of K and the lifts
-    of T and S, checked to have |K| * |GL(m, 2)| elements; K, every
-    pi = id automorphism, is the solution set of step (vi)'s system with
-    right side 0.  When there is no psi (m >= 4) the list is empty and
-    no closure is built.  `limit` truncates the full sorted list; it
-    does not shorten the work.  search_swap runs here with no node
-    budget and its one order.
+    search_swap's witness psi.  K, every pi = id automorphism, is the
+    solution set of step (vi)'s system with right side 0, a space over
+    GF(2) whose basis is the solutions with one free unknown set.
+    Aut_0 is the closure of that basis and the lifts of T and S, checked
+    to have |K| * |GL(m, 2)| elements.  When there is no psi (m >= 4)
+    the list is empty and no closure is built.  `limit` truncates the
+    full sorted list; it does not shorten the work, and every map in it
+    goes through one `_all_swaps` pass.  search_swap runs here with no
+    node budget and its one order.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
@@ -457,11 +474,12 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
         return []
     _, _, basis = _solve(m, 0)
     kernel = [_translations(_blocks(m), t) for t in _solutions(m, basis)]
-    auts = _closure(kernel + _lifts(m))
+    # _solutions lists K by its free unknowns, so kernel[1 << k] sets the kth alone
+    auts = _closure([kernel[1 << k] for k in range(len(kernel).bit_length() - 1)] + _lifts(m))
     if len(auts) != len(kernel) * _gl_order(m):
         raise RuntimeError("K and the lifts do not generate |K| * |GL(m, 2)| automorphisms")
     coset = sorted(itemgetter(*alpha)(psi.phi) for alpha in auts)[:limit]  # psi o alpha
     maps = [SwapMap(m, phi) for phi in coset]
-    if not all(verify_swap(w) for w in maps):
+    if not _all_swaps(m, coset):
         raise RuntimeError("enumeration produced a map that fails verification")
     return maps

@@ -16,14 +16,21 @@ whose index has bit k clear, each made from one byte pattern, and
 `_translates`, which walks every XOR translate T_j of a table, each
 from the last by swaps of adjacent runs at a few levels.  The
 difference counts in `bent`, the graph encoders in `graphs` and
-`swap.verify_swap` all swap by these masks; only the transforms in
+`swap._all_swaps` all swap by these masks; only the transforms in
 `bent` view a table as a numpy array, without a copy.
+
+Every value record of the package (`BoolFunc`, `DiffSetParams`,
+`DifferenceGraph`, `SrgParams`, `SwapMap`, `SearchOutcome`,
+`SignedPerm`) derives from `_Record`, for value equality, hashing, a
+repr and immutability without `dataclasses`, whose import loads
+`inspect`, `ast` and `dis` at every command's start-up.
 """
 
 from __future__ import annotations
 
 import binascii
 from functools import lru_cache
+from operator import attrgetter
 
 # the largest m at which Delta_m is built for a command: graph6 holds
 # 4^8 vertices at most, and params and the searches stop here too
@@ -39,6 +46,45 @@ _NOT = bytes(range(255, -1, -1))
 _SPREAD = [bytes(b >> k & 1 for k in range(8)) for b in range(256)]
 # the code 2 tau + sigma of an entry -> kappa = tau - sigma as an int8 byte
 _KAPPA = bytes([0, 255, 1, 0]).ljust(256, b"\0")
+
+# sets a field of a record in its __init__, past _Record.__setattr__
+_set = object.__setattr__
+
+
+class _Record:
+    """A frozen value record on the fields its subclass names in
+    `__slots__`, in order: equality and hash by the tuple of fields
+    (records of different classes are never equal), the repr
+    "Name(field=value, ...)", copy and pickle through the subclass's
+    `__init__`, which takes the fields positionally and sets each by
+    `_set`, and AttributeError on any assignment or deletion."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the tuple of fields, read by one C call (the records have >= 2)
+        cls._key = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._key
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _twin_table(m: int, function: str) -> bytes:
@@ -118,7 +164,10 @@ def _level_masks(lanes: int, bits: int = 1):
     """(2^k * bits, the mask of the lanes whose index has bit k clear)
     for each level k with 2^k < lanes, in turn, on `lanes` lanes of
     `bits` bits each, lane i at bits i * bits and up.  Each mask is one
-    byte pattern read by int.from_bytes, never a big-int division."""
+    byte pattern read by int.from_bytes, never a big-int division.  A
+    mask is whole only where 2^(k+1) divides lanes, so a caller with
+    lanes not a power of two, such as `swap._all_swaps` with v lanes
+    per map, reads only those levels."""
     size = lanes * bits
     run = bits
     while run < size:

@@ -151,3 +151,143 @@ def test_exported_names_and_layers_resolve():
         assert layer in listed, layer
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         ctwin.nonesuch
+
+
+# --- no dataclasses, and no inspect without numpy ---------------------------
+
+# modules that `dataclasses` imports and numpy imports too
+INTROSPECTION = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv, numpy",
+    [
+        (["search", "--m", "3"], False),
+        (["search", "--m", "8"], False),
+        (["search", "--m", "3", "--all", "2000"], False),
+        (["table", "--m", "3", "--function", "tau"], False),
+        (["table", "--m", "3", "--function", "tau", "--format", "bits"], True),
+        (["bent", "--m", "3", "--function", "tau"], True),
+        (["graph", "--m", "3", "--colour", "red", "--out", OUT], False),
+        (["graph", "--m", "3", "--colour", "blue", "--format", "json-edges", "--out", OUT], False),
+        (["params", "--m", "5"], False),
+        (["oracle", "--m", "2"], False),
+    ],
+)
+def test_commands_load_no_dataclasses(argv, numpy, tmp_path):
+    # inspect comes with numpy, and with nothing else
+    argv = [str(tmp_path / "out") if arg == OUT else arg for arg in argv]
+    returned, modules = _imported_by_command(argv)
+    assert returned in (0, 2)
+    assert ("numpy" in modules) == numpy
+    assert INTROSPECTION & modules == ({"inspect"} if numpy else set())
+
+
+# every library step, in one interpreter: the modules of INTROSPECTION
+# loaded after each, and whether numpy has loaded
+_LIBRARY_STEPS = """
+import json, sys
+import ctwin
+steps = {
+    "import": lambda: None,
+    "search_swap": lambda: ctwin.search_swap(4),
+    "search_all": lambda: ctwin.search_all(3, 2000),
+    "verify_swap": lambda: ctwin.verify_swap(ctwin.search_swap(2).witness),
+    "truth tables": lambda: ctwin.BoolFunc.from_hex(ctwin.tau_function(3).hex()),
+    "export": lambda: ctwin.export_graph(ctwin.build_delta(2), ctwin.RED, "json-edges"),
+    "difference sets": lambda: ctwin.verify_difference_set(ctwin.sigma_function(3)),
+    "srg": lambda: ctwin.verify_srg(ctwin.cayley_graph(ctwin.tau_function(4)), ctwin.BLUE),
+    "oracle": lambda: ctwin.oracle_build_delta(2) == ctwin.build_delta(2),
+    "is_bent": lambda: ctwin.is_bent(ctwin.tau_function(2)),
+}
+seen = {}
+for name, step in steps.items():
+    step()
+    seen[name] = [sorted({"dataclasses", "inspect"} & set(sys.modules)), "numpy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_library_steps_load_no_dataclasses():
+    seen = _fresh(_LIBRARY_STEPS)
+    assert seen.pop("is_bent") == [["inspect"], True]
+    assert seen == {name: [[], False] for name in seen} and len(seen) == 9
+
+
+# --- the value records --------------------------------------------------------
+
+def _records():
+    """(record, an equal one made anew, its fields, its repr) for each of
+    the package's records."""
+    phi = (0, 2, 1, 3)
+    cases = [
+        (lambda: ctwin.BoolFunc(3, b"\x96"), (3, b"\x96"), "BoolFunc(n=3, packed=b'\\x96')"),
+        (lambda: ctwin.DiffSetParams(16, 6, 2, 4), (16, 6, 2, 4),
+         "DiffSetParams(v=16, k=6, lam=2, n=4)"),
+        (lambda: ctwin.DifferenceGraph(2, b"\0\xff\1\0"), (2, b"\0\xff\1\0"),
+         "DifferenceGraph(n_bits=2, colours=b'\\x00\\xff\\x01\\x00')"),
+        (lambda: ctwin.SrgParams(16, 6, 2, 2), (16, 6, 2, 2), "SrgParams(v=16, k=6, lam=2, mu=2)"),
+        (lambda: ctwin.SwapMap(1, phi), (1, phi), "SwapMap(m=1, phi=(0, 2, 1, 3))"),
+        (lambda: ctwin.SearchOutcome(ctwin.SearchStatus.FOUND, ctwin.SwapMap(1, phi), 4),
+         (ctwin.SearchStatus.FOUND, ctwin.SwapMap(1, phi), 4, None),
+         "SearchOutcome(status=<SearchStatus.FOUND: 'found'>, "
+         "witness=SwapMap(m=1, phi=(0, 2, 1, 3)), nodes=4, certificate=None)"),
+        (lambda: ctwin.SignedPerm((1, 0), (1, -1)), ((1, 0), (1, -1)),
+         "SignedPerm(perm=(1, 0), signs=(1, -1))"),
+    ]
+    return [
+        pytest.param(make(), make(), fields, text, id=text.split("(")[0])
+        for make, fields, text in cases
+    ]
+
+
+@pytest.mark.parametrize("record, twin, fields, text", _records())
+def test_records_are_frozen_values(record, twin, fields, text):
+    # value equality and hashing, the repr, copies, and no assignment
+    import copy
+    import pickle
+
+    assert record == twin and record is not twin and not record != twin
+    assert hash(record) == hash(twin) == hash(fields)
+    assert repr(record) == text
+    assert record != fields  # a record equals only a record of its class
+    assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    name = text.split("(")[1].split("=")[0]  # the first field
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(record, name, 0)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = 0
+    assert getattr(record, name) == fields[0]
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: ctwin.BoolFunc(0, b"\0"), ValueError, "arity must be >= 1"),
+        (lambda: ctwin.BoolFunc(2, 0), TypeError, "must be bytes"),
+        (lambda: ctwin.BoolFunc(2, b"\x10"), ValueError, "does not fit"),
+        (lambda: ctwin.DiffSetParams(4, 1, 0, 2), ValueError, "n must equal k - lam"),
+        (lambda: ctwin.DifferenceGraph(0, b"\0"), ValueError, "n_bits must be >= 1"),
+        (lambda: ctwin.DifferenceGraph(1, [0, 1]), TypeError, "int8 bytes"),
+        (lambda: ctwin.DifferenceGraph(1, b"\0"), ValueError, "2\\^n_bits"),
+        (lambda: ctwin.DifferenceGraph(1, b"\1\0"), ValueError, "difference 0"),
+        (lambda: ctwin.DifferenceGraph(1, b"\0\2"), ValueError, "-1, 0 or \\+1"),
+        (lambda: ctwin.SrgParams(16, 6, 2, 3), ValueError, "must equal k\\*\\(k-1-lam\\)"),
+        (lambda: ctwin.SwapMap(1, (0, 0, 1, 2)), ValueError, "not a permutation of 0..3"),
+        (lambda: ctwin.SignedPerm((0, 1), (1,)), ValueError, "same length"),
+        (lambda: ctwin.SignedPerm((0, 0), (1, 1)), ValueError, "not a permutation"),
+        (lambda: ctwin.SignedPerm((0, 1), (1, 2)), ValueError, "\\+1 or -1"),
+    ],
+)
+def test_records_check_their_fields(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_records_take_their_fields_by_keyword():
+    outcome = ctwin.SearchOutcome(status=ctwin.SearchStatus.EXHAUSTED, witness=None, nodes=51)
+    assert outcome == ctwin.SearchOutcome(ctwin.SearchStatus.EXHAUSTED, None, 51, None)
+    assert ctwin.SwapMap(phi=(0, 2, 1, 3), m=1) == ctwin.SwapMap(1, (0, 2, 1, 3))
+    assert ctwin.SrgParams(v=16, k=6, lam=2, mu=2).as_tuple() == (16, 6, 2, 2)

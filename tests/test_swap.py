@@ -204,6 +204,64 @@ def test_verify_swap_checks_every_difference(monkeypatch, m, differences):
         assert not verify_swap(identity), d
 
 
+def test_all_swaps_agrees_with_the_oracle_m3(m3_swaps):
+    # the one pass over all 1344 maps, against the oracles' pair-by-pair
+    # loop over each
+    assert swap._all_swaps(3, m3_swaps)
+    assert all(oracles.verify_swap(3, phi) for phi in m3_swaps)
+    assert swap._all_swaps(3, m3_swaps[:1]) and swap._all_swaps(3, m3_swaps[-2:])
+
+
+@pytest.mark.parametrize("position", [0, 672, 1343])
+def test_all_swaps_fails_a_batch_with_one_broken_map(m3_swaps, position):
+    # two images of one map exchanged, at the first, a middle and the
+    # last of the 1344 maps: that map is no swap, so the batch fails
+    broken = list(m3_swaps[position])
+    broken[5], broken[40] = broken[40], broken[5]
+    assert not oracles.verify_swap(3, broken)
+    batch = m3_swaps[:position] + [tuple(broken)] + m3_swaps[position + 1 :]
+    assert not swap._all_swaps(3, batch)
+
+
+def test_all_swaps_reads_two_byte_fields_m5(monkeypatch):
+    # at m = 5 (v = 1024) a field takes two bytes; Delta_5 has no swap,
+    # so a batch of identity maps fails
+    identity = tuple(range(1 << 10))
+    assert not swap._all_swaps(5, [identity, identity])
+    # with kappa nonzero at d = 1 (+1) and d = 512 (-1) alone, the linear
+    # map that exchanges vertex bits 0 and 9 is a swap and the identity
+    # is not, in either lane of the batch
+    kappa = bytearray(1 << 10)
+    kappa[1], kappa[512] = 1, 255
+    monkeypatch.setattr(swap, "_delta_kappa", lambda m: bytes(kappa))
+    exchange = tuple(a & 0b0111111110 | (a & 1) << 9 | a >> 9 for a in identity)
+    assert swap._all_swaps(5, [exchange, exchange])
+    assert not swap._all_swaps(5, [exchange, identity])
+    assert not swap._all_swaps(5, [identity, exchange])
+
+
+def test_search_all_checks_its_maps_in_one_pass(monkeypatch):
+    # search_swap's witness, then the 1344 maps of the enumeration at once;
+    # Aut_0 closes over the 3 basis maps of K and the 2 lifts, not all 8
+    # maps of K
+    batches, generators = [], []
+    all_swaps, closure = swap._all_swaps, swap._closure
+
+    def counted(m, phis):
+        batches.append(len(phis))
+        return all_swaps(m, phis)
+
+    def counted_closure(gens):
+        generators.append(len(gens))
+        return closure(gens)
+
+    monkeypatch.setattr(swap, "_all_swaps", counted)
+    monkeypatch.setattr(swap, "_closure", counted_closure)
+    assert len(search_all(3, 2000)) == 1344
+    assert batches == [1, 1344] and generators == [3 + 2]
+    assert len(search_all(3, 7)) == 7 and batches[2:] == [1, 7]
+
+
 # (m, order, node_budget) -> (status, nodes, max_depth) of the oracles'
 # min-domain walk over the whole tree, stopping at its first swap; a
 # change to the walk may make nodes cheaper but must not move these.  A
@@ -292,7 +350,7 @@ def test_searches_stop_above_m8_before_building_kappa(monkeypatch):
         lambda m: search_all(m, 1, force=True),
         lambda m: verify_swap(identity),
     ):
-        with pytest.raises(ValueError, match=r"guarded to m <= 8$"):
+        with pytest.raises(ValueError, match=r"^the swaps of Delta_m are guarded to m <= 8$"):
             search(9)
 
 
