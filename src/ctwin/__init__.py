@@ -9,10 +9,12 @@ graph Delta_m on its coset blocks.
 The names below load their layer on first use (PEP 562), and no layer
 imports numpy when it loads, so `import ctwin`, the swap search, truth
 tables, Delta_m, graph export, difference sets (`verify_difference_set`),
-strong regularity (`verify_srg`) and the matrix oracle run on the
-standard library alone; the oracle alone loads `algebra`.  numpy loads
-with the first call that runs a spectral transform (`walsh_transform`,
-`fwht`, `is_bent`, `dual`, `tokareva_compose`).
+strong regularity (`verify_srg`), the matrix oracle and the bentness of
+a table made of a few distinct blocks, as the twins are (`is_bent`),
+run on the standard library alone; the oracle alone loads `algebra`.
+numpy loads with the first call that runs a dense spectral transform
+(`walsh_transform`, `fwht`, `dual`, `tokareva_compose`, and `is_bent`
+on any other table).
 """
 
 import importlib

@@ -20,19 +20,21 @@ table: the CLI writes tables out from it, with the one `tt:` writer
 `twins._tt_text` that BoolFunc.hex() also joins, and a BoolFunc holds
 its table in it as bytes.  A Python int (`BoolFunc.bits`) is made only
 for a caller that asks for one.  BoolFunc, the twin functions, their
-tables and difference counts run on the standard library; numpy is
-imported by the spectral transforms below (`walsh_transform`, `fwht`,
-`is_bent`, `dual`, `tokareva_compose`) on their first call.
+tables, difference counts and the bentness of a table made of a few
+distinct blocks run on the standard library; numpy is imported by the
+spectral transforms below (`walsh_transform`, `fwht`, `dual`,
+`tokareva_compose`, and `is_bent` for any other table) on their first
+call.
 
-Spectra, bentness and duals run through one staged butterfly kernel,
-`_fwht(a, dtype)`: the low half of the index bits on a transposed copy,
-the high half on the transpose back, both in one wrapping unsigned
-type.  It returns H_n a modulo 2^w.  The reduction Z -> Z/2^w keeps
-sums, differences and doublings, which is all a butterfly does, so a
-caller whose true result lies in a window of 2^w integers reads that
-result exactly, whatever the intermediate sums were.  Each caller
-states the bits its result needs, and `_ring(bits)` gives the narrowest
-of uint16, uint32 and uint64 with as many:
+Spectra, duals and the dense bentness check run through one staged
+butterfly kernel, `_fwht(a, dtype)`: the low half of the index bits on
+a transposed copy, the high half on the transpose back, both in one
+wrapping unsigned type.  It returns H_n a modulo 2^w.  The reduction
+Z -> Z/2^w keeps sums, differences and doublings, which is all a
+butterfly does, so a caller whose true result lies in a window of 2^w
+integers reads that result exactly, whatever the intermediate sums
+were.  Each caller states the bits its result needs, and `_ring(bits)`
+gives the narrowest of uint16, uint32 and uint64 with as many:
 
     a spectrum of (-1)^f      in [-2^n, 2^n]       n + 2 bits, read signed
     bentness on n = 2k bits   +-2^k apart, not 0   k + 2 bits (`is_bent`)
@@ -42,8 +44,8 @@ residues modulo 2^16 decide them up to n = 28.  The kernel's first
 stage reads a packed table a slab of rows at a time, each slab unpacked
 straight into its transposed copy as +-1, so no unpacked table is ever
 whole.  When n is even the second stage transposes in place, so a
-bentness check at n = 24 holds one 32 MB array and the 2 MB packed
-table.
+dense bentness check at n = 24 holds one 32 MB array and the 2 MB
+packed table.
 
 Difference counts |S & (S ^ d)| have one kernel of their own, shared by
 `verify_difference_set` and `graphs.verify_srg`: `_first_off` checks
@@ -51,7 +53,32 @@ them all at once against the spectrum of S's 0/1 indicator, which
 `_lane_spectrum` computes in biased 32-bit lanes of one Python int, on
 the standard-library bit layer of `twins`: its level masks, and its
 walk `_translates` over the XOR translates of a set.  All of it is
-exact integer arithmetic, guarded to n <= 30 (`_check_lanes`).
+exact integer arithmetic, guarded to n <= 30 (`_check_lanes`).  The
+same lanes check the bentness of a table made of at most _MAX_LEAVES
+distinct blocks up to complement, as the twins are, through the block
+identity below (`_factors`, `is_bent`).
+
+    The block identity.  Split the index of f on n = hi + lo bits as
+    (a, b), a its top hi bits, and call f(a, .) block a.  Suppose every
+    block is one of the leaves g_1 .. g_r on lo bits or its complement,
+    and let c_j(a) be +1 where block a is g_j, -1 where it is ~g_j, and
+    0 elsewhere, so that (-1)^f(a, b) = sum_j c_j(a) (-1)^g_j(b).  Then
+
+        W_f(u_a, u_b) = sum_j (H_hi c_j)(u_a) W_(g_j)(u_b).
+
+    Proof.  u.(a, b) = u_a.a + u_b.b, so W_f(u) = sum_(a, b) (-1)^(f(a, b)
+    + u.(a, b)) = sum_j [sum_a c_j(a) (-1)^(u_a.a)] [sum_b (-1)^(g_j(b) +
+    u_b.b)]: H_n = H_hi (x) H_lo applied to sum_j c_j (x) (-1)^g_j.
+    Every f has this form, with r <= 2^hi, so the identity is exact for
+    every f; the 4-concatenation lemma below is its case hi = 2.
+
+    The twins at lo = n // 2.  At even m the split falls between base-4
+    digits, with lo/2 digits in b.  sigma counts digits 1 in a and in b,
+    so sigma_m(a, b) = sigma(a) + sigma(b): every block is sigma or
+    ~sigma on b, r = 1.  By `tau`'s closed form, tau_m(a, b) is
+    tau(b) where every digit of a is 0 or 3 (then sigma(a) = 0), and
+    otherwise 1 + sigma(a) + sigma(b): the leaves are tau and sigma,
+    r = 2.  At odd m the split cuts a digit in two, and r is 2 and 4.
 
 Both twins are bent for every m, with dual(f) = f o P, where P swaps
 the two bits of every base-4 digit of the index (digits 1 <-> 2).  The
@@ -108,7 +135,7 @@ import sys
 from array import array
 from typing import TYPE_CHECKING
 
-from .twins import _SPREAD, _Record, _level_masks, _set, _translates, _tt_text, _twin_table
+from .twins import _NOT, _SPREAD, _Record, _level_masks, _set, _translates, _tt_text, _twin_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -219,20 +246,19 @@ def sigma(m: int, i: int) -> int:
 
 
 def tau(m: int, i: int) -> int:
-    """1 iff the basis matrix for index i is symmetric but not diagonal.
+    """1 iff the basis matrix for index i is symmetric but not diagonal:
+    tau_m(i) = 1 iff sigma_m(i) = 0 and some base-4 digit of i is 1 or 2.
 
-    Evaluated by peeling the leading bit pair; never touches matrices.
+    Proof, by induction on the quadrant rules.  At m = 1 only 10 has
+    sigma 0 and a digit 1 or 2.  A top digit 0 or 3 changes neither sigma
+    nor the digits' test, and tau keeps the quadrant below; a top digit 1
+    or 2 passes the test, and there tau reads sigma and ~sigma of the
+    quadrant below, which is ~sigma of the index: digit 1 flips sigma and
+    digit 2 keeps it.
     """
     _check_index(m, i)
-    while m > 1:
-        m -= 1
-        pair = i >> (2 * m)
-        i &= (1 << (2 * m)) - 1
-        if pair == 1:
-            return sigma(m, i)
-        if pair == 2:
-            return sigma(m, i) ^ 1
-    return 1 if i == 2 else 0
+    low = ((1 << (2 * m)) - 1) // 3  # 0b0101...01, one low bit per pair
+    return (1 ^ sigma(m, i)) if (i ^ i >> 1) & low else 0
 
 
 def sigma_function(m: int) -> BoolFunc:
@@ -409,9 +435,24 @@ def is_bent(f: BoolFunc) -> bool:
     """True iff every spectrum entry has magnitude 2^(n/2).
 
     Odd arities can never be bent: the magnitude would not be an
-    integer.  For n = 2k the residues of the spectrum modulo the M =
-    2^w of `_shifted_residues` (2^16 up to k = 14), where 2^(k+1) < M,
-    decide it exactly:
+    integer.  For n = 2k <= 30 and a table of at most _MAX_LEAVES
+    distinct blocks up to complement, as every sigma_m and tau_m is, the
+    factors of `_factors` decide it on the standard library, each
+    distinct row once.  Shifted by r = 2^k, the row's lanes hold
+    W_f(u_a, u_b) + r + 2^31 in [0, 2^32), as |W_f| <= 2^n < 2^31 - r.
+    Flipping bit 31 of a lane leaves W_f + r where that is >= 0, and
+    otherwise 2^32 + W_f + r, which has bit 31 set.  So the lane is 0 or
+    2r, and has no other bit set, iff W_f = +-r.
+
+    Any other table, such as a twin relabelled by an invertible map,
+    goes through the dense route below, which loads numpy.  Both routes
+    stay: the factored one costs r big-int products for each distinct
+    row, up to 2^k rows, so past _MAX_LEAVES its worst case is slower
+    than the dense transform, whose cost is the same for every table.
+
+    The dense route.  For n = 2k the residues of the spectrum modulo the
+    M = 2^w of `_shifted_residues` (2^16 up to k = 14), where 2^(k+1) <
+    M, decide it exactly:
 
     Lemma.  f is bent iff W_f(u) = +-2^k (mod M) for every u.
 
@@ -426,6 +467,15 @@ def is_bent(f: BoolFunc) -> bool:
     """
     if f.n & 1:
         return False
+    factors = _factors(f) if f.n <= _LANE_MAX_N else None
+    if factors is not None:
+        bias, leaves, rows = factors
+        r = 1 << (f.n // 2)
+        ones = bias >> 31  # 1 in every lane
+        shift, others = ones * (_BIAS + r), ones * (0xFFFFFFFF ^ 2 * r)
+        return not any(
+            ((sum(map(operator.mul, row, leaves)) + shift) ^ bias) & others for row in set(rows)
+        )
     import numpy as np
 
     w = _shifted_residues(f)
@@ -492,10 +542,6 @@ class DiffSetParams(_Record):
             _set(self, name, value)
         if n != k - lam:
             raise ValueError("n must equal k - lam")
-
-    @property
-    def is_hadamard(self) -> bool:
-        return self.v == 4 * self.n
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.v, self.k, self.lam, self.n)
@@ -598,8 +644,7 @@ def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
     root = math.isqrt(max(disc, 0))
     if root * root == disc and k * (k - b - 1) + mu == mu * v:
         roots = {(b + root) // 2, (b - root) // 2}  # b and root have one parity
-        # the lanes in native order for array, which only counts them
-        lanes = array("I", _lane_spectrum(s, n).to_bytes(4 * v, sys.byteorder))
+        lanes = _lane_values(_lane_spectrum(s, n), n)
         if sum(lanes.count(_BIAS + r) for r in roots) == v - 1 + (k in roots):
             return None
     for d, t in enumerate(_translates(s, v)):
@@ -607,6 +652,70 @@ def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
         if d and common != (lam if s >> d & 1 else mu):
             return d, common
     return None
+
+
+# --- bentness through a table's distinct blocks ---------------------------
+
+# the most distinct blocks, up to complement, that `is_bent` factors a
+# table through; a table with more goes to the dense route.  The twins
+# need 4 (tau_m at odd m).  At n = 24, the worst case, 4096 distinct
+# rows, took 0.19 s with 4 leaves and 0.30 s with 8, against about
+# 0.3 s for numpy's import and the dense transform (2 vCPU)
+_MAX_LEAVES = 4
+
+
+def _lane_values(a: int, n: int) -> array:
+    """The 2^n lanes of 32 bits of a, lane u at index u."""
+    lanes = array("I", a.to_bytes(4 << n, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
+
+def _factors(f: BoolFunc) -> tuple[int, list[int], list[tuple[int, ...]]] | None:
+    """The spectrum of f on n <= 30 bits factored through its blocks, as
+    (bias, leaves, rows), or None if f has more than _MAX_LEAVES
+    distinct blocks up to complement.
+
+    Block a holds entries a 2^lo .. (a + 1) 2^lo - 1, lo = n // 2 (lo = n,
+    one block, below n = 6, where a block would be less than a byte).
+    Each block is one of the leaves g_j or its complement, found by one
+    dict lookup, and c_j(a) is +1 where block a is g_j, -1 where it is
+    ~g_j and 0 elsewhere.  leaves[j] is sum_u W_(g_j)(u) 2^(32 u), and
+    rows[u_a] the tuple of (H_hi c_j)(u_a) over j, hi = n - lo.  Then
+    bias, 2^31 in each of 2^lo lanes, plus sum_j rows[u_a][j] leaves[j]
+    holds W_f(u_a, u_b) + 2^31 in lane u_b, by the block identity of the
+    module docstring; each lane lies in [0, 2^32), as |W_f| <= 2^n <
+    2^31, so no lane carries.  Leaves and rows both come from
+    `_lane_spectrum` on 0/1 sets: W_g = 2^lo delta_0 - 2 W_(1_g), and
+    H c_j = H 1_(c_j = 1) - H 1_(c_j = -1).
+    """
+    lo = f.n // 2 if f.n >= 6 else f.n
+    width = max(1, (1 << lo) >> 3)
+    found = {}  # a block -> 2j if it is leaf j, 2j + 1 if it is ~leaf j
+    codes = bytearray()
+    packed = f.packed
+    for start in range(0, len(packed), width):
+        block = packed[start : start + width]
+        code = found.get(block)
+        if code is None:
+            if len(found) == 2 * _MAX_LEAVES:
+                return None
+            code = len(found)
+            found[block] = code
+            found[block.translate(_NOT)] = code + 1
+        codes.append(code)
+    bias = int.from_bytes(b"\0\0\0\x80" * (1 << lo), "little")
+    leaves = [
+        (1 << lo) - 2 * (_lane_spectrum(int.from_bytes(g, "little"), lo) - bias)
+        for g in list(found)[::2]
+    ]
+    hi = f.n - lo
+    # the blocks of code c as the bits of an int, read from "0"/"1" text
+    marks = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(len(found))]
+    spectra = [_lane_values(_lane_spectrum(int(codes.translate(t)[::-1], 2), hi), hi) for t in marks]
+    columns = (map(operator.sub, plus, minus) for plus, minus in zip(spectra[::2], spectra[1::2]))
+    return bias, leaves, list(zip(*columns))
 
 
 def verify_difference_set(f: BoolFunc) -> DiffSetParams:

@@ -5,10 +5,11 @@ for humans goes to stderr.  Exit codes: 0 success (or witness found),
 1 error or bad usage, 2 search exhausted, 3 search inconclusive.
 
 Each command imports the layers it uses when it runs, so `search`,
-`graph`, `params`, `oracle` and `table` in hex run on the standard
-library alone, and numpy loads only with `bent`, which runs a spectral
-transform, and `table --format bits`.  Where numpy cannot be imported,
-those two print the one error object and exit 1.
+`graph`, `params`, `oracle`, `bent` (whose twins `is_bent` checks
+through their few distinct blocks) and `table` in hex run on the
+standard library alone, and numpy loads only with `table --format
+bits`.  Where numpy cannot be imported, that one prints the one error
+object and exits 1.
 """
 
 from __future__ import annotations

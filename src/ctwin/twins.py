@@ -15,9 +15,10 @@ The bit layer is `_level_masks`, the masks of the lanes of a big int
 whose index has bit k clear, each made from one byte pattern, and
 `_translates`, which walks every XOR translate T_j of a table, each
 from the last by swaps of adjacent runs at a few levels.  The
-difference counts in `bent`, the graph encoders in `graphs` and
-`swap._all_swaps` all swap by these masks; only the transforms in
-`bent` view a table as a numpy array, without a copy.
+difference counts and the factored bentness check in `bent`, the
+graph encoders in `graphs` and `swap._all_swaps` all swap by these
+masks; only the dense transforms in `bent` view a table as a numpy
+array, without a copy.
 
 Every value record of the package (`BoolFunc`, `DiffSetParams`,
 `DifferenceGraph`, `SrgParams`, `SwapMap`, `SearchOutcome`,

@@ -194,6 +194,11 @@ def difference_counts(support, v):
     return counts
 
 
+def is_hadamard(params):
+    """A difference set's (v, k, lam, n) is Hadamard: v = 4n."""
+    return params.v == 4 * params.n
+
+
 def difference_set_params(f):
     """verify_difference_set by pairwise counting, with its error messages."""
     elements = support(f)

@@ -1,6 +1,7 @@
 """Twin functions, Walsh spectra, duals, composition, difference sets."""
 
 import json
+import operator
 import random
 
 import numpy as np
@@ -70,6 +71,14 @@ def test_tau_table_m2_frozen():
     # quadrants tau_1 | sigma_1 | ~sigma_1 | tau_1
     assert tau_function(2).table() == [0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0]
     assert sigma_function(2).table() == [0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 0]
+
+
+def test_tau_closed_form_matches_the_table():
+    # tau(m, i) = ~sigma(m, i) where some base-4 digit of i is 1 or 2,
+    # and 0 where every digit is 0 or 3, against the quadrant-rule tables
+    for m in range(1, 11):
+        values = [tau(m, i) for i in range(1 << (2 * m))]
+        assert BoolFunc.from_values(2 * m, values).packed == twins._twin_table(m, "tau"), m
 
 
 def test_tables_agree_with_point_rules():
@@ -559,6 +568,101 @@ def test_non_bent_cases():
     assert not is_bent(BoolFunc.from_bits(3, 0b01010101))  # odd arity
 
 
+# --- bentness through a table's distinct blocks -----------------------------
+
+def _routes(f):
+    """is_bent(f) by the route it takes, and by the dense route, which is
+    the route of every table when no block may be a leaf."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bent, "_MAX_LEAVES", 0)
+        dense = is_bent(f)
+    return is_bent(f), dense
+
+
+def _factored_spectrum(f):
+    """W_f read off `bent._factors`: lane u_b of bias + sum_j rows[u_a][j]
+    leaves[j], less 2^31, at index u_a 2^lo + u_b."""
+    bias, leaves, rows = bent._factors(f)
+    lo = f.n - (len(rows).bit_length() - 1)
+    return [
+        w - (1 << 31)
+        for row in rows
+        for w in bent._lane_values(sum(map(operator.mul, row, leaves)) + bias, lo)
+    ]
+
+
+def _direct_sum(g, h):
+    """g(x_hi) + h(x_lo): block a is h, or ~h where g(a) = 1."""
+    ones = (1 << h.size) - 1
+    return BoolFunc.from_bits(
+        g.n + h.n, sum((h.bits ^ ones * g(a)) << (a * h.size) for a in range(g.size))
+    )
+
+
+def _bent_inputs():
+    """Bent tables: the twins at m = 1..8 and their complements, direct
+    sums of twins, and tokareva_compose(g, g, g, ~g) of twins."""
+    twins_ = [make(m) for m in range(1, 9) for make in (sigma_function, tau_function)]
+    tables = twins_ + [oracles.complement(f) for f in twins_[:10]]
+    small = twins_[:8]  # m = 1..4
+    tables += [_direct_sum(g, h) for g in small for h in small if g.n + h.n <= 14]
+    tables += [tokareva_compose(g, g, g, oracles.complement(g)) for g in small]
+    return tables
+
+
+def test_twins_take_the_factored_route():
+    # below m = 3 the table is one block; from m = 3 on sigma_m has one
+    # leaf and tau_m two at even m, and two and four at odd m, where the
+    # split cuts a base-4 digit: all within the limit up to m = 12
+    for m in range(1, 13):
+        odd = m % 2 if m >= 3 else 0
+        assert len(bent._factors(sigma_function(m))[1]) == 1 + odd, m
+        assert len(bent._factors(tau_function(m))[1]) == (2 + 2 * odd if m >= 3 else 1), m
+    assert bent._MAX_LEAVES >= 4
+
+
+def test_factored_route_agrees_with_the_dense_route_on_bent_tables():
+    # every bent input has at most _MAX_LEAVES distinct blocks; a flip of
+    # one entry may add one, and then goes to the dense route
+    rng = random.Random(27)
+    for f in _bent_inputs():
+        flipped = BoolFunc.from_bits(f.n, f.bits ^ 1 << rng.randrange(f.size))
+        assert bent._factors(f) is not None, f.hex()
+        assert _routes(f) == (True, True), f.hex()
+        assert _routes(flipped) == (False, False), flipped.hex()
+        for g in (f, flipped):
+            if g.n <= 12 and bent._factors(g) is not None:
+                assert _factored_spectrum(g) == walsh_transform(g), g.hex()
+
+
+def test_factored_route_agrees_with_the_dense_route_on_random_blocks():
+    # r random leaves at n = 6..14, each block one of them or its
+    # complement; at even n mostly not bent, and both routes agree
+    rng = random.Random(2711)
+    for n in range(6, 15):
+        lo = n // 2
+        ones = (1 << (1 << lo)) - 1
+        for r in range(1, bent._MAX_LEAVES + 1):
+            for _ in range(4):
+                leaves = [rng.getrandbits(1 << lo) for _ in range(r)]
+                blocks = [rng.choice(leaves) ^ ones * rng.getrandbits(1) for _ in range(1 << (n - lo))]
+                f = BoolFunc.from_bits(n, sum(b << (a << lo) for a, b in enumerate(blocks)))
+                if n % 2:
+                    assert _routes(f) == (False, False)
+                    continue
+                assert len(bent._factors(f)[1]) <= r
+                assert len(set(_routes(f))) == 1, f.hex()
+                if n <= 12:
+                    assert _factored_spectrum(f) == walsh_transform(f), f.hex()
+
+
+def test_factored_route_gives_up_past_its_leaf_limit():
+    # one distinct block more than the limit: the dense route decides
+    f = BoolFunc(6, bytes(range(bent._MAX_LEAVES + 1)).ljust(8, b"\0"))
+    assert bent._factors(f) is None
+    assert _routes(f) == (False, False) == (oracles.is_bent(f),) * 2
+
+
 def test_residues_of_an_unbent_spectrum_can_match():
     # n = 18: the first (2^18 - 66048) / 2 entries set give W(0) = 66048,
     # which is 2^9 modulo 2^16; Parseval makes some other residue differ,
@@ -698,7 +802,7 @@ def test_difference_set_matches_prediction():
         expect = predicted_params(m)
         assert verify_difference_set(sigma_function(m)) == expect
         assert verify_difference_set(tau_function(m)) == expect
-        assert expect.is_hadamard
+        assert oracles.is_hadamard(expect)
 
 
 def test_difference_set_rejects_non_example():

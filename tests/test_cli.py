@@ -206,13 +206,17 @@ def test_bent_sigma5(capsys):
 
 
 def test_bent_at_guard_limit_within_budget(tmp_path):
-    # m = 12 is the bent guard's largest m: 10 s and 80 MB
-    code, report, rss = run_budgeted(
-        tmp_path, ["bent", "--m", "12", "--function", "tau"], 10.0
-    )
+    # m = 12 is the bent guard's largest m: 0.5 s and 40 MB, without numpy
+    argv = ["bent", "--m", "12", "--function", "tau"]
+    code, report, rss = run_budgeted(tmp_path, argv, 0.5)
     assert code == 0
     assert report["result"] == {"bent": True, "magnitude": 4096}
-    assert rss < 80.0, f"bent --m 12 peaked at {rss:.0f} MB, budget 80 MB"
+    assert rss < 40.0, f"bent --m 12 peaked at {rss:.0f} MB, budget 40 MB"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ctwin", *argv], capture_output=True, text=True, timeout=60
+    )
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+    assert proc.returncode == 0 and "ctwin.bent" in imported and "numpy" not in imported
 
 
 def test_table_at_guard_limit_within_budget(tmp_path):
@@ -588,7 +592,6 @@ _WITHOUT_NUMPY = (
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param(("bent", "--m", "3", "--function", "tau"), id="argv0"),
         pytest.param(("table", "--m", "3", "--function", "tau", "--format", "bits"), id="argv3"),
     ],
 )
@@ -628,6 +631,15 @@ def test_graph_without_numpy_prints_the_same_payload(fmt):
         assert oracles.from_graph6(results[0]["payload"].encode()) == (16, edges)
     else:
         assert results[0]["payload"]["edges"] == [list(e) for e in edges]
+
+
+@pytest.mark.parametrize("m", [1, 3, 12])
+def test_bent_without_numpy_prints_the_same_payload(m):
+    # the twins are checked through their few distinct blocks on the
+    # standard library: with numpy blocked bent exits 0 with the same result
+    for function in ("sigma", "tau"):
+        results = _results_with_and_without_numpy(("bent", "--m", str(m), "--function", function))
+        assert results[0] == results[1] == {"bent": True, "magnitude": 1 << m}
 
 
 @pytest.mark.parametrize("argv", [("params", "--m", "3"), ("oracle", "--m", "2")])

@@ -1,8 +1,9 @@
 """The package's lazy surface: `import ctwin`, the swap search, truth
-tables, graph export, difference sets, strong regularity and the matrix
-oracle run on the standard library alone, and numpy loads only with the
-spectral transforms and `table --format bits`.  What loads is checked
-in fresh interpreters, whose sys.modules start without numpy."""
+tables, graph export, difference sets, strong regularity, the matrix
+oracle and the bentness of the twins run on the standard library alone,
+and numpy loads only with the dense spectral transforms and `table
+--format bits`.  What loads is checked in fresh interpreters, whose
+sys.modules start without numpy."""
 
 import json
 import subprocess
@@ -47,6 +48,9 @@ ctwin.is_bent
 seen["import is_bent"] = "numpy" in sys.modules
 ctwin.is_bent(ctwin.tau_function(2))
 seen["is_bent"] = "numpy" in sys.modules
+# one distinct block more than the factored route takes
+ctwin.is_bent(ctwin.BoolFunc(6, bytes(range(ctwin.bent._MAX_LEAVES + 1)).ljust(8, bytes(1))))
+seen["dense is_bent"] = "numpy" in sys.modules
 print(json.dumps(seen))
 """
 
@@ -86,7 +90,7 @@ def test_library_search_loads_no_numpy():
     seen = _fresh(_LIBRARY)
     assert seen == {
         "import": False, "search_swap": False, "search_all": False,
-        "import is_bent": False, "is_bent": True,
+        "import is_bent": False, "is_bent": False, "dense is_bent": True,
     }
 
 
@@ -120,7 +124,7 @@ OUT = "<out>"
         (["table", "--m", "3", "--function", "tau"], 0,
          {"ctwin.twins"}, ARRAY_LAYERS | {"ctwin.swap"}),
         (["bent", "--m", "3", "--function", "tau"], 0,
-         {"numpy", "ctwin.bent"}, {"ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
+         {"ctwin.twins", "ctwin.bent"}, {"numpy", "ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
         (["graph", "--m", "3", "--colour", "red", "--out", OUT], 0,
          EXPORT_LAYERS, {"numpy", "ctwin.algebra", "ctwin.swap"}),
         (["graph", "--m", "3", "--colour", "blue", "--format", "json-edges", "--out", OUT], 0,
@@ -129,6 +133,10 @@ OUT = "<out>"
          {"ctwin.twins", "ctwin.bent", "ctwin.graphs"}, {"numpy", "ctwin.algebra", "ctwin.swap"}),
         (["oracle", "--m", "2"], 0,
          {"ctwin.twins", "ctwin.algebra", "ctwin.graphs"}, {"numpy", "ctwin.swap"}),
+        (["bent", "--m", "1", "--function", "sigma"], 0,
+         {"ctwin.twins", "ctwin.bent"}, {"numpy", "ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
+        (["bent", "--m", "12", "--function", "tau"], 0,
+         {"ctwin.twins", "ctwin.bent"}, {"numpy", "ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
     ],
 )
 def test_commands_load_only_their_layers(argv, code, loaded, absent, tmp_path):
@@ -167,7 +175,7 @@ INTROSPECTION = {"dataclasses", "inspect"}
         (["search", "--m", "3", "--all", "2000"], False),
         (["table", "--m", "3", "--function", "tau"], False),
         (["table", "--m", "3", "--function", "tau", "--format", "bits"], True),
-        (["bent", "--m", "3", "--function", "tau"], True),
+        (["bent", "--m", "3", "--function", "tau"], False),
         (["graph", "--m", "3", "--colour", "red", "--out", OUT], False),
         (["graph", "--m", "3", "--colour", "blue", "--format", "json-edges", "--out", OUT], False),
         (["params", "--m", "5"], False),
@@ -199,6 +207,9 @@ steps = {
     "srg": lambda: ctwin.verify_srg(ctwin.cayley_graph(ctwin.tau_function(4)), ctwin.BLUE),
     "oracle": lambda: ctwin.oracle_build_delta(2) == ctwin.build_delta(2),
     "is_bent": lambda: ctwin.is_bent(ctwin.tau_function(2)),
+    "dense is_bent": lambda: ctwin.is_bent(
+        ctwin.BoolFunc(6, bytes(range(ctwin.bent._MAX_LEAVES + 1)).ljust(8, bytes(1)))
+    ),
 }
 seen = {}
 for name, step in steps.items():
@@ -210,8 +221,8 @@ print(json.dumps(seen))
 
 def test_library_steps_load_no_dataclasses():
     seen = _fresh(_LIBRARY_STEPS)
-    assert seen.pop("is_bent") == [["inspect"], True]
-    assert seen == {name: [[], False] for name in seen} and len(seen) == 9
+    assert seen.pop("dense is_bent") == [["inspect"], True]
+    assert seen == {name: [[], False] for name in seen} and len(seen) == 10
 
 
 # --- the value records --------------------------------------------------------
