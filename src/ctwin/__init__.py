@@ -22,7 +22,7 @@ import importlib
 _EXPORTS = {
     "algebra": (
         "E1", "E1E2", "E2", "I2", "SignedPerm", "SymmetryClass", "bit_pairs",
-        "classify", "diagonal_count", "from_bit_pairs", "gamma", "generator",
+        "classify", "gamma",
     ),
     "bent": (
         "BoolFunc", "DiffSetParams", "dual", "fwht", "is_bent", "predicted_params",

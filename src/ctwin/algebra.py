@@ -1,10 +1,38 @@
 """Signed permutation matrices and the monomial basis of Rep(R_{m,m}).
 
-The 4^m basis matrices of order 2^m are Kronecker products of the four
-2x2 generators I, E1, E2, E1E2, one factor per base-4 digit of the index
-(most significant digit leftmost).  Every matrix is kept as a
-(permutation, signs) pair, so all arithmetic is exact integer work on
-O(2^m) data; nothing here ever builds a dense matrix or touches floats.
+The 4^m basis matrices gamma(m, i) of order 2^m are Kronecker products
+of the four 2x2 generators I, E1, E2, E1E2, one factor per base-4 digit
+of the index (most significant digit leftmost).  Every matrix is kept
+as a (permutation, signs) pair, so all arithmetic is exact integer work
+on O(2^m) data; nothing here ever builds a dense matrix or touches
+floats.
+
+    The Kronecker lemma.  (A (x) B)^T = A^T (x) B^T, so if A^T = eA and
+    B^T = dB with e, d = +-1, then (A (x) B)^T = ed (A (x) B).  The
+    signed permutation A (x) B sends column (a, b) to row (perm_A a,
+    perm_B b), so its permutation is the identity, and the matrix
+    diagonal, iff both factors' permutations are.
+
+    The factors.  I is diagonal; E1 is skew; E2 is symmetric and not
+    diagonal; E1E2 = diag(-1, 1) is diagonal.  So, for every m, the
+    transpose of gamma(m, i) is gamma(m, i) times -1 per digit 1 of i:
+    gamma(m, i) is skew iff an odd number of digits of i are 1, which
+    is sigma_m(i) = 1.  It is diagonal iff every digit is 0 or 3, which
+    is i in D, the zero set of kappa in `ctwin.swap`, with |D| = 2^m.
+    Otherwise it is symmetric and not diagonal: sigma_m(i) = 0 and some
+    digit is 1 or 2, the closed form of tau_m(i) = 1 in `bent.tau`.
+    Since sigma_m = 0 on D, tau_m = 1 + sigma_m + 1_D (mod 2).
+
+    Reading the class of the top digit's factor gives the quadrant rules
+    of `ctwin.bent`: I and E1E2 keep the sign and D-membership of the
+    rest of the index, so quadrants 0 and 3 repeat sigma_(m-1) and
+    tau_(m-1); E1 flips the sign and E2 keeps it, and both leave D, so
+    quadrant 1 reads ~sigma_(m-1) and sigma_(m-1), and quadrant 2
+    sigma_(m-1) and ~sigma_(m-1), for sigma_m and tau_m.  So the bit
+    rules that every command uses are this definition for every m; the
+    one assumption left is that `gamma` is the paper's canonical basis,
+    which is a definition, not a computation.  `oracle` rebuilds Delta_m
+    from these matrices at m <= 4 as a cross-check.
 """
 
 from __future__ import annotations
@@ -34,6 +62,8 @@ class SignedPerm(_Record):
     def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...]):
         _set(self, "perm", perm)
         _set(self, "signs", signs)
+        if not (isinstance(perm, tuple) and isinstance(signs, tuple)):
+            raise TypeError("perm and signs must be tuples")
         n = len(perm)
         if len(signs) != n:
             raise ValueError("perm and signs must have the same length")
@@ -91,26 +121,10 @@ class SignedPerm(_Record):
         return rows
 
 
-_GENERATORS = {
-    "I2": SignedPerm((0, 1), (1, 1)),
-    "E1": SignedPerm((1, 0), (1, -1)),
-    "E2": SignedPerm((1, 0), (1, 1)),
-}
-_GENERATORS["E1E2"] = _GENERATORS["E1"] * _GENERATORS["E2"]
-
-
-def generator(which: str) -> SignedPerm:
-    """One of the 2x2 matrices I2, E1, E2, E1E2 generating the order-8 signed group."""
-    try:
-        return _GENERATORS[which]
-    except KeyError:
-        raise ValueError(f"unknown generator {which!r}") from None
-
-
-I2 = _GENERATORS["I2"]
-E1 = _GENERATORS["E1"]
-E2 = _GENERATORS["E2"]
-E1E2 = _GENERATORS["E1E2"]
+I2 = SignedPerm((0, 1), (1, 1))
+E1 = SignedPerm((1, 0), (1, -1))
+E2 = SignedPerm((1, 0), (1, 1))
+E1E2 = E1 * E2
 
 # base-4 digit -> Kronecker factor, in coset order 0:I, 1:E1, 2:E2, 3:E1E2
 _FACTORS = (I2, E1, E2, E1E2)
@@ -127,16 +141,6 @@ def bit_pairs(m: int, value: int) -> tuple[int, ...]:
     if not 0 <= value < 1 << (2 * m):
         raise ValueError(f"index {value} out of range for m={m}")
     return tuple((value >> (2 * (m - 1 - k))) & 3 for k in range(m))
-
-
-def from_bit_pairs(digits) -> int:
-    """Inverse of bit_pairs: reassemble base-4 digits into an index."""
-    value = 0
-    for d in digits:
-        if not 0 <= d <= 3:
-            raise ValueError(f"bit pair {d} out of range")
-        value = (value << 2) | d
-    return value
 
 
 def gamma(m: int, i: int) -> SignedPerm:
@@ -166,14 +170,3 @@ def classify(a: SignedPerm) -> SymmetryClass:
             return SymmetryClass.DIAGONAL
         return SymmetryClass.SYMMETRIC_OFF_DIAGONAL
     raise ValueError("matrix is neither symmetric nor skew")
-
-
-def diagonal_count(m: int) -> int:
-    """Number of indices whose basis matrix is diagonal; equals 2^m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return sum(
-        1
-        for i in range(1 << (2 * m))
-        if classify(gamma(m, i)) is SymmetryClass.DIAGONAL
-    )

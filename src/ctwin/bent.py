@@ -3,8 +3,10 @@ functions sigma_m / tau_m on 2m bits, and difference counts.
 
 sigma_m(i) is the parity of the number of base-4 digits of i equal to 1;
 it marks exactly the indices whose basis matrix is skew.  tau_m marks the
-indices whose basis matrix is symmetric but not diagonal and satisfies
-the quadrant recursion on the leading bit pair
+indices whose basis matrix is symmetric but not diagonal, so tau_m = 1 +
+sigma_m + 1_D with D the indices whose digits are all 0 or 3; the
+Kronecker lemma in the `ctwin.algebra` docstring proves these for every
+m.  tau_m satisfies the quadrant recursion on the leading bit pair
 
     tau_m(00.i) = tau_{m-1}(i)      tau_m(01.i) = sigma_{m-1}(i)
     tau_m(10.i) = sigma_{m-1}(i)+1  tau_m(11.i) = tau_{m-1}(i)
@@ -40,12 +42,14 @@ gives the narrowest of uint16, uint32 and uint64 with as many:
     bentness on n = 2k bits   +-2^k apart, not 0   k + 2 bits (`is_bent`)
 
 Bentness and duals need no spectrum: by Parseval's identity the
-residues modulo 2^16 decide them up to n = 28.  The kernel's first
-stage reads a packed table a slab of rows at a time, each slab unpacked
-straight into its transposed copy as +-1, so no unpacked table is ever
-whole.  When n is even the second stage transposes in place, so a
-dense bentness check at n = 24 holds one 32 MB array and the 2 MB
-packed table.
+residues modulo 2^16 decide them up to n = 28.  `_signs` unpacks the
+packed table whole into the int8 array (-1)^f, and both stages of the
+kernel copy it slab by slab into a new array of the ring's type.  This
+dense route serves the tables that `_factors` gives up on, such as the
+benchmark's relabelled tau_10 (1024 distinct blocks), and every call of
+`walsh_transform`, `fwht`, `dual` and `tokareva_compose`.  A dense
+`is_bent` took about 0.012 s at n = 20 and 0.17-0.20 s at n = 24, in a
+process that peaked at 33 MB and 112 MB with numpy loaded (2 vCPU).
 
 Difference counts |S & (S ^ d)| have one kernel of their own, shared by
 `verify_difference_set` and `graphs.verify_srg`: `_first_off` checks
@@ -285,61 +289,26 @@ def _ring(bits: int):
     raise ValueError(f"no unsigned type has {bits} bits")
 
 
-# Source rows per slab of a transposing copy, and the side of the tiles
-# an in-place transpose swaps.  Copying a whole transpose at once reads
-# the source one row-stride apart and misses the cache on almost every
-# entry; in slabs each source line is read once (at n = 24, 0.11-0.12 s
-# -> 0.03-0.04 s per copy on 2 vCPU).
+# Source rows per slab of a transposing copy.  Copying a whole
+# transpose at once reads the source one row-stride apart and misses the
+# cache on almost every entry; in slabs each source line is read once
+# (at n = 24, 0.11-0.12 s -> 0.03-0.04 s per copy on 2 vCPU).
 _SLAB = 128
 
 
-def _transpose_square(x: np.ndarray):
-    """Transpose a square array in place by swapping _SLAB x _SLAB tiles
-    across the diagonal; only one tile is ever copied aside."""
-    size = x.shape[0]
-    for i in range(0, size, _SLAB):
-        diagonal = x[i : i + _SLAB, i : i + _SLAB]
-        diagonal[...] = diagonal.T.copy()
-        for j in range(i + _SLAB, size, _SLAB):
-            upper = x[i : i + _SLAB, j : j + _SLAB]
-            lower = x[j : j + _SLAB, i : i + _SLAB]
-            tile = upper.T.copy()
-            upper[...] = lower.T
-            lower[...] = tile
+def _signs(f: BoolFunc) -> np.ndarray:
+    """(-1)^f as one int8 array, unpacked whole from the packed table."""
+    import numpy as np
+
+    a = np.unpackbits(np.frombuffer(f.packed, np.uint8), count=f.size, bitorder="little").view(np.int8)
+    a *= -2
+    a += 1
+    return a
 
 
-class _Unpacked:
-    """The packed truth table of f read by `_fwht` as the int8 array
-    (-1)^f of its entries.  It offers only what the kernel's first stage takes:
-    `size`, `reshape` to (rows, width) and slices of rows, each unpacked
-    from just its own bytes when taken, so the table is never unpacked
-    whole.  A slice must start at a whole byte, as a slab of _SLAB rows
-    does."""
-
-    def __init__(self, f: BoolFunc, shape: tuple[int, int] | None = None):
-        self.f = f
-        self.size = f.size
-        self.shape = shape or (1, self.size)
-
-    def reshape(self, rows: int, width: int) -> _Unpacked:
-        return _Unpacked(self.f, (rows, width))
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        start, stop, _ = rows.indices(self.shape[0])
-        width = self.shape[1]
-        first, count = start * width, (stop - start) * width
-        import numpy as np
-
-        packed = np.frombuffer(self.f.packed, np.uint8)[first >> 3 : (first + count + 7) >> 3]
-        x = np.unpackbits(packed, count=count, bitorder="little").view(np.int8)
-        x *= -2
-        x += 1
-        return x.reshape(-1, width)
-
-
-def _fwht(a: np.ndarray | _Unpacked, dtype) -> np.ndarray:
+def _fwht(a: np.ndarray, dtype) -> np.ndarray:
     """H_n a modulo 2^w, in the w-bit unsigned `dtype`, for an integer
-    array a of length 2^n or an `_Unpacked` table read as one.
+    array a of length 2^n.
 
     The reduction Z -> Z/2^w keeps sums, differences and doublings, and
     a butterfly does nothing else (u += w; w *= 2; w = u - w), so the
@@ -354,12 +323,13 @@ def _fwht(a: np.ndarray | _Unpacked, dtype) -> np.ndarray:
     hi = n//2 high ones (Fino-Algazi).  The lo levels run on a transposed
     (2^lo, 2^hi) copy and the hi levels on the (2^hi, 2^lo) transpose
     back, so every level adds and subtracts contiguous runs of at least
-    2^hi entries.  The first stage copies slab by slab, so the caller's
-    array is never written, an `_Unpacked` table is unpacked one slab at
-    a time, and the input is dropped once that copy is made: a caller
-    that passes a temporary gets its memory back at once.  When n is
-    even the matrix is square and the second stage transposes the
-    kernel's own array in place.
+    2^hi entries.  Both stages make their copy slab by slab, so the
+    caller's array is never written, and it is dropped once the first
+    copy is made: a caller that passes a temporary gets its memory back
+    at once.  The callers are the dense route: `_spectrum` and
+    `_shifted_residues` on `_signs(f)`, for `walsh_transform`, `dual`,
+    `tokareva_compose` and `is_bent` on a table that `_factors` gives up
+    on, and `fwht` on its caller's integers.
     """
     import numpy as np
 
@@ -368,14 +338,11 @@ def _fwht(a: np.ndarray | _Unpacked, dtype) -> np.ndarray:
     lo = n - hi
     x = a.reshape(1 << hi, 1 << lo)
     del a
-    for second, levels in enumerate((lo, hi)):
-        if second and hi == lo:
-            _transpose_square(x)
-        else:
-            t = np.empty(x.shape[::-1], dtype)
-            for r in range(0, x.shape[0], _SLAB):
-                t[:, r : r + _SLAB] = x[r : r + _SLAB].T
-            x = t
+    for levels in (lo, hi):
+        t = np.empty(x.shape[::-1], dtype)
+        for r in range(0, x.shape[0], _SLAB):
+            t[:, r : r + _SLAB] = x[r : r + _SLAB].T
+        x = t
         run = x.shape[1]
         for _ in range(levels):
             pairs = x.reshape(-1, 2, run)
@@ -390,7 +357,7 @@ def _fwht(a: np.ndarray | _Unpacked, dtype) -> np.ndarray:
 def _spectrum(f: BoolFunc) -> np.ndarray:
     """W_f = H_n (-1)^f as signed integers: |W_f| <= 2^n, so n + 2 bits
     hold it (int16 up to n = 14, int32 up to n = 30)."""
-    w = _fwht(_Unpacked(f), _ring(f.n + 2))
+    w = _fwht(_signs(f), _ring(f.n + 2))
     return w.view(f"i{w.itemsize}")
 
 
@@ -399,7 +366,7 @@ def _shifted_residues(f: BoolFunc) -> np.ndarray:
     an entry W_f = 2^k reads 2^(k+1) and an entry W_f = -2^k reads 0.
     The ring needs k + 2 bits, so that +-2^k are distinct nonzero
     residues (see `is_bent`)."""
-    w = _fwht(_Unpacked(f), _ring(f.n // 2 + 2))
+    w = _fwht(_signs(f), _ring(f.n // 2 + 2))
     w += 1 << (f.n // 2)
     return w
 

@@ -55,7 +55,10 @@ cell reps[i] ^ D[x], and the cells of coset i are reps[i] + D.
     -1, +1, 0 there.
     The searches still check the closed form cell by cell, at every
     vertex, at run time.
-    So kappa is zero exactly on D, a subgroup (D[x] ^ D[y] = D[x ^ y]).
+    So kappa is zero exactly on D, a subgroup (D[x] ^ D[y] = D[x ^ y]):
+    the indices whose basis matrix is diagonal, by the Kronecker lemma
+    in the `ctwin.algebra` docstring, which also shows that the quadrant
+    rules are the Clifford-algebra definition for every m.
     a and b are non-adjacent iff a ^ b is in D, and phi keeps
     non-adjacency, so phi permutes the cosets of D; fixing 0, it fixes
     D, and it induces a permutation pi of the coset indices: phi(reps[i]
@@ -163,6 +166,10 @@ class SwapMap(_Record):
     def __init__(self, m: int, phi: tuple[int, ...]):
         _set(self, "m", m)
         _set(self, "phi", phi)
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        if not isinstance(phi, tuple):
+            raise TypeError("phi must be a tuple")
         v = 1 << (2 * m)
         if len(phi) != v or sorted(phi) != list(range(v)):
             raise ValueError(f"phi is not a permutation of 0..{v - 1}")

@@ -12,12 +12,14 @@ and translated to fix vertex 0, swaps and automorphisms found by
 backtracking over every vertex (a min-domain walk on constraint masks
 built pair by pair, and a recursive search in natural vertex order),
 and Delta_m's coset blocks read off one Walsh spike per coset.  A graph6 decoder, bit
-by bit, reads ctwin's payloads back.  The transform's input, which
-ctwin unpacks a slab at a time, is unpacked here whole, as an array.
+by bit, reads ctwin's payloads back.  Maiorana-McFarland bent functions
+and their duals are joined block by block from linear functions.
 They are quadratic where ctwin is spectral, and the walks visit up to
 millions of nodes at m = 3 where ctwin's search reduces 28 equations, so
 tests use them at small sizes.
 """
+
+import random
 
 import numpy as np
 
@@ -175,6 +177,45 @@ def dual(f):
         if abs(w) != 1 << (f.n // 2):
             raise ValueError(f"input not bent: spectrum entry {w} at {i}")
     return BoolFunc.from_values(f.n, [int(w < 0) for w in spectrum])
+
+
+def block_table(k, columns, codes):
+    """The table on 2k bits, k >= 3, whose block y (the entries whose
+    index has y as its top k bits) is the XOR of the tables columns[j],
+    ints of 2^k bits, over the bits j of codes[y], joined block by block
+    so that no int of the whole table is made."""
+    width = (1 << k) >> 3
+
+    def block(code):
+        t = 0
+        for j, column in enumerate(columns):
+            if code >> j & 1:
+                t ^= column
+        return t.to_bytes(width, "little")
+
+    return BoolFunc(2 * k, b"".join(map(block, codes)))
+
+
+def maiorana_mcfarland(k, seed):
+    """The bent function f(y, x) = pi(y).x on 2k bits, k >= 3, and its
+    dual f*(u, w) = u.pi^-1(w), with y and u the top k bits of the index
+    and pi the permutation of GF(2)^k that random.Random(seed) shuffles.
+    Block y of f is the linear function of pi(y), so f has 2^k distinct
+    blocks, none the complement of another.  Summing over x first,
+    W_f(u, w) = sum_y (-1)^(u.y) 2^k [pi(y) = w] = 2^k (-1)^(u.pi^-1(w))."""
+    size = 1 << k
+    pi = list(range(size))
+    random.Random(seed).shuffle(pi)
+    inverse = [0] * size
+    for y, image in enumerate(pi):
+        inverse[image] = y
+
+    def bits(values):
+        return int("".join(map(str, values[::-1])), 2)
+
+    units = [bits([x >> j & 1 for x in range(size)]) for j in range(k)]
+    columns = [bits([inverse[w] >> j & 1 for w in range(size)]) for j in range(k)]
+    return block_table(k, units, pi), block_table(k, columns, range(size))
 
 
 def autocorrelation(f):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ctwin import twins
 from ctwin.algebra import (
     E1,
     E1E2,
@@ -13,10 +14,7 @@ from ctwin.algebra import (
     SymmetryClass,
     bit_pairs,
     classify,
-    diagonal_count,
-    from_bit_pairs,
     gamma,
-    generator,
 )
 
 
@@ -57,22 +55,17 @@ def random_indices(rng, m, count):
 # --- generators --------------------------------------------------------
 
 def test_generator_tables():
-    assert generator("I2") == SignedPerm((0, 1), (1, 1))
-    assert generator("E1") == SignedPerm((1, 0), (1, -1))
-    assert generator("E2") == SignedPerm((1, 0), (1, 1))
+    assert I2 == SignedPerm((0, 1), (1, 1))
+    assert E1 == SignedPerm((1, 0), (1, -1))
+    assert E2 == SignedPerm((1, 0), (1, 1))
     # frozen 2x2 product of the displayed E1 and E2 matrices
-    assert generator("E1E2") == SignedPerm((0, 1), (-1, 1))
+    assert E1E2 == SignedPerm((0, 1), (-1, 1))
 
 
 def test_generator_dense_forms():
     assert E1.to_dense() == [[0, -1], [1, 0]]
     assert E2.to_dense() == [[0, 1], [1, 0]]
     assert E1E2.to_dense() == [[-1, 0], [0, 1]]
-
-
-def test_generator_unknown():
-    with pytest.raises(ValueError, match="unknown generator"):
-        generator("E3")
 
 
 # --- multiply / transpose ----------------------------------------------
@@ -142,7 +135,8 @@ def test_bit_pairs_roundtrip():
         for value in range(1 << (2 * m)):
             digits = bit_pairs(m, value)
             assert len(digits) == m
-            assert from_bit_pairs(digits) == value
+            assert all(0 <= d <= 3 for d in digits)
+            assert sum(d << (2 * k) for k, d in enumerate(reversed(digits))) == value
 
 
 def test_bit_pairs_range():
@@ -229,17 +223,23 @@ def test_classify_diagonal_iff_all_digits_0_or_3():
             assert got == expect_diag
 
 
+def _diagonal_count(m):
+    return sum(classify(gamma(m, i)) is SymmetryClass.DIAGONAL for i in range(1 << (2 * m)))
+
+
 def test_diagonal_count():
-    assert diagonal_count(1) == 2
-    assert diagonal_count(2) == 4
-    assert diagonal_count(3) == 8
+    # |D| = 2^m: the diagonal basis matrices, and the zeros of kappa
+    for m in (1, 2, 3):
+        assert _diagonal_count(m) == 1 << m
+    for m in range(1, 9):
+        assert twins._delta_kappa(m).count(0) == 1 << m, m
 
 
 def test_diagonal_count_partition():
     # skew and symmetric-off-diagonal classes have equal size k_m
     for m in (1, 2, 3):
         k = (1 << (2 * m - 1)) - (1 << (m - 1))
-        assert 2 * k + diagonal_count(m) == 1 << (2 * m)
+        assert 2 * k + _diagonal_count(m) == 1 << (2 * m)
 
 
 def test_signed_perm_validation():

@@ -79,6 +79,12 @@ def test_tau_closed_form_matches_the_table():
     for m in range(1, 11):
         values = [tau(m, i) for i in range(1 << (2 * m))]
         assert BoolFunc.from_values(2 * m, values).packed == twins._twin_table(m, "tau"), m
+        # tau = 1 + sigma + 1_D, D the indices whose digits are all 0 or
+        # 3: 3 times the base-4 reading of a binary string
+        table = twins._twin_table(m, "sigma")
+        diagonal = sum(1 << int(format(x, "b"), 4) * 3 for x in range(1 << m))
+        want = ((1 << (1 << (2 * m))) - 1) ^ int.from_bytes(table, "little") ^ diagonal
+        assert want.to_bytes(len(table), "little") == twins._twin_table(m, "tau"), m
 
 
 def test_tables_agree_with_point_rules():
@@ -250,10 +256,9 @@ def test_fwht_result_type_is_narrowest(monkeypatch):
 
 def test_fwht_modular_is_exact_modulo_2_16():
     # +-1 vectors, fair and biased (a bias of 0.15 puts W(0) near
-    # +-0.7 * 2^n, past 2^16 from n = 17 on) and constant; odd n takes
-    # the copying second stage and even n the in-place one.  uint32
-    # holds every spectrum here, so its signed view is exact, and uint64
-    # checks it
+    # +-0.7 * 2^n, past 2^16 from n = 17 on) and constant; odd n copies
+    # oblong stages and even n square ones.  uint32 holds every spectrum
+    # here, so its signed view is exact, and uint64 checks it
     rng = np.random.default_rng(41)
     for n in range(15, 21):
         size = 1 << n
@@ -273,7 +278,7 @@ def test_fwht_modular_is_exact_modulo_2_16():
 
 def test_fwht_never_writes_the_callers_array():
     # inputs already in the ring's type (uint16 in uint16) included, at
-    # even n too, where the second stage transposes in place
+    # even n too, where the first copy is square
     rng = np.random.default_rng(43)
     for n in (0, 1, 2, 7, 8, 14, 15):
         for dtype, ring in [
@@ -488,18 +493,18 @@ def _kernel_inputs(n, rng):
     return funcs
 
 
-def test_streamed_kernel_matches_whole_array_route():
-    # the kernel unpacks a packed table slab by slab; the whole-array
-    # route unpacks it at once and passes (-1)^f as an array.  Every
-    # n from 1 to 16 covers rows shorter than a byte (n < 5), odd n's
-    # copying second stage and even n's in-place one
+def test_kernel_matches_whole_array_route():
+    # the kernel's spectrum of the unpacked signs, in each ring, is the
+    # butterfly oracle's exact spectrum modulo 2^w.  Every n from 1 to
+    # 16 covers tables shorter than a byte (n < 3), square (even n) and
+    # oblong (odd n) stages
     rng = random.Random(47)
     for n in range(1, 17):
         for f in _kernel_inputs(n, rng):
+            exact = np.array(oracles.walsh_transform(f), np.int64)
             for ring in (np.uint16, np.uint32, np.uint64):
-                want = bent._fwht(oracles.signs(f), ring)
-                got = bent._fwht(bent._Unpacked(f), ring)
-                assert got.dtype == want.dtype and np.array_equal(got, want), (n, ring)
+                got = bent._fwht(bent._signs(f), ring)
+                assert got.dtype == ring and np.array_equal(got, exact.astype(ring)), (n, ring)
             # the difference-count kernel reads the packed table a byte
             # at a time into its lanes; the whole-array route squares the
             # 0/1 indicator's spectrum and transforms it back
@@ -513,8 +518,8 @@ def test_streamed_kernel_matches_whole_array_route():
                 assert bent._first_off(f.bits, n, counts[1], counts[1]) == off, n
 
 
-def test_streamed_duals_match_whole_array_route():
-    # dual reads its signs off the streamed residues; the whole-array
+def test_duals_match_whole_array_route():
+    # dual reads its signs off the residues modulo 2^16; the whole-array
     # route reads them off the exact spectrum
     rng = random.Random(53)
     for n in range(2, 17, 2):
@@ -526,6 +531,22 @@ def test_streamed_duals_match_whole_array_route():
             else:
                 with pytest.raises(ValueError, match="not bent"):
                     dual(f)
+
+
+def test_dense_route_decides_a_maiorana_mcfarland_table():
+    # 2^10 distinct linear blocks, so `_factors` gives up and is_bent and
+    # dual run the dense transform at n = 20, the size of the benchmark's
+    # relabelled tau_10; one flipped entry makes every |W_f| 2^10 +- 2
+    f, want = oracles.maiorana_mcfarland(10, 61)
+    assert bent._factors(f) is None
+    assert is_bent(f) and dual(f) == want
+    packed = bytearray(f.packed)
+    i = random.Random(61).randrange(1 << 20)
+    packed[i >> 3] ^= 1 << (i & 7)
+    flipped = BoolFunc(20, bytes(packed))
+    assert not is_bent(flipped)
+    with pytest.raises(ValueError, match="not bent"):
+        dual(flipped)
 
 
 def test_fwht_rejects_bad_lengths():

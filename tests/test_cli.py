@@ -27,17 +27,18 @@ def run_cli(capsys, *argv):
     return code, json.loads(captured.out)
 
 
-# Runs one ctwin command under a time budget and prints its exit code,
-# seconds and wait4 peak RSS in MB.  It runs in a fresh interpreter
-# because a child's wait4 peak RSS also counts the peak of the process
-# that spawned it (the spawner's memory is the child's until exec), so a
-# command spawned from the test process would carry the test run's peak.
+# Runs one Python program (a ctwin command, by default) under a time
+# budget and prints its exit code, seconds and wait4 peak RSS in MB.  It
+# runs in a fresh interpreter because a child's wait4 peak RSS also
+# counts the peak of the process that spawned it (the spawner's memory
+# is the child's until exec), so a command spawned from the test process
+# would carry the test run's peak.
 _BUDGETED = """
 import os, signal, subprocess, sys, time
 budget, out, argv = float(sys.argv[1]), sys.argv[2], sys.argv[3:]
 start = time.monotonic()
 with open(out, "wb") as fh:
-    proc = subprocess.Popen([sys.executable, "-m", "ctwin", *argv], stdout=fh)
+    proc = subprocess.Popen([sys.executable, *argv], stdout=fh)
 signal.signal(signal.SIGALRM, lambda *_: proc.kill())
 signal.setitimer(signal.ITIMER_REAL, budget)
 _, status, usage = os.wait4(proc.pid, 0)
@@ -46,11 +47,12 @@ print(os.waitstatus_to_exitcode(status), time.monotonic() - start, usage.ru_maxr
 """
 
 
-def run_budgeted_to(out, argv, budget_s):
-    """Run `python -m ctwin ARGV` with stdout to the file `out`, killed
-    after budget_s; returns (exit code, peak RSS in MB)."""
+def run_budgeted_to(out, argv, budget_s, program=("-m", "ctwin")):
+    """Run `python -m ctwin ARGV` (`python PROGRAM ARGV` for another
+    program) with stdout to the file `out`, killed after budget_s;
+    returns (exit code, peak RSS in MB)."""
     proc = subprocess.run(
-        [sys.executable, "-c", _BUDGETED, str(budget_s), str(out), *argv],
+        [sys.executable, "-c", _BUDGETED, str(budget_s), str(out), *program, *argv],
         capture_output=True, text=True, timeout=budget_s + 60,
     )
     code, elapsed, rss = proc.stdout.split()
@@ -217,6 +219,35 @@ def test_bent_at_guard_limit_within_budget(tmp_path):
     )
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
     assert proc.returncode == 0 and "ctwin.bent" in imported and "numpy" not in imported
+
+
+# is_bent on a Maiorana-McFarland table at n = 24 and on the same table
+# with one entry flipped: 4096 distinct blocks, so both run the dense
+# transform on the whole unpacked table
+_DENSE_24 = """
+import json, random, sys
+sys.path.insert(0, sys.argv[1])
+import oracles
+from ctwin import bent
+f, _ = oracles.maiorana_mcfarland(12, 67)
+packed = bytearray(f.packed)
+i = random.Random(67).randrange(1 << 24)
+packed[i >> 3] ^= 1 << (i & 7)
+flipped = bent.BoolFunc(24, bytes(packed))
+print(json.dumps([bent._factors(f) is None, bent.is_bent(f), bent.is_bent(flipped)]))
+"""
+
+
+def test_dense_is_bent_at_n24_within_budget(tmp_path):
+    # n = 24 is the largest table `bent` makes; a table the factored route
+    # gives up on takes the dense route there, twice, in 4 s and 160 MB
+    # (0.61-0.82 s and 117.5 MB measured through this launcher, 2 vCPU)
+    out = tmp_path / "stdout.json"
+    tests = str(Path(__file__).resolve().parent)
+    code, rss = run_budgeted_to(out, [tests], 4.0, program=("-c", _DENSE_24))
+    assert code == 0
+    assert json.loads(out.read_bytes()) == [True, True, False]
+    assert rss < 160.0, f"dense is_bent at n = 24 peaked at {rss:.0f} MB, budget 160 MB"
 
 
 def test_table_at_guard_limit_within_budget(tmp_path):

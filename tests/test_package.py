@@ -16,8 +16,7 @@ import ctwin
 # every name the package exported when its __init__ imported them all,
 # by the layer that defines it
 EXPORTED = {
-    "algebra": "E1 E1E2 E2 I2 SignedPerm SymmetryClass bit_pairs classify diagonal_count "
-    "from_bit_pairs gamma generator",
+    "algebra": "E1 E1E2 E2 I2 SignedPerm SymmetryClass bit_pairs classify gamma",
     "bent": "BoolFunc DiffSetParams dual fwht is_bent predicted_params sigma sigma_function "
     "tau tau_function tokareva_compose verify_difference_set walsh_transform",
     "graphs": "BLUE RED DifferenceGraph SrgParams build_delta cayley_graph export_graph "
@@ -287,6 +286,11 @@ def test_records_are_frozen_values(record, twin, fields, text):
         (lambda: ctwin.DifferenceGraph(1, b"\0\2"), ValueError, "-1, 0 or \\+1"),
         (lambda: ctwin.SrgParams(16, 6, 2, 3), ValueError, "must equal k\\*\\(k-1-lam\\)"),
         (lambda: ctwin.SwapMap(1, (0, 0, 1, 2)), ValueError, "not a permutation of 0..3"),
+        (lambda: ctwin.SwapMap(1, [0, 1, 2, 3]), TypeError, "phi must be a tuple"),
+        (lambda: ctwin.SwapMap(-1, ()), ValueError, "m must be >= 1"),
+        (lambda: ctwin.SwapMap(0, (0,)), ValueError, "must be >= 1"),
+        (lambda: ctwin.SignedPerm([0, 1], [1, 1]), TypeError, "perm and signs must be tuples"),
+        (lambda: ctwin.SignedPerm((0, 1), [1, 1]), TypeError, "must be tuples"),
         (lambda: ctwin.SignedPerm((0, 1), (1,)), ValueError, "same length"),
         (lambda: ctwin.SignedPerm((0, 0), (1, 1)), ValueError, "not a permutation"),
         (lambda: ctwin.SignedPerm((0, 1), (1, 2)), ValueError, "\\+1 or -1"),
