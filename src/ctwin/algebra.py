@@ -113,13 +113,6 @@ class SignedPerm(_Record):
     def is_identity_perm(self) -> bool:
         return all(r == c for c, r in enumerate(self.perm))
 
-    def to_dense(self) -> list[list[int]]:
-        """Dense integer matrix, for inspection and cross-checks only."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for c in range(self.n):
-            rows[self.perm[c]][c] = self.signs[c]
-        return rows
-
 
 I2 = SignedPerm((0, 1), (1, 1))
 E1 = SignedPerm((1, 0), (1, -1))

@@ -135,8 +135,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-import sys
-from array import array
+import struct
 from typing import TYPE_CHECKING
 
 from .twins import _NOT, _SPREAD, _Record, _level_masks, _set, _translates, _tt_text, _twin_table
@@ -531,13 +530,9 @@ def _check_lanes(n: int):
 
 def _common(s: int, n: int, d: int) -> int:
     """|S & (S ^ d)| for the set S in Z_2^n held as the bits of s: the
-    popcount of s and its one translate T_d, reached by a swap at each
-    level k where d has bit k set."""
-    t = s
-    for k, (run, mask) in enumerate(_level_masks(1 << n)):
-        if d >> k & 1:
-            t = (t >> run) & mask | (t & mask) << run
-    return (s & t).bit_count()
+    popcount of s and T_d, the first item of the walk `_translates`
+    started at d."""
+    return (s & next(_translates(s, _level_masks(1 << n), d))).bit_count()
 
 
 def _lane_spectrum(s: int, n: int) -> int:
@@ -598,10 +593,11 @@ def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
     mu and v.  At u != 0 it says that W_S(u) is a root of x^2 -
     (lam - mu) x - (k - mu); unless both roots are integers no integer
     passes, and v >= 2 gives some u != 0.  So the check counts the lanes
-    of `_lane_spectrum` that hold a root, with C's array.count.  Only a
-    rejected S walks its translates T_d (`_translates`) in order, to
-    name the first d whose count is off: the one a pairwise count in
-    lexicographic order would name.
+    of `_lane_spectrum` that hold a root, with C's tuple.count on
+    `_lane_values`.  Only a rejected S walks its translates T_d
+    (`_translates` from d = 0, in natural order), to name the first d
+    whose count is off: the one a pairwise count in lexicographic order
+    would name.
     """
     _check_lanes(n)
     v = 1 << n
@@ -614,7 +610,7 @@ def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
         lanes = _lane_values(_lane_spectrum(s, n), n)
         if sum(lanes.count(_BIAS + r) for r in roots) == v - 1 + (k in roots):
             return None
-    for d, t in enumerate(_translates(s, v)):
+    for d, t in enumerate(_translates(s, _level_masks(v))):
         common = (s & t).bit_count()
         if d and common != (lam if s >> d & 1 else mu):
             return d, common
@@ -631,12 +627,10 @@ def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
 _MAX_LEAVES = 4
 
 
-def _lane_values(a: int, n: int) -> array:
-    """The 2^n lanes of 32 bits of a, lane u at index u."""
-    lanes = array("I", a.to_bytes(4 << n, "little"))
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return lanes
+def _lane_values(a: int, n: int) -> tuple[int, ...]:
+    """The 2^n lanes of 32 bits of a, lane u at index u, read by one
+    little-endian struct.unpack whatever the machine's byte order."""
+    return struct.unpack(f"<{1 << n}I", a.to_bytes(4 << n, "little"))
 
 
 def _factors(f: BoolFunc) -> tuple[int, list[int], list[tuple[int, ...]]] | None:

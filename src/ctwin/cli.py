@@ -198,7 +198,7 @@ def _cmd_search(args):
         return {"m": args.m, "phi": list(outcome.witness.phi)}, EXIT_OK
     result = {"m": args.m, "status": outcome.status.value, "nodes": outcome.nodes}
     if outcome.status is SearchStatus.EXHAUSTED:
-        result["certificate"] = outcome.certificate
+        result["certificate"] = dict(zip(("refutation", "lifts"), outcome.certificate))
         return result, EXIT_EXHAUSTED
     return result, EXIT_INCONCLUSIVE
 

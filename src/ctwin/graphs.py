@@ -14,8 +14,9 @@ use too.
 Export has one kernel, the bit layer's walk `twins._translates`: the
 colour class is a big int whose binary text is the class's indicator,
 index 0 first, and row (or column) j of the adjacency matrix is its XOR
-translate T_j, reached from T_(j-1) by a couple of swaps of bit runs.
-graph6 cuts each column off the top of a translate, and edge lists pick
+translate T_j, reached from T_(j-1) by a couple of swaps of bit runs:
+the walk in natural order that the difference counts and the swap check
+read too.  graph6 cuts each column off the top of a translate, and edge lists pick
 each row's neighbours by the digits of its translate's binary text.
 Everything here runs on the standard library, numpy never loads, and
 the matrix oracle alone loads `ctwin.algebra`.
@@ -28,7 +29,7 @@ import itertools
 import json
 
 from .bent import BoolFunc, _check_lanes, _common, _first_off, predicted_params, sigma, tau
-from .twins import _SPREAD, _Record, _delta_kappa, _set, _translates
+from .twins import _SPREAD, _Record, _delta_kappa, _level_masks, _set, _translates
 
 RED = -1
 BLUE = 1
@@ -277,11 +278,12 @@ def _graph6_body(indicator: bytes, v: int):
     where indicator[i ^ j] is b"1", column by column, in blocks.
 
     Column j is bits 0..j-1 of row j, so for 2^p <= j < 2^(p+1) it needs
-    only the class's first w = 2^(p+1) indices, and the walk restarts at
-    each power of two on that width, from T_(2^p), the two halves
-    exchanged.  Held most significant first, column j is the top j bits
-    of its translate: shifted to end on a byte boundary, it joins a bit
-    stream whose last byte may be partial.  The bits that follow the
+    only the class's first w = 2^(p+1) indices, and the walk
+    `_translates` restarts at each power of two on that width, started
+    at 2^p: its first translate T_(2^p) is the two halves exchanged.
+    Held most significant first, column j is the top j bits of its
+    translate: shifted to end on a byte boundary, it joins a bit stream
+    whose last byte may be partial.  The bits that follow the
     column into that byte are cleared when the next column fills it, so
     the stream is graph6's bits packed most significant first, and every
     3 whole bytes are 4 base64 sextets.  A block is cut at a multiple of
@@ -294,9 +296,7 @@ def _graph6_body(indicator: bytes, v: int):
     for p in range(v.bit_length() - 1):
         h = 1 << p
         w = 2 * h
-        low = int(indicator[:w], 2)
-        first = low >> h | (low & ((1 << h) - 1)) << h
-        for j, t in zip(range(h, w), _translates(first, w)):
+        for j, t in enumerate(_translates(int(indicator[:w], 2), _level_masks(w), h), h):
             pad = -(rem + j) & 7
             shift = w - j - pad
             column = (t >> shift if shift >= 0 else t << -shift).to_bytes((rem + j + pad) >> 3, "big")
@@ -330,7 +330,7 @@ def _rows(graph: DifferenceGraph, colour: int, names):
     picked from names[a + 1:] by the digits of T_a's binary text, whose
     digit b is the colour class's bit a ^ b."""
     v = graph.v
-    for a, t in enumerate(_translates(int(_indicator(graph, colour), 2), v)):
+    for a, t in enumerate(_translates(int(_indicator(graph, colour), 2), _level_masks(v))):
         digits = f"{t:0{v}b}"[a + 1 :].encode().translate(_DIGITS)
         yield a, itertools.compress(names[a + 1 :], digits)
 

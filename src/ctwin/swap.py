@@ -15,12 +15,13 @@ GF(2), one equation per pair of cosets, and `_solve` row-reduces it; no
 search tree is walked.  The lifts of step (v) are checked as the
 XOR-linear maps they are, in O(v), so the searches share Delta_m's
 guard, m <= 8 (`twins._DELTA_MAX_M`).  Only the maps a search returns,
-which exist at m <= 3, are checked over every pair, by `_all_swaps` on
-the level masks of `twins._level_masks`: `search_swap`'s witness
-through `verify_swap`, and every map `search_all` lists in one pass
-over one big int that holds them all.  `_check_search` is the layer's
-one range check: `search_swap` and `verify_swap` call it before kappa
-is built, and `search_all` through its first call, of `search_swap`.
+which exist at m <= 3, are checked over every pair, by `_all_swaps`
+through the bit layer's one walk over XOR translates,
+`twins._translates`, in natural order: `search_swap`'s witness through
+`verify_swap`, and every map `search_all` lists in one pass over one
+big int that holds them all.  `_check_search` is the layer's one range
+check: `search_swap` and `verify_swap` call it before kappa is built,
+and `search_all` through its first call, of `search_swap`.
 Everything here is plain Python on bytes, tuples and big ints: kappa
 is `twins._delta_kappa`'s int8 bytes, and no search loads numpy.
 
@@ -146,7 +147,7 @@ from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
 
-from .twins import _DELTA_MAX_M, _Record, _delta_kappa, _level_masks, _set
+from .twins import _DELTA_MAX_M, _Record, _delta_kappa, _level_masks, _set, _translates
 
 # an int8 byte b -> -b
 _NEG = bytes(-b & 255 for b in range(256))
@@ -176,15 +177,17 @@ class SwapMap(_Record):
 
 
 class SearchOutcome(_Record):
-    """A search's verdict.  An EXHAUSTED run carries its certificate:
-    {"refutation": [(i, j), ...], "lifts": [T_images, S_images]}, each
-    lift given by its images of the 2m unit vectors e_k, in order of k."""
+    """A search's verdict.  An EXHAUSTED run carries its certificate,
+    the pair of tuples (refutation, lifts): refutation the coset pairs
+    ((i, j), ...) whose equations sum to 0 = 1, lifts (T_images,
+    S_images), each lift given by its images of the 2m unit vectors e_k,
+    in order of k.  Tuples all through, so an outcome hashes."""
 
     __slots__ = ("status", "witness", "nodes", "certificate")
 
     def __init__(
         self, status: SearchStatus, witness: SwapMap | None, nodes: int,
-        certificate: dict | None = None,
+        certificate: tuple | None = None,
     ):
         for name, value in zip(self.__slots__, (status, witness, nodes, certificate)):
             _set(self, name, value)
@@ -206,13 +209,12 @@ def _all_swaps(m, phis) -> bool:
     The pairs (a, a ^ d) are checked one difference d at a time: the v
     differences phi[a] ^ phi[a ^ d] must all have the colour -kappa[d].
     The maps are one big int with a field per vertex, map c's vertex a
-    at field c v + a, and d runs in Gray-code order, so the fields
-    XOR-translated by d come from those of the last d by one swap of
-    adjacent blocks, on the masks of `_level_masks` at the 2m levels
-    below v (d = 0 holds, as kappa[0] = 0).  A row's colours are read by
-    one translate while a vertex fits a byte (v <= 256), field by field
-    above.  O(v^2) time per map and O(v m) memory per map: no v x v
-    array is made."""
+    at field c v + a, and d runs in natural order through the walk
+    `_translates` on the 2m levels of `_level_masks` below v, which
+    translates every map's fields by d at once (d = 0 holds, as
+    kappa[0] = 0).  A row's colours are read by one translate while a
+    vertex fits a byte (v <= 256), field by field above.  O(v^2) time
+    per map and O(v m) memory per map: no v x v array is made."""
     kappa = _delta_kappa(m)
     negated = kappa.translate(_NEG)
     v = len(kappa)
@@ -228,14 +230,10 @@ def _all_swaps(m, phis) -> bool:
         def colours(row):
             return bytes(map(kappa.__getitem__, struct.unpack(fields, row)))
 
-    # level k: shift and mask that swap adjacent blocks of 2^k fields
-    levels = list(itertools.islice(_level_masks(lanes, 8 * width // lanes), 2 * m))
+    levels = itertools.islice(_level_masks(lanes, 8 * width // lanes), 2 * m)
     phi = int.from_bytes(struct.pack(fields, *itertools.chain.from_iterable(phis)), "little")
-    translated = phi  # field c v + a holds map c's phi[a ^ d]
-    for n in range(1, v):
-        shift, mask = levels[(n & -n).bit_length() - 1]
-        translated = (translated & mask) << shift | (translated >> shift) & mask
-        d = n ^ (n >> 1)
+    # field c v + a of the dth translate holds map c's phi[a ^ d]
+    for d, translated in enumerate(_translates(phi, levels)):
         if colours((phi ^ translated).to_bytes(width, "little")) != negated[d : d + 1] * lanes:
             return False
     return True
@@ -413,9 +411,9 @@ def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -
     lexicographically first swap with pi = id; it still goes through
     verify_swap.  A refuted one gives EXHAUSTED once the closed-form
     lifts of T and S pass their checks, with the certificate
-    {"refutation": [(i, j), ...], "lifts": [T_images, S_images]}, where
-    each lift is its list of images phi[1 << k], k < 2m.  Exceeding
-    node_budget yields INCONCLUSIVE with node_budget + 1 nodes.
+    (((i, j), ...), (T_images, S_images)), where each lift is the tuple
+    of its images phi[1 << k], k < 2m.  Exceeding node_budget yields
+    INCONCLUSIVE with node_budget + 1 nodes.
 
     The system has at most 32640 equations and no choice of order: order
     accepts only "mcv", and stays only because the benchmark's steps
@@ -434,7 +432,7 @@ def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -
             raise RuntimeError("search produced a map that fails verification")
     elif status is SearchStatus.EXHAUSTED:
         units = [1 << k for k in range(2 * m)]
-        certificate = {"refutation": found, "lifts": [[phi[u] for u in units] for phi in _lifts(m)]}
+        certificate = (tuple(found), tuple(tuple(phi[u] for u in units) for phi in _lifts(m)))
     return SearchOutcome(status, witness, nodes, certificate)
 
 

@@ -13,12 +13,15 @@ A table's text "tt:<n>:<hex>" has one writer, `_tt_text`, which
 
 The bit layer is `_level_masks`, the masks of the lanes of a big int
 whose index has bit k clear, each made from one byte pattern, and
-`_translates`, which walks every XOR translate T_j of a table, each
-from the last by swaps of adjacent runs at a few levels.  The
-difference counts and the factored bentness check in `bent`, the
-graph encoders in `graphs` and `swap._all_swaps` all swap by these
-masks; only the dense transforms in `bent` view a table as a numpy
-array, without a copy.
+`_translates`, the one walk over XOR translates: given the levels of
+`_level_masks` and a start d, it reaches T_d by one swap of adjacent
+runs per set bit of d, then steps through T_(d+1), T_(d+2), ... in
+natural order, each from the last by swaps at a few levels.  The
+difference counts in `bent` (`_common`, `_first_off`), the graph
+encoders in `graphs` (`_rows`, `_graph6_body`) and `swap._all_swaps`
+all read their translates from it, and `bent._lane_spectrum` runs its
+butterflies on the same masks; only the dense transforms in `bent` view
+a table as a numpy array, without a copy.
 
 Every value record of the package (`BoolFunc`, `DiffSetParams`,
 `DifferenceGraph`, `SrgParams`, `SwapMap`, `SearchOutcome`,
@@ -168,7 +171,7 @@ def _level_masks(lanes: int, bits: int = 1):
     byte pattern read by int.from_bytes, never a big-int division.  A
     mask is whole only where 2^(k+1) divides lanes, so a caller with
     lanes not a power of two, such as `swap._all_swaps` with v lanes
-    per map, reads only those levels."""
+    per map, walks only those levels."""
     size = lanes * bits
     run = bits
     while run < size:
@@ -181,21 +184,30 @@ def _level_masks(lanes: int, bits: int = 1):
         run *= 2
 
 
-def _translates(a: int, width: int):
-    """T_j(a) for j = 0, 1, ..., width - 1, for a < 2^width and width a
-    power of two: T_j(a) has bit i ^ j of a at bit i.
+def _translates(a: int, levels, start: int = 0):
+    """T_d(a) for d = start, start + 1, ..., 2^L - 1, in natural order,
+    given the L levels (run, mask) of `_level_masks` to walk: T_d(a) has
+    lane i ^ d of a at lane i.  The only code that steps through XOR
+    translates: `bent._common` reads the first item, `bent._first_off`,
+    `graphs._rows`, `graphs._graph6_body` and `swap._all_swaps` walk on.
 
-    From j - 1 to j the index moves by j ^ (j - 1) = 2^(l+1) - 1, where
-    l counts the trailing zeros of j, so T_j is T_(j-1) with adjacent
-    runs of 2^k bits exchanged at each level k = 0..l: two swaps per
-    step on average, each a few shifts and masks of the whole int.
+    T_start is a with adjacent runs exchanged at each level k where
+    start has bit k set.  From d - 1 to d the index moves by
+    d ^ (d - 1) = 2^(l+1) - 1, where l counts the trailing zeros of d,
+    so T_d is T_(d-1) with runs exchanged at each level k = 0..l: two
+    swaps per step on average, each a few shifts and masks of the whole
+    int.
 
-    Reversing the order of a's bits commutes with every T_j, so a caller
-    may hold index d at bit width - 1 - d, as int(text, 2) does.
+    Reversing the order of the 2^L lanes commutes with every T_d, so a
+    caller may hold index d at lane 2^L - 1 - d, as int(text, 2) does
+    with lanes of one bit.
     """
-    levels = list(_level_masks(width))
+    levels = list(levels)
+    for k, (run, mask) in enumerate(levels):
+        if start >> k & 1:
+            a = (a >> run) & mask | (a & mask) << run
     yield a
-    for j in range(1, width):
-        for run, mask in levels[: (j & -j).bit_length()]:
+    for d in range(start + 1, 1 << len(levels)):
+        for run, mask in levels[: (d & -d).bit_length()]:
             a = (a >> run) & mask | (a & mask) << run
         yield a

@@ -14,6 +14,9 @@ built pair by pair, and a recursive search in natural vertex order),
 and Delta_m's coset blocks read off one Walsh spike per coset.  A graph6 decoder, bit
 by bit, reads ctwin's payloads back.  Maiorana-McFarland bent functions
 and their duals are joined block by block from linear functions.
+`first_translate_only` stands in for the translate walk where a test
+asserts that an accepted set reads T_d for lambda and mu and walks no
+further.  `dense` writes a signed permutation out as its matrix.
 They are quadratic where ctwin is spectral, and the walks visit up to
 millions of nodes at m = 3 where ctwin's search reduces 28 equations, so
 tests use them at small sizes.
@@ -23,6 +26,7 @@ import random
 
 import numpy as np
 
+from ctwin import twins
 from ctwin.algebra import SymmetryClass, classify, gamma
 from ctwin.bent import BoolFunc, DiffSetParams, sigma, tau
 from ctwin.graphs import BLUE, RED, DifferenceGraph, SrgParams, build_delta
@@ -119,14 +123,6 @@ def edge_list(graph, colour):
 def unpacked(f):
     """f's whole truth table at once, as a uint8 0/1 array."""
     return np.unpackbits(np.frombuffer(f.packed, np.uint8), count=f.size, bitorder="little")
-
-
-def signs(f):
-    """(-1)^f as a whole int8 array, made in place in the unpacked table."""
-    a = unpacked(f).view(np.int8)
-    a *= -2
-    a += 1
-    return a
 
 
 def fwht(values):
@@ -286,6 +282,22 @@ def pairwise_delta(m, gamma=gamma):
             if seen.setdefault(d, colour) != colour:
                 raise RuntimeError(f"pairs with difference {d} disagree on colour")
     return DifferenceGraph(2 * m, int8_bytes([seen[d] for d in range(v)]))
+
+
+def first_translate_only(a, levels, start=0):
+    """A stand-in for `twins._translates`: hands out T_start, as lambda
+    and mu read it, and fails on any further step of the walk."""
+    yield next(twins._translates(a, levels, start))
+    raise AssertionError("an accepted set walked its translates")
+
+
+def dense(g):
+    """The signed permutation matrix g as rows of integers: column c has
+    g.signs[c] in row g.perm[c] and 0 elsewhere."""
+    rows = [[0] * g.n for _ in range(g.n)]
+    for c in range(g.n):
+        rows[g.perm[c]][c] = g.signs[c]
+    return rows
 
 
 def random_invertible(rng, n):

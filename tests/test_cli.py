@@ -651,6 +651,21 @@ def _results_with_and_without_numpy(argv):
     return results
 
 
+def test_a_closed_pipe_ends_a_command_quietly():
+    # a reader that stops early, as head -c 100 does, closes the pipe
+    # mid-payload: the command exits 0 and writes nothing to stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ctwin", "table", "--m", "14", "--function", "tau"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert head.startswith(b'{"command": "table", "params": {"m": 14')
+
+
 @pytest.mark.parametrize("fmt", ["graph6", "json-edges"])
 def test_graph_without_numpy_prints_the_same_payload(fmt):
     # graph runs on the standard library: with numpy blocked it exits 0

@@ -230,6 +230,8 @@ def _records():
     """(record, an equal one made anew, its fields, its repr) for each of
     the package's records."""
     phi = (0, 2, 1, 3)
+    # the refuting pairs and the lifts' images, in search_swap's form
+    certificate = (((0, 1), (1, 2), (0, 2)), ((1, 2, 4, 8), (4, 8, 1, 2)))
     cases = [
         (lambda: ctwin.BoolFunc(3, b"\x96"), (3, b"\x96"), "BoolFunc(n=3, packed=b'\\x96')"),
         (lambda: ctwin.DiffSetParams(16, 6, 2, 4), (16, 6, 2, 4),
@@ -245,10 +247,21 @@ def _records():
         (lambda: ctwin.SignedPerm((1, 0), (1, -1)), ((1, 0), (1, -1)),
          "SignedPerm(perm=(1, 0), signs=(1, -1))"),
     ]
-    return [
+    params = [
         pytest.param(make(), make(), fields, text, id=text.split("(")[0])
         for make, fields, text in cases
     ]
+    # an exhausted outcome, whose certificate must hash as well
+    def exhausted():
+        return ctwin.SearchOutcome(ctwin.SearchStatus.EXHAUSTED, None, 51, certificate)
+
+    params.append(pytest.param(
+        exhausted(), exhausted(), (ctwin.SearchStatus.EXHAUSTED, None, 51, certificate),
+        "SearchOutcome(status=<SearchStatus.EXHAUSTED: 'exhausted'>, witness=None, nodes=51, "
+        "certificate=(((0, 1), (1, 2), (0, 2)), ((1, 2, 4, 8), (4, 8, 1, 2))))",
+        id="SearchOutcome-exhausted",
+    ))
+    return params
 
 
 @pytest.mark.parametrize("record, twin, fields, text", _records())
@@ -297,6 +310,24 @@ def test_records_are_frozen_values(record, twin, fields, text):
     ],
 )
 def test_records_check_their_fields(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: ctwin.BoolFunc(2, b"\x06")(4), ValueError, "input 4 out of range for arity 2"),
+        (lambda: ctwin.BoolFunc(2, b"\x06") ^ ctwin.BoolFunc(3, b"\x96"), ValueError, "arity mismatch"),
+        (lambda: ctwin.BoolFunc.from_bits(0, 0), ValueError, "arity must be >= 1"),
+        (lambda: ctwin.BoolFunc.from_values(1, [0, 2]), ValueError, "entries must be 0 or 1"),
+        (lambda: ctwin.BoolFunc.from_values(2, [0, 1]), ValueError, "expected 4 entries, got 2"),
+        (lambda: ctwin.predicted_params(0), ValueError, "m must be >= 1"),
+        (lambda: ctwin.build_delta(0), ValueError, "m must be >= 1"),
+        (lambda: ctwin.oracle_build_delta(0), ValueError, "m must be >= 1"),
+    ],
+)
+def test_calls_check_their_arguments(make, error, message):
     with pytest.raises(error, match=message):
         make()
 
