@@ -15,18 +15,22 @@ with tau_1 = 1 only on the index 10.  Both are computed from bits alone;
 the matrix route exists only as an independent cross-check (see the
 oracle command and the test suite).
 
-The twin tables have one builder, `twins._twin_table`, which joins
-whole byte quadrants of packed little-endian bytes (entry i at bit i % 8
-of byte i // 8).  That packed form is the only stored form of a truth
-table: the CLI writes tables out from it, with the one `tt:` writer
-`twins._tt_text` that BoolFunc.hex() also joins, and a BoolFunc holds
-its table in it as bytes.  A Python int (`BoolFunc.bits`) is made only
-for a caller that asks for one.  BoolFunc, the twin functions, their
-tables, difference counts and the bentness of a table made of a few
-distinct blocks run on the standard library; numpy is imported by the
-spectral transforms below (`walsh_transform`, `fwht`, `dual`,
-`tokareva_compose`, and `is_bent` for any other table) on their first
-call.
+The twin tables are made by one function, `twins._twin_pieces`, whose
+pieces of packed little-endian bytes (entry i at bit i % 8 of byte
+i // 8) are at most three bytes objects, sigma_L, ~sigma_L and tau_L of
+one level, repeated by the quadrant rules; `twins._twin_table` joins
+them.  That
+packed form is the only stored form of a truth table: the CLI writes
+tables out from the pieces, with the one memo writer of `twins`, which
+encodes each distinct piece once, in hex (`twins._tt_text`, which
+BoolFunc.hex() also joins over its one piece) or in bits, and a
+BoolFunc holds its table in it as bytes.  A Python int
+(`BoolFunc.bits`) is made only for a caller that asks for one.
+BoolFunc, the twin functions, their tables, difference counts and the
+bentness of a table made of a few distinct blocks run on the standard
+library; numpy is imported by the spectral transforms below
+(`walsh_transform`, `fwht`, `dual`, `tokareva_compose`, and `is_bent`
+for any other table) on their first call.
 
 Spectra, duals and the dense bentness check run through one staged
 butterfly kernel, `_fwht(a, dtype)`: the low half of the index bits on
@@ -55,12 +59,13 @@ Difference counts |S & (S ^ d)| have one kernel of their own, shared by
 `verify_difference_set` and `graphs.verify_srg`: `_first_off` checks
 them all at once against the spectrum of S's 0/1 indicator, which
 `_lane_spectrum` computes in biased 32-bit lanes of one Python int, on
-the standard-library bit layer of `twins`: its level masks, and its
-walk `_translates` over the XOR translates of a set.  All of it is
-exact integer arithmetic, guarded to n <= 30 (`_check_lanes`).  The
-same lanes check the bentness of a table made of at most _MAX_LEAVES
-distinct blocks up to complement, as the twins are, through the block
-identity below (`_factors`, `is_bent`).
+the standard-library bit layer of `twins`: its level masks, built once
+for the last n (`_lane_levels`), and its walk `_translates` over the
+XOR translates of a set.  All of it is exact integer arithmetic,
+guarded to n <= 30 (`_check_lanes`).  The same lanes check the
+bentness of a table made of at most _MAX_LEAVES distinct blocks up to
+complement, as the twins are, through the block identity below
+(`_factors`, `is_bent`).
 
     The block identity.  Split the index of f on n = hi + lo bits as
     (a, b), a its top hi bits, and call f(a, .) block a.  Suppose every
@@ -136,6 +141,7 @@ import math
 import operator
 import re
 import struct
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .twins import _NOT, _SPREAD, _Record, _level_masks, _set, _translates, _tt_text, _twin_table
@@ -214,7 +220,7 @@ class BoolFunc(_Record):
 
     def hex(self) -> str:
         """Serialize as "tt:<arity>:<hex>", highest-index entry first."""
-        return b"".join(_tt_text((self.packed,), self.n, len(self.packed))).decode()
+        return b"".join(_tt_text((self.packed,), self.n)).decode()
 
     @classmethod
     def from_hex(cls, text: str) -> BoolFunc:
@@ -535,6 +541,16 @@ def _common(s: int, n: int, d: int) -> int:
     return (s & next(_translates(s, _level_masks(1 << n), d))).bit_count()
 
 
+@lru_cache(maxsize=1)
+def _lane_levels(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(bias, levels) of `_lane_spectrum` on 2^n lanes of 32 bits: 2^31
+    in every lane, and the n (run, mask) levels of `_level_masks`.  Kept
+    for the last n only, which serves the runs of checks at one n, such
+    as `params`'s four (2^(n + 2) bytes per mask, 4 MB in all at n = 16)."""
+    v = 1 << n
+    return int.from_bytes(b"\0\0\0\x80" * v, "little"), tuple(_level_masks(v, 32))
+
+
 def _lane_spectrum(s: int, n: int) -> int:
     """W_S(u) + 2^31 in lane u of 32 bits, little-endian, of one int, for
     the set S in Z_2^n held as the bits of s, n <= 30: W_S = H_n 1_S,
@@ -555,11 +571,11 @@ def _lane_spectrum(s: int, n: int) -> int:
     arithmetic made on the way.
     """
     v = 1 << n
+    bias, levels = _lane_levels(n)
     lanes = bytearray(b"\0\0\0\x80" * v)  # 2^31 in each lane, little-endian
-    bias = int.from_bytes(lanes, "little")
     lanes[::4] = b"".join(map(_SPREAD.__getitem__, s.to_bytes(_packed_size(n), "little")))[:v]
     a = int.from_bytes(lanes, "little")
-    for run, mask in _level_masks(v, 32):
+    for run, mask in levels:
         lo = a & mask
         hi = a >> run & mask
         level_bias = bias & mask
@@ -666,7 +682,7 @@ def _factors(f: BoolFunc) -> tuple[int, list[int], list[tuple[int, ...]]] | None
             found[block] = code
             found[block.translate(_NOT)] = code + 1
         codes.append(code)
-    bias = int.from_bytes(b"\0\0\0\x80" * (1 << lo), "little")
+    bias = _lane_levels(lo)[0]
     leaves = [
         (1 << lo) - 2 * (_lane_spectrum(int.from_bytes(g, "little"), lo) - bias)
         for g in list(found)[::2]

@@ -4,12 +4,11 @@ Each invocation prints exactly one JSON object on stdout; anything meant
 for humans goes to stderr.  Exit codes: 0 success (or witness found),
 1 error or bad usage, 2 search exhausted, 3 search inconclusive.
 
-Each command imports the layers it uses when it runs, so `search`,
-`graph`, `params`, `oracle`, `bent` (whose twins `is_bent` checks
-through their few distinct blocks) and `table` in hex run on the
-standard library alone, and numpy loads only with `table --format
-bits`.  Where numpy cannot be imported, that one prints the one error
-object and exits 1.
+Each command imports the layers it uses when it runs, and every one
+runs on the standard library alone: `search`, `graph`, `params`,
+`oracle`, `bent` (whose twins `is_bent` checks through their few
+distinct blocks) and `table` in both formats, which encodes each
+distinct piece of a twin table once.  No command loads numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import sys
 import time
 from collections.abc import Iterator
 
-from .twins import _DELTA_MAX_M, _tt_text, _twin_quadrants
+from .twins import _DELTA_MAX_M, _bit_text, _tt_text, _twin_pieces
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -36,7 +35,6 @@ _BENT_MAX_M = 12
 _PARAMS_MAX_M = 7142
 _JSON_EDGES_MAX_M = 6
 _SEARCH_ALL_DEFAULT_LIMIT = 100
-_TABLE_BLOCK = 1 << 20  # table bytes per block of `table`'s text
 
 
 class UsageError(Exception):
@@ -95,32 +93,11 @@ def _check_m(m: int, low: int, high: int):
 
 def _cmd_table(args):
     _check_m(args.m, 1, _TABLE_MAX_M)
-    quadrants = _twin_quadrants(args.m, args.function)
-    if args.format == "bits":
-        text = _bit_blocks(quadrants, 2 * args.m)
-    else:
-        text = _tt_text(quadrants, 2 * args.m, _TABLE_BLOCK)
+    pieces = _twin_pieces(args.m, args.function)
+    text = (_bit_text if args.format == "bits" else _tt_text)(pieces, 2 * args.m)
     # one JSON string in blocks, so neither the table nor its text is ever whole
     table = itertools.chain((b'"',), text, (b'"',))
     return {"function": args.function, "m": args.m, "table": table}, EXIT_OK
-
-
-def _bit_blocks(quadrants, n):
-    """The packed truth table on n bits, given as the pieces that join to
-    it, as the characters "0"/"1", entry 0 first, in blocks of at most
-    8 * _TABLE_BLOCK characters.  numpy is imported at the call, before
-    any block is written."""
-    import numpy as np
-
-    def block(piece):
-        # below n = 3 the one piece is a byte with fewer than 8 entries
-        count = min(8 * len(piece), 1 << n)
-        chars = np.unpackbits(np.frombuffer(piece, np.uint8), count=count, bitorder="little")
-        chars += ord("0")
-        return chars.data
-
-    pieces = (q[i : i + _TABLE_BLOCK] for q in quadrants for i in range(0, len(q), _TABLE_BLOCK))
-    return map(block, pieces)
 
 
 def _cmd_bent(args):
@@ -267,7 +244,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         start = time.monotonic()
         result, code = _DISPATCH[args.cmd](args)
-    except (UsageError, ValueError, OSError, RuntimeError, ImportError) as e:
+    except (UsageError, ValueError, OSError, RuntimeError) as e:
         _emit([json.dumps({"error": str(e)}).encode() + b"\n"])
         print(f"ctwin: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -2,14 +2,19 @@
 tables, Delta_m's colour table, their `tt:` text, and the XOR translates
 of a table held as one big int.
 
-sigma_m and tau_m have one builder, `_twin_quadrants`, which makes the
-four top-level byte quadrants of a packed little-endian table (entry i
-at bit i % 8 of byte i // 8) from whole quadrants of the level below;
-`_twin_table` joins them, and `table` writes them out unjoined.
-Delta_m's colour table kappa = tau_m - sigma_m has one builder,
-`_delta_kappa`, cached per m as int8 bytes (red -1 is the byte 255).
-A table's text "tt:<n>:<hex>" has one writer, `_tt_text`, which
-`BoolFunc.hex()` joins and `table` streams.
+sigma_m and tau_m are made by one function, `_twin_pieces`, which
+gives a packed little-endian table (entry i at bit i % 8 of byte
+i // 8) as a tuple of pieces: the table joined up to _PIECE_SIZE (1 MB)
+by the quadrant rules, and above that one level's sigma, ~sigma and tau
+repeated, so that tau_14's 32 MB are 64 references to three 512 KB
+bytes objects.  `_twin_table` joins the pieces, and `table` writes them
+out unjoined.  Delta_m's colour table kappa = tau_m - sigma_m is made
+by one function, `_delta_kappa`, cached per m as int8 bytes (red -1 is
+the byte 255).  A table's text has one memo writer, `_once_each`, which encodes
+each distinct piece once and yields its text at every occurrence: in
+hex as "tt:<n>:<hex>" (`_tt_text`, which `BoolFunc.hex()` joins and
+`table` streams) and as "0"/"1" characters (`_bit_text`, for `table
+--format bits`).
 
 The bit layer is `_level_masks`, the masks of the lanes of a big int
 whose index has bit k clear, each made from one byte pattern, and
@@ -39,6 +44,9 @@ from operator import attrgetter
 # the largest m at which Delta_m is built for a command: graph6 holds
 # 4^8 vertices at most, and params and the searches stop here too
 _DELTA_MAX_M = 8
+# the most bytes in one piece of `_twin_pieces`: the twins are joined
+# up to this size, and `table` writes one text block per piece
+_PIECE_SIZE = 1 << 20
 
 # sigma_2 and tau_2 packed little-endian, two bytes each; their first
 # quadrants (the low nibbles of byte 0) are sigma_1 and tau_1
@@ -95,52 +103,88 @@ def _twin_table(m: int, function: str) -> bytes:
     """Truth table of sigma_m or tau_m ("sigma" or "tau") packed
     little-endian: entry i is bit i % 8 of byte i // 8.  At m = 1 it is
     one byte whose high nibble is 0."""
-    return b"".join(_twin_quadrants(m, function))
+    return b"".join(_twin_pieces(m, function))
 
 
-def _twin_quadrants(m: int, function: str) -> tuple[bytes, ...]:
-    """`_twin_table(m, function)` as the pieces it joins: its four
-    quadrants, lowest entries first, or for m <= 2 the one piece.
+def _twin_pieces(m: int, function: str) -> tuple[bytes, ...]:
+    """`_twin_table(m, function)` as the pieces it joins, lowest entries
+    first: one piece up to _PIECE_SIZE bytes, and above that 4^(m - L)
+    pieces of sigma_L, ~sigma_L and tau_L, for the last level L whose
+    table fits in _PIECE_SIZE bytes.  The pieces are at most three bytes
+    objects, each repeated (two for sigma, which has no tau_L).
 
-    Built from the m = 2 pair by the quadrant rules on whole bytes,
+    Built from the m = 2 pair by the quadrant rules,
 
         sigma_{l+1} = (sigma_l, ~sigma_l, sigma_l, sigma_l)
         tau_{l+1}   = (tau_l, sigma_l, ~sigma_l, tau_l),
 
-    keeping only the previous level's pair, joining each level below the
-    top, and making at the top level only the function asked for.
+    on whole bytes, joined while the joined table fits the piece size
+    (a level-2 table is 2 bytes whatever that size), and from there on
+    tuples of pieces, so that no level above L copies a byte.  There
+    ~sigma_{l+1} = (~sigma_l, sigma_l, ~sigma_l, ~sigma_l), and ~tau
+    never occurs.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if function not in _TWINS_M2:
         raise ValueError(f"unknown twin function {function!r}")
-    tables = {name: bytes(pair) for name, pair in _TWINS_M2.items()}
     if m == 1:
-        return (bytes([tables[function][0] & 15]),)
-    for level in range(3, m + 1):
-        s, t = tables["sigma"], tables["tau"]
+        return (bytes([_TWINS_M2[function][0] & 15]),)
+    s, t = bytes(_TWINS_M2["sigma"]), bytes(_TWINS_M2["tau"])
+    level = 2
+    while level < m and 4 * len(s) <= _PIECE_SIZE:
         flipped = s.translate(_NOT)
-        quadrants = {"sigma": (s, flipped, s, s), "tau": (t, s, flipped, t)}
-        if level == m:
-            return quadrants[function]
-        tables = {name: b"".join(pieces) for name, pieces in quadrants.items()}
-    return (tables[function],)
+        s, t = s + flipped + s + s, t + s + flipped + t
+        level += 1
+    s, flipped, t = (s,), (s.translate(_NOT),), (t,)
+    for _ in range(level, m):
+        s, flipped, t = s + flipped + s + s, flipped + s + flipped + flipped, t + s + flipped + t
+    return t if function == "tau" else s
 
 
-def _tt_text(pieces, n: int, block: int):
+def _once_each(pieces, encode):
+    """encode(piece) for each of the pieces in turn, each distinct piece
+    encoded once and its text yielded again wherever it recurs.  A bytes
+    object caches its hash, so a piece that recurs as the same object is
+    hashed once and found again by identity."""
+    texts = {}
+    for piece in pieces:
+        text = texts.get(piece)
+        if text is None:
+            text = texts[piece] = encode(piece)
+        yield text
+
+
+def _hex_digits(piece: bytes) -> bytes:
+    """The hex digits of a packed piece, highest entry first."""
+    return binascii.hexlify(piece[::-1])
+
+
+def _bit_digits(piece: bytes) -> bytes:
+    """The entries of a packed piece as "0"/"1", entry 0 first."""
+    return format(int.from_bytes(piece, "little"), f"0{8 * len(piece)}b")[::-1].encode()
+
+
+def _tt_text(pieces, n: int):
     """The text "tt:<n>:<hex>" of a packed truth table on n bits, given
     as a sequence of pieces that join to it, in ASCII byte blocks: the
-    head, then the hex digits, highest entry first.  The pieces go last
-    first, each hexlified `block` bytes at a time from its end, so the
-    text is never whole.  Below n = 3 the one piece is one byte, and it
-    gives one digit."""
+    head, then the hex digits of each piece, highest entry first, so the
+    pieces go last first and the text is never whole.  Below n = 3 the
+    one piece is one byte, and it gives one digit."""
     yield b"tt:%d:" % n
     if n < 3:
         yield b"%x" % pieces[0][0]
         return
-    for piece in reversed(pieces):
-        for end in range(len(piece), 0, -block):
-            yield binascii.hexlify(piece[max(0, end - block) : end][::-1])
+    yield from _once_each(reversed(pieces), _hex_digits)
+
+
+def _bit_text(pieces, n: int):
+    """The entries of a packed truth table on n bits, given as the pieces
+    that join to it, as the characters "0"/"1", entry 0 first, in one
+    ASCII block per piece.  Below n = 3 the one byte's 8 characters are
+    cut to the table's 2^n."""
+    for text in _once_each(pieces, _bit_digits):
+        yield text[: 1 << n]
 
 
 @lru_cache(maxsize=None)

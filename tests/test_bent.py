@@ -115,14 +115,47 @@ def test_twin_table_matches_point_rules():
             assert not values[v:].any()
 
 
-def test_twin_quadrants_join_to_the_table():
-    # four equal quadrants from m = 3 on, the whole table as one piece below
-    for m in range(1, 11):
-        for name in ("sigma", "tau"):
-            pieces = twins._twin_quadrants(m, name)
-            assert b"".join(pieces) == twins._twin_table(m, name), (m, name)
-            assert len(pieces) == (4 if m >= 3 else 1)
-            assert len({len(piece) for piece in pieces}) == 1
+def test_twin_quadrants_join_to_the_table(monkeypatch):
+    # the pieces are quadrants of quadrants: at a piece size of 1 or 3
+    # bytes every table above m = 2 is the level-2 pair and ~sigma_2
+    # repeated, and at the default it is one piece up to m = 11
+    for size in (1, 3, twins._PIECE_SIZE):
+        monkeypatch.setattr(twins, "_PIECE_SIZE", size)
+        for m in range(1, 11):
+            width = max(1, (1 << (2 * m)) // 8)
+            for name, bits in zip(("sigma", "tau"), oracles.twin_bits(m)):
+                pieces = twins._twin_pieces(m, name)
+                assert b"".join(pieces) == bits.to_bytes(width, "little"), (size, m, name)
+                assert len({len(piece) for piece in pieces}) == 1
+                # the whole table, or the largest level that fits the size
+                piece = len(pieces[0])
+                assert piece == width or piece <= max(2, size) < 4 * piece, (size, m, name)
+
+
+@pytest.mark.parametrize("m", [11, 12, 13, 14])
+def test_twin_pieces_match_the_closed_forms(m):
+    # read entry i off the unjoined pieces, all of one length, at 200
+    # sampled indices
+    for name, rule in (("sigma", sigma), ("tau", tau)):
+        pieces = twins._twin_pieces(m, name)
+        width = len(pieces[0])
+        assert {len(piece) for piece in pieces} == {width}
+        assert width * len(pieces) == 1 << (2 * m - 3)
+        for i in random.Random(m).sample(range(1 << (2 * m)), 200):
+            byte = i >> 3
+            entry = pieces[byte // width][byte % width] >> (i & 7) & 1
+            assert entry == rule(m, i), (name, i)
+
+
+def test_twin_pieces_are_few_objects_within_the_piece_size():
+    # sigma's pieces are sigma_L and ~sigma_L, tau's tau_L, sigma_L and
+    # ~sigma_L: at most 2 and 3 distinct bytes objects, none over 1 MB
+    for m in range(1, 15):
+        for name, most in (("sigma", 2), ("tau", 3)):
+            pieces = twins._twin_pieces(m, name)
+            assert len({id(piece) for piece in pieces}) <= most, (m, name)
+            assert max(map(len, pieces)) <= twins._PIECE_SIZE == 1 << 20, (m, name)
+            assert len(pieces) == 4 ** max(0, m - 11), (m, name)
 
 
 def test_twin_table_rejects_bad_arguments():
@@ -867,10 +900,13 @@ def test_hex_roundtrip():
             f = BoolFunc.from_bits(n, bits)
             assert f.hex() == f"tt:{n}:{bits:0{(size + 3) // 4}x}", (n, bits)
             assert BoolFunc.from_hex(f.hex()) == f, (n, bits)
-        # the one writer behind hex(), its table cut into blocks of every
-        # size from one byte to the whole table
+        # the writers behind hex() and `table --format bits`, the table
+        # cut into pieces of every size from one byte to the whole table
+        text = format(f.bits, f"0{size}b")[::-1]
         for block in range(1, len(f.packed) + 1):
-            assert b"".join(twins._tt_text((f.packed,), n, block)).decode() == f.hex(), (n, block)
+            pieces = [f.packed[i : i + block] for i in range(0, len(f.packed), block)]
+            assert b"".join(twins._tt_text(pieces, n)).decode() == f.hex(), (n, block)
+            assert b"".join(twins._bit_text(pieces, n)).decode() == text, (n, block)
 
 
 def test_hex_rejects_malformed():
