@@ -61,11 +61,15 @@ them all at once against the spectrum of S's 0/1 indicator, which
 `_lane_spectrum` computes in biased 32-bit lanes of one Python int, on
 the standard-library bit layer of `twins`: its level masks, built once
 for the last n (`_lane_levels`), and its walk `_translates` over the
-XOR translates of a set.  All of it is exact integer arithmetic,
-guarded to n <= 30 (`_check_lanes`).  The same lanes check the
-bentness of a table made of at most _MAX_LEAVES distinct blocks up to
-complement, as the twins are, through the block identity below
-(`_factors`, `is_bent`).
+XOR translates of a set.  The same lanes check the bentness of a table
+made of at most _MAX_LEAVES distinct blocks up to complement, as the
+twins are, through the block identity below (`_factors`, `is_bent`).
+Both checks ask one spectral question, whether every nonzero spectrum
+entry takes one of two values (+-2^k for bentness, the two roots of
+`_first_off`'s quadratic for the counts), and one lane test answers
+it for both, `_two_valued`: a subtraction, an XOR and an AND per int,
+on masks built once per call, with no lane unpacked.  All of it is
+exact integer arithmetic, guarded to n <= 30 (`_check_lanes`).
 
     The block identity.  Split the index of f on n = hi + lo bits as
     (a, b), a its top hi bits, and call f(a, .) block a.  Suppose every
@@ -137,6 +141,7 @@ both at m <= 8.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -410,11 +415,10 @@ def is_bent(f: BoolFunc) -> bool:
     integer.  For n = 2k <= 30 and a table of at most _MAX_LEAVES
     distinct blocks up to complement, as every sigma_m and tau_m is, the
     factors of `_factors` decide it on the standard library, each
-    distinct row once.  Shifted by r = 2^k, the row's lanes hold
-    W_f(u_a, u_b) + r + 2^31 in [0, 2^32), as |W_f| <= 2^n < 2^31 - r.
-    Flipping bit 31 of a lane leaves W_f + r where that is >= 0, and
-    otherwise 2^32 + W_f + r, which has bit 31 set.  So the lane is 0 or
-    2r, and has no other bit set, iff W_f = +-r.
+    distinct row once: its lanes hold W_f(u_a, u_b) + 2^31, and f is
+    bent iff every lane of every row holds W_f = -2^k or 2^k, which
+    `_two_valued` decides with low = -2^k and gap = 2^(k+1) (its
+    docstring proves the bit argument and the lane bound).
 
     Any other table, such as a twin relabelled by an invertible map,
     goes through the dense route below, which loads numpy.  Both routes
@@ -442,12 +446,8 @@ def is_bent(f: BoolFunc) -> bool:
     factors = _factors(f) if f.n <= _LANE_MAX_N else None
     if factors is not None:
         bias, leaves, rows = factors
-        r = 1 << (f.n // 2)
-        ones = bias >> 31  # 1 in every lane
-        shift, others = ones * (_BIAS + r), ones * (0xFFFFFFFF ^ 2 * r)
-        return not any(
-            ((sum(map(operator.mul, row, leaves)) + shift) ^ bias) & others for row in set(rows)
-        )
+        spectra = (sum(map(operator.mul, row, leaves), bias) for row in set(rows))
+        return _two_valued(spectra, bias, -1 << (f.n // 2), 2 << (f.n // 2))
     import numpy as np
 
     w = _shifted_residues(f)
@@ -523,7 +523,6 @@ class DiffSetParams(_Record):
 
 # a spectrum lane holds W + 2^31, which stays in [0, 2^32) while
 # |W| <= 2^n < 2^31
-_BIAS = 1 << 31
 _LANE_MAX_N = 30
 
 
@@ -537,8 +536,9 @@ def _check_lanes(n: int):
 def _common(s: int, n: int, d: int) -> int:
     """|S & (S ^ d)| for the set S in Z_2^n held as the bits of s: the
     popcount of s and T_d, the first item of the walk `_translates`
-    started at d."""
-    return (s & next(_translates(s, _level_masks(1 << n), d))).bit_count()
+    started at d, which needs only the d.bit_length() lowest levels."""
+    levels = itertools.islice(_level_masks(1 << n), d.bit_length())
+    return (s & next(_translates(s, levels, d))).bit_count()
 
 
 @lru_cache(maxsize=1)
@@ -583,6 +583,37 @@ def _lane_spectrum(s: int, n: int) -> int:
     return a
 
 
+def _two_valued(spectra, bias: int, low: int, gap: int) -> bool:
+    """True iff every 32-bit lane of every int in `spectra`, read as
+    W + 2^31, holds W = low or W = low + gap: the one lane test, for
+    `is_bent`'s factored rows and `_first_off`'s spectrum.  `bias` holds
+    2^31 in each lane of the ints, gap is 0 or a power of two at most
+    2^31, and every lane keeps the lane bound |W - low| < 2^31.
+
+    Proof.  With ones = bias >> 31, 1 in each lane, lane u of
+    a - ones * low is W(u) - low + 2^31, in (0, 2^32) by the lane bound,
+    so no lane borrows from the next: the subtraction is exact lane by
+    lane.  Flipping bit 31 (XOR bias) leaves W - low in [0, 2^31) where
+    W >= low, and otherwise 2^32 + W - low in (2^31, 2^32), which has
+    bit 31 and a lower bit set.  The mask `others` clears the one bit of
+    gap (no bit when gap = 0), so the AND is 0 exactly where the lane is
+    0 or gap: a lane of the second kind keeps a bit whichever one bit is
+    cleared.  Shift and mask are made once per call, and each int costs
+    one subtraction, one XOR and one AND.
+
+    The lane bound holds for both callers up to n = 30.  In `is_bent`,
+    |W_f| <= 2^n <= 2^30, low = -2^(n/2) >= -2^15 and the gap is
+    2^(n/2 + 1).  In `_first_off`, on a set S of k elements with both
+    roots in [-k, k], lane 0 holds low itself, and at u != 0 |W_S(u)| <=
+    min(k, v - k), since W_S(u) = -W_(~S)(u) there (H_n 1 = v delta_0):
+    so |W - low| <= k + min(k, v - k) <= v = 2^n <= 2^30, and the gap is
+    at most 2k <= 2^31.
+    """
+    ones = bias >> 31  # 1 in each lane
+    shift, others = ones * low, ones * (0xFFFFFFFF ^ gap)
+    return not any(((a - shift) ^ bias) & others for a in spectra)
+
+
 def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
     """The first difference d != 0 whose count c(d) = |S & (S ^ d)| is
     not lam where d is in S and mu where it is not, as (d, c(d)), or
@@ -608,25 +639,28 @@ def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
     At u = 0, where W_S(0) = k, the identity is arithmetic on k, lam,
     mu and v.  At u != 0 it says that W_S(u) is a root of x^2 -
     (lam - mu) x - (k - mu); unless both roots are integers no integer
-    passes, and v >= 2 gives some u != 0.  So the check counts the lanes
-    of `_lane_spectrum` that hold a root, with C's tuple.count on
-    `_lane_values`.  Only a rejected S walks its translates T_d
-    (`_translates` from d = 0, in natural order), to name the first d
-    whose count is off: the one a pairwise count in lexicographic order
-    would name.
+    passes, and v >= 2 gives some u != 0.  The roots are low and
+    low + root, root = sqrt(disc) apart.  When both lie in [-k, k] and
+    root is 0 or a power of two, one add of low - k sets lane 0 of
+    `_lane_spectrum`, k + 2^31, to low + 2^31 (no borrow, as low >= -k),
+    and `_two_valued` checks that every lane holds one of the two roots.
+    Otherwise, and for every S that test rejects, the walk over the
+    translates T_d (`_translates` from d = 0, in natural order) decides,
+    and names the first d whose count is off: the one a pairwise count
+    in lexicographic order would name.
     """
     _check_lanes(n)
-    v = 1 << n
     k = s.bit_count()
     b = lam - mu
     disc = b * b + 4 * (k - mu)
     root = math.isqrt(max(disc, 0))
-    if root * root == disc and k * (k - b - 1) + mu == mu * v:
-        roots = {(b + root) // 2, (b - root) // 2}  # b and root have one parity
-        lanes = _lane_values(_lane_spectrum(s, n), n)
-        if sum(lanes.count(_BIAS + r) for r in roots) == v - 1 + (k in roots):
+    low = (b - root) // 2  # b and root have one parity
+    # the lane bound and a gap of at most one bit, as `_two_valued` asks
+    fits = -k <= low and low + root <= k and root & (root - 1) == 0
+    if root * root == disc and k * (k - b - 1) + mu == mu << n and fits:
+        if _two_valued((_lane_spectrum(s, n) + low - k,), _lane_levels(n)[0], low, root):
             return None
-    for d, t in enumerate(_translates(s, _level_masks(v))):
+    for d, t in enumerate(_translates(s, _level_masks(1 << n))):
         common = (s & t).bit_count()
         if d and common != (lam if s >> d & 1 else mu):
             return d, common
@@ -645,7 +679,9 @@ _MAX_LEAVES = 4
 
 def _lane_values(a: int, n: int) -> tuple[int, ...]:
     """The 2^n lanes of 32 bits of a, lane u at index u, read by one
-    little-endian struct.unpack whatever the machine's byte order."""
+    little-endian struct.unpack whatever the machine's byte order: the
+    spectra of the block codes in `_factors`, whose lanes become its
+    rows."""
     return struct.unpack(f"<{1 << n}I", a.to_bytes(4 << n, "little"))
 
 

@@ -9,7 +9,9 @@ for a caller that asks for one (`DifferenceGraph.kappa`).
 Common-neighbour counts depend only on the difference of the two
 vertices, so strong regularity is read off the colour class's
 difference counts, by the kernel `bent._first_off` that difference sets
-use too.
+use too: its lane test `bent._two_valued`, shared with `is_bent`, checks
+that the class's spectrum takes only the two eigenvalues that lambda and
+mu allow off u = 0.
 
 Export has one kernel, the bit layer's walk `twins._translates`: the
 colour class is a big int whose binary text is the class's indicator,

@@ -24,7 +24,7 @@ from ctwin.bent import (
     verify_difference_set,
     walsh_transform,
 )
-from ctwin.graphs import RED, build_delta, verify_srg
+from ctwin.graphs import BLUE, RED, DifferenceGraph, build_delta, predicted_srg_params, verify_srg
 
 import oracles
 
@@ -382,7 +382,7 @@ def test_fwht_ring_edge(monkeypatch):
 def _lanes(a, n):
     """The entries W(u) of `bent._lane_spectrum`'s int, lane u unbiased."""
     lanes = np.frombuffer(a.to_bytes(4 << n, "little"), "<u4").astype(np.int64)
-    return (lanes - bent._BIAS).tolist()
+    return (lanes - (1 << 31)).tolist()
 
 
 @pytest.mark.parametrize("n", [15, 16, 17])
@@ -392,7 +392,7 @@ def test_autocorrelation_of_the_whole_group(n):
     v = 1 << n
     s = (1 << v) - 1
     a = bent._lane_spectrum(s, n)
-    assert a & 0xFFFFFFFF == bent._BIAS + v
+    assert a & 0xFFFFFFFF == (1 << 31) + v
     assert a >> 32 == int.from_bytes(b"\0\0\0\x80" * (v - 1), "little"), n
     assert bent._common(s, n, 1) == bent._common(s, n, v - 1) == v
     assert bent._first_off(s, n, v, v) is None
@@ -455,15 +455,58 @@ def test_translates_match_the_index_oracle():
 
 
 def test_twins_and_relabelled_delta_pass_without_a_walk(monkeypatch):
-    # the spectral check alone accepts every set whose counts are as
-    # asked; the translates are walked only to name a rejection
+    # the one lane test accepts every difference set and strongly regular
+    # class of the twins, relabelled or not, on the spectrum's int: no
+    # lane is unpacked, and the translates are walked only to name a
+    # rejection
+    def unpack(*_):
+        raise AssertionError("a lane spectrum was unpacked")
+
     monkeypatch.setattr(bent, "_translates", oracles.first_translate_only)
+    monkeypatch.setattr(bent, "_lane_values", unpack)
     rng = random.Random(67)
     for m in range(1, 9):
         for f in (sigma_function(m), tau_function(m)):
             assert verify_difference_set(f) == predicted_params(m)
             g = BoolFunc.from_values(2 * m, oracles.relabel(f.table(), oracles.random_invertible(rng, 2 * m)))
             assert verify_difference_set(g) == predicted_params(m)
+        kappa = oracles.relabel(build_delta(m).kappa, oracles.random_invertible(rng, 2 * m))
+        for g in (build_delta(m), DifferenceGraph(2 * m, oracles.int8_bytes(kappa))):
+            assert verify_srg(g, RED) == verify_srg(g, BLUE) == predicted_srg_params(m)
+
+
+def _two_valued_by_lanes(a, lanes, low, gap):
+    """`bent._two_valued` on one int, read lane by lane."""
+    return all((a >> (32 * u) & 0xFFFFFFFF) - (1 << 31) in (low, low + gap) for u in range(lanes))
+
+
+def test_two_valued_matches_a_lane_by_lane_oracle():
+    # lanes at the two values, next to them, and anywhere in the window
+    # of the lane bound |W - low| < 2^31, whose ends are the lanes 0 (for
+    # low < 0) and 2^32 - 1 (for low >= 0); gap 0 and powers of two up to
+    # 2^31, for 1 to 32 lanes, one int at a time and all at once
+    rng = random.Random(79)
+    for lanes in (1, 2, 8, 32):
+        bias = int.from_bytes(b"\0\0\0\x80" * lanes, "little")
+        for low in (-(1 << 31) + 1, -(1 << 30) - 3, -5, -1, 0, 7, 1 << 30):
+            first, last = max(-(1 << 31), low - (1 << 31) + 1), min((1 << 31) - 1, low + (1 << 31) - 1)
+            for gap in (0, 1, 2, 1 << 16, 1 << 30, 1 << 31):
+                values = [w for w in (low, low + gap) if w <= last]
+                near = [low - 1, low + 1, low + gap - 1, low + gap + 1, low - gap, low + 2 * gap]
+                odd = [w for w in near if first <= w <= last and w not in values]
+                odd += [first, last, rng.randint(first, last)]
+                ints = []
+                for w in [None] + odd:
+                    entries = [rng.choice(values) for _ in range(lanes)]
+                    if w is not None:
+                        entries[rng.randrange(lanes)] = w
+                    ints.append(sum((e + (1 << 31)) << (32 * u) for u, e in enumerate(entries)))
+                oracle = [_two_valued_by_lanes(a, lanes, low, gap) for a in ints]
+                assert oracle[0] and not all(oracle)
+                for a, want in zip(ints, oracle):
+                    assert bent._two_valued([a], bias, low, gap) is want, (lanes, low, gap, a)
+                assert bent._two_valued(iter(ints), bias, low, gap) is False
+                assert bent._two_valued(ints[:1] * 3, bias, low, gap) is True
 
 
 def test_difference_counts_are_guarded_to_32_bit_lanes():

@@ -63,6 +63,11 @@ def colour_graphs(rng, n):
         DifferenceGraph(n, bytes([0] + [1] * (v - 1))),
         cayley_graph(BoolFunc.from_bits(n, 0b110 | 1 << (v - 1))),  # mu in {0, 2} at n = 3
     ]
+    if n == 4:
+        # {1, 2, 3, 8, 9}: k = 5, lambda = 4 and mu = 0 pass the check at
+        # u = 0, but the roots 5 and -1 are 6 apart, not a power of two,
+        # so the lane test is skipped and the walk names the rejection
+        graphs.append(cayley_graph(BoolFunc.from_bits(n, 0b1100001110)))
     if n % 2 == 0:
         kappa = oracles.relabel(build_delta(n // 2).kappa, oracles.random_invertible(rng, n))
         g = DifferenceGraph(n, oracles.int8_bytes(kappa))
