@@ -12,9 +12,8 @@ tables, Delta_m, graph export, difference sets (`verify_difference_set`),
 strong regularity (`verify_srg`), the matrix oracle and the bentness of
 a table made of a few distinct blocks, as the twins are (`is_bent`),
 run on the standard library alone; the oracle alone loads `algebra`.
-numpy loads with the first call that runs a dense spectral transform
-(`walsh_transform`, `fwht`, `dual`, `tokareva_compose`, and `is_bent`
-on any other table).
+numpy loads with the first `is_bent` call on any other table, which
+runs the dense transform.
 """
 
 import importlib
@@ -25,9 +24,8 @@ _EXPORTS = {
         "classify", "gamma",
     ),
     "bent": (
-        "BoolFunc", "DiffSetParams", "dual", "fwht", "is_bent", "predicted_params",
-        "sigma", "sigma_function", "tau", "tau_function", "tokareva_compose",
-        "verify_difference_set", "walsh_transform",
+        "BoolFunc", "DiffSetParams", "is_bent", "predicted_params", "sigma",
+        "sigma_function", "tau", "tau_function", "verify_difference_set",
     ),
     "graphs": (
         "BLUE", "RED", "DifferenceGraph", "SrgParams", "build_delta", "cayley_graph",

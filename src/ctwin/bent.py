@@ -1,5 +1,5 @@
-"""Truth-table Boolean functions, the Walsh-Hadamard transform, the twin
-functions sigma_m / tau_m on 2m bits, and difference counts.
+"""Truth-table Boolean functions, the twin functions sigma_m / tau_m on
+2m bits, their bentness, and difference counts.
 
 sigma_m(i) is the parity of the number of base-4 digits of i equal to 1;
 it marks exactly the indices whose basis matrix is skew.  tau_m marks the
@@ -28,32 +28,29 @@ BoolFunc holds its table in it as bytes.  A Python int
 (`BoolFunc.bits`) is made only for a caller that asks for one.
 BoolFunc, the twin functions, their tables, difference counts and the
 bentness of a table made of a few distinct blocks run on the standard
-library; numpy is imported by the spectral transforms below
-(`walsh_transform`, `fwht`, `dual`, `tokareva_compose`, and `is_bent`
-for any other table) on their first call.
+library; numpy is imported only by the dense bentness check below, for
+any other table, on its first call.
 
-Spectra, duals and the dense bentness check run through one staged
-butterfly kernel, `_fwht(a, dtype)`: the low half of the index bits on
-a transposed copy, the high half on the transpose back, both in one
-wrapping unsigned type.  It returns H_n a modulo 2^w.  The reduction
-Z -> Z/2^w keeps sums, differences and doublings, which is all a
-butterfly does, so a caller whose true result lies in a window of 2^w
-integers reads that result exactly, whatever the intermediate sums
-were.  Each caller states the bits its result needs, and `_ring(bits)`
-gives the narrowest of uint16, uint32 and uint64 with as many:
+The dense bentness check runs through one staged butterfly kernel,
+`_fwht(a, dtype)`: the low half of the index bits on a transposed copy,
+the high half on the transpose back, both in one wrapping unsigned
+type.  It returns H_n a modulo 2^w.  The reduction Z -> Z/2^w keeps
+sums, differences and doublings, which is all a butterfly does, so a
+caller whose true result lies in a window of 2^w integers reads that
+result exactly, whatever the intermediate sums were.  The caller states
+the bits its result needs, and `_ring(bits)` gives the narrowest of
+uint16, uint32 and uint64 with as many:
 
-    a spectrum of (-1)^f      in [-2^n, 2^n]       n + 2 bits, read signed
     bentness on n = 2k bits   +-2^k apart, not 0   k + 2 bits (`is_bent`)
 
-Bentness and duals need no spectrum: by Parseval's identity the
-residues modulo 2^16 decide them up to n = 28.  `_signs` unpacks the
-packed table whole into the int8 array (-1)^f, and both stages of the
-kernel copy it slab by slab into a new array of the ring's type.  This
-dense route serves the tables that `_factors` gives up on, such as the
-benchmark's relabelled tau_10 (1024 distinct blocks), and every call of
-`walsh_transform`, `fwht`, `dual` and `tokareva_compose`.  A dense
-`is_bent` took about 0.012 s at n = 20 and 0.17-0.20 s at n = 24, in a
-process that peaked at 33 MB and 112 MB with numpy loaded (2 vCPU).
+Bentness needs no spectrum: by Parseval's identity the residues modulo
+2^16 decide it up to n = 28.  `_signs` unpacks the packed table whole
+into the int8 array (-1)^f, and both stages of the kernel copy it slab
+by slab into a new array of the ring's type.  This dense route serves
+the tables that `_factors` gives up on, such as the benchmark's
+relabelled tau_10 (1024 distinct blocks).  A dense `is_bent` took about
+0.012 s at n = 20 and 0.17-0.20 s at n = 24, in a process that peaked
+at 33 MB and 112 MB with numpy loaded (2 vCPU).
 
 Difference counts |S & (S ^ d)| have one kernel of their own, shared by
 `verify_difference_set` and `graphs.verify_srg`: `_first_off` checks
@@ -100,7 +97,7 @@ proof is an induction on the quadrant rules; the checks at m <= 12
 base.
 
     The 4-concatenation lemma (Tokareva, "On the number of bent
-    functions from iterative constructions", 2011; `tokareva_compose`).
+    functions from iterative constructions", 2011).
     Let f = (f_0, f_1, f_2, f_3) on 2l + 2 bits, quadrant q (the top
     base-4 digit) holding f_q, each f_q bent on 2l bits.  For the top
     digit b of u = (b, w),
@@ -236,7 +233,9 @@ class BoolFunc(_Record):
         if n < 1:
             raise ValueError("arity must be >= 1")
         digits = m.group(2)
-        if len(digits) != ((1 << n) + 3) // 4:
+        # 2^(n - 2) digits from n = 2 on and one at n = 1: the length's
+        # bit count rejects a large n before 1 << n is made
+        if len(digits).bit_length() != max(1, n - 1) or len(digits) != ((1 << n) + 3) // 4:
             raise ValueError("hex payload length does not match the arity")
         # one digit below n = 3, read as a byte
         return cls(n, bytes.fromhex(digits.zfill(2))[::-1])
@@ -336,10 +335,8 @@ def _fwht(a: np.ndarray, dtype) -> np.ndarray:
     2^hi entries.  Both stages make their copy slab by slab, so the
     caller's array is never written, and it is dropped once the first
     copy is made: a caller that passes a temporary gets its memory back
-    at once.  The callers are the dense route: `_spectrum` and
-    `_shifted_residues` on `_signs(f)`, for `walsh_transform`, `dual`,
-    `tokareva_compose` and `is_bent` on a table that `_factors` gives up
-    on, and `fwht` on its caller's integers.
+    at once.  The one caller is `is_bent`'s dense route, on `_signs(f)`
+    of a table that `_factors` gives up on.
     """
     import numpy as np
 
@@ -364,50 +361,6 @@ def _fwht(a: np.ndarray, dtype) -> np.ndarray:
     return x.reshape(-1)
 
 
-def _spectrum(f: BoolFunc) -> np.ndarray:
-    """W_f = H_n (-1)^f as signed integers: |W_f| <= 2^n, so n + 2 bits
-    hold it (int16 up to n = 14, int32 up to n = 30)."""
-    w = _fwht(_signs(f), _ring(f.n + 2))
-    return w.view(f"i{w.itemsize}")
-
-
-def _shifted_residues(f: BoolFunc) -> np.ndarray:
-    """W_f + 2^k modulo M = 2^16 (2^32 when k > 14) for n = 2k, so that
-    an entry W_f = 2^k reads 2^(k+1) and an entry W_f = -2^k reads 0.
-    The ring needs k + 2 bits, so that +-2^k are distinct nonzero
-    residues (see `is_bent`)."""
-    w = _fwht(_signs(f), _ring(f.n // 2 + 2))
-    w += 1 << (f.n // 2)
-    return w
-
-
-def fwht(values) -> list[int]:
-    """Transform by the Sylvester matrix H_n, as exact integers.
-
-    Any sequence of integers is taken (numpy integers too: each entry
-    goes through operator.index, so a float raises TypeError).  Length
-    must be a power of two, and max|x| * length must stay below 2^62, so
-    that the result, read signed, fits int64.
-    """
-    vec = list(map(operator.index, values))
-    n = len(vec)
-    if n == 0 or n & (n - 1):
-        raise ValueError("length must be a positive power of two")
-    bound = max(map(abs, vec)) * n
-    if bound >= 1 << 62:
-        raise ValueError("values too large for exact int64 arithmetic")
-    import numpy as np
-
-    # every result entry lies in [-bound, bound], which a signed view holds
-    w = _fwht(np.array(vec, dtype=np.int64), _ring(bound.bit_length() + 1))
-    return w.view(f"i{w.itemsize}").tolist()
-
-
-def walsh_transform(f: BoolFunc) -> list[int]:
-    """Spectrum H_n * (-1)^f as exact integers."""
-    return _spectrum(f).tolist()
-
-
 def is_bent(f: BoolFunc) -> bool:
     """True iff every spectrum entry has magnitude 2^(n/2).
 
@@ -427,8 +380,8 @@ def is_bent(f: BoolFunc) -> bool:
     than the dense transform, whose cost is the same for every table.
 
     The dense route.  For n = 2k the residues of the spectrum modulo the
-    M = 2^w of `_shifted_residues` (2^16 up to k = 14), where 2^(k+1) <
-    M, decide it exactly:
+    M = 2^w of `_ring(k + 2)` (2^16 up to k = 14), where 2^(k+1) < M,
+    decide it exactly:
 
     Lemma.  f is bent iff W_f(u) = +-2^k (mod M) for every u.
 
@@ -443,63 +396,18 @@ def is_bent(f: BoolFunc) -> bool:
     """
     if f.n & 1:
         return False
+    k = f.n // 2
     factors = _factors(f) if f.n <= _LANE_MAX_N else None
     if factors is not None:
         bias, leaves, rows = factors
         spectra = (sum(map(operator.mul, row, leaves), bias) for row in set(rows))
-        return _two_valued(spectra, bias, -1 << (f.n // 2), 2 << (f.n // 2))
+        return _two_valued(spectra, bias, -1 << k, 2 << k)
     import numpy as np
 
-    w = _shifted_residues(f)
-    w &= np.iinfo(w.dtype).max ^ (2 << (f.n // 2))
+    w = _fwht(_signs(f), _ring(k + 2))
+    w += 1 << k
+    w &= np.iinfo(w.dtype).max ^ (2 << k)
     return not w.any()
-
-
-def dual(f: BoolFunc) -> BoolFunc:
-    """The bent function read off the spectrum signs of a bent f.
-
-    Bentness is decided on the residues as in `is_bent`; a sign is
-    negative where the shifted residue is 0.  Only a function that is
-    not bent pays for the exact spectrum, to name its first entry of
-    the wrong magnitude.
-    """
-    if f.n & 1:
-        raise ValueError("input not bent: odd arity")
-    import numpy as np
-
-    w = _shifted_residues(f)
-    negative = w == 0
-    w &= np.iinfo(w.dtype).max ^ (2 << (f.n // 2))
-    if w.any():
-        spectrum = _spectrum(f)
-        i = int(np.flatnonzero(np.abs(spectrum) != 1 << (f.n // 2))[0])
-        raise ValueError(f"input not bent: spectrum entry {int(spectrum[i])} at {i}")
-    return BoolFunc(f.n, np.packbits(negative, bitorder="little").tobytes())
-
-
-def tokareva_compose(f0: BoolFunc, f1: BoolFunc, f2: BoolFunc, f3: BoolFunc) -> BoolFunc:
-    """Glue four bent functions into one on two more bits, quadrant k
-    (the leading bit pair) taking the table of f_k.
-
-    The result is bent whenever the four duals XOR to the all-ones
-    function; anything else is rejected before composing.
-    """
-    parts = (f0, f1, f2, f3)
-    arity = f0.n
-    if any(f.n != arity for f in parts):
-        raise ValueError("arity mismatch among the four quadrant functions")
-    duals = []
-    for k, f in enumerate(parts):
-        try:
-            duals.append(dual(f))
-        except ValueError as e:
-            raise ValueError(f"quadrant f{k} is not bent ({e})") from None
-    acc = duals[0] ^ duals[1] ^ duals[2] ^ duals[3]
-    if acc.weight() != acc.size:
-        raise ValueError("dual-sum condition violated: duals do not XOR to 1")
-    q = f0.size
-    bits = f0.bits | (f1.bits << q) | (f2.bits << (2 * q)) | (f3.bits << (3 * q))
-    return BoolFunc.from_bits(arity + 2, bits)
 
 
 # --- difference sets -------------------------------------------------------

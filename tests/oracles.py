@@ -13,10 +13,13 @@ backtracking over every vertex (a min-domain walk on constraint masks
 built pair by pair, and a recursive search in natural vertex order),
 and Delta_m's coset blocks read off one Walsh spike per coset.  A graph6 decoder, bit
 by bit, reads ctwin's payloads back.  Maiorana-McFarland bent functions
-and their duals are joined block by block from linear functions.
+are joined block by block from linear functions.
 `first_translate_only` stands in for the translate walk where a test
 asserts that an accepted set reads T_d for lambda and mu and walks no
 further.  `dense` writes a signed permutation out as its matrix.
+`dual` and `concatenate` (four quadrants joined into one table) have no
+fast path in ctwin: the tests of the 4-concatenation lemma in the
+`ctwin.bent` docstring read duals and quadrant joins from them.
 They are quadratic where ctwin is spectral, and the walks visit up to
 millions of nodes at m = 3 where ctwin's search reduces 28 equations, so
 tests use them at small sizes.
@@ -69,6 +72,13 @@ def support(f):
 def complement(f):
     """1 - f, entry by entry."""
     return BoolFunc.from_values(f.n, [1 - b for b in f.table()])
+
+
+def concatenate(f0, f1, f2, f3):
+    """The function on two more bits whose quadrant q (the top base-4
+    digit of the index) holds the table of f_q."""
+    q = f0.size
+    return BoolFunc.from_bits(f0.n + 2, f0.bits | f1.bits << q | f2.bits << 2 * q | f3.bits << 3 * q)
 
 
 def degree(graph, colour):
@@ -165,7 +175,8 @@ def is_bent(f):
 
 
 def dual(f):
-    """The dual of a bent f from its spectrum signs, with dual's messages."""
+    """The dual of a bent f from its spectrum signs; for any other f,
+    ValueError naming the first entry of the wrong magnitude."""
     if f.n & 1:
         raise ValueError("input not bent: odd arity")
     spectrum = walsh_transform(f)
@@ -193,25 +204,17 @@ def block_table(k, columns, codes):
 
 
 def maiorana_mcfarland(k, seed):
-    """The bent function f(y, x) = pi(y).x on 2k bits, k >= 3, and its
-    dual f*(u, w) = u.pi^-1(w), with y and u the top k bits of the index
-    and pi the permutation of GF(2)^k that random.Random(seed) shuffles.
-    Block y of f is the linear function of pi(y), so f has 2^k distinct
-    blocks, none the complement of another.  Summing over x first,
-    W_f(u, w) = sum_y (-1)^(u.y) 2^k [pi(y) = w] = 2^k (-1)^(u.pi^-1(w))."""
+    """The bent function f(y, x) = pi(y).x on 2k bits, k >= 3, with y the
+    top k bits of the index and pi the permutation of GF(2)^k that
+    random.Random(seed) shuffles.  Block y of f is the linear function
+    of pi(y), so f has 2^k distinct blocks, none the complement of
+    another.  Summing over x first, W_f(u, w) = sum_y (-1)^(u.y) 2^k
+    [pi(y) = w] = 2^k (-1)^(u.pi^-1(w))."""
     size = 1 << k
     pi = list(range(size))
     random.Random(seed).shuffle(pi)
-    inverse = [0] * size
-    for y, image in enumerate(pi):
-        inverse[image] = y
-
-    def bits(values):
-        return int("".join(map(str, values[::-1])), 2)
-
-    units = [bits([x >> j & 1 for x in range(size)]) for j in range(k)]
-    columns = [bits([inverse[w] >> j & 1 for w in range(size)]) for j in range(k)]
-    return block_table(k, units, pi), block_table(k, columns, range(size))
+    units = [int("".join(str(x >> j & 1) for x in reversed(range(size))), 2) for j in range(k)]
+    return block_table(k, units, pi)
 
 
 def autocorrelation(f):

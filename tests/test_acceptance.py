@@ -10,22 +10,20 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
+from ctwin import bent
 from ctwin.algebra import SymmetryClass, classify, gamma
 from ctwin.bent import (
     BoolFunc,
-    dual,
-    fwht,
     is_bent,
     predicted_params,
     sigma,
     sigma_function,
     tau,
     tau_function,
-    tokareva_compose,
     verify_difference_set,
-    walsh_transform,
 )
 from ctwin.graphs import BLUE, RED, build_delta, oracle_build_delta, predicted_srg_params, verify_srg
 from ctwin.swap import SearchStatus, search_swap, verify_swap
@@ -111,21 +109,24 @@ def test_tokareva_reconstruction_m2_to_m5():
     for m in range(2, 6):
         s, t = sigma_function(m - 1), tau_function(m - 1)
         s_bar = oracles.complement(s)
-        assert tokareva_compose(t, s, s_bar, t) == tau_function(m)
-        acc = dual(t) ^ dual(s) ^ dual(s_bar) ^ dual(t)
+        assert oracles.concatenate(t, s, s_bar, t) == tau_function(m)
+        dt = oracles.dual(t)
+        acc = dt ^ oracles.dual(s) ^ oracles.dual(s_bar) ^ dt
         assert acc.bits == (1 << acc.size) - 1, "dual sum must be all-ones"
     _passed("four-block composition rebuilds tau_m, m=2..5")
 
 
 def test_tokareva_reconstruction_of_both_twins_to_m8():
     # the induction in the ctwin.bent docstring: the quadrant duals of
-    # sigma_m and of tau_m XOR to 1, and the composition is the twin
+    # sigma_m and of tau_m XOR to 1, and the composition is the twin;
+    # each distinct quadrant's dual is read once from the oracle
     for m in range(2, 9):
         s, t = sigma_function(m - 1), tau_function(m - 1)
         s_bar = oracles.complement(s)
+        duals = {f: oracles.dual(f) for f in (s, s_bar, t)}
         for parts, twin in (((s, s_bar, s, s), sigma_function(m)), ((t, s, s_bar, t), tau_function(m))):
-            assert tokareva_compose(*parts) == twin, m
-            acc = dual(parts[0]) ^ dual(parts[1]) ^ dual(parts[2]) ^ dual(parts[3])
+            assert oracles.concatenate(*parts) == twin, m
+            acc = duals[parts[0]] ^ duals[parts[1]] ^ duals[parts[2]] ^ duals[parts[3]]
             assert acc.bits == (1 << acc.size) - 1, "dual sum must be all-ones"
     _passed("four-block composition rebuilds sigma_m and tau_m, duals XOR to 1, m=2..8")
 
@@ -154,19 +155,23 @@ def test_swap_search_exhausts_m4_extended():
 def test_property_suites():
     rng = random.Random(2024)
 
-    # transform involution and Parseval up to n = 10
+    # the dense kernel's involution and Parseval up to n = 10, read signed
+    # in uint32 (every entry is at most 20 * 4^n < 2^31 in magnitude)
+    def kernel(vec):
+        return bent._fwht(np.array(vec, np.int64), np.uint32).view(np.int32).tolist()
+
     for n in (2, 6, 10):
         size = 1 << n
         vec = [rng.randrange(-20, 20) for _ in range(size)]
-        assert fwht(fwht(vec)) == [size * x for x in vec]
+        assert kernel(kernel(vec)) == [size * x for x in vec]
         f = BoolFunc.from_bits(n, rng.randrange(1 << size))
-        assert sum(w * w for w in walsh_transform(f)) == size * size
+        assert sum(w * w for w in kernel([1 - 2 * b for b in f.table()])) == size * size
 
     # dual involution and complement commutation for the twins, m <= 4
     for m in range(1, 5):
         for f in (sigma_function(m), tau_function(m)):
-            assert dual(dual(f)) == f
-            assert dual(oracles.complement(f)) == oracles.complement(dual(f))
+            assert oracles.dual(oracles.dual(f)) == f
+            assert oracles.dual(oracles.complement(f)) == oracles.complement(oracles.dual(f))
 
     # SRG counting identity on every returned parameter set, m <= 4
     for m in range(1, 5):

@@ -1,8 +1,9 @@
-"""Twin functions, Walsh spectra, duals, composition, difference sets."""
+"""Twin functions, the dense transform, bentness, the lemma's duals and
+4-concatenations, difference sets."""
 
-import json
 import operator
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,17 +13,13 @@ from ctwin.algebra import SymmetryClass, classify, gamma
 from ctwin.bent import (
     BoolFunc,
     DiffSetParams,
-    dual,
-    fwht,
     is_bent,
     predicted_params,
     sigma,
     sigma_function,
     tau,
     tau_function,
-    tokareva_compose,
     verify_difference_set,
-    walsh_transform,
 )
 from ctwin.graphs import BLUE, RED, DifferenceGraph, build_delta, predicted_srg_params, verify_srg
 
@@ -45,6 +42,12 @@ def dense_wht(vec):
 
 def signed(f):
     return [1 - 2 * b for b in f.table()]
+
+
+def _kernel(vec, ring):
+    """`bent._fwht` of the integers vec in `ring`, read signed."""
+    w = bent._fwht(np.array(vec, np.int64), ring)
+    return w.view(f"i{w.itemsize}").tolist()
 
 
 # --- sigma / tau ------------------------------------------------------------
@@ -195,13 +198,15 @@ def test_index_range_checks():
 
 # --- transform ---------------------------------------------------------------
 
+# a spectrum of (-1)^f lies in [-2^n, 2^n], which n + 2 bits read signed
+
 def test_walsh_constant_function():
     f = BoolFunc.from_bits(2, 0)
-    assert walsh_transform(f) == [4, 0, 0, 0]
+    assert _kernel(signed(f), bent._ring(4)) == [4, 0, 0, 0]
 
 
 def test_walsh_sigma1():
-    assert walsh_transform(sigma_function(1)) == [2, 2, -2, 2]
+    assert _kernel(signed(sigma_function(1)), bent._ring(4)) == [2, 2, -2, 2]
 
 
 def test_walsh_matches_dense_small():
@@ -211,80 +216,56 @@ def test_walsh_matches_dense_small():
             rng.randrange(1 << (1 << n)) for _ in range(6)
         ]:
             f = BoolFunc.from_bits(n, bits)
-            assert walsh_transform(f) == dense_wht(signed(f))
+            assert _kernel(signed(f), bent._ring(n + 2)) == dense_wht(signed(f))
 
 
 def test_walsh_matches_dense_random_n10():
     rng = random.Random(9)
     f = BoolFunc.from_bits(10, rng.randrange(1 << 1024))
-    assert walsh_transform(f) == dense_wht(signed(f))
+    assert _kernel(signed(f), bent._ring(12)) == dense_wht(signed(f))
 
 
 def test_fwht_involution_and_parseval():
+    # H_n H_n = 2^n I; every entry of either transform is at most
+    # 50 * 4^n < 2^31 in magnitude, so both read signed in uint32
     rng = random.Random(13)
     for n in (1, 4, 7, 10):
         size = 1 << n
         vec = [rng.randrange(-50, 50) for _ in range(size)]
-        assert fwht(fwht(vec)) == [size * x for x in vec]
+        assert _kernel(_kernel(vec, np.uint32), np.uint32) == [size * x for x in vec]
         f = BoolFunc.from_bits(n, rng.randrange(1 << size))
-        spec = walsh_transform(f)
+        spec = _kernel(signed(f), bent._ring(n + 2))
         assert sum(w * w for w in spec) == size * size
+
+
+def _window(vec):
+    """The bits of a window of integers centred on 0 that holds every
+    entry of H_n vec: |H_n vec| <= max|x| * 2^n."""
+    return (max(map(abs, vec)) * len(vec)).bit_length() + 1
 
 
 def test_fwht_matches_oracle():
     rng = random.Random(17)
     for n in (0, 1, 6, 10, 14):
         vec = [rng.randrange(-3, 4) for _ in range(1 << n)]
-        assert fwht(vec) == oracles.fwht(vec)
+        assert _kernel(vec, bent._ring(_window(vec))) == oracles.fwht(vec)
 
 
 def test_fwht_stage_widths_match_oracle():
-    # The low n - n//2 levels run in one signed type and all n levels end
-    # in another, each chosen from max|x| * 2^levels.  Take max|x| just
-    # under and at each type's limit for each stage, with inputs that
+    # Both stages run in one ring, read signed: take max|x| * 2^n just
+    # under and at the limit of uint16 and of uint32, with inputs that
     # reach the bound (a constant vector sums to it at every level).
     rng = random.Random(31)
     for n in range(13):
         size = 1 << n
-        for levels in {n - n // 2, n}:
-            for limit in (1 << 15, 1 << 31):
-                for top in ((limit >> levels) - 1, limit >> levels):
-                    if top < 1:
-                        continue
-                    mixed = [rng.choice((-top, top, rng.randrange(-top, top + 1))) for _ in range(size)]
-                    for vec in ([top] * size, [-top] * size, mixed):
-                        assert fwht(vec) == oracles.fwht(vec), (n, levels, top)
-
-
-def _spy_rings(monkeypatch):
-    """Record the dtype of every `_fwht` call."""
-    rings = []
-    kernel = bent._fwht
-
-    def spy(a, dtype):
-        rings.append(dtype)
-        return kernel(a, dtype)
-
-    monkeypatch.setattr(bent, "_fwht", spy)
-    return rings
-
-
-def test_fwht_result_type_is_narrowest(monkeypatch):
-    # max|x| * 2^n picks uint16, uint32 or uint64, read as int16, int32
-    # or int64
-    rings = _spy_rings(monkeypatch)
-    for n, top, dtype in [
-        (0, 1, np.uint16),
-        (12, 7, np.uint16),
-        (12, 8, np.uint32),
-        (12, (1 << 19) - 1, np.uint32),
-        (12, 1 << 19, np.uint64),
-        (16, 1, np.uint32),
-    ]:
-        out = fwht([top] * (1 << n))
-        assert rings == [dtype], (n, top)
-        assert out[0] == top << n and not any(out[1:])
-        rings.clear()
+        for limit in (1 << 15, 1 << 31):
+            for top in ((limit >> n) - 1, limit >> n):
+                if top < 1:
+                    continue
+                mixed = [rng.choice((-top, top, rng.randrange(-top, top + 1))) for _ in range(size)]
+                for vec in ([top] * size, [-top] * size, mixed):
+                    ring = bent._ring(_window(vec))
+                    assert _kernel(vec, ring) == oracles.fwht(vec), (n, top, ring)
 
 
 def test_fwht_modular_is_exact_modulo_2_16():
@@ -347,25 +328,9 @@ def test_ring_is_the_narrowest_with_enough_bits():
             bent._ring(bits)
 
 
-def test_spectrum_ring_edge():
-    # |W_f| <= 2^n needs n + 2 bits: n = 14 is the last int16 spectrum,
-    # and the constant functions reach the bound, +-2^15 at n = 15
-    rng = random.Random(59)
-    for n, dtype in [(14, np.int16), (15, np.int32)]:
-        size = 1 << n
-        for f in (BoolFunc.from_bits(n, 0), BoolFunc.from_bits(n, (1 << size) - 1),
-                  BoolFunc.from_bits(n, rng.randrange(1 << size))):
-            spectrum = bent._spectrum(f)
-            assert spectrum.dtype == dtype, n
-            assert spectrum.tolist() == oracles.walsh_transform(f), n
-        assert bent._spectrum(BoolFunc.from_bits(n, 0))[0] == size
-        assert bent._spectrum(BoolFunc.from_bits(n, (1 << size) - 1))[0] == -size
-
-
-def test_fwht_ring_edge(monkeypatch):
+def test_fwht_ring_edge():
     # max|x| * length = 2^15 - 1 fits int16 and 2^15 does not; the same
-    # one step past int32
-    rings = _spy_rings(monkeypatch)
+    # one step past int32.  Each ring reads its results exactly
     for bound, dtype in [
         ((1 << 15) - 1, np.uint16), (1 << 15, np.uint32),
         ((1 << 31) - 1, np.uint32), (1 << 31, np.uint64),
@@ -374,9 +339,8 @@ def test_fwht_ring_edge(monkeypatch):
         if bound % 2 == 0:
             vectors.append([bound // 2, -(bound // 2)])  # two entries of bound / 2
         for vec in vectors:
-            assert fwht(vec) == oracles.fwht(vec), vec
-            assert rings == [dtype], vec
-            rings.clear()
+            assert bent._ring(_window(vec)) == dtype, vec
+            assert _kernel(vec, dtype) == oracles.fwht(vec), vec
 
 
 def _lanes(a, n):
@@ -411,8 +375,8 @@ def test_lane_spectrum_matches_the_transforms():
             funcs += [sigma_function(n // 2), tau_function(n // 2)]
         for f in funcs:
             got = _lanes(bent._lane_spectrum(f.bits, n), n)
-            assert got == fwht(f.table()), n
-            walsh = walsh_transform(f)
+            assert got == _kernel(f.table(), bent._ring(n + 2)), n
+            walsh = oracles.walsh_transform(f)
             assert got == [((size if u == 0 else 0) - w) // 2 for u, w in enumerate(walsh)], n
         assert _lanes(bent._lane_spectrum(0, n), n) == [0] * size
         assert _lanes(bent._lane_spectrum((1 << size) - 1, n), n) == [size] + [0] * (size - 1)
@@ -542,16 +506,8 @@ def test_spectral_functions_match_oracle():
             twin = (sigma_function if n % 4 else tau_function)(n // 2) ^ linear
             tables += [twin, BoolFunc.from_bits(n, twin.bits ^ (1 << rng.randrange(size)))]
         for f in tables:
-            assert walsh_transform(f) == oracles.walsh_transform(f)
+            assert _kernel(signed(f), bent._ring(n + 2)) == oracles.walsh_transform(f)
             assert is_bent(f) == oracles.is_bent(f)
-            try:
-                want = oracles.dual(f)
-            except ValueError as e:
-                with pytest.raises(ValueError) as got:
-                    dual(f)
-                assert str(got.value) == str(e)
-            else:
-                assert dual(f) == want
 
 
 def _kernel_inputs(n, rng):
@@ -587,7 +543,7 @@ def test_kernel_matches_whole_array_route():
             # at a time into its lanes; the whole-array route squares the
             # 0/1 indicator's spectrum and transforms it back
             spectrum = bent._lane_spectrum(f.bits, n)
-            assert _lanes(spectrum, n) == bent.fwht(f.table()), n
+            assert _lanes(spectrum, n) == _kernel(f.table(), bent._ring(n + 2)), n
             if n <= 10:
                 counts = oracles.autocorrelation(f)
                 d = rng.randrange(1, 1 << n)
@@ -605,56 +561,28 @@ def _outcome(fn, f):
 
 
 def test_duals_match_the_pure_python_oracle():
-    # dual reads its signs off the residues modulo 2^16; the oracle reads
-    # them off the exact spectrum of a butterfly on Python ints, and
-    # names the same first entry of the wrong magnitude
+    # the oracle reads the dual off the exact spectrum of a butterfly on
+    # Python ints, and rejects a table that is not bent: a dual exists
+    # exactly where is_bent finds f bent, by either route
     rng = random.Random(53)
     for n in range(2, 17, 2):
         for f in _kernel_inputs(n, rng):
-            assert _outcome(dual, f) == _outcome(oracles.dual, f), n
+            has_dual = not isinstance(_outcome(oracles.dual, f), str)
+            assert _routes(f) == (has_dual, has_dual), n
 
 
 def test_dense_route_decides_a_maiorana_mcfarland_table():
-    # 2^10 distinct linear blocks, so `_factors` gives up and is_bent and
-    # dual run the dense transform at n = 20, the size of the benchmark's
+    # 2^10 distinct linear blocks, so `_factors` gives up and is_bent runs
+    # the dense transform at n = 20, the size of the benchmark's
     # relabelled tau_10; one flipped entry makes every |W_f| 2^10 +- 2
-    f, want = oracles.maiorana_mcfarland(10, 61)
+    f = oracles.maiorana_mcfarland(10, 61)
     assert bent._factors(f) is None
-    assert is_bent(f) and dual(f) == want
+    assert is_bent(f)
     packed = bytearray(f.packed)
     i = random.Random(61).randrange(1 << 20)
     packed[i >> 3] ^= 1 << (i & 7)
     flipped = BoolFunc(20, bytes(packed))
     assert not is_bent(flipped)
-    with pytest.raises(ValueError, match="not bent"):
-        dual(flipped)
-
-
-def test_fwht_rejects_bad_lengths():
-    with pytest.raises(ValueError):
-        fwht([1, 2, 3])
-    with pytest.raises(ValueError):
-        fwht([])
-
-
-def test_fwht_rejects_int64_overflow():
-    # max|x| * length must stay below 2^62
-    top = (1 << 61) - 1
-    assert fwht([top, -top]) == oracles.fwht([top, -top])
-    for vec in ([1 << 61, 0], [0, -(1 << 61)], [1 << 70, 1], [1 << 59] * 8):
-        with pytest.raises(ValueError, match="too large"):
-            fwht(vec)
-
-
-def test_fwht_takes_numpy_integers():
-    # each entry goes through operator.index before the bound is taken,
-    # so numpy integers neither lack bit_length nor overflow in the bound
-    vec = [1, -1, 1, 1, 5, 0, -7, 2]
-    assert fwht(np.array(vec, np.int64)) == fwht(vec)
-    with pytest.raises(ValueError, match="too large"):
-        fwht(np.array([2**60] * 8))
-    with pytest.raises(TypeError):
-        fwht([0.5, 0.5])
 
 
 # --- bentness and duals -----------------------------------------------------
@@ -703,12 +631,12 @@ def _direct_sum(g, h):
 
 def _bent_inputs():
     """Bent tables: the twins at m = 1..8 and their complements, direct
-    sums of twins, and tokareva_compose(g, g, g, ~g) of twins."""
+    sums of twins, and the 4-concatenations (g, g, g, ~g) of twins."""
     twins_ = [make(m) for m in range(1, 9) for make in (sigma_function, tau_function)]
     tables = twins_ + [oracles.complement(f) for f in twins_[:10]]
     small = twins_[:8]  # m = 1..4
     tables += [_direct_sum(g, h) for g in small for h in small if g.n + h.n <= 14]
-    tables += [tokareva_compose(g, g, g, oracles.complement(g)) for g in small]
+    tables += [oracles.concatenate(g, g, g, oracles.complement(g)) for g in small]
     return tables
 
 
@@ -734,7 +662,7 @@ def test_factored_route_agrees_with_the_dense_route_on_bent_tables():
         assert _routes(flipped) == (False, False), flipped.hex()
         for g in (f, flipped):
             if g.n <= 12 and bent._factors(g) is not None:
-                assert _factored_spectrum(g) == walsh_transform(g), g.hex()
+                assert _factored_spectrum(g) == oracles.walsh_transform(g), g.hex()
 
 
 def test_factored_route_agrees_with_the_dense_route_on_random_blocks():
@@ -755,7 +683,7 @@ def test_factored_route_agrees_with_the_dense_route_on_random_blocks():
                 assert len(bent._factors(f)[1]) <= r
                 assert len(set(_routes(f))) == 1, f.hex()
                 if n <= 12:
-                    assert _factored_spectrum(f) == walsh_transform(f), f.hex()
+                    assert _factored_spectrum(f) == oracles.walsh_transform(f), f.hex()
 
 
 def test_factored_route_gives_up_past_its_leaf_limit():
@@ -766,16 +694,13 @@ def test_factored_route_gives_up_past_its_leaf_limit():
 
 
 def test_residues_of_an_unbent_spectrum_can_match():
-    # n = 18: the first (2^18 - 66048) / 2 entries set give W(0) = 66048,
-    # which is 2^9 modulo 2^16; Parseval makes some other residue differ,
-    # and dual names the first exact entry of the wrong magnitude
+    # n = 18: the first (2^18 - 66048) / 2 entries set give W(0) =
+    # 2^18 - 2 weight = 66048, which is 2^9 modulo 2^16; Parseval makes
+    # some other residue differ, and both routes reject f
     weight = ((1 << 18) - 66048) // 2
     f = BoolFunc.from_bits(18, (1 << weight) - 1)
-    assert walsh_transform(f)[0] == 66048 == (1 << 16) + (1 << 9)
-    assert not is_bent(f)
-    with pytest.raises(ValueError) as got:
-        dual(f)
-    assert str(got.value) == "input not bent: spectrum entry 66048 at 0"
+    assert (1 << 18) - 2 * f.weight() == 66048 == (1 << 16) + (1 << 9)
+    assert _routes(f) == (False, False)
 
 
 def test_bent_functions_on_four_variables():
@@ -790,12 +715,12 @@ def test_bent_functions_on_four_variables():
         assert is_bent(f) == bent_mask[b], b
         if bent_mask[b]:
             negative = spectra[b] < 0
-            assert dual(f).bits == int(np.dot(negative, 1 << np.arange(16))), b
+            assert oracles.dual(f).bits == int(np.dot(negative, 1 << np.arange(16))), b
 
 
 def test_dual_sigma1_is_tau1():
-    assert dual(sigma_function(1)) == tau_function(1)
-    assert dual(tau_function(1)) == sigma_function(1)
+    assert oracles.dual(sigma_function(1)) == tau_function(1)
+    assert oracles.dual(tau_function(1)) == sigma_function(1)
 
 
 def _swap_digit_bits(f):
@@ -812,7 +737,7 @@ def test_duals_of_the_twins_swap_their_digits(m):
     # dual(sigma_m) = sigma_m o P and dual(tau_m) = tau_m o P, and P
     # moves both twins, so neither is self-dual
     for f in (sigma_function(m), tau_function(m)):
-        assert dual(f) == _swap_digit_bits(f) != f, m
+        assert oracles.dual(f) == _swap_digit_bits(f) != f, m
         assert _swap_digit_bits(_swap_digit_bits(f)) == f
 
 
@@ -826,12 +751,13 @@ def test_four_concatenation_sign_table(l):
     sig, ta = sigma_function(l), tau_function(l)
     sig_bar = oracles.complement(sig)
     quarter = 1 << (2 * l)
+    quarters = {p: oracles.dual(p).table() for p in (sig, ta, sig_bar)}
     for f, parts, rule in [
         (tau_function(l + 1), (ta, sig, sig_bar, ta), lambda t, s: (2 * t, -2 * s, 2 * s, 2 * t)),
         (sigma_function(l + 1), (sig, sig_bar, sig, sig), lambda t, s: (2 * s, 2 * s, -2 * s, 2 * s)),
     ]:
-        duals = [dual(p).table() for p in parts]
-        whole = dual(f).table()
+        duals = [quarters[p] for p in parts]
+        whole = oracles.dual(f).table()
         tp, sp = _swap_digit_bits(ta).table(), _swap_digit_bits(sig).table()
         for w in range(quarter):
             sums = tuple(
@@ -844,27 +770,20 @@ def test_four_concatenation_sign_table(l):
 def test_dual_involution_and_complement():
     for m in (1, 2, 3, 4):
         for f in (sigma_function(m), tau_function(m)):
-            assert dual(dual(f)) == f
-            assert dual(oracles.complement(f)) == oracles.complement(dual(f))
-
-
-def test_dual_rejects_non_bent():
-    with pytest.raises(ValueError, match="not bent"):
-        dual(BoolFunc.from_bits(2, 0))
-    with pytest.raises(ValueError, match="odd arity"):
-        dual(BoolFunc.from_bits(3, 1))
+            assert oracles.dual(oracles.dual(f)) == f
+            assert oracles.dual(oracles.complement(f)) == oracles.complement(oracles.dual(f))
 
 
 # --- composition -------------------------------------------------------------
 
 def test_compose_reconstructs_tau2():
     s, t = sigma_function(1), tau_function(1)
-    assert tokareva_compose(t, s, oracles.complement(s), t) == tau_function(2)
+    assert oracles.concatenate(t, s, oracles.complement(s), t) == tau_function(2)
 
 
 def test_compose_dual_sum_is_all_ones():
     s, t = sigma_function(1), tau_function(1)
-    acc = dual(t) ^ dual(s) ^ dual(oracles.complement(s)) ^ dual(t)
+    acc = oracles.dual(t) ^ oracles.dual(s) ^ oracles.dual(oracles.complement(s)) ^ oracles.dual(t)
     assert acc.bits == (1 << acc.size) - 1
 
 
@@ -875,18 +794,12 @@ def test_compose_builds_the_next_twins():
     for m in range(1, 8):
         s, t = sigma_function(m), tau_function(m)
         s_bar = oracles.complement(s)
-        assert tokareva_compose(s, s_bar, s, s) == sigma_function(m + 1), m
-        assert tokareva_compose(t, s, s_bar, t) == tau_function(m + 1), m
-
-
-def test_compose_rejects_bad_inputs():
-    s1, s2 = sigma_function(1), sigma_function(2)
-    with pytest.raises(ValueError, match="arity mismatch"):
-        tokareva_compose(s1, s1, s1, s2)
-    with pytest.raises(ValueError, match="not bent"):
-        tokareva_compose(s1, s1, s1, BoolFunc.from_bits(2, 0))
-    with pytest.raises(ValueError, match="dual-sum"):
-        tokareva_compose(s1, s1, s1, s1)
+        assert oracles.concatenate(s, s_bar, s, s) == sigma_function(m + 1), m
+        assert oracles.concatenate(t, s, s_bar, t) == tau_function(m + 1), m
+        d = {f: oracles.dual(f) for f in (s, s_bar, t)}
+        for parts in ((s, s_bar, s, s), (t, s, s_bar, t)):
+            acc = d[parts[0]] ^ d[parts[1]] ^ d[parts[2]] ^ d[parts[3]]
+            assert acc.bits == (1 << acc.size) - 1, m
 
 
 # --- difference sets ---------------------------------------------------------
@@ -958,6 +871,25 @@ def test_hex_rejects_malformed():
             BoolFunc.from_hex(bad)
 
 
+def test_hex_rejects_a_large_arity_without_its_table():
+    # an arity of 4e8 would make 1 << n, 50 MB, before the payload's
+    # length is compared; the length's bit count rejects it first, and
+    # every wrong length of a small arity still fails
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="hex payload length does not match the arity"):
+            BoolFunc.from_hex("tt:400000000:0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    for n in range(1, 13):
+        for digits in {1, max(1, (1 << n) // 4 - 1), (1 << n) // 4 + 1, 1 << n}:
+            if digits != max(1, (1 << n) // 4):
+                with pytest.raises(ValueError, match="does not match the arity"):
+                    BoolFunc.from_hex(f"tt:{n}:{'0' * digits}")
+
+
 def test_packed_table_invariants():
     # value semantics on the packed bytes; an int is no table, and no
     # bit may sit past the last entry of a one-byte table
@@ -984,7 +916,3 @@ def test_packed_table_invariants():
         assert (f ^ g).bits == bits ^ other
         assert BoolFunc.from_values(n, f.table()) == f
 
-
-def test_spectrum_is_json_serializable():
-    spec = walsh_transform(sigma_function(2))
-    assert json.loads(json.dumps(spec)) == spec

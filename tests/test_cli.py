@@ -241,7 +241,7 @@ import json, random, sys
 sys.path.insert(0, sys.argv[1])
 import oracles
 from ctwin import bent
-f, _ = oracles.maiorana_mcfarland(12, 67)
+f = oracles.maiorana_mcfarland(12, 67)
 packed = bytearray(f.packed)
 i = random.Random(67).randrange(1 << 24)
 packed[i >> 3] ^= 1 << (i & 7)

@@ -1,13 +1,15 @@
 """The package's lazy surface: `import ctwin`, every command, the swap
 search, truth tables, graph export, difference sets, strong regularity,
 the matrix oracle and the bentness of the twins run on the standard
-library alone, and numpy loads only with the dense spectral transforms.
+library alone, and numpy loads only with `is_bent`'s dense route.
 What loads is checked in fresh interpreters, whose sys.modules start
-without numpy."""
+without numpy, and where numpy may be imported is read off the source."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +19,8 @@ import ctwin
 # by the layer that defines it
 EXPORTED = {
     "algebra": "E1 E1E2 E2 I2 SignedPerm SymmetryClass bit_pairs classify gamma",
-    "bent": "BoolFunc DiffSetParams dual fwht is_bent predicted_params sigma sigma_function "
-    "tau tau_function tokareva_compose verify_difference_set walsh_transform",
+    "bent": "BoolFunc DiffSetParams is_bent predicted_params sigma sigma_function tau "
+    "tau_function verify_difference_set",
     "graphs": "BLUE RED DifferenceGraph SrgParams build_delta cayley_graph export_graph "
     "graph6_blocks json_edges_blocks oracle_build_delta predicted_srg_params to_graph6 "
     "verify_srg",
@@ -145,6 +147,45 @@ def test_commands_load_only_their_layers(argv, code, loaded, absent, tmp_path):
     returned, modules = _imported_by_command(argv)
     assert returned == code
     assert loaded <= modules and not absent & modules
+
+
+# the functions of `ctwin.bent` that import numpy: `is_bent`'s dense
+# route and the kernel under it
+NUMPY_USERS = {"_ring", "_signs", "_fwht", "is_bent"}
+
+
+def _numpy_imports(tree):
+    """The enclosing function (None at module level) of every import of
+    numpy in a module's tree that runs: not under `if TYPE_CHECKING:`,
+    which only type checkers read."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append(function)
+        checking = isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING"
+        for child in node.orelse if checking else ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_numpy_is_imported_only_by_the_dense_bentness_route():
+    # every import of numpy in src/ctwin sits inside one of the four
+    # functions of `ctwin.bent`, once each, and none at module level
+    package = Path(ctwin.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        users = _numpy_imports(ast.parse(path.read_text()))
+        assert sorted(users) == (sorted(NUMPY_USERS) if path.name == "bent.py" else []), path.name
 
 
 def test_exported_names_and_layers_resolve():
