@@ -229,12 +229,15 @@ class BoolFunc(_Record):
         m = re.fullmatch(r"tt:(\d+):([0-9a-f]+)", text)
         if m is None:
             raise ValueError(f"malformed truth table string: {text!r}")
-        n = int(m.group(1))
+        arity, digits = m.group(1).lstrip("0"), m.group(2)
+        # 2^(n - 2) digits from n = 2 on and one at n = 1, so n <= b + 1
+        # for b the length's bit count: an arity of more decimal digits
+        # is rejected before int() reads it, and a large n before 1 << n
+        if len(arity) > len(str(len(digits).bit_length() + 1)):
+            raise ValueError("hex payload length does not match the arity")
+        n = int(arity or "0")
         if n < 1:
             raise ValueError("arity must be >= 1")
-        digits = m.group(2)
-        # 2^(n - 2) digits from n = 2 on and one at n = 1: the length's
-        # bit count rejects a large n before 1 << n is made
         if len(digits).bit_length() != max(1, n - 1) or len(digits) != ((1 << n) + 3) // 4:
             raise ValueError("hex payload length does not match the arity")
         # one digit below n = 3, read as a byte

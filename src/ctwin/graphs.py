@@ -284,39 +284,31 @@ def _graph6_body(indicator: bytes, v: int):
     `_translates` restarts at each power of two on that width, started
     at 2^p: its first translate T_(2^p) is the two halves exchanged.
     Held most significant first, column j is the top j bits of its
-    translate: shifted to end on a byte boundary, it joins a bit stream
-    whose last byte may be partial.  The bits that follow the
-    column into that byte are cleared when the next column fills it, so
-    the stream is graph6's bits packed most significant first, and every
-    3 whole bytes are 4 base64 sextets.  A block is cut at a multiple of
-    3 bytes, and the last one is trimmed to the characters the pairs
-    need, its pad bits 0.
+    translate, t >> (w - j), and it joins graph6's bit stream in one
+    int, acc, below the fewer than 24 bits left over from the columns
+    before it.  Every whole 3 bytes of acc, 4 base64 sextets, are cut
+    off its top by one to_bytes per column, and a block's pieces are
+    joined once the block holds _GRAPH6_BLOCK_BITS bits.  The last block
+    ends with the bits left in acc, padded with 0s to a byte, and is
+    trimmed to the characters the pairs need.
     """
-    stream = bytearray()  # the bits not yet cut, most significant first
-    rem = 0  # the bits in stream's last byte, where it is partial
-    sent = 0  # the stream bytes cut into blocks
+    pieces = []  # the block's stream bytes, in whole 3-byte groups
+    acc = bits = 0  # the stream's next bits, fewer than 24 between columns
+    size = sent = 0  # the bits in pieces, and in the blocks yielded
     for p in range(v.bit_length() - 1):
         h = 1 << p
         w = 2 * h
         for j, t in enumerate(_translates(int(indicator[:w], 2), _level_masks(w), h), h):
-            pad = -(rem + j) & 7
-            shift = w - j - pad
-            column = (t >> shift if shift >= 0 else t << -shift).to_bytes((rem + j + pad) >> 3, "big")
-            if rem:
-                stream[-1] = stream[-1] & (0xFF00 >> rem) | column[0]
-                stream += memoryview(column)[1:]
-            else:
-                stream += column
-            rem = (rem + j) & 7
-            if len(stream) << 3 >= _GRAPH6_BLOCK_BITS:
-                whole = len(stream) - (rem > 0)
-                cut = whole - whole % 3
-                yield _sextets(stream[:cut])
-                del stream[:cut]
-                sent += cut
-    if rem:
-        stream[-1] &= 0xFF00 >> rem
-    yield _sextets(stream)[: -(-(v * (v - 1) // 2 - 8 * sent) // 6)]
+            acc = acc << j | t >> (w - j)
+            groups, bits = divmod(bits + j, 24)
+            pieces.append((acc >> bits).to_bytes(3 * groups, "big"))
+            acc &= (1 << bits) - 1
+            size += 24 * groups
+            if size >= _GRAPH6_BLOCK_BITS:
+                yield _sextets(b"".join(pieces))
+                pieces, size, sent = [], 0, sent + size
+    pieces.append((acc << (-bits & 7)).to_bytes((bits + 7) >> 3, "big"))
+    yield _sextets(b"".join(pieces))[: -(-(v * (v - 1) // 2 - sent) // 6)]
 
 
 def _sextets(stream) -> bytes:

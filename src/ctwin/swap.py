@@ -12,9 +12,10 @@ blocks of Delta_m and check at run time every hypothesis the reduction
 below needs, raising RuntimeError when one fails.  By the reduction the
 swaps that fix every coset are the solutions of a linear system over
 GF(2), one equation per pair of cosets, and `_solve` row-reduces it; no
-search tree is walked.  The lifts of step (v) are checked as the
-XOR-linear maps they are, in O(v), so the searches share Delta_m's
-guard, m <= 8 (`twins._DELTA_MAX_M`).  Only the maps a search returns,
+search tree is walked.  Every XOR-linear map here, the blocks and the
+lifts of step (v), is built by `_linear` from its images of the unit
+vectors, in O(v), so the searches share Delta_m's guard, m <= 8
+(`twins._DELTA_MAX_M`).  Only the maps a search returns,
 which exist at m <= 3, are checked over every pair, by `_all_swaps`
 through the bit layer's one walk over XOR translates,
 `twins._translates`, in natural order: `search_swap`'s witness through
@@ -93,10 +94,10 @@ cell reps[i] ^ D[x], and the cells of coset i are reps[i] + D.
     x ^ x_0 e_1 = (T^t)^-1 x and b_i = i_1 e_1.  wt(T i) = wt(i) + i_1
     mod 2, (T i).(N x) = i.x and (T i).b_i = i_1, so the exponent moves
     by 2 i_1 and the sign is kept.
-    Both are built in closed form, and `_lifts` checks each as this step
-    argues, in O(v): phi is the XOR-linear map with the images phi[e_k]
-    of the unit vectors e_k, kappa[phi a] = kappa[a] at every vertex,
-    and coset i goes onto coset T i or S i.  Such a map is one to one: if
+    `_lifts` builds each as the XOR-linear map of its images phi[e_k] of
+    the unit vectors e_k, given in closed form, and checks it as this
+    step argues, in O(v): kappa[phi a] = kappa[a] at every vertex, and
+    coset i goes onto coset T i or S i.  Such a map is one to one: if
     phi d = 0 then kappa[a ^ d] = kappa[a] for every a, so d is a zero
     of kappa, d = D[x], and x = 0 by (i) (take a = reps[i] with
     i.x = 1).  Being linear, each lift is fixed by its 2m images
@@ -256,21 +257,20 @@ def _check_search(m, node_budget=None):
 def _block_system(kappa: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The coset blocks (reps, zeros) of the difference graph with this
     int8 kappa: the vertex x of coset i is the cell reps[i] ^ zeros[x],
-    and zeros, the D of the module docstring, is coset 0.  They are
-    built in closed form and checked against kappa at every vertex, one
-    coset at a time (step (i) of the module docstring); RuntimeError
-    names the first vertex that disagrees."""
+    and zeros, the D of the module docstring, is coset 0.  Both are
+    `_linear` maps of GF(2)^m, with the images 1 << 2k and 3 << 2k of
+    e_k (base-4 digit k 1 or 3), and are checked against kappa at every
+    vertex, one coset at a time (step (i) of the module docstring);
+    RuntimeError names the first vertex that disagrees."""
     m = (len(kappa).bit_length() - 1) // 2
-    reps = [0]  # bit k of i -> base-4 digit k of reps[i]
-    for k in range(m):
-        reps += [c | 1 << (2 * k) for c in reps]
-    zeros = [3 * c for c in reps]
+    reps = _linear([1 << (2 * k) for k in range(m)])
+    zeros = _linear([3 << (2 * k) for k in range(m)])
     wrong = []
     for i, c in enumerate(reps):
-        # (-1)^(wt(i) + i.x) over x, bit by bit of x; 0 on coset 0
-        closed = bytes(1) if i == 0 else b"\xff" if i.bit_count() & 1 else b"\x01"
-        for k in range(m):
-            closed += closed.translate(_NEG) if i >> k & 1 else closed
+        # (-1)^(wt(i) + i.x) over x, 0 on coset 0: the int8 byte of
+        # (-1)^wt(i), XOR 254 (1 ^ 254 = 255) where the functional i.x is 1
+        sign = 0 if i == 0 else 255 if i.bit_count() & 1 else 1
+        closed = bytes(sign ^ 254 * dot for dot in _linear([i >> k & 1 for k in range(m)]))
         cells = [c ^ d for d in zeros]
         got = bytes(map(kappa.__getitem__, cells))
         if got != closed:
@@ -289,55 +289,43 @@ def _gl_order(m):
     return math.prod((1 << m) - (1 << i) for i in range(m))
 
 
-def _cell_map(blocks, to, at):
-    """The vertex map reps[i] ^ D[x] -> reps[to(i)] ^ D[at(i)[x]] on the
-    blocks' cells, as a tuple."""
-    reps, zeros = blocks
-    phi = [0] * (len(reps) * len(zeros))
-    for i, c in enumerate(reps):
-        target = reps[to(i)]
-        for d, x in zip(zeros, at(i)):
-            phi[c ^ d] = target ^ zeros[x]
-    return tuple(phi)
-
-
-def _is_linear_automorphism(m, phi):
-    """phi is the XOR-linear map with the images phi[1 << k], k < 2m, and
-    kappa[phi[a]] == kappa[a] at every vertex of Delta_m: by step (v) of
-    the module docstring, phi is then an automorphism.  The linear map
-    is expanded from its images by doubling, in O(v), with no v x v
-    array."""
-    linear = [0]
-    for k in range(2 * m):
-        image = phi[1 << k]
-        linear += [y ^ image for y in linear]
-    kappa = _delta_kappa(m)
-    return linear == list(phi) and bytes(map(kappa.__getitem__, phi)) == kappa
+def _linear(images):
+    """The XOR-linear map with phi[1 << k] = images[k], as a list: phi[a]
+    is the XOR of the images of a's set bits, expanded by doubling in
+    O(2^len(images)), with no matrix."""
+    phi = [0]
+    for image in images:
+        phi += [y ^ image for y in phi]
+    return phi
 
 
 def _lifts(m):
-    """phi_T and phi_S of step (v) of the module docstring, as tuples,
-    built in closed form on the blocks; each is checked to be XOR-linear,
-    to keep kappa at every vertex, to send D onto D and to send reps[i]
-    into coset T i or S i, so that, being linear, it sends coset i onto
-    that coset.  RuntimeError if a check fails."""
-    blocks = reps, zeros = _blocks(m)
-    r = 1 << m
-    shifted = [((u << 1) | (u >> (m - 1))) & (r - 1) for u in range(r)]  # S u
-    normal = [u ^ (((u & 1) << 1) & (r - 1)) for u in range(r)]  # N u
+    """phi_T and phi_S of step (v) of the module docstring, as lists, each
+    the `_linear` map of its 2m images in closed form: vertex bit 2k is
+    the cell (e_k, 0) and bit 2k + 1 the cell (e_k, e_k).  Each is
+    checked to keep kappa at every vertex, to send D onto D and to send
+    reps[i] into coset T i or S i, so that, being linear, it sends coset
+    i onto that coset.  RuntimeError if a check fails."""
+    reps, zeros = _blocks(m)
+    kappa = _delta_kappa(m)
+    low = (1 << m) - 1
+    units = [1 << k for k in range(m)]
     subgroup = set(zeros)
+
+    def shifted(u):  # S u
+        return (u << 1 | u >> (m - 1)) & low
 
     lifts = []
     # (i, x) -> (T i, N x ^ b_i) and (S i, S x); the masks drop e_1 at m = 1
     for name, to, at in (
-        ("T", lambda i: i ^ ((i >> 1) & 1), lambda i: [u ^ (i & 2 & (r - 1)) for u in normal]),
-        ("S", shifted.__getitem__, lambda i: shifted),
+        ("T", lambda i: i ^ (i >> 1 & 1), lambda i, x: (x ^ (x & 1) << 1 ^ i & 2) & low),
+        ("S", shifted, lambda i, x: shifted(x)),
     ):
-        phi = _cell_map(blocks, to, at)
+        phi = _linear([reps[to(e)] ^ zeros[at(e, x)] for e in units for x in (0, e)])
         onto = set(map(phi.__getitem__, zeros)) == subgroup and all(
             phi[c] ^ reps[to(i)] in subgroup for i, c in enumerate(reps)
         )
-        if not _is_linear_automorphism(m, phi) or not onto:
+        if bytes(map(kappa.__getitem__, phi)) != kappa or not onto:
             raise RuntimeError(f"the lift of the generator {name} of GL({m}, 2) fails its checks")
         lifts.append(phi)
     return lifts
@@ -396,8 +384,12 @@ def _solutions(m, basis):
 def _translations(blocks, t):
     """The pi = id map reps[i] ^ D[x] -> reps[i] ^ D[x ^ t[i]] on the
     blocks' cells, as a tuple."""
-    xs = range(len(t))
-    return _cell_map(blocks, lambda i: i, lambda i: [x ^ t[i] for x in xs])
+    reps, zeros = blocks
+    phi = [0] * (len(reps) * len(zeros))
+    for c, u in zip(reps, t):
+        for x, d in enumerate(zeros):
+            phi[c ^ d] = c ^ zeros[x ^ u]
+    return tuple(phi)
 
 
 def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -> SearchOutcome:

@@ -890,6 +890,18 @@ def test_hex_rejects_a_large_arity_without_its_table():
                     BoolFunc.from_hex(f"tt:{n}:{'0' * digits}")
 
 
+def test_hex_rejects_an_arity_too_long_to_read():
+    # 5000 decimal digits are past CPython's limit on int(); such an
+    # arity is rejected by its length first, with the length's message,
+    # while leading zeros still parse
+    with pytest.raises(ValueError, match="^hex payload length does not match the arity$"):
+        BoolFunc.from_hex("tt:" + "9" * 5000 + ":0")
+    assert BoolFunc.from_hex("tt:" + "0" * 5000 + "2:9") == BoolFunc.from_hex("tt:2:9")
+    assert BoolFunc.from_hex("tt:02:9") == BoolFunc.from_hex("tt:2:9")
+    with pytest.raises(ValueError, match="^arity must be >= 1$"):
+        BoolFunc.from_hex("tt:" + "0" * 5000 + ":1")
+
+
 def test_packed_table_invariants():
     # value semantics on the packed bytes; an int is no table, and no
     # bit may sit past the last entry of a one-byte table

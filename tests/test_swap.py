@@ -613,32 +613,50 @@ def test_lifts_are_automorphisms_inducing_their_generator(m):
             assert _coset_index(m, image) == M[_coset_index(m, y)]
 
 
+def _lifts_built_from(monkeypatch, m, images_of):
+    """Patch swap._linear, once the blocks of m are cached, so that the
+    lifts are the linear maps of images_of(images) for the closed-form
+    images."""
+    swap._blocks(m)
+    linear = swap._linear
+    monkeypatch.setattr(swap, "_linear", lambda images: linear(images_of(list(images))))
+
+
+def _exchange_e0_e1(images):
+    images[0], images[1] = images[1], images[0]
+    return images
+
+
 def test_failed_lift_check_stops_the_certificate(monkeypatch):
-    monkeypatch.setattr(swap, "_is_linear_automorphism", lambda m, phi: False)
+    _lifts_built_from(monkeypatch, 4, _exchange_e0_e1)
     with pytest.raises(RuntimeError, match=r"lift of the generator T of GL\(4, 2\)"):
         search_swap(4)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
-def test_lift_check_needs_linearity_and_kappa(m):
+def test_lift_check_needs_linearity_and_kappa(monkeypatch, m):
+    # every lift is the linear map of its images, so the check reads kappa
+    # at every vertex and the cosets; both checks pass on the true lifts
     kappa = twins._delta_kappa(m)
     phi_T, phi_S = swap._lifts(m)
-    assert swap._is_linear_automorphism(m, phi_T) and swap._is_linear_automorphism(m, phi_S)
-    # two vertices of one colour exchanged: kappa is kept at every vertex,
-    # but the map is not linear
-    a, b = [y for y in range(1, len(kappa)) if kappa[y] == kappa[1]][-2:]
-    exchanged = list(phi_S)
-    exchanged[a], exchanged[b] = phi_S[b], phi_S[a]
-    assert bytes(kappa[y] for y in exchanged) == kappa
-    assert not swap._is_linear_automorphism(m, tuple(exchanged))
+    assert bytes(kappa[y] for y in phi_T) == bytes(kappa[y] for y in phi_S) == kappa
     # phi_S with the images of e_0 and e_1 exchanged: linear and one to
     # one, but digits 1 and 2 trade places, so kappa breaks
-    images = [phi_S[1 << k] for k in range(2 * m)]
-    images[0], images[1] = images[1], images[0]
+    images = _exchange_e0_e1([phi_S[1 << k] for k in range(2 * m)])
     linear = tuple(_from_images(images).tolist())
     assert sorted(linear) == list(range(len(kappa)))
     assert bytes(kappa[y] for y in linear) != kappa
-    assert not swap._is_linear_automorphism(m, linear)
+    with monkeypatch.context() as patch:
+        _lifts_built_from(patch, m, _exchange_e0_e1)
+        with pytest.raises(RuntimeError, match=rf"lift of the generator T of GL\({m}, 2\)"):
+            swap._lifts(m)
+    # S's images handed to T: an automorphism fixing D, but it sends
+    # coset e_0 onto coset e_1, not onto T e_0 = e_0
+    s_images = [phi_S[1 << k] for k in range(2 * m)]
+    with monkeypatch.context() as patch:
+        _lifts_built_from(patch, m, lambda images: s_images)
+        with pytest.raises(RuntimeError, match=rf"lift of the generator T of GL\({m}, 2\)"):
+            swap._lifts(m)
 
 
 def _from_images(images):
@@ -649,6 +667,24 @@ def _from_images(images):
     for k, image in enumerate(images):
         phi ^= ((a >> k) & 1) * image
     return phi
+
+
+def test_linear_matches_the_images_oracle():
+    rng = random.Random(35)
+    for size in range(13):
+        for _ in range(3):
+            images = [rng.randrange(1 << 16) for _ in range(size)]
+            assert swap._linear(images) == _from_images(images).tolist(), images
+    assert swap._linear([]) == [0]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_block_system_is_the_digit_by_digit_lists(m):
+    # reps[i] puts bit k of i at base-4 digit k, and zeros[x] = 3 reps[x]
+    reps, zeros = swap._block_system(twins._delta_kappa(m))
+    digits = [sum((i >> k & 1) << (2 * k) for k in range(m)) for i in range(1 << m)]
+    assert reps == tuple(digits)
+    assert zeros == tuple(3 * c for c in digits)
 
 
 @pytest.mark.parametrize("m", range(4, 9))
