@@ -6,14 +6,12 @@ difference-set and strongly-regular-graph consequences, and searches for
 a red/blue colour-swapping automorphism of the two-colour difference
 graph Delta_m on its coset blocks.
 
-The names below load their layer on first use (PEP 562), and no layer
-imports numpy when it loads, so `import ctwin`, the swap search, truth
-tables, Delta_m, graph export, difference sets (`verify_difference_set`),
-strong regularity (`verify_srg`), the matrix oracle and the bentness of
-a table made of a few distinct blocks, as the twins are (`is_bent`),
-run on the standard library alone; the oracle alone loads `algebra`.
-numpy loads with the first `is_bent` call on any other table, which
-runs the dense transform.
+The names below load their layer on first use (PEP 562).  Every layer
+runs on the standard library alone: `import ctwin`, the swap search,
+truth tables, Delta_m, graph export, difference sets
+(`verify_difference_set`), strong regularity (`verify_srg`), the matrix
+oracle and the bentness of any table (`is_bent`); the oracle alone
+loads `algebra`.  The package has no runtime dependency.
 """
 
 import importlib

@@ -26,31 +26,23 @@ encodes each distinct piece once, in hex (`twins._tt_text`, which
 BoolFunc.hex() also joins over its one piece) or in bits, and a
 BoolFunc holds its table in it as bytes.  A Python int
 (`BoolFunc.bits`) is made only for a caller that asks for one.
-BoolFunc, the twin functions, their tables, difference counts and the
-bentness of a table made of a few distinct blocks run on the standard
-library; numpy is imported only by the dense bentness check below, for
-any other table, on its first call.
+Everything here runs on the standard library.
 
-The dense bentness check runs through one staged butterfly kernel,
-`_fwht(a, dtype)`: the low half of the index bits on a transposed copy,
-the high half on the transpose back, both in one wrapping unsigned
-type.  It returns H_n a modulo 2^w.  The reduction Z -> Z/2^w keeps
-sums, differences and doublings, which is all a butterfly does, so a
-caller whose true result lies in a window of 2^w integers reads that
-result exactly, whatever the intermediate sums were.  The caller states
-the bits its result needs, and `_ring(bits)` gives the narrowest of
-uint16, uint32 and uint64 with as many:
-
-    bentness on n = 2k bits   +-2^k apart, not 0   k + 2 bits (`is_bent`)
-
-Bentness needs no spectrum: by Parseval's identity the residues modulo
-2^16 decide it up to n = 28.  `_signs` unpacks the packed table whole
-into the int8 array (-1)^f, and both stages of the kernel copy it slab
-by slab into a new array of the ring's type.  This dense route serves
-the tables that `_factors` gives up on, such as the benchmark's
-relabelled tau_10 (1024 distinct blocks).  A dense `is_bent` took about
-0.012 s at n = 20 and 0.17-0.20 s at n = 24, in a process that peaked
-at 33 MB and 112 MB with numpy loaded (2 vCPU).
+Bentness of a table that `_factors` gives up on, such as the
+benchmark's relabelled tau_10 (1024 distinct blocks), is decided by its
+weight and by one bitsliced kernel, `_walsh_planes(f)`: the spectrum of
+f's 0/1 indicator modulo 2^k, n = 2k, held as k bit planes, each an int
+of 2^n bits whose bit u is one bit of entry u.  A level of the
+butterfly is a ripple-carry add and a ripple-borrow subtract of whole
+planes, and Z -> Z/2^k keeps both, so the residues are exact whatever
+the intermediate entries were; by Parseval's identity they decide
+bentness (`is_bent`).  The planes have one bit per entry and use only
+AND, XOR and shifts, so no carry crosses from one entry to the next,
+unlike the 32-bit lanes below, which need 32 bits per entry.  `is_bent`
+by the planes took 0.014-0.02 s at n = 20, 0.09-0.12 s at n = 22 and
+0.47-0.52 s at n = 24, in processes that peaked at 17, 25 and 59 MB
+with the table (2 vCPU).  No command runs the planes; the benchmark
+runs them at n = 20.
 
 Difference counts |S & (S ^ d)| have one kernel of their own, shared by
 `verify_difference_set` and `graphs.verify_srg`: `_first_off` checks
@@ -144,12 +136,8 @@ import operator
 import re
 import struct
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .twins import _NOT, _SPREAD, _Record, _level_masks, _set, _translates, _tt_text, _twin_table
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _packed_size(n: int) -> int:
@@ -287,81 +275,50 @@ def tau_function(m: int) -> BoolFunc:
     return BoolFunc(2 * m, _twin_table(m, "tau"))
 
 
-# --- Walsh-Hadamard transform ---------------------------------------------
+# --- bentness --------------------------------------------------------------
 
-def _ring(bits: int):
-    """The narrowest of uint16, uint32 and uint64 with at least `bits`
-    bits: the ring Z/2^w in which `_fwht` reads a result that lies in a
-    window of 2^bits integers."""
-    import numpy as np
+def _walsh_planes(f: BoolFunc) -> list[int]:
+    """F(u) = sum_x f(x) (-1)^(u.x) modulo 2^k, k = n // 2, for every u,
+    as k bit planes: plane p is an int of 2^n bits whose bit u is bit p
+    of F(u).  F is the spectrum of f's 0/1 indicator, so W_f(u) = 2^n
+    [u = 0] - 2 F(u).
 
-    for dtype in (np.uint16, np.uint32, np.uint64):
-        if bits <= np.iinfo(dtype).bits:
-            return dtype
-    raise ValueError(f"no unsigned type has {bits} bits")
+    The planes start as the packed table, one plane of 0/1 entries.  At
+    level j, for (run, M) the j-th item of `twins._level_masks(2^n)`,
+    each entry whose index has bit j clear meets its partner run lanes
+    up, and the level is, plane by plane,
 
+        sum | diff << run,   a = X & M,  b = (X >> run) & M,
 
-# Source rows per slab of a transposing copy.  Copying a whole
-# transpose at once reads the source one row-stride apart and misses the
-# cache on almost every entry; in slabs each source line is read once
-# (at n = 24, 0.11-0.12 s -> 0.03-0.04 s per copy on 2 vCPU).
-_SLAB = 128
-
-
-def _signs(f: BoolFunc) -> np.ndarray:
-    """(-1)^f as one int8 array, unpacked whole from the packed table."""
-    import numpy as np
-
-    a = np.unpackbits(np.frombuffer(f.packed, np.uint8), count=f.size, bitorder="little").view(np.int8)
-    a *= -2
-    a += 1
-    return a
-
-
-def _fwht(a: np.ndarray, dtype) -> np.ndarray:
-    """H_n a modulo 2^w, in the w-bit unsigned `dtype`, for an integer
-    array a of length 2^n.
-
-    The reduction Z -> Z/2^w keeps sums, differences and doublings, and
-    a butterfly does nothing else (u += w; w *= 2; w = u - w), so the
-    result is H_n a modulo 2^w whatever the intermediate entries were.
-    A caller whose true result lies in a window of 2^w integers reads it
-    exactly: a signed view of the result when the window is centred on
-    0, the result itself when it starts at 0.  The caller picks `dtype`
-    with `_ring` from that bound; there is no other mode.  Entries of a
-    are taken modulo 2^w as they are copied in, so -1 reads 2^w - 1.
-
-    H_n = H_hi (x) H_lo splits the index into lo = n - n//2 low bits and
-    hi = n//2 high ones (Fino-Algazi).  The lo levels run on a transposed
-    (2^lo, 2^hi) copy and the hi levels on the (2^hi, 2^lo) transpose
-    back, so every level adds and subtracts contiguous runs of at least
-    2^hi entries.  Both stages make their copy slab by slab, so the
-    caller's array is never written, and it is dropped once the first
-    copy is made: a caller that passes a temporary gets its memory back
-    at once.  The one caller is `is_bent`'s dense route, on `_signs(f)`
-    of a table that `_factors` gives up on.
+    the sum a + b by a ripple carry and the difference a - b by a
+    ripple borrow, bit p of the entries at a time (a bitsliced
+    butterfly: whole-table AND, XOR and shifts, no carry between
+    lanes).  After level j every entry lies in [-2^j, 2^(j+1)], which
+    j + 3 bits hold in two's complement, so before level j the planes
+    grow to min(k, j + 3) by sign extension (by 0 at level 0, where the
+    entries are 0 or 1).  Once there are k planes, the carry and borrow
+    out of the top plane are dropped: Z -> Z/2^k keeps sums and
+    differences, so the planes hold F modulo 2^k whatever the
+    intermediate entries were.  The planes of two levels, at most 2k + 4
+    ints of 2^n bits, are held at once (tracemalloc read a peak of 17 at
+    n = 16, 20 and 24, on Maiorana-McFarland tables).
     """
-    import numpy as np
-
-    n = a.size.bit_length() - 1
-    hi = n // 2
-    lo = n - hi
-    x = a.reshape(1 << hi, 1 << lo)
-    del a
-    for levels in (lo, hi):
-        t = np.empty(x.shape[::-1], dtype)
-        for r in range(0, x.shape[0], _SLAB):
-            t[:, r : r + _SLAB] = x[r : r + _SLAB].T
-        x = t
-        run = x.shape[1]
-        for _ in range(levels):
-            pairs = x.reshape(-1, 2, run)
-            u, w = pairs[:, 0], pairs[:, 1]
-            u += w
-            w *= 2
-            np.subtract(u, w, out=w)  # (u + w) - 2w = u - w
-            run *= 2
-    return x.reshape(-1)
+    k = f.n // 2
+    planes = [int.from_bytes(f.packed, "little")]
+    for j, (run, mask) in enumerate(_level_masks(f.size)):
+        planes += [planes[-1] if j else 0] * (min(k, j + 3) - len(planes))
+        carry = borrow = 0
+        level = []
+        for x in planes:
+            a = x & mask
+            b = x >> run & mask
+            t = a ^ b
+            level.append((t ^ carry) | (t ^ borrow) << run)
+            # the majorities of (a, b, carry) and (~a, b, borrow)
+            carry = b ^ (t & (b ^ carry))
+            borrow = b ^ ((t ^ mask) & (b ^ borrow))
+        planes = level
+    return planes
 
 
 def is_bent(f: BoolFunc) -> bool:
@@ -370,32 +327,35 @@ def is_bent(f: BoolFunc) -> bool:
     Odd arities can never be bent: the magnitude would not be an
     integer.  For n = 2k <= 30 and a table of at most _MAX_LEAVES
     distinct blocks up to complement, as every sigma_m and tau_m is, the
-    factors of `_factors` decide it on the standard library, each
-    distinct row once: its lanes hold W_f(u_a, u_b) + 2^31, and f is
-    bent iff every lane of every row holds W_f = -2^k or 2^k, which
-    `_two_valued` decides with low = -2^k and gap = 2^(k+1) (its
-    docstring proves the bit argument and the lane bound).
+    factors of `_factors` decide it, each distinct row once: its lanes
+    hold W_f(u_a, u_b) + 2^31, and f is bent iff every lane of every
+    row holds W_f = -2^k or 2^k, which `_two_valued` decides with
+    low = -2^k and gap = 2^(k+1) (its docstring proves the bit argument
+    and the lane bound).
 
-    Any other table, such as a twin relabelled by an invertible map,
-    goes through the dense route below, which loads numpy.  Both routes
-    stay: the factored one costs r big-int products for each distinct
-    row, up to 2^k rows, so past _MAX_LEAVES its worst case is slower
-    than the dense transform, whose cost is the same for every table.
+    Any other table, such as a twin relabelled by an invertible map, is
+    decided by its weight and the bit planes of `_walsh_planes`.  Both
+    routes stay: the factored one costs r big-int products for each
+    distinct row, up to 2^k rows, so past _MAX_LEAVES its worst case is
+    slower than the planes, whose cost is the same for every table.
 
-    The dense route.  For n = 2k the residues of the spectrum modulo the
-    M = 2^w of `_ring(k + 2)` (2^16 up to k = 14), where 2^(k+1) < M,
-    decide it exactly:
+    The planes.  W_f(0) = 2^n - 2 wt(f) is read off the weight, first,
+    so a table whose W_f(0) is off is refused without a transform; for
+    u != 0, W_f(u) = -2 F(u), F the planes' spectrum.
 
-    Lemma.  f is bent iff W_f(u) = +-2^k (mod M) for every u.
+    Lemma.  f is bent iff W_f(0) = +-2^k and F(u) = 2^(k-1) (mod 2^k)
+    for every u != 0.
 
-    Proof.  A bent f has W_f(u) = +-2^k.  Conversely, if W_f(u) =
-    +-2^k + jM for an integer j, then |W_f(u)| >= min(2^k, M - 2^k) =
-    2^k, since 2^(k+1) < M.  Parseval's identity sum_u W_f(u)^2 = 2^(2n)
-    holds for every Boolean function, and its 2^n squares are each at
-    least 2^(2k) = 2^n, so each equals 2^n: |W_f(u)| = 2^k for every u.
+    Proof.  A bent f has W_f(u) = +-2^k, so F(u) = -+2^(k-1), which is
+    2^(k-1) modulo 2^k.  Conversely, F(u) = 2^(k-1) + j 2^k for an
+    integer j makes W_f(u) = -(2j + 1) 2^k, an odd multiple of 2^k:
+    W_f(u) = +-2^k modulo 2^(k+1), and |W_f(u)| >= 2^k.  Parseval's
+    identity sum_u W_f(u)^2 = 2^(2n) holds for every Boolean function,
+    and its 2^n squares are each at least 2^(2k) = 2^n, so each equals
+    2^n: |W_f(u)| = 2^k for every u.
 
-    The residues are shifted by r = 2^k, so that r reads 2r and -r reads
-    0, and bit 2r is cleared: f is bent iff nothing is left.
+    So the planes below k - 1 must be 0, and plane k - 1 must be 1, at
+    every lane but lane 0.
     """
     if f.n & 1:
         return False
@@ -405,12 +365,10 @@ def is_bent(f: BoolFunc) -> bool:
         bias, leaves, rows = factors
         spectra = (sum(map(operator.mul, row, leaves), bias) for row in set(rows))
         return _two_valued(spectra, bias, -1 << k, 2 << k)
-    import numpy as np
-
-    w = _fwht(_signs(f), _ring(k + 2))
-    w += 1 << k
-    w &= np.iinfo(w.dtype).max ^ (2 << k)
-    return not w.any()
+    if abs(f.size - 2 * f.weight()) != 1 << k:
+        return False
+    *low, top = _walsh_planes(f)
+    return not any(p & ~1 for p in low) and (top | 1).bit_count() == f.size
 
 
 # --- difference sets -------------------------------------------------------
@@ -581,10 +539,10 @@ def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
 # --- bentness through a table's distinct blocks ---------------------------
 
 # the most distinct blocks, up to complement, that `is_bent` factors a
-# table through; a table with more goes to the dense route.  The twins
+# table through; a table with more goes to the bit planes.  The twins
 # need 4 (tau_m at odd m).  At n = 24, the worst case, 4096 distinct
-# rows, took 0.19 s with 4 leaves and 0.30 s with 8, against about
-# 0.3 s for numpy's import and the dense transform (2 vCPU)
+# rows, took 0.19 s with 4 leaves and 0.30 s with 8, against 0.47-0.52 s
+# for `_walsh_planes` (2 vCPU)
 _MAX_LEAVES = 4
 
 

@@ -8,7 +8,7 @@ Each command imports the layers it uses when it runs, and every one
 runs on the standard library alone: `search`, `graph`, `params`,
 `oracle`, `bent` (whose twins `is_bent` checks through their few
 distinct blocks) and `table` in both formats, which encodes each
-distinct piece of a twin table once.  No command loads numpy.
+distinct piece of a twin table once.
 """
 
 from __future__ import annotations

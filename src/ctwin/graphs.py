@@ -20,8 +20,9 @@ translate T_j, reached from T_(j-1) by a couple of swaps of bit runs:
 the walk in natural order that the difference counts and the swap check
 read too.  graph6 cuts each column off the top of a translate, and edge lists pick
 each row's neighbours by the digits of its translate's binary text.
-Everything here runs on the standard library, numpy never loads, and
-the matrix oracle alone loads `ctwin.algebra`.
+Everything here runs on the standard library.  The matrix oracle
+alone loads `ctwin.algebra`; it checks every pair of basis matrices, one
+row a against every b at once, on b-major bytes (`oracle_build_delta`).
 """
 
 from __future__ import annotations
@@ -46,6 +47,20 @@ _GRAPH6_BLOCK_BITS = 1 << 19
 # and every other byte b"0"
 _SELECT = {c: bytes(48 + (b == (c & 255)) for b in range(256)) for c in (RED, 0, BLUE)}
 _NO_COLOUR = b"0" * 256
+# the matrix oracle's byte tables: a column byte -> its row (sign bit
+# cleared), and -> the same with its sign bit flipped; a byte of
+# M = gamma(a) gamma(b)^T XOR its column index -> 0x20 where its row is
+# that column (a diagonal entry), 0 elsewhere; the folded code of a
+# pair -> its colour as an int8 byte, 0 where the perms meet (0x20 set),
+# blue where M = M^T (0), red where M = -M^T (0x80), and _NEITHER
+# where M is neither
+_ROW = bytes(b & 127 for b in range(256))
+_FLIP = bytes(b ^ 128 for b in range(256))
+_MEET = bytes(32 * (b & 127 == 0) for b in range(256))
+_NEITHER = 2
+_VERDICT = bytes(
+    0 if b & 32 else BLUE if b == 0 else RED & 255 if b == 128 else _NEITHER for b in range(256)
+)
 # the binary digits b"0" and b"1" -> the bytes 0 and 1
 _DIGITS = bytes.maketrans(b"01", b"\0\1")
 # the base64 alphabet -> graph6's characters, value k -> chr(63 + k)
@@ -115,13 +130,34 @@ def oracle_build_delta(m: int) -> DifferenceGraph:
     before the colour table is accepted; the first pair in lexicographic
     order that does not raises RuntimeError naming its difference.
 
-    The v(v-1)/2 pairs are worked one by one, in lexicographic order, on
-    bytes with one byte per column (n = 2^m <= 16 under the guard): the
-    perms are disjoint iff the XOR of their bytes, read as one int, has
-    no zero byte; a product's rows and sign bits are one bytes.translate
-    of the right factor's rows through the left factor's, and M is
-    symmetric or skew as it equals M^T = gamma(b) * gamma(a)^T or its
-    negation.  `ctwin.algebra` is imported here, on the first call.
+    The basis is `algebra.gamma(m, i)`, looked up when the call runs,
+    and row a is checked against every b at once, on bytes with one byte
+    per matrix and column, b-major: byte c * v + b holds column c of
+    matrix b (n = 2^m <= 16 columns under the guard), its row with bit
+    7 set where its sign is -1.
+
+    - M's columns: column c of M is gamma(a)'s column at the row of
+      gamma(b)^T's column c, so one translate through gamma(a)'s column
+      bytes, of the rows of every gamma(b)^T, and an XOR of their sign
+      bits, gives M for every b.  M^T = gamma(b) * gamma(a)^T is the
+      tables' column at each row of gamma(a)^T, sign bit flipped where
+      gamma(a)^T's sign is -1: a join of precomputed columns.
+    - The verdict: folding M ^ M^T over the columns by OR and by AND, b
+      is symmetric where every byte is 0, skew where every byte is
+      0x80, and neither otherwise.
+    - Disjointness: gamma(b)^T sends row perm_b[c] to c and gamma(a)
+      sends c to perm_a[c], so the perms meet in a column iff M has a
+      diagonal entry, a byte of column c whose row is c; one translate
+      marks those, folded by OR.
+    - The colours: one translate of the folded code gives row a's
+      colour for every b, with a mark for "neither".  Row 0 is kappa;
+      row a must equal kappa's XOR translate T_a (lane b holds
+      kappa[a ^ b]), walked by `twins._translates` on 8-bit lanes, at
+      every b > a.  The first byte b > a where it does not names the
+      first offending pair of the row: ValueError where the mark is, and
+      RuntimeError otherwise.
+
+    `ctwin.algebra` is imported here, on the first call.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -143,36 +179,44 @@ def oracle_build_delta(m: int) -> DifferenceGraph:
         return bytes(r | (s < 0) << 7 for r, s in zip(g.perm, g.signs))
 
     width = 1 << m
-    ones = int.from_bytes(b"\1" * width, "little")
-    high = ones << 7  # bit 7 of every column: its sign bit, and the zero-byte test's
-    perms = [int.from_bytes(bytes(g.perm), "little") for g in basis]
-    # gamma(i) as a translate table, and gamma(i)^T as its rows and its sign bits
-    tables = [column_bytes(g).ljust(256, b"\0") for g in basis]
-    transposes = [g.transpose() for g in basis]
-    rows_t = [bytes(t.perm) for t in transposes]
-    signs_t = [int.from_bytes(column_bytes(t), "little") & high for t in transposes]
-    kappa = bytearray(v)
-    for a in range(v):
-        pa, table_a, rows_ta, signs_ta = perms[a], tables[a], rows_t[a], signs_t[a]
-        for b in range(a + 1, v):
-            x = pa ^ perms[b]
-            if (x - ones) & ~x & high:  # a zero byte: the perms meet in a column
-                colour = 0
-            else:
-                # M = gamma(a) gamma(b)^T against M^T = gamma(b) gamma(a)^T
-                product = int.from_bytes(rows_t[b].translate(table_a), "little") ^ signs_t[b]
-                mirror = int.from_bytes(rows_ta.translate(tables[b]), "little") ^ signs_ta
-                if product == mirror:
-                    colour = BLUE
-                elif product ^ mirror == high:
-                    colour = RED & 255
-                else:
-                    raise ValueError("matrix is neither symmetric nor skew")
-            if not a:
-                kappa[b] = colour
-            elif kappa[a ^ b] != colour:
-                raise RuntimeError(f"pairs with difference {a ^ b} disagree on colour")
-    return DifferenceGraph(2 * m, bytes(kappa))
+    size = 8 * v * width  # bits of one b-major string
+    high = int.from_bytes(b"\x80" * (v * width), "little")
+    tables = [column_bytes(g) for g in basis]
+    transposes = [column_bytes(g.transpose()) for g in basis]
+    transposed = b"".join(map(bytes, zip(*transposes)))  # b-major
+    rows_t, signs_t = transposed.translate(_ROW), int.from_bytes(transposed, "little") & high
+    # column r of every table, b-major, keyed by r, and sign-flipped,
+    # keyed by r | 128: the byte of a row r with its sign bit
+    columns = {}
+    for r, column in enumerate(map(bytes, zip(*tables))):
+        columns[r], columns[r | 128] = column, column.translate(_FLIP)
+    diagonal = int.from_bytes(b"".join(bytes([c]) * v for c in range(width)), "little")
+    folds = [(bits, (1 << bits) - 1) for bits in (size >> k for k in range(1, m + 1))]
+
+    def colours(a):
+        product = int.from_bytes(rows_t.translate(tables[a].ljust(256, b"\0")), "little") ^ signs_t
+        mirror = int.from_bytes(b"".join(map(columns.__getitem__, transposes[a])), "little")
+        meet = (product ^ diagonal).to_bytes(size >> 3, "little").translate(_MEET)
+        any_ = every = product ^ mirror | int.from_bytes(meet, "little")
+        for bits, keep in folds:
+            any_ = any_ & keep | any_ >> bits
+            every = every & keep & every >> bits
+        code = any_ | ((any_ ^ every) & high) >> 1
+        return code.to_bytes(v, "little").translate(_VERDICT)
+
+    kappa = colours(0)
+    if _NEITHER in kappa:
+        raise ValueError("matrix is neither symmetric nor skew")
+    translates = _translates(int.from_bytes(kappa, "little"), _level_masks(v, 8), 1)
+    for a, expected in enumerate(translates, 1):
+        row = colours(a)
+        off = (int.from_bytes(row, "little") ^ expected) >> (8 * a + 8)
+        if off:
+            b = a + 1 + ((off & -off).bit_length() - 1 >> 3)
+            if row[b] == _NEITHER:
+                raise ValueError("matrix is neither symmetric nor skew")
+            raise RuntimeError(f"pairs with difference {a ^ b} disagree on colour")
+    return DifferenceGraph(2 * m, kappa)
 
 
 def cayley_graph(f: BoolFunc) -> DifferenceGraph:

@@ -24,7 +24,7 @@ big int that holds them all.  `_check_search` is the layer's one range
 check: `search_swap` and `verify_swap` call it before kappa is built,
 and `search_all` through its first call, of `search_swap`.
 Everything here is plain Python on bytes, tuples and big ints: kappa
-is `twins._delta_kappa`'s int8 bytes, and no search loads numpy.
+is `twins._delta_kappa`'s int8 bytes.
 
 The reduction.  Let phi fix 0 and satisfy kappa[phi a ^ phi b] =
 s * kappa[a ^ b] with s = -1 (a swap) or +1 (an automorphism).  For

@@ -24,9 +24,8 @@ runs per set bit of d, then steps through T_(d+1), T_(d+2), ... in
 natural order, each from the last by swaps at a few levels.  The
 difference counts in `bent` (`_common`, `_first_off`), the graph
 encoders in `graphs` (`_rows`, `_graph6_body`) and `swap._all_swaps`
-all read their translates from it, and `bent._lane_spectrum` runs its
-butterflies on the same masks; only the dense route of `bent.is_bent`
-views a table as a numpy array, without a copy.
+all read their translates from it, and `bent._lane_spectrum` and
+`bent._walsh_planes` run their butterflies on the same masks.
 
 Every value record of the package (`BoolFunc`, `DiffSetParams`,
 `DifferenceGraph`, `SrgParams`, `SwapMap`, `SearchOutcome`,

@@ -1,4 +1,4 @@
-"""Twin functions, the dense transform, bentness, the lemma's duals and
+"""Twin functions, the bit-plane kernel, bentness, the lemma's duals and
 4-concatenations, difference sets."""
 
 import operator
@@ -35,19 +35,16 @@ def dense_sylvester(n):
     return h
 
 
-def dense_wht(vec):
-    h = dense_sylvester(len(vec).bit_length() - 1)
-    return [sum(r * v for r, v in zip(row, vec)) for row in h]
-
-
-def signed(f):
-    return [1 - 2 * b for b in f.table()]
-
-
-def _kernel(vec, ring):
-    """`bent._fwht` of the integers vec in `ring`, read signed."""
-    w = bent._fwht(np.array(vec, np.int64), ring)
-    return w.view(f"i{w.itemsize}").tolist()
+def _residues(planes, n):
+    """Entry u of the bit planes of `bent._walsh_planes`, bit p read
+    from plane p."""
+    size = 1 << n
+    total = np.zeros(size, np.int64)
+    for p, plane in enumerate(planes):
+        assert 0 <= plane < 1 << size
+        packed = np.frombuffer(plane.to_bytes(max(1, size >> 3), "little"), np.uint8)
+        total += np.unpackbits(packed, count=size, bitorder="little").astype(np.int64) << p
+    return total.tolist()
 
 
 # --- sigma / tau ------------------------------------------------------------
@@ -196,153 +193,6 @@ def test_index_range_checks():
         sigma(0, 0)
 
 
-# --- transform ---------------------------------------------------------------
-
-# a spectrum of (-1)^f lies in [-2^n, 2^n], which n + 2 bits read signed
-
-def test_walsh_constant_function():
-    f = BoolFunc.from_bits(2, 0)
-    assert _kernel(signed(f), bent._ring(4)) == [4, 0, 0, 0]
-
-
-def test_walsh_sigma1():
-    assert _kernel(signed(sigma_function(1)), bent._ring(4)) == [2, 2, -2, 2]
-
-
-def test_walsh_matches_dense_small():
-    rng = random.Random(5)
-    for n in (1, 2, 3, 4):
-        for bits in [0, (1 << (1 << n)) - 1] + [
-            rng.randrange(1 << (1 << n)) for _ in range(6)
-        ]:
-            f = BoolFunc.from_bits(n, bits)
-            assert _kernel(signed(f), bent._ring(n + 2)) == dense_wht(signed(f))
-
-
-def test_walsh_matches_dense_random_n10():
-    rng = random.Random(9)
-    f = BoolFunc.from_bits(10, rng.randrange(1 << 1024))
-    assert _kernel(signed(f), bent._ring(12)) == dense_wht(signed(f))
-
-
-def test_fwht_involution_and_parseval():
-    # H_n H_n = 2^n I; every entry of either transform is at most
-    # 50 * 4^n < 2^31 in magnitude, so both read signed in uint32
-    rng = random.Random(13)
-    for n in (1, 4, 7, 10):
-        size = 1 << n
-        vec = [rng.randrange(-50, 50) for _ in range(size)]
-        assert _kernel(_kernel(vec, np.uint32), np.uint32) == [size * x for x in vec]
-        f = BoolFunc.from_bits(n, rng.randrange(1 << size))
-        spec = _kernel(signed(f), bent._ring(n + 2))
-        assert sum(w * w for w in spec) == size * size
-
-
-def _window(vec):
-    """The bits of a window of integers centred on 0 that holds every
-    entry of H_n vec: |H_n vec| <= max|x| * 2^n."""
-    return (max(map(abs, vec)) * len(vec)).bit_length() + 1
-
-
-def test_fwht_matches_oracle():
-    rng = random.Random(17)
-    for n in (0, 1, 6, 10, 14):
-        vec = [rng.randrange(-3, 4) for _ in range(1 << n)]
-        assert _kernel(vec, bent._ring(_window(vec))) == oracles.fwht(vec)
-
-
-def test_fwht_stage_widths_match_oracle():
-    # Both stages run in one ring, read signed: take max|x| * 2^n just
-    # under and at the limit of uint16 and of uint32, with inputs that
-    # reach the bound (a constant vector sums to it at every level).
-    rng = random.Random(31)
-    for n in range(13):
-        size = 1 << n
-        for limit in (1 << 15, 1 << 31):
-            for top in ((limit >> n) - 1, limit >> n):
-                if top < 1:
-                    continue
-                mixed = [rng.choice((-top, top, rng.randrange(-top, top + 1))) for _ in range(size)]
-                for vec in ([top] * size, [-top] * size, mixed):
-                    ring = bent._ring(_window(vec))
-                    assert _kernel(vec, ring) == oracles.fwht(vec), (n, top, ring)
-
-
-def test_fwht_modular_is_exact_modulo_2_16():
-    # +-1 vectors, fair and biased (a bias of 0.15 puts W(0) near
-    # +-0.7 * 2^n, past 2^16 from n = 17 on) and constant; odd n copies
-    # oblong stages and even n square ones.  uint32 holds every spectrum
-    # here, so its signed view is exact, and uint64 checks it
-    rng = np.random.default_rng(41)
-    for n in range(15, 21):
-        size = 1 << n
-        vectors = [np.ones(size, np.int8), -np.ones(size, np.int8)]
-        for p in (0.5, 0.15, 0.85):
-            vectors.append(np.where(rng.random(size) < p, -1, 1).astype(np.int8))
-        for signs in vectors:
-            exact = bent._fwht(signs, np.uint32).view(np.int32)
-            wide = bent._fwht(signs, np.uint64).view(np.int64)
-            assert np.array_equal(exact, wide), n
-            residues = bent._fwht(signs, np.uint16)
-            assert residues.dtype == np.uint16, n
-            assert np.array_equal(residues, (exact & 0xFFFF).astype(np.uint16)), n
-        if n >= 17:
-            assert np.abs(exact).max() > 1 << 16, n
-
-
-def test_fwht_never_writes_the_callers_array():
-    # inputs already in the ring's type (uint16 in uint16) included, at
-    # even n too, where the first copy is square
-    rng = np.random.default_rng(43)
-    for n in (0, 1, 2, 7, 8, 14, 15):
-        for dtype, ring in [
-            (np.int8, np.uint16), (np.int8, np.uint32), (np.int16, np.uint16),
-            (np.uint16, np.uint16), (np.int64, np.uint64), (np.int64, np.uint16),
-        ]:
-            a = rng.integers(-1, 2, 1 << n).astype(dtype)
-            held = a.tobytes()
-            out = bent._fwht(a, ring)
-            assert a.tobytes() == held, (n, dtype, ring)
-            assert out.dtype == ring, (n, dtype, ring)
-            # a uint16 input holds -1 as 2^16 - 1, which is -1 modulo 2^16
-            bits = np.iinfo(ring).bits
-            want = [w % (1 << bits) for w in oracles.fwht(a.astype(np.int64).tolist())]
-            assert out.tolist() == want, (n, dtype, ring)
-
-
-def test_unsigned_type_rule():
-    # the residues of bentness: modulo 2^16 while n // 2 <= 14, modulo
-    # 2^32 while n // 2 <= 30, as k + 2 bits for n = 2k ask
-    for n in range(62):
-        want = np.uint16 if n // 2 <= 14 else np.uint32
-        assert bent._ring(n // 2 + 2) == want, n
-    assert bent._ring(62 // 2 + 2) == np.uint64
-
-
-def test_ring_is_the_narrowest_with_enough_bits():
-    for bits in range(65):
-        want = np.uint16 if bits <= 16 else np.uint32 if bits <= 32 else np.uint64
-        assert bent._ring(bits) == want, bits
-    for bits in (65, 80):
-        with pytest.raises(ValueError, match=f"no unsigned type has {bits} bits"):
-            bent._ring(bits)
-
-
-def test_fwht_ring_edge():
-    # max|x| * length = 2^15 - 1 fits int16 and 2^15 does not; the same
-    # one step past int32.  Each ring reads its results exactly
-    for bound, dtype in [
-        ((1 << 15) - 1, np.uint16), (1 << 15, np.uint32),
-        ((1 << 31) - 1, np.uint32), (1 << 31, np.uint64),
-    ]:
-        vectors = [[bound], [-bound]]
-        if bound % 2 == 0:
-            vectors.append([bound // 2, -(bound // 2)])  # two entries of bound / 2
-        for vec in vectors:
-            assert bent._ring(_window(vec)) == dtype, vec
-            assert _kernel(vec, dtype) == oracles.fwht(vec), vec
-
-
 def _lanes(a, n):
     """The entries W(u) of `bent._lane_spectrum`'s int, lane u unbiased."""
     lanes = np.frombuffer(a.to_bytes(4 << n, "little"), "<u4").astype(np.int64)
@@ -375,7 +225,6 @@ def test_lane_spectrum_matches_the_transforms():
             funcs += [sigma_function(n // 2), tau_function(n // 2)]
         for f in funcs:
             got = _lanes(bent._lane_spectrum(f.bits, n), n)
-            assert got == _kernel(f.table(), bent._ring(n + 2)), n
             walsh = oracles.walsh_transform(f)
             assert got == [((size if u == 0 else 0) - w) // 2 for u, w in enumerate(walsh)], n
         assert _lanes(bent._lane_spectrum(0, n), n) == [0] * size
@@ -494,22 +343,6 @@ def test_lane_guard_is_checked_before_any_mask(monkeypatch):
         verify_srg(build_delta(3), RED)
 
 
-def test_spectral_functions_match_oracle():
-    rng = random.Random(37)
-    for n in range(2, 13):
-        size = 1 << n
-        tables = [BoolFunc.from_bits(n, rng.randrange(1 << size))]
-        if n % 2 == 0:
-            # a twin plus a linear function is bent; one flipped entry is not
-            u = rng.randrange(size)
-            linear = BoolFunc.from_values(n, [(u & x).bit_count() & 1 for x in range(size)])
-            twin = (sigma_function if n % 4 else tau_function)(n // 2) ^ linear
-            tables += [twin, BoolFunc.from_bits(n, twin.bits ^ (1 << rng.randrange(size)))]
-        for f in tables:
-            assert _kernel(signed(f), bent._ring(n + 2)) == oracles.walsh_transform(f)
-            assert is_bent(f) == oracles.is_bent(f)
-
-
 def _kernel_inputs(n, rng):
     """Random, constant and one-entry tables on n bits, the twins at even
     n, and at even n a twin plus a linear function (bent) and the same
@@ -528,28 +361,80 @@ def _kernel_inputs(n, rng):
 
 
 def test_kernel_matches_whole_array_route():
-    # the kernel's spectrum of the unpacked signs, in each ring, is the
-    # butterfly oracle's exact spectrum modulo 2^w.  Every n from 1 to
-    # 16 covers tables shorter than a byte (n < 3), square (even n) and
-    # oblong (odd n) stages
+    # the bit planes hold the spectrum F = H_n 1_f of f's 0/1 indicator
+    # modulo 2^k, k = n // 2, at every u, against the butterfly oracle's
+    # exact W_f: F(u) = (2^n [u = 0] - W_f(u)) / 2.  Residues, not only
+    # verdicts: a kernel that keeps too few bits on the way may still
+    # decide bentness right.  Every n from 1 to 16 covers tables shorter
+    # than a byte (n < 3) and even n, where is_bent reads the planes
     rng = random.Random(47)
     for n in range(1, 17):
+        k = n // 2
         for f in _kernel_inputs(n, rng):
-            exact = np.array(oracles.walsh_transform(f), np.int64)
-            for ring in (np.uint16, np.uint32, np.uint64):
-                got = bent._fwht(bent._signs(f), ring)
-                assert got.dtype == ring and np.array_equal(got, exact.astype(ring)), (n, ring)
+            walsh = oracles.walsh_transform(f)
+            exact = [((1 << n if u == 0 else 0) - w) // 2 for u, w in enumerate(walsh)]
+            if k:
+                planes = bent._walsh_planes(f)
+                assert len(planes) == k, n
+                assert _residues(planes, n) == [x % (1 << k) for x in exact], n
             # the difference-count kernel reads the packed table a byte
-            # at a time into its lanes; the whole-array route squares the
-            # 0/1 indicator's spectrum and transforms it back
-            spectrum = bent._lane_spectrum(f.bits, n)
-            assert _lanes(spectrum, n) == _kernel(f.table(), bent._ring(n + 2)), n
+            # at a time into its lanes: the exact spectrum
+            assert _lanes(bent._lane_spectrum(f.bits, n), n) == exact, n
             if n <= 10:
                 counts = oracles.autocorrelation(f)
                 d = rng.randrange(1, 1 << n)
                 assert bent._common(f.bits, n, d) == counts[d], (n, d)
                 off = next(((g, c) for g, c in enumerate(counts) if g and c != counts[1]), None)
                 assert bent._first_off(f.bits, n, counts[1], counts[1]) == off, n
+
+
+def test_planes_decide_bentness_as_the_oracle_does(monkeypatch):
+    # is_bent by the planes alone, against the oracle's exact spectrum,
+    # at n = 2..14: random tables, twins relabelled by an invertible map
+    # (bent), one entry flipped (W(0) is off) and two entries of unlike
+    # value flipped, which keeps the weight and with it W(0), so that the
+    # planes must reject
+    monkeypatch.setattr(bent, "_MAX_LEAVES", 0)
+    rng = random.Random(83)
+    kept = []  # the oracle's verdicts on the weight-keeping flips
+    for n in range(2, 15):
+        size = 1 << n
+        tables = [BoolFunc.from_bits(n, rng.getrandbits(size)) for _ in range(2)]
+        if n % 2 == 0:
+            for twin in (sigma_function(n // 2), tau_function(n // 2)):
+                g = BoolFunc.from_values(n, oracles.relabel(twin.table(), oracles.random_invertible(rng, n)))
+                ones = oracles.support(g)
+                zeros = sorted(set(range(size)) - set(ones))
+                both = BoolFunc.from_bits(n, g.bits ^ 1 << rng.choice(ones) ^ 1 << rng.choice(zeros))
+                tables += [g, BoolFunc.from_bits(n, g.bits ^ 1 << rng.randrange(size)), both]
+                assert oracles.is_bent(g) and both.weight() == g.weight(), n
+                kept.append(oracles.is_bent(both))
+        for f in tables:
+            assert bent._factors(f) is None
+            assert is_bent(f) == oracles.is_bent(f), f.hex()
+    assert kept.count(False) >= 10, kept
+
+
+def test_is_bent_reads_every_plane_but_lane_0(monkeypatch):
+    # the read-out of the planes alone, on planes put in the kernel's
+    # place: lane 0 is W(0), which the weight decides, and every other
+    # lane must read 2^(k-1), at n = 6 on a table of weight 28 (W(0) = 8)
+    monkeypatch.setattr(bent, "_MAX_LEAVES", 0)
+    f = sigma_function(3)
+    assert f.weight() == 28 and is_bent(f)
+    ones = (1 << 64) - 1
+    for planes, want in [
+        ([0, 0, ones], True),
+        ([1, 1, ones ^ 1], True),
+        ([1 << 5, 0, ones], False),
+        ([0, 1 << 63, ones], False),
+        ([0, 0, ones ^ 1 << 5], False),
+    ]:
+        monkeypatch.setattr(bent, "_walsh_planes", lambda _: list(planes))
+        assert is_bent(f) is want, planes
+    # planes that read bent, under a table whose weight puts W(0) at 6
+    monkeypatch.setattr(bent, "_walsh_planes", lambda _: [0, 0, ones])
+    assert not is_bent(BoolFunc.from_bits(6, f.bits ^ 1))
 
 
 def _outcome(fn, f):
@@ -573,8 +458,8 @@ def test_duals_match_the_pure_python_oracle():
 
 def test_dense_route_decides_a_maiorana_mcfarland_table():
     # 2^10 distinct linear blocks, so `_factors` gives up and is_bent runs
-    # the dense transform at n = 20, the size of the benchmark's
-    # relabelled tau_10; one flipped entry makes every |W_f| 2^10 +- 2
+    # the bit planes at n = 20, the size of the benchmark's relabelled
+    # tau_10; one flipped entry makes every |W_f| 2^10 +- 2
     f = oracles.maiorana_mcfarland(10, 61)
     assert bent._factors(f) is None
     assert is_bent(f)
@@ -601,8 +486,9 @@ def test_non_bent_cases():
 # --- bentness through a table's distinct blocks -----------------------------
 
 def _routes(f):
-    """is_bent(f) by the route it takes, and by the dense route, which is
-    the route of every table when no block may be a leaf."""
+    """is_bent(f) by the route it takes, and by the dense route, the bit
+    planes of the whole table, which is the route of every table when no
+    block may be a leaf."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bent, "_MAX_LEAVES", 0)
         dense = is_bent(f)
@@ -695,8 +581,8 @@ def test_factored_route_gives_up_past_its_leaf_limit():
 
 def test_residues_of_an_unbent_spectrum_can_match():
     # n = 18: the first (2^18 - 66048) / 2 entries set give W(0) =
-    # 2^18 - 2 weight = 66048, which is 2^9 modulo 2^16; Parseval makes
-    # some other residue differ, and both routes reject f
+    # 2^18 - 2 weight = 66048, which is 2^9 modulo 2^16; the weight reads
+    # W(0) exactly, and both routes reject f
     weight = ((1 << 18) - 66048) // 2
     f = BoolFunc.from_bits(18, (1 << weight) - 1)
     assert (1 << 18) - 2 * f.weight() == 66048 == (1 << 16) + (1 << 9)

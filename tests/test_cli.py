@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ctwin import twins
@@ -60,11 +61,12 @@ def run_budgeted_to(out, argv, budget_s, program=("-m", "ctwin")):
     return int(code), float(rss)
 
 
-def imported_by(argv):
-    """(exit code, the modules imported) of `python -m ctwin ARGV`, read
-    off the interpreter's -X importtime report; stdout is dropped."""
+def imported_by(argv, program=("-m", "ctwin")):
+    """(exit code, the modules imported) of `python -m ctwin ARGV`
+    (`python PROGRAM ARGV` for another program), read off the
+    interpreter's -X importtime report; stdout is dropped."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "ctwin", *argv],
+        [sys.executable, "-X", "importtime", *program, *argv],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60,
     )
     return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
@@ -234,8 +236,9 @@ def test_bent_at_guard_limit_within_budget(tmp_path):
 
 
 # is_bent on a Maiorana-McFarland table at n = 24 and on the same table
-# with one entry flipped: 4096 distinct blocks, so both run the dense
-# transform on the whole unpacked table
+# with one entry flipped: 4096 distinct blocks, so the factored route
+# gives up on both; the table runs the bit planes, and the flipped one
+# is refused by its weight, W(0) = 2^24 - 2 wt +- 2
 _DENSE_24 = """
 import json, random, sys
 sys.path.insert(0, sys.argv[1])
@@ -252,14 +255,47 @@ print(json.dumps([bent._factors(f) is None, bent.is_bent(f), bent.is_bent(flippe
 
 def test_dense_is_bent_at_n24_within_budget(tmp_path):
     # n = 24 is the largest table `bent` makes; a table the factored route
-    # gives up on takes the dense route there, twice, in 4 s and 160 MB
-    # (0.61-0.82 s and 117.5 MB measured through this launcher, 2 vCPU)
+    # gives up on takes the bit planes there once, in 4 s and 160 MB
+    # (0.67-0.85 s and 77.2 MB measured through this launcher, 2 vCPU)
     out = tmp_path / "stdout.json"
     tests = str(Path(__file__).resolve().parent)
     code, rss = run_budgeted_to(out, [tests], 4.0, program=("-c", _DENSE_24))
     assert code == 0
     assert json.loads(out.read_bytes()) == [True, True, False]
     assert rss < 160.0, f"dense is_bent at n = 24 peaked at {rss:.0f} MB, budget 160 MB"
+
+
+# is_bent on a table read from a file, as the benchmark's is_bent step
+# reads it
+_IS_BENT = """
+import sys
+from ctwin import BoolFunc, is_bent
+with open(sys.argv[1]) as fh:
+    print(is_bent(BoolFunc.from_hex(fh.read())))
+"""
+
+
+def test_relabelled_tau10_is_bent_within_budget(tmp_path):
+    # tau_10 relabelled by a random invertible map over GF(2), the
+    # benchmark's is_bent step: 1024 distinct blocks, so the bit planes
+    # decide it, in 0.6 s and 40 MB without numpy (0.074-0.134 s, median
+    # 0.09 s, and 18.8 MB measured through this launcher over 20 runs,
+    # 2 vCPU)
+    f = tau_function(10)
+    cols = oracles.random_invertible(random.Random(10), 20)
+    x = np.arange(f.size)
+    image = np.zeros(f.size, np.int64)
+    for j, c in enumerate(cols):
+        image ^= (x >> j & 1) * c
+    g = BoolFunc(20, np.packbits(oracles.unpacked(f)[image], bitorder="little").tobytes())
+    table = tmp_path / "tau10.hex"
+    table.write_text(g.hex())
+    out = tmp_path / "stdout.txt"
+    code, rss = run_budgeted_to(out, [str(table)], 0.6, program=("-c", _IS_BENT))
+    assert code == 0 and out.read_text() == "True\n"
+    assert rss < 40.0, f"is_bent of a relabelled tau_10 peaked at {rss:.0f} MB, budget 40 MB"
+    code, imported = imported_by([str(table)], program=("-c", _IS_BENT))
+    assert code == 0 and "ctwin.twins" in imported and "numpy" not in imported
 
 
 def test_table_at_guard_limit_within_budget(tmp_path):

@@ -157,17 +157,28 @@ def test_oracle_error_branches(monkeypatch, mutation, error, message):
 
 def test_oracle_matches_pairwise_loop_when_one_matrix_is_mutated(monkeypatch):
     # one or two signs flipped, or two rows swapped, in one basis matrix: the
-    # whole-array oracle returns or raises exactly what the loop does
+    # whole-array oracle returns or raises exactly what the loop does.  At
+    # m = 3, with 8 columns of 64 matrices each, every single flip of a
+    # sample of indices: the 8 diagonal ones, whose flips keep them
+    # diagonal and so reach the pair checks, and 4 others
     m, n = 2, 4
-    for index in range(1 << (2 * m)):
+    inputs = [
+        (m, index, mutation)
+        for index in range(1 << (2 * m))
         for mutation in [
             *(dict(flip=(c,)) for c in range(n)),
             *(dict(flip=pair) for pair in itertools.combinations(range(n), 2)),
             *(dict(swap=pair) for pair in itertools.combinations(range(n), 2)),
-        ]:
-            mutated = _mutated_gamma(index, **mutation)
-            monkeypatch.setattr(algebra, "gamma", mutated)
-            assert _outcome(oracle_build_delta, m) == _outcome(oracles.pairwise_delta, m, mutated), (index, mutation)
+        ]
+    ]
+    diagonal = [3 * int(format(x, "b"), 4) for x in range(8)]
+    sample = diagonal + random.Random(3).sample(sorted(set(range(64)) - set(diagonal)), 4)
+    inputs += [(3, index, dict(flip=(c,))) for index in sample for c in range(8)]
+    for m, index, mutation in inputs:
+        mutated = _mutated_gamma(index, **mutation)
+        monkeypatch.setattr(algebra, "gamma", mutated)
+        want = _outcome(oracles.pairwise_delta, m, mutated)
+        assert _outcome(oracle_build_delta, m) == want, (m, index, mutation)
 
 
 def test_oracle_guard():

@@ -1,9 +1,9 @@
 """The package's lazy surface: `import ctwin`, every command, the swap
 search, truth tables, graph export, difference sets, strong regularity,
-the matrix oracle and the bentness of the twins run on the standard
-library alone, and numpy loads only with `is_bent`'s dense route.
-What loads is checked in fresh interpreters, whose sys.modules start
-without numpy, and where numpy may be imported is read off the source."""
+the matrix oracle and the bentness of any table run on the standard
+library alone, and numpy never loads.  What loads is checked in fresh
+interpreters, whose sys.modules start without numpy, and that no module
+imports numpy is read off the source."""
 
 import ast
 import json
@@ -49,7 +49,7 @@ ctwin.is_bent
 seen["import is_bent"] = "numpy" in sys.modules
 ctwin.is_bent(ctwin.tau_function(2))
 seen["is_bent"] = "numpy" in sys.modules
-# one distinct block more than the factored route takes
+# one distinct block more than the factored route takes: the bit planes
 ctwin.is_bent(ctwin.BoolFunc(6, bytes(range(ctwin.bent._MAX_LEAVES + 1)).ljust(8, bytes(1))))
 seen["dense is_bent"] = "numpy" in sys.modules
 print(json.dumps(seen))
@@ -91,7 +91,7 @@ def test_library_search_loads_no_numpy():
     seen = _fresh(_LIBRARY)
     assert seen == {
         "import": False, "search_swap": False, "search_all": False,
-        "import is_bent": False, "is_bent": False, "dense is_bent": True,
+        "import is_bent": False, "is_bent": False, "dense is_bent": False,
     }
 
 
@@ -149,11 +149,6 @@ def test_commands_load_only_their_layers(argv, code, loaded, absent, tmp_path):
     assert loaded <= modules and not absent & modules
 
 
-# the functions of `ctwin.bent` that import numpy: `is_bent`'s dense
-# route and the kernel under it
-NUMPY_USERS = {"_ring", "_signs", "_fwht", "is_bent"}
-
-
 def _numpy_imports(tree):
     """The enclosing function (None at module level) of every import of
     numpy in a module's tree that runs: not under `if TYPE_CHECKING:`,
@@ -180,12 +175,11 @@ def _numpy_imports(tree):
 
 
 def test_numpy_is_imported_only_by_the_dense_bentness_route():
-    # every import of numpy in src/ctwin sits inside one of the four
-    # functions of `ctwin.bent`, once each, and none at module level
+    # there is no dense route left, and no module of src/ctwin imports
+    # numpy, in a function or at module level
     package = Path(ctwin.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):
-        users = _numpy_imports(ast.parse(path.read_text()))
-        assert sorted(users) == (sorted(NUMPY_USERS) if path.name == "bent.py" else []), path.name
+        assert _numpy_imports(ast.parse(path.read_text())) == [], path.name
 
 
 def test_exported_names_and_layers_resolve():
@@ -263,8 +257,7 @@ print(json.dumps(seen))
 
 def test_library_steps_load_no_dataclasses():
     seen = _fresh(_LIBRARY_STEPS)
-    assert seen.pop("dense is_bent") == [["inspect"], True]
-    assert seen == {name: [[], False] for name in seen} and len(seen) == 10
+    assert seen == {name: [[], False] for name in seen} and len(seen) == 11
 
 
 # --- the value records --------------------------------------------------------
