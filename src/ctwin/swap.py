@@ -12,13 +12,13 @@ blocks of Delta_m and check at run time every hypothesis the reduction
 below needs, raising RuntimeError when one fails.  By the reduction the
 swaps that fix every coset are the solutions of a linear system over
 GF(2), one equation per pair of cosets, and `_solve` row-reduces it; no
-search tree is walked.  Every XOR-linear map here, the blocks and the
-lifts of step (v), is built by `_linear` from its images of the unit
-vectors, in O(v), so the searches share Delta_m's guard, m <= 8
-(`twins._DELTA_MAX_M`).  Only the maps a search returns,
-which exist at m <= 3, are checked over every pair, by `_all_swaps`
-through the bit layer's one walk over XOR translates,
-`twins._translates`, in natural order: `search_swap`'s witness through
+search tree is walked.  Every XOR-linear map here, the blocks, the
+lifts of step (v) and the coset-fixing automorphisms of step (vii), is
+built by `_linear` from its images of the unit vectors, in O(v), so the
+searches share Delta_m's guard, m <= 8 (`twins._DELTA_MAX_M`).  Only
+the maps a search returns, which exist at m <= 3, are checked over
+every pair, by `_all_swaps` through the bit layer's one walk over XOR
+translates, `twins._translates`, in natural order: `search_swap`'s witness through
 `verify_swap`, and every map `search_all` lists in one pass over one
 big int that holds them all.  `_check_search` is the layer's one range
 check: `search_swap` and `verify_swap` call it before kappa is built,
@@ -106,8 +106,8 @@ cell reps[i] ^ D[x], and the cells of coset i are reps[i] + D.
     psi o alpha^-1 is a swap with pi = id.  So a swap exists iff one
     exists that fixes every coset, and step (vi) decides that.  The
     kernel K (the pi = id automorphisms) and the lifts generate Aut_0,
-    of order |K| * |GL(m, 2)|, and the swaps fixing 0 are the coset
-    psi o Aut_0.
+    of order |K| * |GL(m, 2)| = 2^(m(m-1)/2) |GL(m, 2)| by step (vii),
+    and the swaps fixing 0 are the coset psi o Aut_0.
 (vi) A phi with pi = id sends reps[i] ^ D[x] to reps[i] ^ D[f_i(x)],
     with f_i a permutation of GF(2)^m and f_0(0) = 0.  reps and D are
     XOR-linear, so for i != j the cells (i, x) and (j, y) differ by
@@ -132,6 +132,19 @@ cell reps[i] ^ D[x], and the cells of coset i are reps[i] + D.
     coefficient of t_a is the sum of a ^ b over b in B, that of t_b the
     sum of a ^ b over a in A, and both are 0; the right sides sum to
     15 = 1.  So the sum reads 0 = 1.
+(vii) K in closed form.  With rhs = 0, the pair (0, i) gives i.t_i = 0
+    (t_0 = 0), and the pair (i, j) then gives i.t_j = j.t_i, for every
+    i and j.  So for every u, u.t_(i ^ j) = (i ^ j).t_u = i.t_u + j.t_u
+    = u.t_i + u.t_j, and t_(i ^ j) = t_i ^ t_j: t_i = L i for a linear
+    L with i.(L j) = j.(L i) and i.(L i) = 0, an alternating matrix
+    (symmetric, zero diagonal).  Conversely every alternating L solves
+    the system: (i ^ j).(L i ^ L j) = i.L i + j.L j + i.L j + j.L i = 0.
+    So K is the maps (i, x) -> (i, x ^ L i) with L alternating, a space
+    with the basis L_ab = E_ab + E_ba for a < b, |K| = 2^(m(m-1)/2),
+    and |Aut_0| = 2^(m(m-1)/2) |GL(m, 2)|: 1, 12 and 1344 at m = 1, 2,
+    3, the count that `search --all` prints.  The swap system is not
+    linear by this argument, since there i.t_i = 1; its witness stays
+    `_solve`'s.
 
 `_solve` reduces the pairs in (i, j) order and meets 0 = 1 after 51 of
 the 120 equations at m = 4, 99 of 496 at m = 5 and 771 of 32640 at
@@ -365,22 +378,6 @@ def _solve(m, rhs, node_budget=None):
     return SearchStatus.FOUND, len(pairs), {top: row for top, (row, _) in basis.items()}
 
 
-def _solutions(m, basis):
-    """Every solution t = [t_0, ..., t_(2^m - 1)] of an echelon basis from
-    _solve, the one with every free unknown 0 first.  A row's bits other
-    than its pivot lie below it, so the pivots are set in ascending
-    order."""
-    r = 1 << m
-    free = [b for b in range(m, m * r) if b not in basis]
-    for choice in range(1 << len(free)):
-        x = 1  # bit 0 stands for the right side
-        for k, b in enumerate(free):
-            x |= (choice >> k & 1) << b
-        for top in sorted(basis):
-            x |= ((basis[top] & x).bit_count() & 1) << top
-        yield [0] + [x >> (m * c) & (r - 1) for c in range(1, r)]
-
-
 def _translations(blocks, t):
     """The pi = id map reps[i] ^ D[x] -> reps[i] ^ D[x ^ t[i]] on the
     blocks' cells, as a tuple."""
@@ -390,6 +387,18 @@ def _translations(blocks, t):
         for x, d in enumerate(zeros):
             phi[c ^ d] = c ^ zeros[x ^ u]
     return tuple(phi)
+
+
+def _coset_fixers(m):
+    """K's basis of step (vii) of the module docstring, as lists: for
+    a < b the `_linear` map (i, x) -> (i, x ^ L_ab i), whose images of
+    vertex bits 2a and 2a + 1 (the cells (e_a, 0) and (e_a, e_a)) gain
+    3 << 2b, those of bits 2b and 2b + 1 gain 3 << 2a, and every other
+    bit stays put."""
+    return [
+        _linear([1 << j ^ {a: 3 << 2 * b, b: 3 << 2 * a}.get(j >> 1, 0) for j in range(2 * m)])
+        for a, b in itertools.combinations(range(m), 2)
+    ]
 
 
 def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -> SearchOutcome:
@@ -419,7 +428,11 @@ def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -
     status, nodes, found = _solve(m, 1, node_budget)
     witness = certificate = None
     if status is SearchStatus.FOUND:
-        witness = SwapMap(m, _translations(blocks, next(_solutions(m, found))))
+        x = 1  # bit 0 stands for the right side, and every free unknown is 0
+        for top in sorted(found):  # a row's other bits lie below its pivot
+            x |= ((found[top] & x).bit_count() & 1) << top
+        t = [0] + [x >> (m * c) & ((1 << m) - 1) for c in range(1, 1 << m)]
+        witness = SwapMap(m, _translations(blocks, t))
         if not verify_swap(witness):
             raise RuntimeError("search produced a map that fails verification")
     elif status is SearchStatus.EXHAUSTED:
@@ -455,25 +468,24 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
 
     Built from the coset blocks: the swaps fixing 0 are psi o Aut_0, for
     search_swap's witness psi.  K, every pi = id automorphism, is the
-    solution set of step (vi)'s system with right side 0, a space over
-    GF(2) whose basis is the solutions with one free unknown set.
-    Aut_0 is the closure of that basis and the lifts of T and S, checked
-    to have |K| * |GL(m, 2)| elements.  When there is no psi (m >= 4)
-    the list is empty and no closure is built.  `limit` truncates the
-    full sorted list; it does not shorten the work, and every map in it
-    goes through one `_all_swaps` pass.  search_swap runs here with no
-    node budget and its one order.
+    maps (i, x) -> (i, x ^ L i) with L alternating (step (vii) of the
+    module docstring), and `_coset_fixers` gives its basis of
+    m(m - 1)/2 maps in closed form.  Aut_0 is the closure of that basis
+    and the lifts of T and S, checked to have |K| * |GL(m, 2)| =
+    2^(m(m-1)/2) |GL(m, 2)| elements: 1, 12 and 1344 at m = 1, 2, 3.
+    When there is no psi (m >= 4) the list is empty and no closure is
+    built.  `limit` truncates the full sorted list; it does not shorten
+    the work, and every map in it goes through one `_all_swaps` pass.
+    search_swap runs here with no node budget and its one order.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     psi = search_swap(m).witness
     if psi is None:
         return []
-    _, _, basis = _solve(m, 0)
-    kernel = [_translations(_blocks(m), t) for t in _solutions(m, basis)]
-    # _solutions lists K by its free unknowns, so kernel[1 << k] sets the kth alone
-    auts = _closure([kernel[1 << k] for k in range(len(kernel).bit_length() - 1)] + _lifts(m))
-    if len(auts) != len(kernel) * _gl_order(m):
+    basis = _coset_fixers(m)
+    auts = _closure(basis + _lifts(m))
+    if len(auts) != _gl_order(m) << len(basis):
         raise RuntimeError("K and the lifts do not generate |K| * |GL(m, 2)| automorphisms")
     coset = sorted(itemgetter(*alpha)(psi.phi) for alpha in auts)[:limit]  # psi o alpha
     maps = [SwapMap(m, phi) for phi in coset]

@@ -1,6 +1,7 @@
 """CLI contract: one JSON object on stdout, documented exit codes."""
 
 import json
+import math
 import os
 import random
 import re
@@ -584,15 +585,20 @@ def test_search_at_guard_limit_within_budget(tmp_path):
     assert rss < 30.0, f"search --m 8 peaked at {rss:.0f} MB, budget 30 MB"
 
 
-def test_search_all_m1(capsys):
-    code, report = run_cli(capsys, "search", "--m", "1", "--all")
+@pytest.mark.parametrize("m, count", [(1, 1), (2, 12), (3, 1344)])
+def test_search_all_counts_aut0(capsys, m, count):
+    # the swaps fixing 0 are the coset psi o Aut_0, so there are
+    # |Aut_0| = 2^(m(m-1)/2) |GL(m, 2)| of them; 5000 is no limit here
+    code, report = run_cli(capsys, "search", "--m", str(m), "--all", "5000")
     assert code == 0
-    assert report["result"]["witnesses"] == [[0, 2, 1, 3]]
-    assert report["result"]["count"] == 1
+    gl_order = math.prod((1 << m) - (1 << i) for i in range(m))
+    assert report["result"]["count"] == count == gl_order << m * (m - 1) // 2
+    if m == 1:
+        assert report["result"]["witnesses"] == [[0, 2, 1, 3]]
 
 
 def test_search_all_follows_the_cli_guard(capsys):
-    # the library guards search_all to m <= 2; the CLI's own guard is m <= 8
+    # search_all and the CLI share the swap layer's guard, m <= 8
     code, report = run_cli(capsys, "search", "--m", "3", "--all", "5")
     assert code == 0
     assert report["result"]["witnesses"] == [list(w.phi) for w in search_all(3, 5, force=True)]
@@ -606,7 +612,7 @@ def test_search_bad_budget(capsys):
     for argv in (
         ("--node-budget", "0"),
         ("--all", "--node-budget", "0"),
-        ("--all", "--node-budget", "5"),  # --all enumerates the whole tree
+        ("--all", "--node-budget", "5"),  # search_all runs search_swap with no budget
         ("--threads", "2"),  # the search runs in one process
     ):
         code, report = run_cli(capsys, "search", "--m", "1", *argv)

@@ -242,8 +242,8 @@ def test_all_swaps_reads_two_byte_fields_m5(monkeypatch):
 
 def test_search_all_checks_its_maps_in_one_pass(monkeypatch):
     # search_swap's witness, then the 1344 maps of the enumeration at once;
-    # Aut_0 closes over the 3 basis maps of K and the 2 lifts, not all 8
-    # maps of K
+    # Aut_0 closes over the 3 closed-form generators of K (the maps
+    # t_i = L_ab i, a < b) and the 2 lifts
     batches, generators = [], []
     all_swaps, closure = swap._all_swaps, swap._closure
 
@@ -805,27 +805,77 @@ def test_kernel_system_leaves_m_choose_2_free_unknowns(m):
     assert unknowns - len(basis) == m * (m - 1) // 2
 
 
+def _reps(m, u):
+    """reps[u]: base-4 digit 1 where u has bit 1."""
+    return sum(((u >> k) & 1) << (2 * k) for k in range(m))
+
+
 def _pi_id_map(m, t):
     """phi(reps[i] ^ D[x]) = reps[i] ^ D[x ^ t[i]], from the base-4
     digits: reps[i] has digit 1 where i has bit 1, D[x] digit 3."""
-    def reps(u):
-        return sum(((u >> k) & 1) << (2 * k) for k in range(m))
-
     phi = [0] * (1 << (2 * m))
     for i, ti in enumerate(t):
         for x in range(1 << m):
-            phi[reps(i) ^ 3 * reps(x)] = reps(i) ^ 3 * reps(x ^ ti)
+            phi[_reps(m, i) ^ 3 * _reps(m, x)] = _reps(m, i) ^ 3 * _reps(m, x ^ ti)
     return tuple(phi)
+
+
+def _translation_vector(m, phi):
+    """t with phi(reps[i]) = reps[i] ^ D[t[i]] for every coset i, read
+    from the base-4 digits; fails if some phi(reps[i]) leaves coset i."""
+    t = []
+    for i in range(1 << m):
+        d = phi[_reps(m, i)] ^ _reps(m, i)
+        t.append(sum(((d >> (2 * k)) & 1) << k for k in range(m)))
+        assert d == 3 * _reps(m, t[-1]), (i, d)
+    return t
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_coset_fixers_solve_the_kernel_system(m):
+    # each closed-form generator of K, written as _solve's unknown vector
+    # (bit m c + k holds bit k of t_c), satisfies every row of the rhs-0
+    # echelon basis, and the m(m - 1)/2 vectors are independent; with the
+    # m(m - 1)/2 free unknowns of the test above, they span K
+    _, _, basis = swap._solve(m, 0)
+    generators = swap._coset_fixers(m)
+    assert len(generators) == m * (m - 1) // 2
+    kappa = build_delta(m).kappa if m <= 5 else None
+    pivots = {}  # top bit -> vector, an echelon basis of the vectors so far
+    for phi in generators:
+        t = _translation_vector(m, phi)
+        assert t[0] == 0
+        x = sum(tc << (m * c) for c, tc in enumerate(t))
+        assert all((row & x).bit_count() % 2 == 0 for row in basis.values())
+        while x and x.bit_length() in pivots:
+            x ^= pivots[x.bit_length()]
+        assert x, "the generators are dependent"
+        pivots[x.bit_length()] = x
+        if kappa is not None:
+            # an automorphism that sends every coset to itself: it keeps
+            # kappa at every vertex, so on every pair, being XOR-linear
+            v = len(kappa)
+            assert sorted(phi) == list(range(v))
+            assert all(kappa[phi[a]] == kappa[a] for a in range(v))
+            assert all(_coset_index(m, phi[y]) == _coset_index(m, y) for y in range(v))
+            assert tuple(phi) == _pi_id_map(m, t)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_solver_matches_the_oracle_walk(m):
-    # the solutions for rhs 1 (swaps) and 0 (automorphisms) are the walk's
-    # coset-fixing maps, and search_swap's witness is the first of them
-    for rhs, sign in ((1, -1), (0, +1)):
-        status, _, basis = swap._solve(m, rhs)
-        assert status is SearchStatus.FOUND
-        maps = sorted(_pi_id_map(m, t) for t in swap._solutions(m, basis))
-        assert maps == exhaustive(m, sign, fixing=True)
-        assert len(maps) == {1: 1, 2: 2, 3: 8}[m]
-    assert search_swap(m).witness.phi == exhaustive(m, -1, fixing=True)[0]
+    # K, the closure of its closed-form generators, is the walk's
+    # coset-fixing automorphisms; the swap witness's t* XORed with each t
+    # of K gives the walk's coset-fixing swaps, and the witness is the
+    # first of them
+    identity = tuple(range(1 << (2 * m)))
+    kernel = swap._closure([identity] + swap._coset_fixers(m))
+    assert sorted(kernel) == exhaustive(m, +1, fixing=True)
+    assert len(kernel) == {1: 1, 2: 2, 3: 8}[m]
+    witness = search_swap(m).witness.phi
+    star = _translation_vector(m, witness)
+    swaps = sorted(
+        _pi_id_map(m, [a ^ b for a, b in zip(star, _translation_vector(m, alpha))])
+        for alpha in kernel
+    )
+    assert swaps == exhaustive(m, -1, fixing=True)
+    assert witness == exhaustive(m, -1, fixing=True)[0]
