@@ -4,11 +4,13 @@ Each invocation prints exactly one JSON object on stdout; anything meant
 for humans goes to stderr.  Exit codes: 0 success (or witness found),
 1 error or bad usage, 2 search exhausted, 3 search inconclusive.
 
-Each command imports the layers it uses when it runs, and every one
-runs on the standard library alone: `search`, `graph`, `params`,
-`oracle`, `bent` (whose twins `is_bent` checks through their few
-distinct blocks) and `table` in both formats, which encodes each
-distinct piece of a twin table once.
+Each command imports the layers it uses when it runs, on top of
+`twins`: `table` none, `search` `swap`, `graph` `graphs`, `bent` `bent`,
+`params` `bent` and `graphs`, and `oracle` `graphs`, `bent` and
+`algebra`.  Every one runs on the standard library alone: `search`,
+`graph`, `params`, `oracle`, `bent` (whose twins `is_bent` checks
+through their few distinct blocks) and `table` in both formats, which
+encodes each distinct piece of a twin table once.
 """
 
 from __future__ import annotations
@@ -142,8 +144,10 @@ def _cmd_graph(args):
     graph = build_delta(args.m)
     blocks = (graph6_blocks if graph6 else json_edges_blocks)(graph, colour)
     if args.out:
-        # written block by block, so the payload is never held whole
-        with open(args.out, "wb") as fh:
+        # written block by block, so the payload is never held whole,
+        # through a 1 MB buffer: the default is the file system's block
+        # size, often 4 KB, one write call per few blocks of edges
+        with open(args.out, "wb", buffering=1 << 20) as fh:
             size = sum(fh.write(block) for block in blocks)
         return {"format": args.format, "path": args.out, "bytes": size}, EXIT_OK
     if graph6:

@@ -20,9 +20,13 @@ translate T_j, reached from T_(j-1) by a couple of swaps of bit runs:
 the walk in natural order that the difference counts and the swap check
 read too.  graph6 cuts each column off the top of a translate, and edge lists pick
 each row's neighbours by the digits of its translate's binary text.
-Everything here runs on the standard library.  The matrix oracle
-alone loads `ctwin.algebra`; it checks every pair of basis matrices, one
-row a against every b at once, on b-major bytes (`oracle_build_delta`).
+Everything here runs on the standard library, and loading it loads
+`ctwin.twins` alone: `ctwin.bent`, whose difference counts strong
+regularity reads and whose closed forms `predicted_srg_params` and the
+oracle read, is imported by the calls that need it, so export never
+loads it.  The matrix oracle alone loads `ctwin.algebra`; it checks
+every pair of basis matrices, one row a against every b at once, on
+b-major bytes (`oracle_build_delta`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import binascii
 import itertools
 import json
 
-from .bent import BoolFunc, _check_lanes, _common, _first_off, predicted_params, sigma, tau
 from .twins import _SPREAD, _Record, _delta_kappa, _level_masks, _set, _translates
 
 RED = -1
@@ -157,13 +160,15 @@ def oracle_build_delta(m: int) -> DifferenceGraph:
       first offending pair of the row: ValueError where the mark is, and
       RuntimeError otherwise.
 
-    `ctwin.algebra` is imported here, on the first call.
+    `ctwin.algebra` and `ctwin.bent` are imported here, on the first
+    call.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > _ORACLE_MAX_M:
         raise ValueError(f"oracle path is guarded to m <= {_ORACLE_MAX_M}")
     from .algebra import SymmetryClass, classify, gamma
+    from .bent import sigma, tau
 
     v = 1 << (2 * m)
     basis = [gamma(m, i) for i in range(v)]
@@ -258,6 +263,8 @@ def verify_srg(graph: DifferenceGraph, colour: int) -> SrgParams:
     would report.  Guarded to 2^30 vertices (`bent._check_lanes`),
     before any work.
     """
+    from .bent import _check_lanes, _common, _first_off
+
     _check_lanes(graph.n_bits)
     # the class with index d at bit d, without 0: no loops, even for the
     # colour 0 of non-edges
@@ -286,6 +293,8 @@ def predicted_srg_params(m: int) -> SrgParams:
     """(v, k, lam, lam) from the Hadamard difference set parameters of
     `bent.predicted_params`: a Cayley graph on a difference set with
     lambda = mu."""
+    from .bent import predicted_params
+
     p = predicted_params(m)
     return SrgParams(p.v, p.k, p.lam, p.lam)
 

@@ -18,11 +18,14 @@ built by `_linear` from its images of the unit vectors, in O(v), so the
 searches share Delta_m's guard, m <= 8 (`twins._DELTA_MAX_M`).  Only
 the maps a search returns, which exist at m <= 3, are checked over
 every pair, by `_all_swaps` through the bit layer's one walk over XOR
-translates, `twins._translates`, in natural order: `search_swap`'s witness through
-`verify_swap`, and every map `search_all` lists in one pass over one
-big int that holds them all.  `_check_search` is the layer's one range
-check: `search_swap` and `verify_swap` call it before kappa is built,
-and `search_all` through its first call, of `search_swap`.
+translates, `twins._translates`, in natural order: `search_swap`'s
+witness through `verify_swap`, and every map `search_all` lists in one
+pass, each unordered pair once, on rows that hold every map's image of
+one vertex.  Those maps have at most 64 points, so `search_all`
+composes them as bytes, one `bytes.translate` each.  `_check_search`
+is the layer's one range check: `search_swap` and `verify_swap` call
+it before kappa is built, and `search_all` through its first call, of
+`search_swap`.
 Everything here is plain Python on bytes, tuples and big ints: kappa
 is `twins._delta_kappa`'s int8 bytes.
 
@@ -156,10 +159,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
+from array import array
 from enum import Enum
 from functools import lru_cache
-from operator import itemgetter
 
 from .twins import _DELTA_MAX_M, _Record, _delta_kappa, _level_masks, _set, _translates
 
@@ -186,7 +188,7 @@ class SwapMap(_Record):
         if not isinstance(phi, tuple):
             raise TypeError("phi must be a tuple")
         v = 1 << (2 * m)
-        if len(phi) != v or sorted(phi) != list(range(v)):
+        if len(phi) != v or set(phi) != set(range(v)):
             raise ValueError(f"phi is not a permutation of 0..{v - 1}")
 
 
@@ -217,39 +219,50 @@ def verify_swap(swap: SwapMap) -> bool:
 
 def _all_swaps(m, phis) -> bool:
     """Every map in phis, each a permutation of Delta_m's vertices as a
-    tuple, is a swap: the exhaustive pair check of verify_swap, for all
-    the maps in one pass.
+    sequence of ints (bytes where v <= 256), is a swap: the exhaustive
+    pair check of verify_swap, for all the maps in one pass.
 
-    The pairs (a, a ^ d) are checked one difference d at a time: the v
-    differences phi[a] ^ phi[a ^ d] must all have the colour -kappa[d].
-    The maps are one big int with a field per vertex, map c's vertex a
-    at field c v + a, and d runs in natural order through the walk
-    `_translates` on the 2m levels of `_level_masks` below v, which
-    translates every map's fields by d at once (d = 0 holds, as
-    kappa[0] = 0).  A row's colours are read by one translate while a
-    vertex fits a byte (v <= 256), field by field above.  O(v^2) time
-    per map and O(v m) memory per map: no v x v array is made."""
+    Each unordered pair {a, a ^ d} is checked once, at the a where the
+    top bit h of d is clear: phi[a] ^ phi[a ^ d] must have the colour
+    -kappa[d] in every map.  The maps are held vertex-major, row a
+    holding every map's phi[a], one field each.  For each h the rows
+    with bit h clear are joined in order into one big int, and those
+    with bit h set into another, so that lane i holds row a of the
+    first and row a ^ h of the second, for the ith a with bit h clear.
+    The walk `_translates` on the levels below h takes the second to its
+    translates by d ^ h for d = h, ..., 2h - 1, in natural order, whose
+    lane i holds row a ^ d; each d is then one XOR with the first, one
+    to_bytes and one read of the colours, compared with the row of
+    -kappa[d], built once per colour.  The colours are read by one
+    translate while a vertex fits a byte (v <= 256), field by field
+    above.  O(v^2) time per map, and O(v m) memory per map, for the
+    levels' masks: no v x v array and no list of pairs is made."""
     kappa = _delta_kappa(m)
     negated = kappa.translate(_NEG)
     v = len(kappa)
-    lanes = v * len(phis)
-    fields = f"<{lanes}{'B' if v <= 256 else 'H'}"
-    width = struct.calcsize(fields)  # bytes per row
+    fields = array("B" if v <= 256 else "H", itertools.chain.from_iterable(zip(*phis)))
+    rows = fields.tobytes()  # row a is every map's phi[a]
+    row = len(phis) * fields.itemsize  # bytes per row
+    width = v // 2 * row  # bytes per half
     if v <= 256:
         table = kappa.ljust(256, b"\0")
 
-        def colours(row):
-            return row.translate(table)
+        def colours(half):
+            return half.translate(table)
     else:
-        def colours(row):
-            return bytes(map(kappa.__getitem__, struct.unpack(fields, row)))
+        def colours(half):
+            return bytes(map(kappa.__getitem__, array("H", half)))
 
-    levels = itertools.islice(_level_masks(lanes, 8 * width // lanes), 2 * m)
-    phi = int.from_bytes(struct.pack(fields, *itertools.chain.from_iterable(phis)), "little")
-    # field c v + a of the dth translate holds map c's phi[a ^ d]
-    for d, translated in enumerate(_translates(phi, levels)):
-        if colours((phi ^ translated).to_bytes(width, "little")) != negated[d : d + 1] * lanes:
-            return False
+    levels = list(_level_masks(v // 2, 8 * row))
+    expected = {c: bytes([c]) * (v // 2 * len(phis)) for c in set(negated)}
+    for k in range(2 * m):
+        run = row << k  # the bytes of 2^k rows
+        starts = range(0, v * row, 2 * run)
+        clear = int.from_bytes(b"".join(rows[i : i + run] for i in starts), "little")
+        flipped = int.from_bytes(b"".join(rows[i + run : i + 2 * run] for i in starts), "little")
+        for d, translated in enumerate(_translates(flipped, levels[:k]), 1 << k):
+            if colours((clear ^ translated).to_bytes(width, "little")) != expected[negated[d]]:
+                return False
     return True
 
 
@@ -442,17 +455,17 @@ def search_swap(m: int, *, node_budget: int | None = None, order: str = "mcv") -
 
 
 def _closure(gens):
-    """The group that the permutations gens generate, as a list of
-    tuples, the identity first."""
-    identity = tuple(range(len(gens[0])))
+    """The group that the permutations gens generate, each of at most
+    256 points, as a list of bytes, the identity first."""
+    identity = bytes(range(len(gens[0])))
     group = {identity: None}  # a dict keeps the order of discovery
     frontier = [identity]
-    compose = [itemgetter(*g) for g in gens]  # compose[k](f) = f o gens[k]
+    tables = [bytes(g).ljust(256, b"\0") for g in gens]  # f.translate(tables[k]) = gens[k] o f
     while frontier:
         fresh = []
         for f in frontier:
-            for right in compose:
-                composed = right(f)
+            for table in tables:
+                composed = f.translate(table)
                 if composed not in group:
                     group[composed] = None
                     fresh.append(composed)
@@ -487,8 +500,10 @@ def search_all(m: int, limit: int, *, force: bool = False) -> list[SwapMap]:
     auts = _closure(basis + _lifts(m))
     if len(auts) != _gl_order(m) << len(basis):
         raise RuntimeError("K and the lifts do not generate |K| * |GL(m, 2)| automorphisms")
-    coset = sorted(itemgetter(*alpha)(psi.phi) for alpha in auts)[:limit]  # psi o alpha
-    maps = [SwapMap(m, phi) for phi in coset]
+    # psi o alpha, one translate each; bytes sort as the tuples of their values
+    table = bytes(psi.phi).ljust(256, b"\0")
+    coset = sorted(alpha.translate(table) for alpha in auts)[:limit]
+    maps = [SwapMap(m, tuple(phi)) for phi in coset]
     if not _all_swaps(m, coset):
         raise RuntimeError("enumeration produced a map that fails verification")
     return maps

@@ -23,9 +23,10 @@ whose index has bit k clear, each made from one byte pattern, and
 runs per set bit of d, then steps through T_(d+1), T_(d+2), ... in
 natural order, each from the last by swaps at a few levels.  The
 difference counts in `bent` (`_common`, `_first_off`), the graph
-encoders in `graphs` (`_rows`, `_graph6_body`) and `swap._all_swaps`
-all read their translates from it, and `bent._lane_spectrum` and
-`bent._walsh_planes` run their butterflies on the same masks.
+encoders in `graphs` (`_rows`, `_graph6_body`) and `swap._all_swaps`,
+on the upper half of its rows, all read their translates from it, and
+`bent._lane_spectrum` and `bent._walsh_planes` run their butterflies on
+the same masks.
 
 Every value record of the package (`BoolFunc`, `DiffSetParams`,
 `DifferenceGraph`, `SrgParams`, `SwapMap`, `SearchOutcome`,
@@ -212,9 +213,8 @@ def _level_masks(lanes: int, bits: int = 1):
     for each level k with 2^k < lanes, in turn, on `lanes` lanes of
     `bits` bits each, lane i at bits i * bits and up.  Each mask is one
     byte pattern read by int.from_bytes, never a big-int division.  A
-    mask is whole only where 2^(k+1) divides lanes, so a caller with
-    lanes not a power of two, such as `swap._all_swaps` with v lanes
-    per map, walks only those levels."""
+    mask is whole only where 2^(k+1) divides lanes; every caller has a
+    power of two lanes."""
     size = lanes * bits
     run = bits
     while run < size:
@@ -232,7 +232,9 @@ def _translates(a: int, levels, start: int = 0):
     given the L levels (run, mask) of `_level_masks` to walk: T_d(a) has
     lane i ^ d of a at lane i.  The only code that steps through XOR
     translates: `bent._common` reads the first item, `bent._first_off`,
-    `graphs._rows`, `graphs._graph6_body` and `swap._all_swaps` walk on.
+    `graphs._rows` and `graphs._graph6_body` walk on, and
+    `swap._all_swaps` walks each upper half of its rows on the levels
+    below the half's bit.
 
     T_start is a with adjacent runs exchanged at each level k where
     start has bit k set.  From d - 1 to d the index moves by

@@ -1,19 +1,21 @@
 """The package's lazy surface: `import ctwin`, every command, the swap
 search, truth tables, graph export, difference sets, strong regularity,
 the matrix oracle and the bentness of any table run on the standard
-library alone, and numpy never loads.  What loads is checked in fresh
-interpreters, whose sys.modules start without numpy, and that no module
-imports numpy is read off the source."""
+library alone, and numpy never loads.  What loads is read from
+sys.modules in the probe (tests/probe.py), a fresh interpreter with
+numpy blocked, so each command and library step runs once there, and
+that no module imports numpy is read off the source."""
 
 import ast
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import ctwin
+
+from probe import probe
 
 # every name the package exported when its __init__ imported them all,
 # by the layer that defines it
@@ -29,89 +31,92 @@ EXPORTED = {
 LAYERS = ("algebra", "bent", "graphs", "swap", "cli")
 
 
-def _fresh(code):
-    """Run code in a fresh interpreter; returns its stdout, parsed as
-    JSON."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
+# every library step in one probe, in an order that loads each layer at
+# its first use; after each step, its result and the ctwin layers and
+# modules of INTROSPECTION loaded so far
 _LIBRARY = """
 import json, sys
 import ctwin
-seen = {"import": "numpy" in sys.modules}
-ctwin.search_swap(4)
-seen["search_swap"] = "numpy" in sys.modules
-ctwin.search_all(3, 2000, force=True)
-seen["search_all"] = "numpy" in sys.modules
-ctwin.is_bent
-seen["import is_bent"] = "numpy" in sys.modules
-ctwin.is_bent(ctwin.tau_function(2))
-seen["is_bent"] = "numpy" in sys.modules
-# one distinct block more than the factored route takes: the bit planes
-ctwin.is_bent(ctwin.BoolFunc(6, bytes(range(ctwin.bent._MAX_LEAVES + 1)).ljust(8, bytes(1))))
-seen["dense is_bent"] = "numpy" in sys.modules
+steps = {
+    "import": lambda: None,
+    "search_swap": lambda: ctwin.search_swap(4).status.value,
+    "search_all": lambda: len(ctwin.search_all(3, 2000, force=True)),
+    "verify_swap": lambda: ctwin.verify_swap(ctwin.search_swap(2).witness),
+    "truth tables": lambda: ctwin.BoolFunc.from_hex(ctwin.tau_function(3).hex()) == ctwin.tau_function(3),
+    # graph export from a truth table, as a library caller does it
+    "export": lambda: [
+        ctwin.export_graph(
+            ctwin.cayley_graph(ctwin.BoolFunc.from_hex(ctwin.sigma_function(3).hex())), ctwin.BLUE, "graph6"
+        ).decode(),
+        json.loads(ctwin.export_graph(ctwin.build_delta(2), ctwin.RED, "json-edges")),
+    ],
+    "difference sets": lambda: [
+        ctwin.verify_difference_set(f(3)).as_tuple() for f in (ctwin.sigma_function, ctwin.tau_function)
+    ],
+    "srg": lambda: [
+        ctwin.verify_srg(ctwin.build_delta(3), ctwin.RED).as_tuple(),
+        ctwin.verify_srg(ctwin.cayley_graph(ctwin.tau_function(4)), ctwin.BLUE).as_tuple(),
+    ],
+    "oracle": lambda: ctwin.oracle_build_delta(2) == ctwin.build_delta(2),
+    "is_bent": lambda: ctwin.is_bent(ctwin.tau_function(2)),
+    # one distinct block more than the factored route takes: the bit planes
+    "dense is_bent": lambda: ctwin.is_bent(
+        ctwin.BoolFunc(6, bytes(range(ctwin.bent._MAX_LEAVES + 1)).ljust(8, bytes(1)))
+    ),
+}
+seen = {}
+for name, step in steps.items():
+    result = step()
+    watched = [n for n, mod in sys.modules.items() if mod and (n.startswith("ctwin.") or n in ("dataclasses", "inspect"))]
+    seen[name] = [result, sorted(watched)]
 print(json.dumps(seen))
 """
 
-# graph export from a truth table, as a library caller does it
-_LIBRARY_EXPORT = """
-import json, sys
-import ctwin
-f = ctwin.BoolFunc.from_hex(ctwin.sigma_function(3).hex())
-data = ctwin.export_graph(ctwin.cayley_graph(f), ctwin.BLUE, "graph6")
-print(json.dumps([data.decode(), sorted({"numpy", "ctwin.algebra"} & set(sys.modules))]))
-"""
+# modules that `dataclasses` imports and numpy imports too
+INTROSPECTION = {"dataclasses", "inspect"}
 
 
-# difference sets and strong regularity, as a library caller checks them
-_LIBRARY_VERIFY = """
-import json, sys
-import ctwin
-ds = ctwin.verify_difference_set(ctwin.tau_function(3))
-srg = ctwin.verify_srg(ctwin.build_delta(3), ctwin.RED)
-print(json.dumps([ds.as_tuple(), srg.as_tuple(), sorted({"numpy", "ctwin.algebra"} & set(sys.modules))]))
-"""
-
-
-def _imported_by_command(argv):
-    """(exit code, the modules imported) of `python -m ctwin ARGV`, read
-    off the interpreter's -X importtime report."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "ctwin", *argv],
-        capture_output=True, text=True, timeout=120,
-    )
-    report = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    assert report, proc.stderr
-    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in report}
-
-
-def test_library_search_loads_no_numpy():
-    seen = _fresh(_LIBRARY)
-    assert seen == {
-        "import": False, "search_swap": False, "search_all": False,
-        "import is_bent": False, "is_bent": False, "dense is_bent": False,
+def test_library_steps_load_only_their_layers():
+    # with numpy blocked every step runs; none loads dataclasses, inspect
+    # or a layer before the step that first uses it
+    run = probe([], program=_LIBRARY)
+    assert run.code == 0, run.err
+    seen = json.loads(run.out)
+    first = {
+        "import": [],
+        "search_swap": ["ctwin.swap", "ctwin.twins"],
+        "truth tables": ["ctwin.bent", "ctwin.swap", "ctwin.twins"],
+        "export": ["ctwin.bent", "ctwin.graphs", "ctwin.swap", "ctwin.twins"],
+        "oracle": ["ctwin.algebra", "ctwin.bent", "ctwin.graphs", "ctwin.swap", "ctwin.twins"],
     }
+    layers = []
+    for name, (_, watched) in seen.items():
+        layers = first.get(name, layers)
+        assert watched == layers, name
+    assert len(seen) == 11
+    results = {name: result for name, (result, _) in seen.items()}
+    assert [results[name] for name in ("search_swap", "search_all", "verify_swap", "truth tables")] == [
+        "exhausted", 1344, True, True,
+    ]
+    graph6, edges = results["export"]
+    assert graph6.encode() == ctwin.to_graph6(ctwin.cayley_graph(ctwin.sigma_function(3)), ctwin.BLUE)
+    assert edges == {"v": 16, "colour": "red", "edges": [list(e) for e in ctwin.build_delta(2).edges(ctwin.RED)]}
+    ds = list(ctwin.predicted_params(3).as_tuple())
+    assert results["difference sets"] == [ds, ds]
+    assert results["srg"] == [list(ctwin.predicted_srg_params(m).as_tuple()) for m in (3, 4)]
+    assert [results[name] for name in ("oracle", "is_bent", "dense is_bent")] == [True, True, False]
 
 
-def test_library_export_loads_no_numpy():
-    data, loaded = _fresh(_LIBRARY_EXPORT)
-    assert loaded == []
-    g = ctwin.cayley_graph(ctwin.sigma_function(3))
-    assert data.encode() == ctwin.to_graph6(g, ctwin.BLUE)
-
-
-def test_library_verifiers_load_no_numpy():
-    ds, srg, loaded = _fresh(_LIBRARY_VERIFY)
-    assert loaded == []
-    assert ds == list(ctwin.predicted_params(3).as_tuple())
-    assert srg == list(ctwin.predicted_srg_params(3).as_tuple())
+def test_probe_sees_a_layer_loaded_through_getattr():
+    # ctwin.__getattr__ loads graphs by importlib, and no import statement
+    # names it; graphs loads no layer but twins until a call needs one
+    run = probe([], program="import ctwin; ctwin.verify_srg")
+    assert run.code == 0, run.err
+    assert {name for name in run.modules if name.startswith("ctwin")} == {"ctwin", "ctwin.graphs", "ctwin.twins"}
 
 
 SEARCH_LAYERS = {"ctwin.twins", "ctwin.swap"}
-ARRAY_LAYERS = {"numpy", "ctwin.algebra", "ctwin.bent", "ctwin.graphs"}
-EXPORT_LAYERS = {"ctwin.twins", "ctwin.bent", "ctwin.graphs"}
+ARRAY_LAYERS = {"ctwin.algebra", "ctwin.bent", "ctwin.graphs"}
 # stands for a file path in a command's arguments
 OUT = "<out>"
 
@@ -125,28 +130,34 @@ OUT = "<out>"
         (["table", "--m", "3", "--function", "tau"], 0,
          {"ctwin.twins"}, ARRAY_LAYERS | {"ctwin.swap"}),
         (["bent", "--m", "3", "--function", "tau"], 0,
-         {"ctwin.twins", "ctwin.bent"}, {"numpy", "ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
+         {"ctwin.twins", "ctwin.bent"}, {"ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
         (["graph", "--m", "3", "--colour", "red", "--out", OUT], 0,
-         EXPORT_LAYERS, {"numpy", "ctwin.algebra", "ctwin.swap"}),
+         {"ctwin.twins", "ctwin.graphs"}, {"ctwin.algebra", "ctwin.bent", "ctwin.swap"}),
         (["graph", "--m", "3", "--colour", "blue", "--format", "json-edges", "--out", OUT], 0,
-         EXPORT_LAYERS, {"numpy", "ctwin.algebra", "ctwin.swap"}),
+         {"ctwin.twins", "ctwin.graphs"}, {"ctwin.algebra", "ctwin.bent", "ctwin.swap"}),
         (["params", "--m", "3"], 0,
-         {"ctwin.twins", "ctwin.bent", "ctwin.graphs"}, {"numpy", "ctwin.algebra", "ctwin.swap"}),
+         {"ctwin.twins", "ctwin.bent", "ctwin.graphs"}, {"ctwin.algebra", "ctwin.swap"}),
         (["oracle", "--m", "2"], 0,
-         {"ctwin.twins", "ctwin.algebra", "ctwin.graphs"}, {"numpy", "ctwin.swap"}),
+         {"ctwin.twins", "ctwin.algebra", "ctwin.graphs"}, {"ctwin.swap"}),
         (["bent", "--m", "1", "--function", "sigma"], 0,
-         {"ctwin.twins", "ctwin.bent"}, {"numpy", "ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
+         {"ctwin.twins", "ctwin.bent"}, {"ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
         (["bent", "--m", "12", "--function", "tau"], 0,
-         {"ctwin.twins", "ctwin.bent"}, {"numpy", "ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
+         {"ctwin.twins", "ctwin.bent"}, {"ctwin.algebra", "ctwin.graphs", "ctwin.swap"}),
         (["table", "--m", "3", "--function", "tau", "--format", "bits"], 0,
          {"ctwin.twins"}, ARRAY_LAYERS | {"ctwin.swap"}),
+        (["search", "--m", "3", "--all", "2000"], 0, SEARCH_LAYERS, ARRAY_LAYERS),
+        (["params", "--m", "5"], 0,
+         {"ctwin.twins", "ctwin.bent", "ctwin.graphs"}, {"ctwin.algebra", "ctwin.swap"}),
     ],
 )
 def test_commands_load_only_their_layers(argv, code, loaded, absent, tmp_path):
+    # with numpy blocked each command exits with its code, having loaded
+    # its layers and no other, and neither dataclasses nor inspect
     argv = [str(tmp_path / "out") if arg == OUT else arg for arg in argv]
-    returned, modules = _imported_by_command(argv)
-    assert returned == code
-    assert loaded <= modules and not absent & modules
+    run = probe(argv)
+    assert run.code == code, run.err
+    assert loaded <= run.modules and not absent & run.modules
+    assert not INTROSPECTION & run.modules
 
 
 def _numpy_imports(tree):
@@ -174,9 +185,9 @@ def _numpy_imports(tree):
     return found
 
 
-def test_numpy_is_imported_only_by_the_dense_bentness_route():
-    # there is no dense route left, and no module of src/ctwin imports
-    # numpy, in a function or at module level
+def test_no_module_imports_numpy():
+    # in a function or at module level: so a command that runs with numpy
+    # blocked runs the same where numpy has been imported
     package = Path(ctwin.__file__).resolve().parent
     for path in sorted(package.glob("*.py")):
         assert _numpy_imports(ast.parse(path.read_text())) == [], path.name
@@ -195,69 +206,6 @@ def test_exported_names_and_layers_resolve():
         assert layer in listed, layer
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         ctwin.nonesuch
-
-
-# --- no dataclasses, and no inspect without numpy ---------------------------
-
-# modules that `dataclasses` imports and numpy imports too
-INTROSPECTION = {"dataclasses", "inspect"}
-
-
-@pytest.mark.parametrize(
-    "argv, numpy",
-    [
-        (["search", "--m", "3"], False),
-        (["search", "--m", "8"], False),
-        (["search", "--m", "3", "--all", "2000"], False),
-        (["table", "--m", "3", "--function", "tau"], False),
-        (["table", "--m", "3", "--function", "tau", "--format", "bits"], False),
-        (["bent", "--m", "3", "--function", "tau"], False),
-        (["graph", "--m", "3", "--colour", "red", "--out", OUT], False),
-        (["graph", "--m", "3", "--colour", "blue", "--format", "json-edges", "--out", OUT], False),
-        (["params", "--m", "5"], False),
-        (["oracle", "--m", "2"], False),
-    ],
-)
-def test_commands_load_no_dataclasses(argv, numpy, tmp_path):
-    # inspect comes with numpy, and with nothing else
-    argv = [str(tmp_path / "out") if arg == OUT else arg for arg in argv]
-    returned, modules = _imported_by_command(argv)
-    assert returned in (0, 2)
-    assert ("numpy" in modules) == numpy
-    assert INTROSPECTION & modules == ({"inspect"} if numpy else set())
-
-
-# every library step, in one interpreter: the modules of INTROSPECTION
-# loaded after each, and whether numpy has loaded
-_LIBRARY_STEPS = """
-import json, sys
-import ctwin
-steps = {
-    "import": lambda: None,
-    "search_swap": lambda: ctwin.search_swap(4),
-    "search_all": lambda: ctwin.search_all(3, 2000),
-    "verify_swap": lambda: ctwin.verify_swap(ctwin.search_swap(2).witness),
-    "truth tables": lambda: ctwin.BoolFunc.from_hex(ctwin.tau_function(3).hex()),
-    "export": lambda: ctwin.export_graph(ctwin.build_delta(2), ctwin.RED, "json-edges"),
-    "difference sets": lambda: ctwin.verify_difference_set(ctwin.sigma_function(3)),
-    "srg": lambda: ctwin.verify_srg(ctwin.cayley_graph(ctwin.tau_function(4)), ctwin.BLUE),
-    "oracle": lambda: ctwin.oracle_build_delta(2) == ctwin.build_delta(2),
-    "is_bent": lambda: ctwin.is_bent(ctwin.tau_function(2)),
-    "dense is_bent": lambda: ctwin.is_bent(
-        ctwin.BoolFunc(6, bytes(range(ctwin.bent._MAX_LEAVES + 1)).ljust(8, bytes(1)))
-    ),
-}
-seen = {}
-for name, step in steps.items():
-    step()
-    seen[name] = [sorted({"dataclasses", "inspect"} & set(sys.modules)), "numpy" in sys.modules]
-print(json.dumps(seen))
-"""
-
-
-def test_library_steps_load_no_dataclasses():
-    seen = _fresh(_LIBRARY_STEPS)
-    assert seen == {name: [[], False] for name in seen} and len(seen) == 11
 
 
 # --- the value records --------------------------------------------------------

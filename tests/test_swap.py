@@ -215,12 +215,20 @@ def test_all_swaps_agrees_with_the_oracle_m3(m3_swaps):
 @pytest.mark.parametrize("position", [0, 672, 1343])
 def test_all_swaps_fails_a_batch_with_one_broken_map(m3_swaps, position):
     # two images of one map exchanged, at the first, a middle and the
-    # last of the 1344 maps: that map is no swap, so the batch fails
-    broken = list(m3_swaps[position])
-    broken[5], broken[40] = broken[40], broken[5]
-    assert not oracles.verify_swap(3, broken)
-    batch = m3_swaps[:position] + [tuple(broken)] + m3_swaps[position + 1 :]
-    assert not swap._all_swaps(3, batch)
+    # last of the 1344 maps: that map is no swap, so the batch fails;
+    # besides 5 and 40, the images of a and a ^ d for a random a and a d
+    # of every top bit h, since each pair is checked once, under its h
+    rng = random.Random(position)
+    pairs = [(5, 40)]
+    for h in (1, 2, 4, 8, 16, 32):
+        a = rng.randrange(64)
+        pairs.append((a, a ^ h ^ rng.randrange(h)))
+    for a, b in pairs:
+        broken = list(m3_swaps[position])
+        broken[a], broken[b] = broken[b], broken[a]
+        assert not oracles.verify_swap(3, broken), (a, b)
+        batch = m3_swaps[:position] + [tuple(broken)] + m3_swaps[position + 1 :]
+        assert not swap._all_swaps(3, batch), (a, b)
 
 
 def test_all_swaps_reads_two_byte_fields_m5(monkeypatch):
@@ -868,8 +876,8 @@ def test_solver_matches_the_oracle_walk(m):
     # of K gives the walk's coset-fixing swaps, and the witness is the
     # first of them
     identity = tuple(range(1 << (2 * m)))
-    kernel = swap._closure([identity] + swap._coset_fixers(m))
-    assert sorted(kernel) == exhaustive(m, +1, fixing=True)
+    kernel = swap._closure([identity] + swap._coset_fixers(m))  # bytes
+    assert sorted(map(tuple, kernel)) == exhaustive(m, +1, fixing=True)
     assert len(kernel) == {1: 1, 2: 2, 3: 8}[m]
     witness = search_swap(m).witness.phi
     star = _translation_vector(m, witness)
