@@ -7,6 +7,7 @@ numpy blocked, so each command and library step runs once there, and
 that no module imports numpy is read off the source."""
 
 import ast
+import functools
 import json
 import sys
 from pathlib import Path
@@ -32,8 +33,8 @@ LAYERS = ("algebra", "bent", "graphs", "swap", "cli")
 
 
 # every library step in one probe, in an order that loads each layer at
-# its first use; after each step, its result and the ctwin layers and
-# modules of INTROSPECTION loaded so far
+# its first use; after each step, its result, the ctwin layers loaded so
+# far and the modules of INTROSPECTION loaded so far
 _LIBRARY = """
 import json, sys
 import ctwin
@@ -67,8 +68,12 @@ steps = {
 seen = {}
 for name, step in steps.items():
     result = step()
-    watched = [n for n, mod in sys.modules.items() if mod and (n.startswith("ctwin.") or n in ("dataclasses", "inspect"))]
-    seen[name] = [result, sorted(watched)]
+    loaded = sorted(n for n, mod in sys.modules.items() if mod)
+    seen[name] = [
+        result,
+        [n for n in loaded if n.startswith("ctwin.")],
+        [n for n in loaded if n in ("dataclasses", "inspect")],
+    ]
 print(json.dumps(seen))
 """
 
@@ -76,12 +81,51 @@ print(json.dumps(seen))
 INTROSPECTION = {"dataclasses", "inspect"}
 
 
-def test_library_steps_load_only_their_layers():
-    # with numpy blocked every step runs; none loads dataclasses, inspect
-    # or a layer before the step that first uses it
+@functools.cache
+def _library_steps():
+    """{step: [its result, the ctwin layers, the modules of INTROSPECTION
+    loaded so far]} of _LIBRARY, probed once for the tests that read it.
+    The probe blocks numpy, so a step that imported it would raise."""
     run = probe([], program=_LIBRARY)
     assert run.code == 0, run.err
-    seen = json.loads(run.out)
+    return json.loads(run.out)
+
+
+def _results(*names):
+    seen = _library_steps()
+    return [seen[name][0] for name in names]
+
+
+def test_library_search_loads_no_numpy():
+    # the search, the enumeration and both bentness routes, numpy blocked
+    assert _results("search_swap", "search_all", "verify_swap", "is_bent", "dense is_bent") == [
+        "exhausted", 1344, True, True, False,
+    ]
+
+
+def test_library_export_loads_no_numpy():
+    # and loads no ctwin.algebra: only the oracle step does
+    graph6, edges = _results("export")[0]
+    assert graph6.encode() == ctwin.to_graph6(ctwin.cayley_graph(ctwin.sigma_function(3)), ctwin.BLUE)
+    assert edges == {"v": 16, "colour": "red", "edges": [list(e) for e in ctwin.build_delta(2).edges(ctwin.RED)]}
+    assert "ctwin.algebra" not in _library_steps()["export"][1]
+
+
+def test_library_verifiers_load_no_numpy():
+    ds = list(ctwin.predicted_params(3).as_tuple())
+    assert _results("difference sets", "truth tables") == [[ds, ds], True]
+    assert _results("srg")[0] == [list(ctwin.predicted_srg_params(m).as_tuple()) for m in (3, 4)]
+    assert "ctwin.algebra" not in _library_steps()["srg"][1]
+
+
+def test_library_steps_load_no_dataclasses():
+    seen = _library_steps()
+    assert {name: introspection for name, (_, _, introspection) in seen.items()} == {name: [] for name in seen}
+    assert len(seen) == 11
+
+
+def test_library_steps_load_only_their_layers():
+    # no step loads a layer before the step that first uses it
     first = {
         "import": [],
         "search_swap": ["ctwin.swap", "ctwin.twins"],
@@ -89,22 +133,12 @@ def test_library_steps_load_only_their_layers():
         "export": ["ctwin.bent", "ctwin.graphs", "ctwin.swap", "ctwin.twins"],
         "oracle": ["ctwin.algebra", "ctwin.bent", "ctwin.graphs", "ctwin.swap", "ctwin.twins"],
     }
+    seen = _library_steps()
     layers = []
-    for name, (_, watched) in seen.items():
+    for name, (_, watched, _) in seen.items():
         layers = first.get(name, layers)
         assert watched == layers, name
-    assert len(seen) == 11
-    results = {name: result for name, (result, _) in seen.items()}
-    assert [results[name] for name in ("search_swap", "search_all", "verify_swap", "truth tables")] == [
-        "exhausted", 1344, True, True,
-    ]
-    graph6, edges = results["export"]
-    assert graph6.encode() == ctwin.to_graph6(ctwin.cayley_graph(ctwin.sigma_function(3)), ctwin.BLUE)
-    assert edges == {"v": 16, "colour": "red", "edges": [list(e) for e in ctwin.build_delta(2).edges(ctwin.RED)]}
-    ds = list(ctwin.predicted_params(3).as_tuple())
-    assert results["difference sets"] == [ds, ds]
-    assert results["srg"] == [list(ctwin.predicted_srg_params(m).as_tuple()) for m in (3, 4)]
-    assert [results[name] for name in ("oracle", "is_bent", "dense is_bent")] == [True, True, False]
+    assert _results("oracle") == [True]
 
 
 def test_probe_sees_a_layer_loaded_through_getattr():
@@ -119,6 +153,21 @@ SEARCH_LAYERS = {"ctwin.twins", "ctwin.swap"}
 ARRAY_LAYERS = {"ctwin.algebra", "ctwin.bent", "ctwin.graphs"}
 # stands for a file path in a command's arguments
 OUT = "<out>"
+
+
+@pytest.fixture(scope="module")
+def probed(tmp_path_factory):
+    """probe(ARGV), run once per command for all the tests of this module;
+    OUT in ARGV becomes a file of the command's own."""
+    runs = {}
+
+    def run(argv):
+        if tuple(argv) not in runs:
+            out = str(tmp_path_factory.mktemp("out") / "out")
+            runs[tuple(argv)] = probe([out if arg == OUT else arg for arg in argv])
+        return runs[tuple(argv)]
+
+    return run
 
 
 @pytest.mark.parametrize(
@@ -150,13 +199,40 @@ OUT = "<out>"
          {"ctwin.twins", "ctwin.bent", "ctwin.graphs"}, {"ctwin.algebra", "ctwin.swap"}),
     ],
 )
-def test_commands_load_only_their_layers(argv, code, loaded, absent, tmp_path):
+def test_commands_load_only_their_layers(argv, code, loaded, absent, probed):
     # with numpy blocked each command exits with its code, having loaded
-    # its layers and no other, and neither dataclasses nor inspect
-    argv = [str(tmp_path / "out") if arg == OUT else arg for arg in argv]
-    run = probe(argv)
+    # its layers and no other
+    run = probed(argv)
     assert run.code == code, run.err
     assert loaded <= run.modules and not absent & run.modules
+
+
+@pytest.mark.parametrize(
+    "argv, numpy",
+    [
+        (["search", "--m", "3"], False),
+        (["search", "--m", "8"], False),
+        (["search", "--m", "3", "--all", "2000"], False),
+        (["table", "--m", "3", "--function", "tau"], False),
+        (["table", "--m", "3", "--function", "tau", "--format", "bits"], False),
+        (["bent", "--m", "3", "--function", "tau"], False),
+        (["graph", "--m", "3", "--colour", "red", "--out", OUT], False),
+        (["graph", "--m", "3", "--colour", "blue", "--format", "json-edges", "--out", OUT], False),
+        (["params", "--m", "5"], False),
+        (["oracle", "--m", "2"], False),
+        (["search", "--m", "2", "--all"], False),
+        (["params", "--m", "3"], False),
+        (["bent", "--m", "1", "--function", "sigma"], False),
+        (["bent", "--m", "12", "--function", "tau"], False),
+    ],
+)
+def test_commands_load_no_dataclasses(argv, numpy, probed):
+    # numpy: whether the run may import it, False for every command since
+    # the probe blocks it; the run is the one its layer test reads, and
+    # loads neither dataclasses nor inspect
+    assert not numpy
+    run = probed(argv)
+    assert run.code in (0, 2), run.err
     assert not INTROSPECTION & run.modules
 
 
