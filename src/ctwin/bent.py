@@ -28,37 +28,36 @@ BoolFunc holds its table in it as bytes.  A Python int
 (`BoolFunc.bits`) is made only for a caller that asks for one.
 Everything here runs on the standard library.
 
-Bentness of a table that `_factors` gives up on, such as the
-benchmark's relabelled tau_10 (1024 distinct blocks), is decided by its
-weight and by one bitsliced kernel, `_walsh_planes(f)`: the spectrum of
-f's 0/1 indicator modulo 2^k, n = 2k, held as k bit planes, each an int
-of 2^n bits whose bit u is one bit of entry u.  A level of the
+Every spectrum here comes from one kernel, `_walsh_planes`: the
+Walsh-Hadamard transform of a vector of entries in {-1, 0, 1}, held in
+two's complement as bit planes, each an int of 2^n bits whose bit u is
+one bit of entry u, modulo 2^p for a plane count p.  A level of the
 butterfly is a ripple-carry add and a ripple-borrow subtract of whole
-planes, and Z -> Z/2^k keeps both, so the residues are exact whatever
-the intermediate entries were; by Parseval's identity they decide
-bentness (`is_bent`).  The planes have one bit per entry and use only
-AND, XOR and shifts, so no carry crosses from one entry to the next,
-unlike the 32-bit lanes below, which need 32 bits per entry.  `is_bent`
-by the planes took 0.014-0.02 s at n = 20, 0.09-0.12 s at n = 22 and
-0.47-0.52 s at n = 24, in processes that peaked at 17, 25 and 59 MB
-with the table (2 vCPU).  No command runs the planes; the benchmark
-runs them at n = 20.
+planes, by AND, XOR and shifts, so no carry crosses from one entry to
+the next, and Z -> Z/2^p keeps both, so the residues are exact whatever
+the intermediate entries were.  It runs on the masks of the
+standard-library bit layer of `twins` (`_level_masks`), and its
+callers ask one spectral question, whether the spectrum of a 0/1 or +-1
+vector takes only two values:
 
-Difference counts |S & (S ^ d)| have one kernel of their own, shared by
-`verify_difference_set` and `graphs.verify_srg`: `_first_off` checks
-them all at once against the spectrum of S's 0/1 indicator, which
-`_lane_spectrum` computes in biased 32-bit lanes of one Python int, on
-the standard-library bit layer of `twins`: its level masks, built once
-for the last n (`_lane_levels`), and its walk `_translates` over the
-XOR translates of a set.  The same lanes check the bentness of a table
-made of at most _MAX_LEAVES distinct blocks up to complement, as the
-twins are, through the block identity below (`_factors`, `is_bent`).
-Both checks ask one spectral question, whether every nonzero spectrum
-entry takes one of two values (+-2^k for bentness, the two roots of
-`_first_off`'s quadratic for the counts), and one lane test answers
-it for both, `_two_valued`: a subtraction, an XOR and an AND per int,
-on masks built once per call, with no lane unpacked.  All of it is
-exact integer arithmetic, guarded to n <= 30 (`_check_lanes`).
+- `is_bent` reads W_f modulo 2^(k+1), n = 2k, from the planes of the
+  +-1 table, and f is bent iff every entry is 2^k there, by Parseval's
+  identity.  A table made of at most _MAX_LEAVES distinct blocks up to
+  complement, as the twins are, is factored through the block identity
+  below (`_factors`, `_row`), and each distinct row of its spectrum is
+  read the same way; any other table, such as the benchmark's
+  relabelled tau_10 (1024 distinct blocks), takes the planes of the
+  whole table.
+- `_first_off`, shared by `verify_difference_set` and
+  `graphs.verify_srg`, takes the spectrum of a set's 0/1 indicator
+  exactly, in n + 2 planes, and `_two_valued` checks that every entry
+  but entry 0 is one of the two roots that the difference counts allow:
+  one ripple-carry add of a constant, and an OR of the planes.  The
+  walk `_translates` over the XOR translates of the set names the first
+  difference whose count is off, for a set that test rejects.
+
+All of it is exact integer arithmetic, and difference counts are
+guarded to n <= 30 (`_check_size`).
 
     The block identity.  Split the index of f on n = hi + lo bits as
     (a, b), a its top hi bits, and call f(a, .) block a.  Suppose every
@@ -132,10 +131,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
-import struct
-from functools import lru_cache
 
 from .twins import _NOT, _SPREAD, _Record, _level_masks, _set, _translates, _tt_text, _twin_table
 
@@ -275,100 +271,99 @@ def tau_function(m: int) -> BoolFunc:
     return BoolFunc(2 * m, _twin_table(m, "tau"))
 
 
-# --- bentness --------------------------------------------------------------
+# --- the spectrum kernel ---------------------------------------------------
 
-def _walsh_planes(f: BoolFunc) -> list[int]:
-    """F(u) = sum_x f(x) (-1)^(u.x) modulo 2^k, k = n // 2, for every u,
-    as k bit planes: plane p is an int of 2^n bits whose bit u is bit p
-    of F(u).  F is the spectrum of f's 0/1 indicator, so W_f(u) = 2^n
-    [u = 0] - 2 F(u).
+def _plane_sum(x: list[int], y: list[int]) -> list[int]:
+    """x + y entry by entry, modulo 2^p, for two lists of p bit planes
+    (plane i an int whose bit u is bit i of entry u): a ripple carry
+    through the planes, every entry at a time.  The carry out of plane
+    p - 1 is dropped."""
+    out, carry = [], 0
+    for a, b in zip(x, y):
+        t = a ^ b
+        out.append(t ^ carry)
+        carry = b ^ (t & (b ^ carry))  # the majority of (a, b, carry)
+    return out
 
-    The planes start as the packed table, one plane of 0/1 entries.  At
-    level j, for (run, M) the j-th item of `twins._level_masks(2^n)`,
-    each entry whose index has bit j clear meets its partner run lanes
+
+def _walsh_planes(planes: list[int], n: int, p: int) -> list[int]:
+    """H_n x modulo 2^p, as p bit planes of 2^n bits, for the vector x
+    of 2^n entries in {-1, 0, 1} held in two's complement by the two
+    `planes`: [s, 0] for a 0/1 set s, [full, bits] for the +-1 table
+    (-1)^f, and [plus | minus, minus] for a 0/+-1 code.  Bit u of plane
+    i is bit i of entry u, read modulo 2^p; p = n + 2 holds H_n x
+    exactly, and p = k + 1 gives W_f modulo 2^(k+1) for `is_bent`.
+
+    At level j, for (run, M) the j-th item of `twins._level_masks(2^n)`,
+    each entry whose index has bit j clear meets its partner run bits
     up, and the level is, plane by plane,
 
         sum | diff << run,   a = X & M,  b = (X >> run) & M,
 
     the sum a + b by a ripple carry and the difference a - b by a
-    ripple borrow, bit p of the entries at a time (a bitsliced
+    ripple borrow, bit i of the entries at a time (a bitsliced
     butterfly: whole-table AND, XOR and shifts, no carry between
-    lanes).  After level j every entry lies in [-2^j, 2^(j+1)], which
-    j + 3 bits hold in two's complement, so before level j the planes
-    grow to min(k, j + 3) by sign extension (by 0 at level 0, where the
-    entries are 0 or 1).  Once there are k planes, the carry and borrow
-    out of the top plane are dropped: Z -> Z/2^k keeps sums and
-    differences, so the planes hold F modulo 2^k whatever the
-    intermediate entries were.  The planes of two levels, at most 2k + 4
-    ints of 2^n bits, are held at once (tracemalloc read a peak of 17 at
-    n = 16, 20 and 24, on Maiorana-McFarland tables).
+    entries).  After level j every entry lies in [-2^(j+1), 2^(j+1)],
+    which j + 3 bits hold in two's complement, so before level j the
+    planes grow to min(p, j + 3) by sign extension, and after the last
+    they are cut or extended to p.  Once there are p planes, the carry
+    and borrow out of the top plane are dropped: Z -> Z/2^p keeps sums
+    and differences, so the planes hold H_n x modulo 2^p whatever the
+    intermediate entries were.  The planes of two levels, at most 2p
+    ints of 2^n bits, are held at once.
     """
-    k = f.n // 2
-    planes = [int.from_bytes(f.packed, "little")]
-    for j, (run, mask) in enumerate(_level_masks(f.size)):
-        planes += [planes[-1] if j else 0] * (min(k, j + 3) - len(planes))
-        carry = borrow = 0
-        level = []
-        for x in planes:
-            a = x & mask
-            b = x >> run & mask
+    for j, (run, mask) in enumerate(_level_masks(1 << n)):
+        level, carry, borrow = [], 0, 0
+        for x in planes + [planes[-1]] * (min(p, j + 3) - len(planes)):
+            a, b = x & mask, x >> run & mask
             t = a ^ b
             level.append((t ^ carry) | (t ^ borrow) << run)
             # the majorities of (a, b, carry) and (~a, b, borrow)
             carry = b ^ (t & (b ^ carry))
             borrow = b ^ ((t ^ mask) & (b ^ borrow))
         planes = level
-    return planes
+    return planes[:p] + [planes[-1]] * (p - len(planes))
 
 
 def is_bent(f: BoolFunc) -> bool:
     """True iff every spectrum entry has magnitude 2^(n/2).
 
     Odd arities can never be bent: the magnitude would not be an
-    integer.  For n = 2k <= 30 and a table of at most _MAX_LEAVES
-    distinct blocks up to complement, as every sigma_m and tau_m is, the
-    factors of `_factors` decide it, each distinct row once: its lanes
-    hold W_f(u_a, u_b) + 2^31, and f is bent iff every lane of every
-    row holds W_f = -2^k or 2^k, which `_two_valued` decides with
-    low = -2^k and gap = 2^(k+1) (its docstring proves the bit argument
-    and the lane bound).
+    integer.  For n = 2k, f is decided by W_f modulo 2^(k+1): from the
+    factors of `_factors` for a table of at most _MAX_LEAVES distinct
+    blocks up to complement, as every sigma_m and tau_m is, each
+    distinct row once, and otherwise, such as for a twin relabelled by
+    an invertible map, from the planes of the whole table,
+    `_walsh_planes([full, f.bits], n, k + 1)`.  Both routes stay: the
+    factored one costs up to k + 1 plane sums for each distinct row, up
+    to 2^k rows, so past _MAX_LEAVES its worst case is slower than the
+    whole table's planes, whose cost is the same for every table.
 
-    Any other table, such as a twin relabelled by an invertible map, is
-    decided by its weight and the bit planes of `_walsh_planes`.  Both
-    routes stay: the factored one costs r big-int products for each
-    distinct row, up to 2^k rows, so past _MAX_LEAVES its worst case is
-    slower than the planes, whose cost is the same for every table.
+    Lemma.  f is bent iff W_f(u) = 2^k (mod 2^(k+1)) for every u.
 
-    The planes.  W_f(0) = 2^n - 2 wt(f) is read off the weight, first,
-    so a table whose W_f(0) is off is refused without a transform; for
-    u != 0, W_f(u) = -2 F(u), F the planes' spectrum.
+    Proof.  A bent f has W_f(u) = +-2^k, which is 2^k modulo 2^(k+1).
+    Conversely, each W_f(u) is then an odd multiple of 2^k, so
+    |W_f(u)| >= 2^k.  Parseval's identity sum_u W_f(u)^2 = 2^(2n) holds
+    for every Boolean function, and its 2^n squares are each at least
+    2^(2k) = 2^n, so each equals 2^n: |W_f(u)| = 2^k for every u.
 
-    Lemma.  f is bent iff W_f(0) = +-2^k and F(u) = 2^(k-1) (mod 2^k)
-    for every u != 0.
-
-    Proof.  A bent f has W_f(u) = +-2^k, so F(u) = -+2^(k-1), which is
-    2^(k-1) modulo 2^k.  Conversely, F(u) = 2^(k-1) + j 2^k for an
-    integer j makes W_f(u) = -(2j + 1) 2^k, an odd multiple of 2^k:
-    W_f(u) = +-2^k modulo 2^(k+1), and |W_f(u)| >= 2^k.  Parseval's
-    identity sum_u W_f(u)^2 = 2^(2n) holds for every Boolean function,
-    and its 2^n squares are each at least 2^(2k) = 2^n, so each equals
-    2^n: |W_f(u)| = 2^k for every u.
-
-    So the planes below k - 1 must be 0, and plane k - 1 must be 1, at
-    every lane but lane 0.
+    So the planes below k must be 0 and plane k must be 1 at every
+    entry, u = 0 included, in the whole table's planes or in every
+    distinct row's.  The factored route takes 0.004 s for tau_12 and
+    0.002 s for sigma_11; the whole table's planes take 0.02 s at n =
+    20, 0.1 s at n = 22 and 0.4-0.55 s at n = 24 (2 vCPU).
     """
     if f.n & 1:
         return False
     k = f.n // 2
-    factors = _factors(f) if f.n <= _LANE_MAX_N else None
-    if factors is not None:
-        bias, leaves, rows = factors
-        spectra = (sum(map(operator.mul, row, leaves), bias) for row in set(rows))
-        return _two_valued(spectra, bias, -1 << k, 2 << k)
-    if abs(f.size - 2 * f.weight()) != 1 << k:
-        return False
-    *low, top = _walsh_planes(f)
-    return not any(p & ~1 for p in low) and (top | 1).bit_count() == f.size
+    factors = _factors(f, k + 1)
+    if factors is None:
+        full = (1 << f.size) - 1
+        spectra = [_walsh_planes([full, f.bits], f.n, k + 1)]
+    else:
+        full, sums, rows = factors
+        spectra = (_row(sums, row) for row in set(rows))
+    return all(not any(w[:k]) and w[k] == full for w in spectra)
 
 
 # --- difference sets -------------------------------------------------------
@@ -390,16 +385,16 @@ class DiffSetParams(_Record):
 
 # --- difference counts ----------------------------------------------------
 
-# a spectrum lane holds W + 2^31, which stays in [0, 2^32) while
-# |W| <= 2^n < 2^31
-_LANE_MAX_N = 30
+# the largest n whose difference counts are checked: their spectrum is
+# n + 2 planes of 2^n bits, 4 GB at n = 30, far past any command's m
+_SPECTRUM_MAX_N = 30
 
 
-def _check_lanes(n: int):
-    """ValueError unless the difference counts of a set in Z_2^n fit the
-    32-bit lanes of `_lane_spectrum`, raised before any mask is built."""
-    if n > _LANE_MAX_N:
-        raise ValueError(f"difference counts run in 32-bit lanes, for n <= {_LANE_MAX_N}")
+def _check_size(n: int):
+    """ValueError unless the difference counts of a set in Z_2^n are
+    within the guard, raised before any mask is built."""
+    if n > _SPECTRUM_MAX_N:
+        raise ValueError(f"difference counts are guarded to n <= {_SPECTRUM_MAX_N}")
 
 
 def _common(s: int, n: int, d: int) -> int:
@@ -410,77 +405,16 @@ def _common(s: int, n: int, d: int) -> int:
     return (s & next(_translates(s, levels, d))).bit_count()
 
 
-@lru_cache(maxsize=1)
-def _lane_levels(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """(bias, levels) of `_lane_spectrum` on 2^n lanes of 32 bits: 2^31
-    in every lane, and the n (run, mask) levels of `_level_masks`.  Kept
-    for the last n only, which serves the runs of checks at one n, such
-    as `params`'s four (2^(n + 2) bytes per mask, 4 MB in all at n = 16)."""
-    v = 1 << n
-    return int.from_bytes(b"\0\0\0\x80" * v, "little"), tuple(_level_masks(v, 32))
-
-
-def _lane_spectrum(s: int, n: int) -> int:
-    """W_S(u) + 2^31 in lane u of 32 bits, little-endian, of one int, for
-    the set S in Z_2^n held as the bits of s, n <= 30: W_S = H_n 1_S,
-    the spectrum of S's 0/1 indicator.
-
-    The lanes start as 1_S + 2^31: the bits of s, spread to one byte
-    each by the 256-entry table `twins._SPREAD`, go into the low byte of
-    every lane by one slice assignment.  At level k each lane i with
-    bit k clear (`lo`) meets its partner i + 2^k (`hi`), moved down onto
-    it, and the level is the one expression
-
-        (lo + hi - B) | (lo - hi + B) << 32 * 2^k
-
-    on the whole int, B the bias in every lo lane.  After level k every
-    entry is at most 2^(k+1) <= 2^n in magnitude, so each lane of the
-    sum and of the difference lies in [0, 2^32): the sums are exact
-    integers whose base-2^32 digits are the lanes, whatever carries the
-    arithmetic made on the way.
-    """
-    v = 1 << n
-    bias, levels = _lane_levels(n)
-    lanes = bytearray(b"\0\0\0\x80" * v)  # 2^31 in each lane, little-endian
-    lanes[::4] = b"".join(map(_SPREAD.__getitem__, s.to_bytes(_packed_size(n), "little")))[:v]
-    a = int.from_bytes(lanes, "little")
-    for run, mask in levels:
-        lo = a & mask
-        hi = a >> run & mask
-        level_bias = bias & mask
-        a = (lo + hi - level_bias) | (lo - hi + level_bias) << run
-    return a
-
-
-def _two_valued(spectra, bias: int, low: int, gap: int) -> bool:
-    """True iff every 32-bit lane of every int in `spectra`, read as
-    W + 2^31, holds W = low or W = low + gap: the one lane test, for
-    `is_bent`'s factored rows and `_first_off`'s spectrum.  `bias` holds
-    2^31 in each lane of the ints, gap is 0 or a power of two at most
-    2^31, and every lane keeps the lane bound |W - low| < 2^31.
-
-    Proof.  With ones = bias >> 31, 1 in each lane, lane u of
-    a - ones * low is W(u) - low + 2^31, in (0, 2^32) by the lane bound,
-    so no lane borrows from the next: the subtraction is exact lane by
-    lane.  Flipping bit 31 (XOR bias) leaves W - low in [0, 2^31) where
-    W >= low, and otherwise 2^32 + W - low in (2^31, 2^32), which has
-    bit 31 and a lower bit set.  The mask `others` clears the one bit of
-    gap (no bit when gap = 0), so the AND is 0 exactly where the lane is
-    0 or gap: a lane of the second kind keeps a bit whichever one bit is
-    cleared.  Shift and mask are made once per call, and each int costs
-    one subtraction, one XOR and one AND.
-
-    The lane bound holds for both callers up to n = 30.  In `is_bent`,
-    |W_f| <= 2^n <= 2^30, low = -2^(n/2) >= -2^15 and the gap is
-    2^(n/2 + 1).  In `_first_off`, on a set S of k elements with both
-    roots in [-k, k], lane 0 holds low itself, and at u != 0 |W_S(u)| <=
-    min(k, v - k), since W_S(u) = -W_(~S)(u) there (H_n 1 = v delta_0):
-    so |W - low| <= k + min(k, v - k) <= v = 2^n <= 2^30, and the gap is
-    at most 2k <= 2^31.
-    """
-    ones = bias >> 31  # 1 in each lane
-    shift, others = ones * low, ones * (0xFFFFFFFF ^ gap)
-    return not any(((a - shift) ^ bias) & others for a in spectra)
+def _two_valued(planes: list[int], n: int, low: int, gap: int) -> bool:
+    """True iff every entry u != 0 of the p planes of 2^n bits, read
+    modulo 2^p, is low or low + gap, for gap 0 or a power of two: one
+    `_plane_sum` adds -low to every entry, and then every plane but
+    plane log2(gap) (every plane when gap = 0) must be 0 at every u != 0.
+    An entry is 0 or 2^t modulo 2^p exactly where no bit but bit t is
+    set among its p bits."""
+    full = (1 << (1 << n)) - 1
+    shifted = _plane_sum(planes, [full if -low >> i & 1 else 0 for i in range(len(planes))])
+    return not any(x >> 1 for i, x in enumerate(shifted) if 1 << i != gap)
 
 
 def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
@@ -510,24 +444,26 @@ def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
     (lam - mu) x - (k - mu); unless both roots are integers no integer
     passes, and v >= 2 gives some u != 0.  The roots are low and
     low + root, root = sqrt(disc) apart.  When both lie in [-k, k] and
-    root is 0 or a power of two, one add of low - k sets lane 0 of
-    `_lane_spectrum`, k + 2^31, to low + 2^31 (no borrow, as low >= -k),
-    and `_two_valued` checks that every lane holds one of the two roots.
-    Otherwise, and for every S that test rejects, the walk over the
-    translates T_d (`_translates` from d = 0, in natural order) decides,
-    and names the first d whose count is off: the one a pairwise count
-    in lexicographic order would name.
+    root is 0 or a power of two, W_S is taken exactly, in n + 2 planes
+    (`_walsh_planes([s, 0], n, n + 2)`), and `_two_valued` checks that
+    every entry u != 0 holds one of the two roots modulo 2^(n+2).  That
+    is exact: at u != 0, |W_S(u)| <= min(k, v - k), since W_S(u) =
+    -W_(~S)(u) there (H_n 1 = v delta_0), so W_S(u) is within k +
+    min(k, v - k) <= v < 2^(n+2) of each root, and only the root itself
+    meets it modulo 2^(n+2).  Otherwise, and for every S that test
+    rejects, the walk over the translates T_d (`_translates` from d = 0,
+    in natural order) decides, and names the first d whose count is
+    off: the one a pairwise count in lexicographic order would name.
     """
-    _check_lanes(n)
+    _check_size(n)
     k = s.bit_count()
     b = lam - mu
     disc = b * b + 4 * (k - mu)
     root = math.isqrt(max(disc, 0))
     low = (b - root) // 2  # b and root have one parity
-    # the lane bound and a gap of at most one bit, as `_two_valued` asks
     fits = -k <= low and low + root <= k and root & (root - 1) == 0
     if root * root == disc and k * (k - b - 1) + mu == mu << n and fits:
-        if _two_valued((_lane_spectrum(s, n) + low - k,), _lane_levels(n)[0], low, root):
+        if _two_valued(_walsh_planes([s, 0], n, n + 2), n, low, root):
             return None
     for d, t in enumerate(_translates(s, _level_masks(1 << n))):
         common = (s & t).bit_count()
@@ -539,73 +475,78 @@ def _first_off(s: int, n: int, lam: int, mu: int) -> tuple[int, int] | None:
 # --- bentness through a table's distinct blocks ---------------------------
 
 # the most distinct blocks, up to complement, that `is_bent` factors a
-# table through; a table with more goes to the bit planes.  The twins
-# need 4 (tau_m at odd m).  At n = 24, the worst case, 4096 distinct
-# rows, took 0.19 s with 4 leaves and 0.30 s with 8, against 0.47-0.52 s
-# for `_walsh_planes` (2 vCPU)
+# table through; a table with more goes to the whole table's planes.
+# The twins need 4 (tau_m at odd m).  At n = 24 with 4 leaves, the worst
+# case, 4094 distinct rows, took 0.48 s, against 0.40-0.55 s for the
+# whole table's planes (2 vCPU), so more leaves would cost more than the
+# planes
 _MAX_LEAVES = 4
 
 
-def _lane_values(a: int, n: int) -> tuple[int, ...]:
-    """The 2^n lanes of 32 bits of a, lane u at index u, read by one
-    little-endian struct.unpack whatever the machine's byte order: the
-    spectra of the block codes in `_factors`, whose lanes become its
-    rows."""
-    return struct.unpack(f"<{1 << n}I", a.to_bytes(4 << n, "little"))
-
-
-def _factors(f: BoolFunc) -> tuple[int, list[int], list[tuple[int, ...]]] | None:
-    """The spectrum of f on n <= 30 bits factored through its blocks, as
-    (bias, leaves, rows), or None if f has more than _MAX_LEAVES
-    distinct blocks up to complement.
+def _factors(f: BoolFunc, p: int) -> tuple[int, list[list[int]], list[str]] | None:
+    """W_f modulo 2^p factored through the blocks of f, as (full, sums,
+    rows), full the mask of a block's 2^lo entries, or None if f has
+    more than _MAX_LEAVES distinct blocks up to complement.
 
     Block a holds entries a 2^lo .. (a + 1) 2^lo - 1, lo = n // 2 (lo = n,
     one block, below n = 6, where a block would be less than a byte).
     Each block is one of the leaves g_j or its complement, found by one
     dict lookup, and c_j(a) is +1 where block a is g_j, -1 where it is
-    ~g_j and 0 elsewhere.  leaves[j] is sum_u W_(g_j)(u) 2^(32 u), and
-    rows[u_a] the tuple of (H_hi c_j)(u_a) over j, hi = n - lo.  Then
-    bias, 2^31 in each of 2^lo lanes, plus sum_j rows[u_a][j] leaves[j]
-    holds W_f(u_a, u_b) + 2^31 in lane u_b, by the block identity of the
-    module docstring; each lane lies in [0, 2^32), as |W_f| <= 2^n <
-    2^31, so no lane carries.  Leaves and rows both come from
-    `_lane_spectrum` on 0/1 sets: W_g = 2^lo delta_0 - 2 W_(1_g), and
-    H c_j = H 1_(c_j = 1) - H 1_(c_j = -1).
+    ~g_j and 0 elsewhere.  With hi = n - lo, r_j = H_hi c_j and every
+    spectrum held modulo 2^p in p planes by `_walsh_planes`, sums[J] is
+    the sum of W_(g_j) over the leaves j in the set J, a bit mask of
+    leaves, and rows[u_a] the p hex digits J_(p-1) .. J_0, J_i the
+    leaves j whose r_j(u_a) has bit i set: the binary text of a plane
+    of r_j, read in base 16, puts bit u_a at hex digit u_a.  By the block
+    identity of the module docstring and Z -> Z/2^p,
+
+        W_f(u_a, .) = sum_j r_j(u_a) W_(g_j) = sum_i 2^i sums[J_i],
+
+    which `_row` adds up.
     """
     lo = f.n // 2 if f.n >= 6 else f.n
     width = max(1, (1 << lo) >> 3)
     found = {}  # a block -> 2j if it is leaf j, 2j + 1 if it is ~leaf j
     codes = bytearray()
-    packed = f.packed
-    for start in range(0, len(packed), width):
-        block = packed[start : start + width]
-        code = found.get(block)
-        if code is None:
+    for start in range(0, len(f.packed), width):
+        block = f.packed[start : start + width]
+        if block not in found:
             if len(found) == 2 * _MAX_LEAVES:
                 return None
-            code = len(found)
-            found[block] = code
-            found[block.translate(_NOT)] = code + 1
-        codes.append(code)
-    bias = _lane_levels(lo)[0]
-    leaves = [
-        (1 << lo) - 2 * (_lane_spectrum(int.from_bytes(g, "little"), lo) - bias)
-        for g in list(found)[::2]
-    ]
-    hi = f.n - lo
+            found[block], found[block.translate(_NOT)] = len(found), len(found) + 1
+        codes.append(found[block])
+    full = (1 << (1 << lo)) - 1
+    sums = [[0] * p]
+    for g in list(found)[::2]:
+        leaf = _walsh_planes([full, int.from_bytes(g, "little")], lo, p)
+        sums += [_plane_sum(s, leaf) for s in sums]
     # the blocks of code c as the bits of an int, read from "0"/"1" text
     marks = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(len(found))]
-    spectra = [_lane_values(_lane_spectrum(int(codes.translate(t)[::-1], 2), hi), hi) for t in marks]
-    columns = (map(operator.sub, plus, minus) for plus, minus in zip(spectra[::2], spectra[1::2]))
-    return bias, leaves, list(zip(*columns))
+    columns = [0] * p  # hex digit u_a of column i is J_i of row u_a
+    for j in range(len(found) // 2):
+        plus, minus = (int(codes.translate(t)[::-1], 2) for t in marks[2 * j : 2 * j + 2])
+        for i, plane in enumerate(_walsh_planes([plus | minus, minus], f.n - lo, p)):
+            columns[i] |= int(format(plane, "b"), 16) << j
+    digits = (format(c, f"0{len(codes)}x")[::-1] for c in reversed(columns))
+    return full, sums, list(map("".join, zip(*digits)))
+
+
+def _row(sums: list[list[int]], row: str) -> list[int]:
+    """sum_i 2^i sums[J_i] modulo 2^p for the row J_(p-1) .. J_0 of
+    `_factors`, by Horner's rule: a shift of the planes by one (a
+    product by 2) and one `_plane_sum` per digit."""
+    total = sums[0]
+    for digit in row:
+        total = _plane_sum([0] + total[:-1], sums[int(digit, 16)])
+    return total
 
 
 def verify_difference_set(f: BoolFunc) -> DiffSetParams:
     """Check that every nonzero difference occurs as often over support x
     support as difference 1 does, all at once by the spectral criterion
     of `_first_off`; returns the verified (v, k, lam, n).  Guarded to
-    n <= 30 (`_check_lanes`), before any work."""
-    _check_lanes(f.n)
+    n <= 30 (`_check_size`), before any work."""
+    _check_size(f.n)
     v, k = f.size, f.weight()
     if k == 0:
         raise ValueError("support is empty")

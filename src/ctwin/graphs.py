@@ -9,9 +9,10 @@ for a caller that asks for one (`DifferenceGraph.kappa`).
 Common-neighbour counts depend only on the difference of the two
 vertices, so strong regularity is read off the colour class's
 difference counts, by the kernel `bent._first_off` that difference sets
-use too: its lane test `bent._two_valued`, shared with `is_bent`, checks
-that the class's spectrum takes only the two eigenvalues that lambda and
-mu allow off u = 0.
+use too: `bent._two_valued` checks that the class's spectrum, taken
+exactly in the bit planes of `bent._walsh_planes`, the kernel of
+`is_bent` too, takes only the two eigenvalues that lambda and mu allow
+off u = 0.
 
 Export has one kernel, the bit layer's walk `twins._translates`: the
 colour class is a big int whose binary text is the class's indicator,
@@ -260,12 +261,12 @@ def verify_srg(graph: DifferenceGraph, colour: int) -> SrgParams:
     each the popcount of one translate of S.  Vertex 0 meets each
     difference d once, as the pair (0, d), so lambda, mu and the first
     offending pair are those a pairwise check in lexicographic order
-    would report.  Guarded to 2^30 vertices (`bent._check_lanes`),
+    would report.  Guarded to 2^30 vertices (`bent._check_size`),
     before any work.
     """
-    from .bent import _check_lanes, _common, _first_off
+    from .bent import _check_size, _common, _first_off
 
-    _check_lanes(graph.n_bits)
+    _check_size(graph.n_bits)
     # the class with index d at bit d, without 0: no loops, even for the
     # colour 0 of non-edges
     s = int(_indicator(graph, colour)[::-1], 2) & ~1

@@ -159,6 +159,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from array import array
 from enum import Enum
 from functools import lru_cache
@@ -233,10 +234,11 @@ def _all_swaps(m, phis) -> bool:
     translates by d ^ h for d = h, ..., 2h - 1, in natural order, whose
     lane i holds row a ^ d; each d is then one XOR with the first, one
     to_bytes and one read of the colours, compared with the row of
-    -kappa[d], built once per colour.  The colours are read by one
-    translate while a vertex fits a byte (v <= 256), field by field
-    above.  O(v^2) time per map, and O(v m) memory per map, for the
-    levels' masks: no v x v array and no list of pairs is made."""
+    -kappa[d], built once per colour, by `_colours`.  O(v^2) time per
+    map, and O(v m) memory per map, for the levels' masks: no v x v
+    array and no list of pairs is made.  With kappa all 0, so that every
+    difference runs, one map took 0.01, 0.13, 1.5-1.9 and 24-27 s at
+    m = 5..8 (2 vCPU)."""
     kappa = _delta_kappa(m)
     negated = kappa.translate(_NEG)
     v = len(kappa)
@@ -244,15 +246,7 @@ def _all_swaps(m, phis) -> bool:
     rows = fields.tobytes()  # row a is every map's phi[a]
     row = len(phis) * fields.itemsize  # bytes per row
     width = v // 2 * row  # bytes per half
-    if v <= 256:
-        table = kappa.ljust(256, b"\0")
-
-        def colours(half):
-            return half.translate(table)
-    else:
-        def colours(half):
-            return bytes(map(kappa.__getitem__, array("H", half)))
-
+    colours = _colours(kappa)
     levels = list(_level_masks(v // 2, 8 * row))
     expected = {c: bytes([c]) * (v // 2 * len(phis)) for c in set(negated)}
     for k in range(2 * m):
@@ -264,6 +258,50 @@ def _all_swaps(m, phis) -> bool:
             if colours((clear ^ translated).to_bytes(width, "little")) != expected[negated[d]]:
                 return False
     return True
+
+
+def _colours(kappa: bytes):
+    """The function that reads the int8 colours kappa[x] of a run of
+    vertices x packed by `array` in the machine's byte order: one
+    translate while a vertex fits a byte (v <= 256), and above that, up
+    to v = 2^16, a byte at a time from two-byte vertices x = 256 h + l:
+    a code of the low byte l, a code of the high byte h, one OR of the
+    two as big ints and one translate of the result.
+
+    Two low bytes share a code when their columns kappa[256 h + l] over
+    h are equal, and two high bytes when their rows over l are; then
+    kappa[256 h + l] depends on the two codes alone, and the last
+    translate reads it off the pair.  The codes take 4 bits each, so they
+    tell apart up to 16 distinct rows and 16 distinct columns.  Delta_m
+    has 3 of each: a byte holds four base-4 digits, sigma adds over the
+    two bytes and membership in D (every digit 0 or 3) multiplies, by
+    the Kronecker lemma of `ctwin.algebra`, and kappa reads 0 in D, and
+    off D -1 where sigma is 1 and +1 where it is 0.  The colours are
+    read once at every vertex and compared with kappa, and RuntimeError
+    is raised if they differ, as they do past 16 rows or columns that
+    the codes confuse."""
+    if len(kappa) <= 256:
+        table = kappa.ljust(256, b"\0")
+        return lambda half: half.translate(table)
+    rows = [kappa[h << 8 : (h + 1) << 8] for h in range(len(kappa) >> 8)]  # row h
+    columns = [kappa[low::256] for low in range(256)]
+    # a column's index among the distinct columns in bits 0..3, a row's in bits 4..7
+    low = bytes(map({c: j & 15 for j, c in enumerate(dict.fromkeys(columns))}.get, columns))
+    row_code = {r: i << 4 & 255 for i, r in enumerate(dict.fromkeys(rows))}
+    high = bytes(map(row_code.get, rows)).ljust(256, b"\0")
+    pair = bytearray(256)  # the codes of a vertex's two bytes, ORed -> its colour
+    for x, colour in enumerate(kappa):
+        pair[high[x >> 8] | low[x & 255]] = colour
+    low_at = sys.byteorder == "big"  # the offset of a field's low byte
+
+    def colours(half):
+        codes = int.from_bytes(half[low_at::2].translate(low), "little")
+        codes |= int.from_bytes(half[1 - low_at :: 2].translate(high), "little")
+        return codes.to_bytes(len(half) // 2, "little").translate(pair)
+
+    if colours(array("H", range(len(kappa))).tobytes()) != kappa:
+        raise RuntimeError("the colours read a byte at a time are not kappa")
+    return colours
 
 
 def _check_search(m, node_budget=None):

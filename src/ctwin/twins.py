@@ -25,8 +25,8 @@ natural order, each from the last by swaps at a few levels.  The
 difference counts in `bent` (`_common`, `_first_off`), the graph
 encoders in `graphs` (`_rows`, `_graph6_body`) and `swap._all_swaps`,
 on the upper half of its rows, all read their translates from it, and
-`bent._lane_spectrum` and `bent._walsh_planes` run their butterflies on
-the same masks.
+`bent._walsh_planes`, the one spectrum kernel, runs its butterfly on the
+same masks.
 
 Every value record of the package (`BoolFunc`, `DiffSetParams`,
 `DifferenceGraph`, `SrgParams`, `SwapMap`, `SearchOutcome`,

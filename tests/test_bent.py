@@ -1,7 +1,6 @@
 """Twin functions, the bit-plane kernel, bentness, the lemma's duals and
 4-concatenations, difference sets."""
 
-import operator
 import random
 import tracemalloc
 
@@ -45,6 +44,18 @@ def _residues(planes, n):
         packed = np.frombuffer(plane.to_bytes(max(1, size >> 3), "little"), np.uint8)
         total += np.unpackbits(packed, count=size, bitorder="little").astype(np.int64) << p
     return total.tolist()
+
+
+def _signed(planes, n):
+    """Entry u of the bit planes read in two's complement, plane
+    len(planes) - 1 the sign."""
+    top = 1 << (len(planes) - 1)
+    return [r - 2 * top if r >= top else r for r in _residues(planes, n)]
+
+
+def _to_planes(entries, p):
+    """Integer entries as p bit planes in two's complement, modulo 2^p."""
+    return [sum((e >> i & 1) << u for u, e in enumerate(entries)) for i in range(p)]
 
 
 # --- sigma / tau ------------------------------------------------------------
@@ -193,42 +204,49 @@ def test_index_range_checks():
         sigma(0, 0)
 
 
-def _lanes(a, n):
-    """The entries W(u) of `bent._lane_spectrum`'s int, lane u unbiased."""
-    lanes = np.frombuffer(a.to_bytes(4 << n, "little"), "<u4").astype(np.int64)
-    return (lanes - (1 << 31)).tolist()
-
-
 @pytest.mark.parametrize("n", [15, 16, 17])
 def test_autocorrelation_of_the_whole_group(n):
-    # S = Z_2^n reaches the lanes' bound, |W_S(0)| = v; every difference
-    # count is v, and the spectral check accepts them without a walk
+    # S = Z_2^n reaches the spectrum's largest entry, W_S(0) = v = 2^n,
+    # which the n + 2 exact planes hold as plane n alone; every
+    # difference count is v, and the spectral check accepts them
+    # without a walk
     v = 1 << n
     s = (1 << v) - 1
-    a = bent._lane_spectrum(s, n)
-    assert a & 0xFFFFFFFF == (1 << 31) + v
-    assert a >> 32 == int.from_bytes(b"\0\0\0\x80" * (v - 1), "little"), n
+    assert bent._walsh_planes([s, 0], n, n + 2) == [0] * n + [1, 0]
     assert bent._common(s, n, 1) == bent._common(s, n, v - 1) == v
     assert bent._first_off(s, n, v, v) is None
 
 
-def test_lane_spectrum_matches_the_transforms():
-    # W_S of the 0/1 indicator is H_n 1_S, and (-1)^f = 1 - 2 * 1_S makes
-    # it (v [u = 0] - W_f(u)) / 2; the empty set and the whole group reach
-    # W_S(0) = 0 and v
+def test_exact_planes_match_the_transforms():
+    # n + 2 planes hold every start's transform exactly, against the
+    # oracle at n = 1..14: W_S = H_n 1_S from [s, 0], which (-1)^f =
+    # 1 - 2 * 1_S makes (v [u = 0] - W_f(u)) / 2; W_f from [full, bits];
+    # and H_n c of a 0/+-1 code c from [plus | minus, minus].  The empty
+    # set and the whole group reach W_S(0) = 0 and v.  Fewer planes hold
+    # the residues
     rng = random.Random(61)
     for n in range(1, 15):
         size = 1 << n
+        full = (1 << size) - 1
         funcs = [BoolFunc.from_bits(n, rng.randrange(1 << size)) for _ in range(2)]
-        funcs += [BoolFunc.from_bits(n, 0), BoolFunc.from_bits(n, (1 << size) - 1)]
+        funcs += [BoolFunc.from_bits(n, 0), BoolFunc.from_bits(n, full)]
         if n % 2 == 0:
             funcs += [sigma_function(n // 2), tau_function(n // 2)]
         for f in funcs:
-            got = _lanes(bent._lane_spectrum(f.bits, n), n)
             walsh = oracles.walsh_transform(f)
-            assert got == [((size if u == 0 else 0) - w) // 2 for u, w in enumerate(walsh)], n
-        assert _lanes(bent._lane_spectrum(0, n), n) == [0] * size
-        assert _lanes(bent._lane_spectrum((1 << size) - 1, n), n) == [size] + [0] * (size - 1)
+            exact = [((size if u == 0 else 0) - w) // 2 for u, w in enumerate(walsh)]
+            assert _signed(bent._walsh_planes([f.bits, 0], n, n + 2), n) == exact, n
+            assert _signed(bent._walsh_planes([full, f.bits], n, n + 2), n) == walsh, n
+            for p in {1, 2, n // 2 + 1, n + 1}:
+                residues = _residues(bent._walsh_planes([full, f.bits], n, p), n)
+                assert residues == [w % (1 << p) for w in walsh], (n, p)
+        code = [rng.choice((-1, 0, 1)) for _ in range(size)]
+        plus = sum(1 << u for u, c in enumerate(code) if c == 1)
+        minus = sum(1 << u for u, c in enumerate(code) if c == -1)
+        want = oracles.fwht(code)
+        assert _signed(bent._walsh_planes([plus | minus, minus], n, n + 2), n) == want, n
+        assert _signed(bent._walsh_planes([0, 0], n, n + 2), n) == [0] * size
+        assert _signed(bent._walsh_planes([full, 0], n, n + 2), n) == [size] + [0] * (size - 1)
 
 
 def test_level_masks_mark_the_lanes_with_the_level_bit_clear():
@@ -268,15 +286,19 @@ def test_translates_match_the_index_oracle():
 
 
 def test_twins_and_relabelled_delta_pass_without_a_walk(monkeypatch):
-    # the one lane test accepts every difference set and strongly regular
-    # class of the twins, relabelled or not, on the spectrum's int: no
-    # lane is unpacked, and the translates are walked only to name a
-    # rejection
-    def unpack(*_):
-        raise AssertionError("a lane spectrum was unpacked")
+    # the one plane test accepts every difference set and strongly
+    # regular class of the twins, relabelled or not, on the spectrum's
+    # planes: each check runs it once, and it accepts, and the translates
+    # are walked only to name a rejection
+    verdicts = []
 
+    def two_valued(*args):
+        verdicts.append(two_valued_planes(*args))
+        return verdicts[-1]
+
+    two_valued_planes = bent._two_valued
     monkeypatch.setattr(bent, "_translates", oracles.first_translate_only)
-    monkeypatch.setattr(bent, "_lane_values", unpack)
+    monkeypatch.setattr(bent, "_two_valued", two_valued)
     rng = random.Random(67)
     for m in range(1, 9):
         for f in (sigma_function(m), tau_function(m)):
@@ -286,60 +308,58 @@ def test_twins_and_relabelled_delta_pass_without_a_walk(monkeypatch):
         kappa = oracles.relabel(build_delta(m).kappa, oracles.random_invertible(rng, 2 * m))
         for g in (build_delta(m), DifferenceGraph(2 * m, oracles.int8_bytes(kappa))):
             assert verify_srg(g, RED) == verify_srg(g, BLUE) == predicted_srg_params(m)
+    assert verdicts == [True] * 64
 
 
-def _two_valued_by_lanes(a, lanes, low, gap):
-    """`bent._two_valued` on one int, read lane by lane."""
-    return all((a >> (32 * u) & 0xFFFFFFFF) - (1 << 31) in (low, low + gap) for u in range(lanes))
+def _two_valued_by_entries(entries, p, low, gap):
+    """`bent._two_valued` read entry by entry: every entry but entry 0
+    is low or low + gap modulo 2^p."""
+    return all((e - low) % (1 << p) in (0, gap % (1 << p)) for e in entries[1:])
 
 
 def test_two_valued_matches_a_lane_by_lane_oracle():
-    # lanes at the two values, next to them, and anywhere in the window
-    # of the lane bound |W - low| < 2^31, whose ends are the lanes 0 (for
-    # low < 0) and 2^32 - 1 (for low >= 0); gap 0 and powers of two up to
-    # 2^31, for 1 to 32 lanes, one int at a time and all at once
+    # entries at the two values, next to them and far from them, in
+    # planes of n = 0..5 (1 to 32 entries) and p = 2..12 bits; gap 0 and
+    # powers of two up to 2^p, low of either sign.  Entry 0 is never
+    # read, and an entry counts modulo 2^p
     rng = random.Random(79)
-    for lanes in (1, 2, 8, 32):
-        bias = int.from_bytes(b"\0\0\0\x80" * lanes, "little")
-        for low in (-(1 << 31) + 1, -(1 << 30) - 3, -5, -1, 0, 7, 1 << 30):
-            first, last = max(-(1 << 31), low - (1 << 31) + 1), min((1 << 31) - 1, low + (1 << 31) - 1)
-            for gap in (0, 1, 2, 1 << 16, 1 << 30, 1 << 31):
-                values = [w for w in (low, low + gap) if w <= last]
-                near = [low - 1, low + 1, low + gap - 1, low + gap + 1, low - gap, low + 2 * gap]
-                odd = [w for w in near if first <= w <= last and w not in values]
-                odd += [first, last, rng.randint(first, last)]
-                ints = []
-                for w in [None] + odd:
-                    entries = [rng.choice(values) for _ in range(lanes)]
-                    if w is not None:
-                        entries[rng.randrange(lanes)] = w
-                    ints.append(sum((e + (1 << 31)) << (32 * u) for u, e in enumerate(entries)))
-                oracle = [_two_valued_by_lanes(a, lanes, low, gap) for a in ints]
-                assert oracle[0] and not all(oracle)
-                for a, want in zip(ints, oracle):
-                    assert bent._two_valued([a], bias, low, gap) is want, (lanes, low, gap, a)
-                assert bent._two_valued(iter(ints), bias, low, gap) is False
-                assert bent._two_valued(ints[:1] * 3, bias, low, gap) is True
+    for n in range(6):
+        size = 1 << n
+        for p in (2, 3, 7, 12):
+            for low in sorted({-(1 << (p - 1)), -5, -1, 0, 1, 7, (1 << (p - 1)) - 1}):
+                for gap in [0] + [1 << t for t in range(p + 1)]:
+                    near = [low - 1, low + 1, low + gap - 1, low + gap + 1, low - gap, low + 2 * gap]
+                    far = [low + (1 << (p - 1)), rng.randrange(-(1 << p), 1 << p)]
+                    cases = []
+                    for w in [None] + near + far:
+                        entries = [rng.choice((low, low + gap)) for _ in range(size)]
+                        entries[0] = rng.randrange(1 << p)
+                        if w is not None and size > 1:
+                            entries[rng.randrange(1, size)] = w
+                        want = _two_valued_by_entries(entries, p, low, gap)
+                        got = bent._two_valued(_to_planes(entries, p), n, low, gap)
+                        assert got is want, (n, p, low, gap, entries)
+                        cases.append(want)
+                    assert cases[0] and (size == 1 or not all(cases)), (n, p, low, gap)
 
 
-def test_difference_counts_are_guarded_to_32_bit_lanes():
-    # W_S + 2^31 fits a lane while v = 2^n <= 2^30; the guard is checked
-    # before anything is built
-    with pytest.raises(ValueError, match="32-bit lanes, for n <= 30"):
+def test_difference_counts_are_guarded_to_n_30():
+    # the guard is checked before anything is built
+    with pytest.raises(ValueError, match="guarded to n <= 30"):
         bent._first_off(0, 31, 0, 0)
 
 
-def test_lane_guard_is_checked_before_any_mask(monkeypatch):
-    # with the guard lowered below n = 6, both verifiers raise the lanes
-    # error before a level mask of 2^n bits is built
+def test_spectrum_guard_is_checked_before_any_mask(monkeypatch):
+    # with the guard lowered below n = 6, both verifiers raise the
+    # guard's error before a level mask of 2^n bits is built
     def masks(*_):
-        raise AssertionError("a level mask was built before the lane guard")
+        raise AssertionError("a level mask was built before the guard")
 
-    monkeypatch.setattr(bent, "_LANE_MAX_N", 4)
+    monkeypatch.setattr(bent, "_SPECTRUM_MAX_N", 4)
     monkeypatch.setattr(bent, "_level_masks", masks)
-    with pytest.raises(ValueError, match="32-bit lanes, for n <= 4"):
+    with pytest.raises(ValueError, match="^difference counts are guarded to n <= 4$"):
         verify_difference_set(sigma_function(3))
-    with pytest.raises(ValueError, match="32-bit lanes, for n <= 4"):
+    with pytest.raises(ValueError, match="^difference counts are guarded to n <= 4$"):
         verify_srg(build_delta(3), RED)
 
 
@@ -361,25 +381,25 @@ def _kernel_inputs(n, rng):
 
 
 def test_kernel_matches_whole_array_route():
-    # the bit planes hold the spectrum F = H_n 1_f of f's 0/1 indicator
-    # modulo 2^k, k = n // 2, at every u, against the butterfly oracle's
-    # exact W_f: F(u) = (2^n [u = 0] - W_f(u)) / 2.  Residues, not only
-    # verdicts: a kernel that keeps too few bits on the way may still
-    # decide bentness right.  Every n from 1 to 16 covers tables shorter
-    # than a byte (n < 3) and even n, where is_bent reads the planes
+    # the bit planes of is_bent, [full, bits] with k + 1 planes, hold W_f
+    # modulo 2^(k+1), k = n // 2, at every u, against the butterfly
+    # oracle's exact W_f; those of the difference counts, [bits, 0] with
+    # n + 2 planes, hold F = H_n 1_f exactly: F(u) = (2^n [u = 0] -
+    # W_f(u)) / 2.  Residues, not only verdicts: a kernel that keeps too
+    # few bits on the way may still decide bentness right.  Every n from
+    # 1 to 16 covers tables shorter than a byte (n < 3) and even n,
+    # where is_bent reads the planes
     rng = random.Random(47)
     for n in range(1, 17):
         k = n // 2
+        full = (1 << (1 << n)) - 1
         for f in _kernel_inputs(n, rng):
             walsh = oracles.walsh_transform(f)
             exact = [((1 << n if u == 0 else 0) - w) // 2 for u, w in enumerate(walsh)]
-            if k:
-                planes = bent._walsh_planes(f)
-                assert len(planes) == k, n
-                assert _residues(planes, n) == [x % (1 << k) for x in exact], n
-            # the difference-count kernel reads the packed table a byte
-            # at a time into its lanes: the exact spectrum
-            assert _lanes(bent._lane_spectrum(f.bits, n), n) == exact, n
+            planes = bent._walsh_planes([full, f.bits], n, k + 1)
+            assert len(planes) == k + 1, n
+            assert _residues(planes, n) == [w % (2 << k) for w in walsh], n
+            assert _signed(bent._walsh_planes([f.bits, 0], n, n + 2), n) == exact, n
             if n <= 10:
                 counts = oracles.autocorrelation(f)
                 d = rng.randrange(1, 1 << n)
@@ -410,30 +430,30 @@ def test_planes_decide_bentness_as_the_oracle_does(monkeypatch):
                 assert oracles.is_bent(g) and both.weight() == g.weight(), n
                 kept.append(oracles.is_bent(both))
         for f in tables:
-            assert bent._factors(f) is None
+            assert bent._factors(f, n // 2 + 1) is None
             assert is_bent(f) == oracles.is_bent(f), f.hex()
     assert kept.count(False) >= 10, kept
 
 
-def test_is_bent_reads_every_plane_but_lane_0(monkeypatch):
+def test_is_bent_reads_every_plane(monkeypatch):
     # the read-out of the planes alone, on planes put in the kernel's
-    # place: lane 0 is W(0), which the weight decides, and every other
-    # lane must read 2^(k-1), at n = 6 on a table of weight 28 (W(0) = 8)
+    # place: every entry, u = 0 included, must read W = 2^k modulo
+    # 2^(k+1), at n = 6 (k = 3); the weight is not read
     monkeypatch.setattr(bent, "_MAX_LEAVES", 0)
     f = sigma_function(3)
-    assert f.weight() == 28 and is_bent(f)
+    assert is_bent(f)
     ones = (1 << 64) - 1
     for planes, want in [
-        ([0, 0, ones], True),
-        ([1, 1, ones ^ 1], True),
-        ([1 << 5, 0, ones], False),
-        ([0, 1 << 63, ones], False),
-        ([0, 0, ones ^ 1 << 5], False),
+        ([0, 0, 0, ones], True),
+        ([1, 0, 0, ones], False),
+        ([0, 1 << 63, 0, ones], False),
+        ([0, 0, 1 << 5, ones], False),
+        ([0, 0, 0, ones ^ 1], False),
+        ([0, 0, 0, ones ^ 1 << 5], False),
     ]:
-        monkeypatch.setattr(bent, "_walsh_planes", lambda _: list(planes))
+        monkeypatch.setattr(bent, "_walsh_planes", lambda *_: list(planes))
         assert is_bent(f) is want, planes
-    # planes that read bent, under a table whose weight puts W(0) at 6
-    monkeypatch.setattr(bent, "_walsh_planes", lambda _: [0, 0, ones])
+    monkeypatch.setattr(BoolFunc, "weight", None)
     assert not is_bent(BoolFunc.from_bits(6, f.bits ^ 1))
 
 
@@ -461,7 +481,7 @@ def test_dense_route_decides_a_maiorana_mcfarland_table():
     # the bit planes at n = 20, the size of the benchmark's relabelled
     # tau_10; one flipped entry makes every |W_f| 2^10 +- 2
     f = oracles.maiorana_mcfarland(10, 61)
-    assert bent._factors(f) is None
+    assert bent._factors(f, 11) is None
     assert is_bent(f)
     packed = bytearray(f.packed)
     i = random.Random(61).randrange(1 << 20)
@@ -495,16 +515,23 @@ def _routes(f):
     return is_bent(f), dense
 
 
-def _factored_spectrum(f):
-    """W_f read off `bent._factors`: lane u_b of bias + sum_j rows[u_a][j]
-    leaves[j], less 2^31, at index u_a 2^lo + u_b."""
-    bias, leaves, rows = bent._factors(f)
-    lo = f.n - (len(rows).bit_length() - 1)
-    return [
-        w - (1 << 31)
-        for row in rows
-        for w in bent._lane_values(sum(map(operator.mul, row, leaves)) + bias, lo)
-    ]
+def _factored_spectrum(f, p):
+    """W_f modulo 2^p rebuilt from `bent._factors`: entry u_b of
+    `bent._row` of rows[u_a] at index u_a 2^lo + u_b, read in two's
+    complement."""
+    full, sums, rows = bent._factors(f, p)
+    lo = full.bit_length().bit_length() - 1
+    assert len(rows) << lo == f.size
+    return [w for row in rows for w in _signed(bent._row(sums, row), lo)]
+
+
+def _factored_matches(f):
+    """The factored rows rebuild W_f modulo 2^(k+1), as is_bent reads
+    them, and exactly with n + 2 planes."""
+    walsh = oracles.walsh_transform(f)
+    p = f.n // 2 + 1
+    residues = [w % (1 << p) for w in _factored_spectrum(f, p)]
+    return residues == [w % (1 << p) for w in walsh] and _factored_spectrum(f, f.n + 2) == walsh
 
 
 def _direct_sum(g, h):
@@ -532,8 +559,8 @@ def test_twins_take_the_factored_route():
     # split cuts a base-4 digit: all within the limit up to m = 12
     for m in range(1, 13):
         odd = m % 2 if m >= 3 else 0
-        assert len(bent._factors(sigma_function(m))[1]) == 1 + odd, m
-        assert len(bent._factors(tau_function(m))[1]) == (2 + 2 * odd if m >= 3 else 1), m
+        assert len(bent._factors(sigma_function(m), m + 1)[1]) == 1 << (1 + odd), m
+        assert len(bent._factors(tau_function(m), m + 1)[1]) == 1 << (2 + 2 * odd if m >= 3 else 1), m
     assert bent._MAX_LEAVES >= 4
 
 
@@ -543,12 +570,12 @@ def test_factored_route_agrees_with_the_dense_route_on_bent_tables():
     rng = random.Random(27)
     for f in _bent_inputs():
         flipped = BoolFunc.from_bits(f.n, f.bits ^ 1 << rng.randrange(f.size))
-        assert bent._factors(f) is not None, f.hex()
+        assert bent._factors(f, f.n + 2) is not None, f.hex()
         assert _routes(f) == (True, True), f.hex()
         assert _routes(flipped) == (False, False), flipped.hex()
         for g in (f, flipped):
-            if g.n <= 12 and bent._factors(g) is not None:
-                assert _factored_spectrum(g) == oracles.walsh_transform(g), g.hex()
+            if g.n <= 12 and bent._factors(g, g.n + 2) is not None:
+                assert _factored_matches(g), g.hex()
 
 
 def test_factored_route_agrees_with_the_dense_route_on_random_blocks():
@@ -566,16 +593,16 @@ def test_factored_route_agrees_with_the_dense_route_on_random_blocks():
                 if n % 2:
                     assert _routes(f) == (False, False)
                     continue
-                assert len(bent._factors(f)[1]) <= r
+                assert len(bent._factors(f, n + 2)[1]) <= 1 << r
                 assert len(set(_routes(f))) == 1, f.hex()
                 if n <= 12:
-                    assert _factored_spectrum(f) == oracles.walsh_transform(f), f.hex()
+                    assert _factored_matches(f), f.hex()
 
 
 def test_factored_route_gives_up_past_its_leaf_limit():
     # one distinct block more than the limit: the dense route decides
     f = BoolFunc(6, bytes(range(bent._MAX_LEAVES + 1)).ljust(8, b"\0"))
-    assert bent._factors(f) is None
+    assert bent._factors(f, 4) is None
     assert _routes(f) == (False, False) == (oracles.is_bent(f),) * 2
 
 

@@ -227,9 +227,9 @@ def test_bent_at_guard_limit_within_budget(tmp_path):
 
 # is_bent on a Maiorana-McFarland table at n = 24, read packed from a
 # file, and on the same table with one entry flipped: 4096 distinct
-# blocks, so the factored route gives up on both; the table runs the bit
-# planes, and the flipped one is refused by its weight, W(0) = 2^24 -
-# 2 wt +- 2
+# blocks, so the factored route gives up on both, and both run the bit
+# planes of the whole table; the flipped one is refused there, as every
+# |W_f| is 2^12 +- 2
 _DENSE_24 = """
 import json, random, sys
 from ctwin import bent
@@ -239,15 +239,16 @@ f = bent.BoolFunc(24, bytes(packed))
 i = random.Random(67).randrange(1 << 24)
 packed[i >> 3] ^= 1 << (i & 7)
 flipped = bent.BoolFunc(24, bytes(packed))
-print(json.dumps([bent._factors(f) is None, bent.is_bent(f), bent.is_bent(flipped)]))
+print(json.dumps([bent._factors(f, 13) is None, bent.is_bent(f), bent.is_bent(flipped)]))
 """
 
 
 def test_dense_is_bent_at_n24_within_budget(tmp_path):
     # n = 24 is the largest table `bent` makes; a table the factored route
-    # gives up on takes the bit planes there once, in 4 s and 160 MB, with
-    # numpy blocked (0.52-0.70 s, median 0.59 s, and 63 MB measured
-    # through this launcher over 10 runs, 2 vCPU)
+    # gives up on and its flipped copy take the bit planes there once
+    # each, in 4 s and 160 MB, with numpy blocked (1.03-1.51 s, median
+    # 1.14 s, and 78 MB measured through this launcher over 10 runs,
+    # 2 vCPU)
     table = tmp_path / "mm24.bin"
     table.write_bytes(oracles.maiorana_mcfarland(12, 67).packed)
     out = tmp_path / "stdout.json"
@@ -270,8 +271,8 @@ with open(sys.argv[1]) as fh:
 def test_relabelled_tau10_is_bent_within_budget(tmp_path):
     # tau_10 relabelled by a random invertible map over GF(2), the
     # benchmark's is_bent step: 1024 distinct blocks, so the bit planes
-    # decide it, in 0.6 s and 40 MB with numpy blocked (0.074-0.134 s,
-    # median 0.09 s, and 18.8 MB measured through this launcher over 20
+    # decide it, in 0.6 s and 40 MB with numpy blocked (0.086-0.163 s,
+    # median 0.11 s, and 18.9 MB measured through this launcher over 10
     # runs, 2 vCPU)
     f = tau_function(10)
     cols = oracles.random_invertible(random.Random(10), 20)

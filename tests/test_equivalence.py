@@ -66,7 +66,7 @@ def colour_graphs(rng, n):
     if n == 4:
         # {1, 2, 3, 8, 9}: k = 5, lambda = 4 and mu = 0 pass the check at
         # u = 0, but the roots 5 and -1 are 6 apart, not a power of two,
-        # so the lane test is skipped and the walk names the rejection
+        # so the plane test is skipped and the walk names the rejection
         graphs.append(cayley_graph(BoolFunc.from_bits(n, 0b1100001110)))
     if n % 2 == 0:
         kappa = oracles.relabel(build_delta(n // 2).kappa, oracles.random_invertible(rng, n))

@@ -6,6 +6,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -194,7 +195,8 @@ def test_verify_swap_memory_is_linear_in_v(monkeypatch):
 def test_verify_swap_checks_every_difference(monkeypatch, m, differences):
     # with kappa nonzero at d alone, the identity breaks exactly the pairs
     # at difference d, so a check that skipped d would pass it; at m = 5
-    # (v > 256) the colours are read field by field, and d = 512 comes last
+    # (v > 256) the colours are read a byte at a time from two-byte
+    # fields, and d = 512 comes last
     v = 1 << (2 * m)
     identity = SwapMap(m, tuple(range(v)))
     for d in differences or range(1, v):
@@ -246,6 +248,61 @@ def test_all_swaps_reads_two_byte_fields_m5(monkeypatch):
     assert swap._all_swaps(5, [exchange, exchange])
     assert not swap._all_swaps(5, [exchange, identity])
     assert not swap._all_swaps(5, [identity, exchange])
+
+
+def _by_field(kappa):
+    """kappa read field by field on a run of two-byte vertices packed by
+    `array`: the read that `swap._colours` replaces."""
+    return lambda half: bytes(map(kappa.__getitem__, array("H", half)))
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_two_byte_colours_match_the_field_by_field_read(monkeypatch, m):
+    # the colours read a byte at a time, against kappa read field by
+    # field: at every vertex and on random runs of vertices, for Delta_m
+    # and for kappa with a few nonzero entries; and the verdicts of
+    # `_all_swaps` on random maps, and on the map that exchanges vertex
+    # bits 0 and 2m - 1, a swap of kappa nonzero at 1 (+1) and v / 2 (-1)
+    # alone, are the same with either read
+    rng = random.Random(m)
+    v = 1 << (2 * m)
+    kappas = [twins._delta_kappa(m), bytes([0, 1]).ljust(v // 2, b"\0") + bytes([255]).ljust(v // 2, b"\0")]
+    for count in (1, 2, 5):
+        kappa = bytearray(v)
+        for d in rng.sample(range(1, v), count):
+            kappa[d] = rng.choice((1, 255))
+        kappas.append(bytes(kappa))
+    for kappa in kappas:
+        colours, oracle = swap._colours(kappa), _by_field(kappa)
+        runs = [range(v)] + [rng.sample(range(v), v // 2) for _ in range(4)]
+        for run in runs:
+            half = array("H", run).tobytes()
+            assert colours(half) == oracle(half)
+    top = 2 * m - 1
+    exchange = tuple(a & (v // 2 - 2) | (a & 1) << top | a >> top for a in range(v))
+    maps = [exchange] + [tuple(rng.sample(range(v), v)) for _ in range(3)]
+    for kappa in kappas:
+        monkeypatch.setattr(swap, "_delta_kappa", lambda m, kappa=kappa: kappa)
+        verdicts = [swap._all_swaps(m, [phi]) for phi in maps]
+        with monkeypatch.context() as mp:
+            mp.setattr(swap, "_colours", _by_field)
+            assert verdicts == [swap._all_swaps(m, [phi]) for phi in maps]
+        assert verdicts[1:] == [False] * 3 and verdicts[0] is (kappa == kappas[1])
+
+
+def test_two_byte_colours_check_their_split(monkeypatch):
+    # kappa with more than 16 distinct columns over the low byte cannot
+    # be read a byte at a time, and neither can a field in the wrong byte
+    # order: both are refused at the check, not answered
+    rng = random.Random(5)
+    kappa = bytes(rng.choice((0, 1, 255)) for _ in range(1 << 10))
+    monkeypatch.setattr(swap, "_delta_kappa", lambda m: kappa)
+    with pytest.raises(RuntimeError, match="^the colours read a byte at a time are not kappa$"):
+        verify_swap(SwapMap(5, tuple(range(1 << 10))))
+    monkeypatch.undo()
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    with pytest.raises(RuntimeError, match="^the colours read a byte at a time are not kappa$"):
+        verify_swap(SwapMap(5, tuple(range(1 << 10))))
 
 
 def test_search_all_checks_its_maps_in_one_pass(monkeypatch):
